@@ -4,7 +4,7 @@ use crate::report::{AnalysisReport, Diagnostic};
 use crate::spec::ControllerSpec;
 use crate::{composition, hygiene, lipschitz_cert, range};
 use cocktail_env::Dynamics;
-use cocktail_verify::CertificateConfig;
+use cocktail_verify::{default_params, CertificateConfig};
 use std::sync::Arc;
 
 /// Tuning knobs of the analyzer.
@@ -13,8 +13,10 @@ pub struct AnalysisConfig {
     /// Distillation Lipschitz target `L`; `None` disables the budget
     /// comparison (the bound itself is still reported).
     pub lipschitz_target: Option<f64>,
-    /// Verification-side parameters (degree, tolerance, piece budget)
-    /// used to predict the Bernstein certification cost.
+    /// Verification-side parameters (degree, tolerance, piece budget,
+    /// error-sample grid) used to predict the Bernstein certification
+    /// cost. [`AnalysisConfig::for_plant`] sets the budget a controller is
+    /// actually certified under.
     pub certificate: CertificateConfig,
     /// Per-layer spectral-norm limit above which a layer counts as
     /// exploding.
@@ -35,6 +37,21 @@ impl Default for AnalysisConfig {
             spectral_norm_limit: 1e3,
             saturation_margin: 4.0,
             range_tolerance: 1e-9,
+        }
+    }
+}
+
+impl AnalysisConfig {
+    /// The defaults, with certification cost predicted against the budget
+    /// a controller for `sys` is certified under: `certificate` when one is
+    /// given (a bundle's shipped budget), else the plant's export budget
+    /// from [`default_params`].
+    pub fn for_plant(sys: &dyn Dynamics, certificate: Option<&CertificateConfig>) -> Self {
+        Self {
+            certificate: certificate
+                .cloned()
+                .unwrap_or_else(|| default_params(sys).certificate),
+            ..Self::default()
         }
     }
 }

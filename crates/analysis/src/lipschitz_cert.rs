@@ -6,20 +6,23 @@
 //! optional distillation target, and predicts what the bound costs at
 //! verification time: the Bernstein remainder `ε = 1.5·L·Σwᵢ/√d` of
 //! `cocktail-verify` and the number of domain partitions needed to push
-//! that remainder under the certificate tolerance.
+//! the verifier's per-piece error bound under the certificate tolerance.
 //!
-//! The partition prediction inverts the verifier's bisection geometry:
-//! splitting every axis `k` times divides the width sum — and hence `ε` —
-//! by `2^k` while multiplying the piece count by `2^{kn}`, so reaching a
-//! tolerance `τ` from an initial remainder `ε₀ > τ` takes at least
-//! `(ε₀/τ)^n` pieces.
+//! The verifier accepts a piece once the smaller of that remainder and
+//! its sampled bound meets the tolerance. The sampled bound is never below
+//! `L·r`, the Lipschitz margin over the covering radius `r` of the
+//! error-sample grid, so the piece bound starts at no less than
+//! `ε₀ = min(ε, L·r)` on the unpartitioned domain. Both terms are linear
+//! in the widths: splitting every axis `k` times divides `ε₀` by `2^k`
+//! while multiplying the piece count by `2^{kn}`, so reaching a tolerance
+//! `τ < ε₀` takes about `(ε₀/τ)^n` pieces.
 
 use crate::analyzer::AnalysisConfig;
 use crate::report::{AnalysisReport, Diagnostic};
 use crate::spec::ControllerSpec;
 use cocktail_env::Dynamics;
 use cocktail_nn::lipschitz::{self, NormKind};
-use cocktail_verify::bernstein::rigorous_error_bound;
+use cocktail_verify::bernstein::{rigorous_error_bound, sample_margin};
 
 pub(crate) const PASS: &str = "lipschitz";
 
@@ -85,7 +88,8 @@ pub fn check(
         ),
     ));
 
-    let pieces = predicted_pieces(epsilon, cert.tolerance, domain.dim());
+    let margin = sample_margin(l, &domain, cert.error_samples_per_dim);
+    let pieces = predicted_pieces(epsilon.min(margin), cert.tolerance, domain.dim());
     if pieces > cert.max_pieces as f64 {
         report.push(Diagnostic::warn(
             PASS,
@@ -102,8 +106,12 @@ pub fn check(
             PASS,
             "verification-cost",
             format!(
-                "estimated {pieces:.0} domain partition(s) to reach tolerance {}",
-                cert.tolerance
+                "estimated {pieces:.0} domain partition(s) to reach tolerance {} \
+                 (sampled-bound margin {margin:.4} at {} error samples per dimension), \
+                 within the certificate budget of {} pieces",
+                cert.tolerance,
+                cert.error_samples_per_dim.max(2),
+                cert.max_pieces
             ),
         ));
     }
@@ -140,7 +148,10 @@ fn predicted_pieces(epsilon: f64, tau: f64, n: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::Severity;
+    use cocktail_env::systems::VanDerPol;
     use cocktail_math::Matrix;
+    use cocktail_verify::{default_params, CertificateConfig};
 
     #[test]
     fn linear_bound_is_gain_spectral_norm() {
@@ -164,6 +175,93 @@ mod tests {
             u_sup: vec![1.0],
         };
         assert!(certified_bound(&spec).is_none());
+    }
+
+    fn oscillator_student(seed: u64) -> cocktail_nn::Mlp {
+        cocktail_nn::MlpBuilder::new(2)
+            .hidden(16, cocktail_nn::Activation::Tanh)
+            .hidden(16, cocktail_nn::Activation::Tanh)
+            .output(1, cocktail_nn::Activation::Tanh)
+            .seed(seed)
+            .build()
+    }
+
+    fn analyze(spec: &ControllerSpec, config: &AnalysisConfig) -> AnalysisReport {
+        let mut report = AnalysisReport::new();
+        check(spec, &VanDerPol::new(), config, &mut report);
+        report
+    }
+
+    fn diagnostic<'a>(report: &'a AnalysisReport, code: &str) -> Option<&'a Diagnostic> {
+        report.diagnostics().iter().find(|d| d.code == code)
+    }
+
+    #[test]
+    fn shipped_budget_makes_a_kappa_star_bound_a_cost_note() {
+        // a bound like the benchmark's κ* (L ≈ 18.7 at scale 20), which
+        // certifies in 2,923 pieces under the oscillator's export budget
+        let mut net = oscillator_student(0);
+        let target = 18.7 / 20.0;
+        let per_layer = (target / lipschitz::upper_bound(&net, NormKind::Spectral))
+            .powf(1.0 / net.layers().len() as f64);
+        for layer in net.layers_mut() {
+            layer.weights_mut().scale_inplace(per_layer);
+        }
+        let spec = ControllerSpec::Mlp {
+            net,
+            scale: vec![20.0],
+        };
+        let l = certified_bound(&spec).expect("mlp");
+        assert!((l - 18.7).abs() < 0.1, "L = {l}");
+        let sys = VanDerPol::new();
+
+        let report = analyze(&spec, &AnalysisConfig::for_plant(&sys, None));
+        assert!(
+            diagnostic(&report, "verification-budget").is_none(),
+            "{report}"
+        );
+        let cost = diagnostic(&report, "verification-cost").expect("cost note");
+        assert_eq!(cost.severity, Severity::Info, "{report}");
+
+        // a shipped budget wins over the plant's export budget
+        let tight = CertificateConfig {
+            max_pieces: 16,
+            ..default_params(&sys).certificate
+        };
+        let report = analyze(&spec, &AnalysisConfig::for_plant(&sys, Some(&tight)));
+        let budget = diagnostic(&report, "verification-budget").expect("over budget");
+        assert_eq!(budget.severity, Severity::Warn, "{report}");
+    }
+
+    #[test]
+    fn prediction_does_not_exceed_what_refinement_needs() {
+        // the prediction is the uniform-bisection count of the floor under
+        // the verifier's per-piece bound, so a real certificate needs at
+        // least that many pieces
+        let sys = VanDerPol::new();
+        let config = AnalysisConfig::for_plant(&sys, None);
+        for seed in [1u64, 2, 3] {
+            let mut net = oscillator_student(seed);
+            for layer in net.layers_mut() {
+                layer.weights_mut().scale_inplace(0.6);
+            }
+            let l = 20.0 * lipschitz::upper_bound(&net, NormKind::Spectral);
+            let domain = sys.verification_domain();
+            let cert = &config.certificate;
+            let floor = rigorous_error_bound(l, &domain, cert.degree).min(sample_margin(
+                l,
+                &domain,
+                cert.error_samples_per_dim,
+            ));
+            let predicted = predicted_pieces(floor, cert.tolerance, domain.dim());
+            let built = cocktail_verify::BernsteinCertificate::build(&net, &[20.0], &domain, cert)
+                .expect("fits the export budget");
+            assert!(
+                predicted <= built.piece_count() as f64,
+                "seed {seed}: predicted {predicted}, built {}",
+                built.piece_count()
+            );
+        }
     }
 
     #[test]

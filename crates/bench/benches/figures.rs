@@ -1,7 +1,8 @@
 //! Criterion benchmarks for the verification machinery behind **Fig. 2**
 //! (attacked signal traces), **Fig. 3** (invariant sets) and **Fig. 4**
 //! (reachable sets): Bernstein certification, grid-fixpoint invariance and
-//! both reachability modes, at reduced sizes.
+//! both reachability modes, at reduced sizes; and the whole safety
+//! certificate that admission re-derives, at the export budget.
 
 #![allow(
     clippy::expect_used,
@@ -15,13 +16,15 @@ use cocktail_core::experts::reference_laws;
 use cocktail_core::metrics::signal_trace;
 use cocktail_core::SystemId;
 use cocktail_distill::AttackModel;
+use cocktail_math::parallel::default_workers;
 use cocktail_math::{BoxRegion, Matrix};
 use cocktail_nn::{Activation, MlpBuilder};
+use cocktail_obs::NullSink;
 use cocktail_verify::enclosure::LinearEnclosure;
 use cocktail_verify::reach::ReachMode;
 use cocktail_verify::{
-    invariant_set, reach_analysis, BernsteinCertificate, CertificateConfig, InvariantConfig,
-    ReachConfig,
+    certify_controller, default_params, invariant_set, reach_analysis, BernsteinCertificate,
+    CertificateConfig, InvariantConfig, ReachConfig,
 };
 
 fn bench_fig2_trace(c: &mut Criterion) {
@@ -148,10 +151,47 @@ fn bench_verification_scaling(c: &mut Criterion) {
     group.finish();
 }
 
+/// The whole certificate admission re-derives on every bundle set-up —
+/// Bernstein refinement, reachability and the invariant fixpoint — under
+/// the oscillator's export budget (`default_params`), on a seeded student
+/// scaled to the Lipschitz bound of a trained κ* (≈ 18.7 at output scale
+/// 20), which refines to a few thousand pieces.
+fn bench_certify_controller(c: &mut Criterion) {
+    let sys = SystemId::Oscillator.dynamics();
+    let mut net = MlpBuilder::new(2)
+        .hidden(16, Activation::Tanh)
+        .hidden(16, Activation::Tanh)
+        .output(1, Activation::Tanh)
+        .seed(0)
+        .build();
+    let per_layer = (18.7 / 20.0 / net.lipschitz_constant()).powf(1.0 / net.layers().len() as f64);
+    for layer in net.layers_mut() {
+        layer.weights_mut().scale_inplace(per_layer);
+    }
+    let params = default_params(sys.as_ref());
+    let workers = default_workers();
+    let mut group = c.benchmark_group("certify_controller");
+    group.sample_size(10);
+    group.bench_function("oscillator_default_params", |b| {
+        b.iter(|| {
+            certify_controller(
+                sys.as_ref(),
+                black_box(&net),
+                &[20.0],
+                &params,
+                workers,
+                &NullSink,
+            )
+            .expect("fits the export budget")
+        });
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_fig2_trace, bench_fig3_machinery, bench_fig4_machinery,
-              bench_verification_scaling
+              bench_verification_scaling, bench_certify_controller
 }
 criterion_main!(benches);

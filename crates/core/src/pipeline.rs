@@ -6,7 +6,9 @@ use crate::supervisor::{
     PipelineError, StageCheckpoint, SupervisorConfig,
 };
 use crate::system::SystemId;
-use cocktail_analysis::{AnalysisReport, Analyzer, ControllerSpec, Diagnostic, PreflightMode};
+use cocktail_analysis::{
+    AnalysisConfig, AnalysisReport, Analyzer, ControllerSpec, Diagnostic, PreflightMode,
+};
 use cocktail_control::{Controller, MixedController, NnController, WeightPolicy};
 use cocktail_distill::{direct_distill, DistillConfig, RobustDistillSession, TeacherDataset};
 use cocktail_env::Dynamics;
@@ -676,7 +678,9 @@ impl Cocktail {
             return Ok(());
         }
         let _stage = Span::enter(&*self.tel, "pipeline/student-lint");
-        let analyzer = Analyzer::new(sys.clone());
+        // students are certified under the plant's export budget
+        let lint = AnalysisConfig::for_plant(sys.as_ref(), None);
+        let analyzer = Analyzer::with_config(sys.clone(), lint);
         let mut report = AnalysisReport::new();
         for (name, student) in [("kappa_d", kappa_d), ("kappa_star", kappa_star)] {
             let spec =

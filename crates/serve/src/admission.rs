@@ -18,7 +18,7 @@
 //! as uncertified unless the operator opts in.
 
 use crate::bundle::{BundleError, ControllerBundle};
-use cocktail_analysis::{AnalysisReport, Analyzer, PreflightMode};
+use cocktail_analysis::{AnalysisConfig, AnalysisReport, Analyzer, PreflightMode};
 use cocktail_nn::lipschitz;
 use cocktail_obs::{Event, NullSink, Span, Telemetry};
 use cocktail_verify::{certify_controller, SafetyCert, SafetyVerdict};
@@ -318,7 +318,11 @@ fn run_checks(
     let report = if config.mode == PreflightMode::Off {
         AnalysisReport::new()
     } else {
-        let report = Analyzer::new(sys.clone()).analyze(&bundle.spec);
+        // predict certification cost against the budget the embedded
+        // certificate is re-derived with below
+        let shipped = bundle.safety.as_ref().map(|cert| &cert.params.certificate);
+        let lint = AnalysisConfig::for_plant(sys.as_ref(), shipped);
+        let report = Analyzer::with_config(sys.clone(), lint).analyze(&bundle.spec);
         if tel.enabled() {
             for d in report.diagnostics() {
                 tel.record(

@@ -13,7 +13,7 @@
 //! the same atomic fsync'd temp-file-then-rename protocol as the pipeline
 //! checkpoints, so a crash mid-export never leaves a torn bundle.
 
-use cocktail_analysis::{AnalysisReport, ControllerSpec, Severity};
+use cocktail_analysis::{AnalysisConfig, AnalysisReport, Analyzer, ControllerSpec, Severity};
 use cocktail_core::SystemId;
 use cocktail_math::BoxRegion;
 use cocktail_nn::{FastTierCert, Mlp};
@@ -253,7 +253,8 @@ impl ControllerBundle {
     ) -> Result<Self, BundleError> {
         let sys = system.dynamics();
         let spec = ControllerSpec::from_network(net, scale);
-        let report = cocktail_analysis::Analyzer::new(sys.clone()).analyze(&spec);
+        let lint = AnalysisConfig::for_plant(sys.as_ref(), safety_params.map(|p| &p.certificate));
+        let report = Analyzer::with_config(sys.clone(), lint).analyze(&spec);
         if report.has_errors() {
             return Err(BundleError::Format(format!(
                 "student fails the export lint gate ({}):\n{}",

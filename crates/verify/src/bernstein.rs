@@ -16,10 +16,23 @@
 //! to verify (Table I, Figs. 3–4). When a piece's bound exceeds the
 //! tolerance it is bisected; the total piece budget is capped and a
 //! high-`L` network exhausts it ([`VerifyError::ResourceExhausted`]).
+//!
+//! Certification runs on every bundle admission, so its cost is paid at
+//! every set-up. Two structures keep it cheap without changing a bit of
+//! the result:
+//!
+//! * each refinement region is evaluated with **one batched forward
+//!   pass**: the coefficient grid (and the error-sample grid, unless it is
+//!   the same point set) is laid into a matrix and run through
+//!   [`Mlp::forward_batch`], whose rows are bit-identical to
+//!   [`Mlp::forward`];
+//! * the refinement's **bisection tree** is kept as the piece index, so
+//!   [`ControlEnclosure::enclose`] descends only the subtrees overlapping
+//!   the query box instead of scanning every piece.
 
 use crate::enclosure::ControlEnclosure;
 use crate::error::VerifyError;
-use cocktail_math::{BoxRegion, Interval};
+use cocktail_math::{BoxRegion, Interval, Matrix};
 use cocktail_nn::Mlp;
 use serde::{Deserialize, Serialize};
 
@@ -54,23 +67,8 @@ impl BernsteinApprox {
     /// Panics if `degree == 0`.
     pub fn build(f: &dyn Fn(&[f64]) -> f64, domain: &BoxRegion, degree: usize) -> Self {
         assert!(degree > 0, "degree must be positive");
-        let n = domain.dim();
-        let pts = degree + 1;
-        let count = pts.pow(n as u32);
-        let mut coeffs = Vec::with_capacity(count);
-        let mut idx = vec![0usize; n];
-        for _ in 0..count {
-            let t: Vec<f64> = idx.iter().map(|&k| k as f64 / degree as f64).collect();
-            coeffs.push(f(&domain.lerp(&t)));
-            // increment mixed-radix counter
-            for item in idx.iter_mut() {
-                *item += 1;
-                if *item < pts {
-                    break;
-                }
-                *item = 0;
-            }
-        }
+        let grid = uniform_grid(domain, degree);
+        let coeffs = (0..grid.rows()).map(|r| f(grid.row(r))).collect();
         Self {
             domain: domain.clone(),
             degree,
@@ -227,6 +225,29 @@ pub fn rigorous_error_bound(lipschitz: f64, domain: &BoxRegion, degree: usize) -
     1.5 * lipschitz * width_sum / (degree as f64).sqrt()
 }
 
+/// Covering radius (2-norm) of the uniform grid with `samples_per_dim ≥ 2`
+/// points per dimension over `domain`: every point of the box lies within
+/// it of a grid point.
+fn covering_radius(domain: &BoxRegion, samples_per_dim: usize) -> f64 {
+    0.5 * domain
+        .intervals()
+        .iter()
+        .map(|iv| {
+            let h = iv.width() / (samples_per_dim - 1) as f64;
+            h * h
+        })
+        .sum::<f64>()
+        .sqrt()
+}
+
+/// The Lipschitz margin `L·r` of the sampled error bound over `domain`,
+/// with `r` the covering radius of the error-sample grid. The sampled bound
+/// of a piece is never below it, whatever the fit, so only bisection
+/// removes it: the floor the static analyzer predicts refinement cost from.
+pub fn sample_margin(lipschitz: f64, domain: &BoxRegion, samples_per_dim: usize) -> f64 {
+    lipschitz * covering_radius(domain, samples_per_dim.max(2))
+}
+
 /// An upper bound on the 2-norm Lipschitz constant of a Bernstein
 /// approximant, from the first differences of its coefficient tensor:
 /// `|∂B/∂tᵢ| ≤ d·max_k |c_{k+eᵢ} − c_k|` in unit coordinates.
@@ -254,44 +275,86 @@ fn bernstein_lipschitz(poly: &BernsteinApprox) -> f64 {
     acc.sqrt()
 }
 
-/// Sound error bound for `|f − B|` over the piece from a dense sample grid
-/// plus the Lipschitz covering margin: if the grid has covering radius `r`
-/// (2-norm) then `‖f − B‖_∞ ≤ max_grid |f − B| + (L_f + L_B)·r`.
-fn sampled_error_bound(
-    f: &dyn Fn(&[f64]) -> f64,
-    poly: &BernsteinApprox,
-    f_lipschitz: f64,
-    samples_per_dim: usize,
-) -> f64 {
-    let n = poly.domain.dim();
-    let m = samples_per_dim.max(2);
-    let mut worst: f64 = 0.0;
+/// The uniform grid with `intervals + 1` points per dimension over
+/// `domain`, one point per row, lexicographic in the per-dimension index
+/// (dimension 0 fastest). Coordinate `k` of dimension `i` is
+/// `lo + (k/intervals)·width`, the arithmetic of [`BoxRegion::lerp`], so a
+/// grid point is bit-identical to `domain.lerp(&[k/intervals, …])`.
+fn uniform_grid(domain: &BoxRegion, intervals: usize) -> Matrix {
+    let n = domain.dim();
+    let pts = intervals + 1;
+    let count = pts.pow(n as u32);
+    let mut data = Vec::with_capacity(count * n);
     let mut idx = vec![0usize; n];
-    let count = m.pow(n as u32);
     for _ in 0..count {
-        let t: Vec<f64> = idx.iter().map(|&k| k as f64 / (m - 1) as f64).collect();
-        let x = poly.domain.lerp(&t);
-        worst = worst.max((f(&x) - poly.eval(&x)).abs());
+        for (iv, &k) in domain.intervals().iter().zip(&idx) {
+            data.push(iv.lo() + (k as f64 / intervals as f64) * iv.width());
+        }
+        // increment mixed-radix counter
         for item in idx.iter_mut() {
             *item += 1;
-            if *item < m {
+            if *item < pts {
                 break;
             }
             *item = 0;
         }
     }
-    let r = 0.5
-        * poly
-            .domain
-            .intervals()
-            .iter()
-            .map(|iv| {
-                let h = iv.width() / (m - 1) as f64;
-                h * h
-            })
-            .sum::<f64>()
-            .sqrt();
-    worst + (f_lipschitz + bernstein_lipschitz(poly)) * r
+    Matrix::from_vec(count, n, data)
+}
+
+/// Everything refinement needs to know about one region: the per-output
+/// approximants of `scale ⊙ net` and the region's error bound `ε`.
+///
+/// The coefficient grid goes through one [`Mlp::forward_batch`]. The error
+/// bound is sound from a sample grid plus the Lipschitz covering margin:
+/// if the grid has covering radius `r` (2-norm) then
+/// `‖f − B‖_∞ ≤ max_grid |f − B| + (L_f + L_B)·r`, and the smaller of that
+/// and [`rigorous_error_bound`] is kept per output. When the sample grid is
+/// the coefficient grid (`error_samples_per_dim − 1 == degree`, as in
+/// [`crate::cert::default_params`]) its network values are the
+/// coefficients themselves; otherwise it is batched once for all outputs.
+fn evaluate_region(
+    net: &Mlp,
+    scale: &[f64],
+    region: &BoxRegion,
+    config: &CertificateConfig,
+    lipschitz: f64,
+) -> (Vec<BernsteinApprox>, f64) {
+    let degree = config.degree;
+    let grid = uniform_grid(region, degree);
+    let values = net.forward_batch(&grid);
+    let polys: Vec<BernsteinApprox> = scale
+        .iter()
+        .enumerate()
+        .map(|(o, &s)| BernsteinApprox {
+            domain: region.clone(),
+            degree,
+            coeffs: (0..grid.rows()).map(|r| values[(r, o)] * s).collect(),
+        })
+        .collect();
+
+    let m = config.error_samples_per_dim.max(2);
+    let separate = (m - 1 != degree).then(|| {
+        let samples = uniform_grid(region, m - 1);
+        let sample_values = net.forward_batch(&samples);
+        (samples, sample_values)
+    });
+    let (samples, sample_values) = separate
+        .as_ref()
+        .map_or((&grid, &values), |(samples, values)| (samples, values));
+    let r = covering_radius(region, m);
+    let rigorous = rigorous_error_bound(lipschitz, region, degree);
+    let mut epsilon: f64 = 0.0;
+    for (o, (poly, &s)) in polys.iter().zip(scale).enumerate() {
+        let mut worst: f64 = 0.0;
+        for row in 0..samples.rows() {
+            let x = samples.row(row);
+            worst = worst.max((sample_values[(row, o)] * s - poly.eval(x)).abs());
+        }
+        let sampled = worst + (lipschitz + bernstein_lipschitz(poly)) * r;
+        epsilon = epsilon.max(sampled.min(rigorous));
+    }
+    (polys, epsilon)
 }
 
 /// Configuration for [`BernsteinCertificate::build`].
@@ -336,6 +399,10 @@ pub struct RefineStats {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BernsteinCertificate {
     pieces: Vec<CertPiece>,
+    /// The refinement's bisection tree, the piece index of
+    /// [`ControlEnclosure::enclose`]: node 0 is the domain, and nodes are
+    /// numbered level by level in refinement order.
+    tree: Vec<TreeNode>,
     domain: BoxRegion,
     output_dim: usize,
     lipschitz: f64,
@@ -346,6 +413,25 @@ struct CertPiece {
     region: BoxRegion,
     polys: Vec<BernsteinApprox>,
     epsilon: f64,
+}
+
+/// A node of the bisection tree.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+enum TreeNode {
+    /// An accepted region: the index of its piece.
+    Piece(usize),
+    /// A bisected region; its two halves are nodes `halves` and
+    /// `halves + 1`.
+    Split { region: BoxRegion, halves: usize },
+}
+
+/// Whether two boxes of equal dimension intersect: the test of
+/// [`BoxRegion::intersect`] without building the intersection.
+fn overlaps(a: &BoxRegion, b: &BoxRegion) -> bool {
+    a.intervals()
+        .iter()
+        .zip(b.intervals())
+        .all(|(x, y)| x.lo().max(y.lo()) <= x.hi().min(y.hi()))
 }
 
 impl BernsteinCertificate {
@@ -361,8 +447,8 @@ impl BernsteinCertificate {
     ///
     /// # Panics
     ///
-    /// Panics if `scale.len() != net.output_dim()` or
-    /// `domain.dim() != net.input_dim()`.
+    /// Panics if `scale.len() != net.output_dim()`,
+    /// `domain.dim() != net.input_dim()` or `config.degree == 0`.
     pub fn build(
         net: &Mlp,
         scale: &[f64],
@@ -383,10 +469,12 @@ impl BernsteinCertificate {
     /// refinement statistics alongside the certificate.
     ///
     /// Refinement is level-synchronous: every region of the current frontier
-    /// is evaluated in parallel, then accepted or bisected in index order.
-    /// Each region's approximants and error bound depend only on that
-    /// region, so the resulting certificate is bit-identical for every
-    /// `workers >= 1`.
+    /// is evaluated in parallel — its coefficient grid, and its error-sample
+    /// grid when that is a different point set, each through one batched
+    /// forward pass — then accepted or bisected in index order. Each
+    /// region's approximants and error bound depend only on that region, so
+    /// the resulting certificate, bisection tree included, is bit-identical
+    /// for every `workers >= 1`.
     ///
     /// # Errors
     ///
@@ -404,11 +492,13 @@ impl BernsteinCertificate {
     ) -> Result<(Self, RefineStats), VerifyError> {
         assert_eq!(scale.len(), net.output_dim(), "scale length mismatch");
         assert_eq!(domain.dim(), net.input_dim(), "domain dimension mismatch");
+        assert!(config.degree > 0, "degree must be positive");
         let max_scale = scale.iter().fold(0.0_f64, |m, &s| m.max(s.abs()));
         let lipschitz = max_scale * net.lipschitz_constant();
 
         let mut frontier = vec![domain.clone()];
         let mut pieces = Vec::new();
+        let mut tree = Vec::new();
         let mut stats = RefineStats::default();
         while !frontier.is_empty() {
             if pieces.len() + frontier.len() > config.max_pieces {
@@ -417,41 +507,26 @@ impl BernsteinCertificate {
                     budget: config.max_pieces,
                 });
             }
-            // build per-output approximants and bound their error soundly
-            let evaluated: Vec<(Vec<BernsteinApprox>, f64)> =
-                cocktail_math::parallel::map_indexed_with_workers(
-                    &frontier,
-                    workers,
-                    |_, region| {
-                        let polys: Vec<BernsteinApprox> = (0..net.output_dim())
-                            .map(|o| {
-                                let f = |x: &[f64]| net.forward(x)[o] * scale[o];
-                                BernsteinApprox::build(&f, region, config.degree)
-                            })
-                            .collect();
-                        let rigorous = rigorous_error_bound(lipschitz, region, config.degree);
-                        let mut epsilon: f64 = 0.0;
-                        for (o, poly) in polys.iter().enumerate() {
-                            let f = |x: &[f64]| net.forward(x)[o] * scale[o];
-                            let sampled = sampled_error_bound(
-                                &f,
-                                poly,
-                                lipschitz,
-                                config.error_samples_per_dim,
-                            );
-                            epsilon = epsilon.max(sampled.min(rigorous));
-                        }
-                        (polys, epsilon)
-                    },
-                );
+            let evaluated = cocktail_math::parallel::map_indexed_with_workers(
+                &frontier,
+                workers,
+                |_, region| evaluate_region(net, scale, region, config, lipschitz),
+            );
+            // the frontier is nodes tree.len().., its halves follow it
+            let first_half = tree.len() + frontier.len();
             let mut next = Vec::new();
             for (region, (polys, epsilon)) in frontier.into_iter().zip(evaluated) {
                 if epsilon > config.tolerance && region.max_width() > 1e-6 {
                     let (a, b) = region.bisect();
+                    tree.push(TreeNode::Split {
+                        region,
+                        halves: first_half + next.len(),
+                    });
                     next.push(a);
                     next.push(b);
                     stats.splits += 1;
                 } else {
+                    tree.push(TreeNode::Piece(pieces.len()));
                     pieces.push(CertPiece {
                         region,
                         polys,
@@ -467,6 +542,7 @@ impl BernsteinCertificate {
         Ok((
             Self {
                 pieces,
+                tree,
                 domain: domain.clone(),
                 output_dim: scale.len(),
                 lipschitz,
@@ -495,11 +571,24 @@ impl BernsteinCertificate {
         &self.domain
     }
 
-    /// The pieces intersecting `q` (used by the analyses).
-    fn pieces_covering<'a>(&'a self, q: &'a BoxRegion) -> impl Iterator<Item = &'a CertPiece> {
-        self.pieces
-            .iter()
-            .filter(move |p| p.region.intersect(q).is_some())
+    /// Appends to `hits` the pieces under tree node `node` that intersect
+    /// `q`, descending only into subtrees whose region intersects `q`. A
+    /// piece lies inside every ancestor's region, so no intersecting piece
+    /// is pruned.
+    fn collect_covering(&self, node: usize, q: &BoxRegion, hits: &mut Vec<usize>) {
+        match &self.tree[node] {
+            TreeNode::Piece(i) => {
+                if overlaps(&self.pieces[*i].region, q) {
+                    hits.push(*i);
+                }
+            }
+            TreeNode::Split { region, halves } => {
+                if overlaps(region, q) {
+                    self.collect_covering(*halves, q, hits);
+                    self.collect_covering(halves + 1, q, hits);
+                }
+            }
+        }
     }
 
     /// Evaluates the certified approximation at a point (mid-value, no
@@ -531,14 +620,25 @@ impl ControlEnclosure for BernsteinCertificate {
         self.output_dim
     }
 
+    /// The hull, per output, of `B_P(q ∩ P) ± ε_P` over the pieces `P`
+    /// intersecting `q`. The bisection tree finds those pieces; they are
+    /// folded in piece order, so the hull is bit-identical to a scan over
+    /// every piece.
     #[allow(
         clippy::expect_used,
-        reason = "pieces_covering yields only intersecting pieces, and the partition covers the domain"
+        reason = "only intersecting pieces are collected, and the partition covers the domain"
     )]
     fn enclose(&self, q: &BoxRegion) -> Vec<Interval> {
+        assert_eq!(q.dim(), self.domain.dim(), "box dimension mismatch");
+        let mut hits = Vec::new();
+        self.collect_covering(0, q, &mut hits);
+        hits.sort_unstable();
         let mut out: Vec<Option<Interval>> = vec![None; self.output_dim];
-        for piece in self.pieces_covering(q) {
-            let overlap = piece.region.intersect(q).expect("filtered to intersecting");
+        for piece in hits.into_iter().map(|i| &self.pieces[i]) {
+            let overlap = piece
+                .region
+                .intersect(q)
+                .expect("collected as intersecting");
             for (o, poly) in piece.polys.iter().enumerate() {
                 let iv = poly.enclose(&overlap).inflate(piece.epsilon);
                 out[o] = Some(match out[o] {
@@ -708,12 +808,175 @@ mod tests {
             "refinement must actually happen"
         );
         assert!(ref_stats.splits > 0);
+        assert_eq!(reference.tree.len(), 2 * ref_stats.splits + 1);
+        let queries = [
+            BoxRegion::cube(2, -0.3, 0.2),
+            BoxRegion::from_bounds(&[0.5, -1.0], &[1.0, -0.5]),
+        ];
         for workers in [2usize, 8] {
             let (cert, stats) =
                 BernsteinCertificate::build_with_workers(&net, &[5.0], &domain, &cfg, workers)
                     .expect("fits");
             assert_eq!(cert, reference, "workers = {workers}");
             assert_eq!(stats, ref_stats, "workers = {workers}");
+            // the piece index, and what it answers
+            assert_eq!(cert.tree, reference.tree, "workers = {workers}");
+            for q in &queries {
+                assert_eq!(
+                    bits(&cert.enclose(q)),
+                    bits(&reference.enclose(q)),
+                    "workers = {workers}"
+                );
+            }
+        }
+    }
+
+    fn bits(ivs: &[Interval]) -> Vec<[u64; 2]> {
+        ivs.iter()
+            .map(|iv| [iv.lo().to_bits(), iv.hi().to_bits()])
+            .collect()
+    }
+
+    /// The linear scan the bisection tree replaced: every piece, in order.
+    fn enclose_by_scan(cert: &BernsteinCertificate, q: &BoxRegion) -> Vec<Interval> {
+        let mut out: Vec<Option<Interval>> = vec![None; cert.output_dim];
+        for piece in &cert.pieces {
+            let Some(overlap) = piece.region.intersect(q) else {
+                continue;
+            };
+            for (o, poly) in piece.polys.iter().enumerate() {
+                let iv = poly.enclose(&overlap).inflate(piece.epsilon);
+                out[o] = Some(out[o].map_or(iv, |acc| acc.hull(&iv)));
+            }
+        }
+        out.into_iter()
+            .map(|iv| iv.expect("query intersects the domain"))
+            .collect()
+    }
+
+    fn two_output_net(seed: u64) -> Mlp {
+        MlpBuilder::new(2)
+            .hidden(6, Activation::Tanh)
+            .output(2, Activation::Tanh)
+            .seed(seed)
+            .build()
+    }
+
+    #[test]
+    fn tree_lookup_matches_a_scan_over_every_piece() {
+        let net = two_output_net(9);
+        let domain = BoxRegion::cube(2, -1.0, 1.0);
+        let cfg = CertificateConfig {
+            tolerance: 0.3,
+            max_pieces: 1 << 14,
+            ..Default::default()
+        };
+        let cert = BernsteinCertificate::build(&net, &[5.0, 3.0], &domain, &cfg).expect("fits");
+        assert!(cert.piece_count() > 50, "{} pieces", cert.piece_count());
+
+        let mut queries = Vec::new();
+        // seeded random boxes, some partly outside the domain
+        let mut rng = cocktail_math::rng::seeded(17);
+        let centres = BoxRegion::cube(2, -1.3, 1.3);
+        let radii = BoxRegion::cube(2, 0.0, 0.4);
+        for _ in 0..300 {
+            let c = cocktail_math::rng::uniform_in_box(&mut rng, &centres);
+            let r = cocktail_math::rng::uniform_in_box(&mut rng, &radii);
+            queries.push(BoxRegion::from_bounds(
+                &[c[0] - r[0], c[1] - r[1]],
+                &[c[0] + r[0], c[1] + r[1]],
+            ));
+        }
+        queries.push(BoxRegion::from_bounds(&[0.5, -2.0], &[3.0, 0.25]));
+        queries.push(BoxRegion::cube(2, -5.0, 5.0));
+        // faces exactly on piece boundaries: the piece itself, a box
+        // touching it only at its upper corner, zero-width faces, a corner
+        for piece in cert.pieces.iter().step_by(7) {
+            let [x, y] = [piece.region.interval(0), piece.region.interval(1)];
+            queries.push(piece.region.clone());
+            queries.push(BoxRegion::from_bounds(
+                &[x.hi(), y.hi()],
+                &[x.hi() + 0.25, y.hi() + 0.25],
+            ));
+            queries.push(BoxRegion::from_bounds(&[x.hi(), y.lo()], &[x.hi(), y.hi()]));
+            queries.push(BoxRegion::from_bounds(&[x.lo(), y.lo()], &[x.hi(), y.lo()]));
+            queries.push(BoxRegion::from_bounds(&[x.lo(), y.hi()], &[x.lo(), y.hi()]));
+        }
+        let mut checked = 0;
+        for q in queries.iter().filter(|q| q.intersect(&domain).is_some()) {
+            assert_eq!(
+                bits(&cert.enclose(q)),
+                bits(&enclose_by_scan(&cert, q)),
+                "{q:?}"
+            );
+            checked += 1;
+        }
+        assert!(checked > 300, "only {checked} queries intersect the domain");
+    }
+
+    /// The per-point construction the batched evaluation replaced: one
+    /// forward pass per coefficient and per error sample, per output.
+    fn evaluate_by_points(
+        net: &Mlp,
+        scale: &[f64],
+        region: &BoxRegion,
+        config: &CertificateConfig,
+        lipschitz: f64,
+    ) -> (Vec<BernsteinApprox>, f64) {
+        let n = region.dim();
+        let m = config.error_samples_per_dim.max(2);
+        let rigorous = rigorous_error_bound(lipschitz, region, config.degree);
+        let mut polys = Vec::new();
+        let mut epsilon: f64 = 0.0;
+        for (o, &s) in scale.iter().enumerate() {
+            let f = |x: &[f64]| net.forward(x)[o] * s;
+            let poly = BernsteinApprox::build(&f, region, config.degree);
+            let mut worst: f64 = 0.0;
+            for point in 0..m.pow(n as u32) {
+                let t: Vec<f64> = (0..n)
+                    .map(|i| ((point / m.pow(i as u32)) % m) as f64 / (m - 1) as f64)
+                    .collect();
+                let x = region.lerp(&t);
+                worst = worst.max((f(&x) - poly.eval(&x)).abs());
+            }
+            let r = 0.5
+                * region
+                    .intervals()
+                    .iter()
+                    .map(|iv| {
+                        let h = iv.width() / (m - 1) as f64;
+                        h * h
+                    })
+                    .sum::<f64>()
+                    .sqrt();
+            let sampled = worst + (lipschitz + bernstein_lipschitz(&poly)) * r;
+            epsilon = epsilon.max(sampled.min(rigorous));
+            polys.push(poly);
+        }
+        (polys, epsilon)
+    }
+
+    #[test]
+    fn batched_region_matches_per_point_evaluation() {
+        let net = two_output_net(4);
+        let scale = [5.0, 3.0];
+        let lipschitz = 5.0 * net.lipschitz_constant();
+        let region = BoxRegion::from_bounds(&[-0.75, 0.125], &[0.5, 1.0]);
+        // shared grid (5 samples at degree 4), and separate grids
+        for (degree, samples) in [(4, 5), (4, 7), (3, 6), (2, 2)] {
+            let cfg = CertificateConfig {
+                degree,
+                error_samples_per_dim: samples,
+                ..Default::default()
+            };
+            let (polys, eps) = evaluate_region(&net, &scale, &region, &cfg, lipschitz);
+            let (want_polys, want_eps) = evaluate_by_points(&net, &scale, &region, &cfg, lipschitz);
+            assert_eq!(polys, want_polys, "degree {degree}, {samples} samples");
+            assert_eq!(
+                eps.to_bits(),
+                want_eps.to_bits(),
+                "degree {degree}, {samples} samples"
+            );
         }
     }
 
