@@ -18,14 +18,22 @@
 //! high-`L` network exhausts it ([`VerifyError::ResourceExhausted`]).
 //!
 //! Certification runs on every bundle admission, so its cost is paid at
-//! every set-up. Two structures keep it cheap without changing a bit of
+//! every set-up. Four structures keep it cheap without changing a bit of
 //! the result:
 //!
-//! * each refinement region is evaluated with **one batched forward
-//!   pass**: the coefficient grid (and the error-sample grid, unless it is
-//!   the same point set) is laid into a matrix and run through
-//!   [`Mlp::forward_batch`], whose rows are bit-identical to
-//!   [`Mlp::forward`];
+//! * each refinement region runs the network in **one batched forward
+//!   pass** through [`Mlp::forward_batch`], whose rows are bit-identical to
+//!   [`Mlp::forward`] and so a pure function of the row's input bits;
+//! * **halves inherit their parent's network values**: a half differs from
+//!   the region it was bisected from only on the split axis, so every grid
+//!   point whose coordinates are, bit for bit (`to_bits()`), coordinates of
+//!   the parent's grid copies the parent's value, and only the rest is run
+//!   through the network. Matching is by bits, never by position, so odd
+//!   degrees and non-dyadic domains simply match fewer points;
+//! * the error estimate computes each dimension's **basis rows once per
+//!   region** for the tensor sample grid, with [`BernsteinApprox::eval`]'s
+//!   own arithmetic, and each approximant's Lipschitz bound once when it
+//!   is built;
 //! * the refinement's **bisection tree** is kept as the piece index, so
 //!   [`ControlEnclosure::enclose`] descends only the subtrees overlapping
 //!   the query box instead of scanning every piece.
@@ -48,6 +56,26 @@ fn binomial(n: usize, k: usize) -> f64 {
     num / den
 }
 
+/// The Bernstein basis row `B_{k,d}(t) = C(d,k)·tᵏ·(1−t)^(d−k)`,
+/// `k = 0..=d`, at one unit coordinate `t`.
+fn basis_row(d: usize, t: f64) -> Vec<f64> {
+    (0..=d)
+        .map(|k| binomial(d, k) * t.powi(k as i32) * (1.0 - t).powi((d - k) as i32))
+        .collect()
+}
+
+/// Advances a mixed-radix index of `pts` values per digit, dimension 0
+/// fastest, wrapping to all zeros after the last index.
+fn advance(idx: &mut [usize], pts: usize) {
+    for item in idx.iter_mut() {
+        *item += 1;
+        if *item < pts {
+            return;
+        }
+        *item = 0;
+    }
+}
+
 /// A single-output Bernstein approximant over a box.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BernsteinApprox {
@@ -56,6 +84,9 @@ pub struct BernsteinApprox {
     /// Coefficients on the `(degree+1)^n` tensor grid, lexicographic in the
     /// per-dimension index (dimension 0 fastest).
     coeffs: Vec<f64>,
+    /// [`bernstein_lipschitz`] of the coefficients, computed once: every
+    /// [`Self::enclose`] needs it.
+    lipschitz: f64,
 }
 
 impl BernsteinApprox {
@@ -67,12 +98,18 @@ impl BernsteinApprox {
     /// Panics if `degree == 0`.
     pub fn build(f: &dyn Fn(&[f64]) -> f64, domain: &BoxRegion, degree: usize) -> Self {
         assert!(degree > 0, "degree must be positive");
-        let grid = uniform_grid(domain, degree);
+        let grid = grid_points(&grid_coords(domain, degree));
         let coeffs = (0..grid.rows()).map(|r| f(grid.row(r))).collect();
+        Self::from_coeffs(domain.clone(), degree, coeffs)
+    }
+
+    fn from_coeffs(domain: BoxRegion, degree: usize, coeffs: Vec<f64>) -> Self {
+        let lipschitz = bernstein_lipschitz(&domain, degree, &coeffs);
         Self {
-            domain: domain.clone(),
+            domain,
             degree,
             coeffs,
+            lipschitz,
         }
     }
 
@@ -92,33 +129,44 @@ impl BernsteinApprox {
     ///
     /// Panics if `x.len() != domain.dim()`.
     pub fn eval(&self, x: &[f64]) -> f64 {
-        let t = self.domain.to_unit(x);
-        let n = t.len();
-        let d = self.degree;
-        // per-dimension basis values B_{k,d}(tᵢ)
-        let basis: Vec<Vec<f64>> = t
-            .iter()
-            .map(|&ti| {
-                (0..=d)
-                    .map(|k| binomial(d, k) * ti.powi(k as i32) * (1.0 - ti).powi((d - k) as i32))
-                    .collect()
-            })
+        let basis: Vec<Vec<f64>> = self
+            .domain
+            .to_unit(x)
+            .into_iter()
+            .map(|t| basis_row(self.degree, t))
             .collect();
-        let pts = d + 1;
+        self.eval_with_basis(&basis)
+    }
+
+    /// The coefficient sum of [`Self::eval`] given each dimension's
+    /// [`basis_row`] at the point, so callers that share rows between
+    /// points run the same arithmetic.
+    ///
+    /// Each term is `c · B₀[k₀] · B₁[k₁] · …`, multiplied left to right and
+    /// summed in coefficient order. Dimension 0 runs fastest, so the
+    /// factors of the other dimensions are picked once per run of
+    /// `degree + 1` coefficients.
+    #[allow(
+        clippy::expect_used,
+        reason = "a BoxRegion always has at least one dimension"
+    )]
+    fn eval_with_basis<B: AsRef<[f64]>>(&self, basis: &[B]) -> f64 {
+        let pts = self.degree + 1;
+        let (first, rest) = basis.split_first().expect("non-empty basis");
+        let mut idx = vec![0usize; rest.len()];
+        let mut factors: Vec<f64> = rest.iter().map(|row| row.as_ref()[0]).collect();
         let mut acc = 0.0;
-        let mut idx = vec![0usize; n];
-        for &c in &self.coeffs {
-            let mut w = c;
-            for (i, &k) in idx.iter().enumerate() {
-                w *= basis[i][k];
-            }
-            acc += w;
-            for item in idx.iter_mut() {
-                *item += 1;
-                if *item < pts {
-                    break;
+        for run in self.coeffs.chunks_exact(pts) {
+            for (&c, &b) in run.iter().zip(first.as_ref()) {
+                let mut w = c * b;
+                for &f in &factors {
+                    w *= f;
                 }
-                *item = 0;
+                acc += w;
+            }
+            advance(&mut idx, pts);
+            for ((f, row), &k) in factors.iter_mut().zip(rest).zip(&idx) {
+                *f = row.as_ref()[k];
             }
         }
         acc
@@ -139,7 +187,7 @@ impl BernsteinApprox {
     /// An upper bound on this approximant's own 2-norm Lipschitz constant,
     /// from the first differences of the coefficient tensor.
     pub fn lipschitz_bound(&self) -> f64 {
-        bernstein_lipschitz(self)
+        self.lipschitz
     }
 
     /// Sound enclosure of the approximant over a sub-box `q ⊆ domain`.
@@ -173,12 +221,14 @@ impl BernsteinApprox {
     fn enclose_by_basis(&self, q: &BoxRegion) -> Interval {
         assert_eq!(q.dim(), self.domain.dim(), "sub-box dimension mismatch");
         // unit coordinates of the sub-box, clamped to [0,1]
-        let n = q.dim();
         let d = self.degree;
-        let t: Vec<Interval> = (0..n)
-            .map(|i| {
-                let lo = self.domain.to_unit(&q.lower())[i].clamp(0.0, 1.0);
-                let hi = self.domain.to_unit(&q.upper())[i].clamp(0.0, 1.0);
+        let t: Vec<Interval> = self
+            .domain
+            .to_unit(&q.lower())
+            .into_iter()
+            .zip(self.domain.to_unit(&q.upper()))
+            .map(|(lo, hi)| {
+                let (lo, hi) = (lo.clamp(0.0, 1.0), hi.clamp(0.0, 1.0));
                 Interval::new(lo.min(hi), hi.max(lo))
             })
             .collect();
@@ -195,22 +245,15 @@ impl BernsteinApprox {
                     .collect()
             })
             .collect();
-        let pts = d + 1;
         let mut acc = Interval::point(0.0);
-        let mut idx = vec![0usize; n];
+        let mut idx = vec![0usize; basis.len()];
         for &c in &self.coeffs {
             let mut w = Interval::point(c);
-            for (i, &k) in idx.iter().enumerate() {
-                w = w * basis[i][k];
+            for (row, &k) in basis.iter().zip(&idx) {
+                w = w * row[k];
             }
             acc = acc + w;
-            for item in idx.iter_mut() {
-                *item += 1;
-                if *item < pts {
-                    break;
-                }
-                *item = 0;
-            }
+            advance(&mut idx, d + 1);
         }
         acc
     }
@@ -251,22 +294,20 @@ pub fn sample_margin(lipschitz: f64, domain: &BoxRegion, samples_per_dim: usize)
 /// An upper bound on the 2-norm Lipschitz constant of a Bernstein
 /// approximant, from the first differences of its coefficient tensor:
 /// `|∂B/∂tᵢ| ≤ d·max_k |c_{k+eᵢ} − c_k|` in unit coordinates.
-fn bernstein_lipschitz(poly: &BernsteinApprox) -> f64 {
-    let n = poly.domain.dim();
-    let d = poly.degree;
+fn bernstein_lipschitz(domain: &BoxRegion, d: usize, coeffs: &[f64]) -> f64 {
     let pts = d + 1;
     let mut acc = 0.0;
-    for i in 0..n {
+    for i in 0..domain.dim() {
         let stride: usize = pts.pow(i as u32);
         let mut max_diff: f64 = 0.0;
-        for (idx, &c) in poly.coeffs.iter().enumerate() {
+        for (idx, &c) in coeffs.iter().enumerate() {
             // index along dimension i
             let k = (idx / stride) % pts;
             if k + 1 < pts {
-                max_diff = max_diff.max((poly.coeffs[idx + stride] - c).abs());
+                max_diff = max_diff.max((coeffs[idx + stride] - c).abs());
             }
         }
-        let w = poly.domain.interval(i).width();
+        let w = domain.interval(i).width();
         if w > 0.0 {
             let l_i = d as f64 * max_diff / w;
             acc += l_i * l_i;
@@ -275,86 +316,194 @@ fn bernstein_lipschitz(poly: &BernsteinApprox) -> f64 {
     acc.sqrt()
 }
 
-/// The uniform grid with `intervals + 1` points per dimension over
-/// `domain`, one point per row, lexicographic in the per-dimension index
-/// (dimension 0 fastest). Coordinate `k` of dimension `i` is
-/// `lo + (k/intervals)·width`, the arithmetic of [`BoxRegion::lerp`], so a
-/// grid point is bit-identical to `domain.lerp(&[k/intervals, …])`.
-fn uniform_grid(domain: &BoxRegion, intervals: usize) -> Matrix {
-    let n = domain.dim();
-    let pts = intervals + 1;
-    let count = pts.pow(n as u32);
+/// The coordinates of the uniform grid with `intervals + 1` points per
+/// dimension over `domain`, one list per dimension. Coordinate `k` of
+/// dimension `i` is `lo + (k/intervals)·width`, the arithmetic of
+/// [`BoxRegion::lerp`], so a grid point is bit-identical to
+/// `domain.lerp(&[k/intervals, …])`.
+fn grid_coords(domain: &BoxRegion, intervals: usize) -> Vec<Vec<f64>> {
+    domain
+        .intervals()
+        .iter()
+        .map(|iv| {
+            (0..=intervals)
+                .map(|k| iv.lo() + (k as f64 / intervals as f64) * iv.width())
+                .collect()
+        })
+        .collect()
+}
+
+/// The points of the tensor grid over per-dimension `coords`, one per row,
+/// lexicographic in the per-dimension index (dimension 0 fastest).
+fn grid_points(coords: &[Vec<f64>]) -> Matrix {
+    let n = coords.len();
+    let count: usize = coords.iter().map(Vec::len).product();
     let mut data = Vec::with_capacity(count * n);
     let mut idx = vec![0usize; n];
     for _ in 0..count {
-        for (iv, &k) in domain.intervals().iter().zip(&idx) {
-            data.push(iv.lo() + (k as f64 / intervals as f64) * iv.width());
-        }
-        // increment mixed-radix counter
-        for item in idx.iter_mut() {
-            *item += 1;
-            if *item < pts {
-                break;
-            }
-            *item = 0;
-        }
+        data.extend(coords.iter().zip(&idx).map(|(c, &k)| c[k]));
+        advance(&mut idx, coords[0].len());
     }
     Matrix::from_vec(count, n, data)
 }
 
-/// Everything refinement needs to know about one region: the per-output
-/// approximants of `scale ⊙ net` and the region's error bound `ε`.
+/// A region's coefficient grid: its per-dimension coordinates
+/// ([`grid_coords`]) and the network's outputs at its points, one row per
+/// point in [`grid_points`] order. A bisected region hands it to both
+/// halves.
+struct RegionGrid {
+    coords: Vec<Vec<f64>>,
+    values: Matrix,
+}
+
+impl RegionGrid {
+    /// The grid of `region` at `degree`. A point whose every coordinate has
+    /// the same bits as a coordinate of `parent`'s grid copies the parent's
+    /// row: `forward_batch` rows are a pure function of the row's input
+    /// bits, so the copy is the value the network would return. The other
+    /// points go through one [`Mlp::forward_batch`]. Returns the grid and
+    /// the number of rows run through the network.
+    fn evaluate(
+        net: &Mlp,
+        region: &BoxRegion,
+        degree: usize,
+        parent: Option<&RegionGrid>,
+    ) -> (Self, usize) {
+        let coords = grid_coords(region, degree);
+        let pts = degree + 1;
+        // per dimension, child index → parent index at a bit-equal coordinate
+        let maps: Vec<Vec<Option<usize>>> = coords
+            .iter()
+            .enumerate()
+            .map(|(i, own)| {
+                own.iter()
+                    .map(|x| {
+                        parent.and_then(|p| {
+                            p.coords[i].iter().position(|y| y.to_bits() == x.to_bits())
+                        })
+                    })
+                    .collect()
+            })
+            .collect();
+        let count = pts.pow(coords.len() as u32);
+        let mut values = Matrix::zeros(count, net.output_dim());
+        let mut fresh_rows = Vec::new();
+        let mut fresh_points = Vec::new();
+        let mut idx = vec![0usize; coords.len()];
+        for row in 0..count {
+            // the parent's row at the same point, when every coordinate maps
+            let from = maps
+                .iter()
+                .zip(&idx)
+                .rev()
+                .try_fold(0usize, |flat, (map, &k)| map[k].map(|j| flat * pts + j));
+            match parent.zip(from) {
+                Some((p, from)) => values.row_mut(row).copy_from_slice(p.values.row(from)),
+                None => {
+                    fresh_rows.push(row);
+                    fresh_points.extend(coords.iter().zip(&idx).map(|(c, &k)| c[k]));
+                }
+            }
+            advance(&mut idx, pts);
+        }
+        if !fresh_rows.is_empty() {
+            let fresh = net.forward_batch(&Matrix::from_vec(
+                fresh_rows.len(),
+                coords.len(),
+                fresh_points,
+            ));
+            for (i, &row) in fresh_rows.iter().enumerate() {
+                values.row_mut(row).copy_from_slice(fresh.row(i));
+            }
+        }
+        (Self { coords, values }, fresh_rows.len())
+    }
+}
+
+/// Everything refinement needs to know about one region.
+struct RegionEval {
+    /// The per-output approximants of `scale ⊙ net`.
+    polys: Vec<BernsteinApprox>,
+    /// The region's error bound `ε`.
+    epsilon: f64,
+    /// The coefficient grid, for the halves if the region is bisected.
+    grid: RegionGrid,
+    /// Rows run through the network for this region.
+    network_rows: usize,
+}
+
+/// Evaluates one region: the approximants from its coefficient grid
+/// (inheriting `parent`'s values at bit-equal points, see
+/// [`RegionGrid::evaluate`]) and its error bound.
 ///
-/// The coefficient grid goes through one [`Mlp::forward_batch`]. The error
-/// bound is sound from a sample grid plus the Lipschitz covering margin:
-/// if the grid has covering radius `r` (2-norm) then
+/// The error bound is sound from a sample grid plus the Lipschitz covering
+/// margin: if the grid has covering radius `r` (2-norm) then
 /// `‖f − B‖_∞ ≤ max_grid |f − B| + (L_f + L_B)·r`, and the smaller of that
 /// and [`rigorous_error_bound`] is kept per output. When the sample grid is
 /// the coefficient grid (`error_samples_per_dim − 1 == degree`, as in
 /// [`crate::cert::default_params`]) its network values are the
 /// coefficients themselves; otherwise it is batched once for all outputs.
+/// The sample grid is a tensor grid, so each dimension's basis rows are
+/// computed once, with [`BernsteinApprox::eval`]'s expressions, and every
+/// sample runs only `eval`'s coefficient loop over the rows it picks.
 fn evaluate_region(
     net: &Mlp,
     scale: &[f64],
     region: &BoxRegion,
+    parent: Option<&RegionGrid>,
     config: &CertificateConfig,
     lipschitz: f64,
-) -> (Vec<BernsteinApprox>, f64) {
+) -> RegionEval {
     let degree = config.degree;
-    let grid = uniform_grid(region, degree);
-    let values = net.forward_batch(&grid);
+    let (grid, mut network_rows) = RegionGrid::evaluate(net, region, degree, parent);
     let polys: Vec<BernsteinApprox> = scale
         .iter()
         .enumerate()
-        .map(|(o, &s)| BernsteinApprox {
-            domain: region.clone(),
-            degree,
-            coeffs: (0..grid.rows()).map(|r| values[(r, o)] * s).collect(),
+        .map(|(o, &s)| {
+            let coeffs = (0..grid.values.rows())
+                .map(|r| grid.values[(r, o)] * s)
+                .collect();
+            BernsteinApprox::from_coeffs(region.clone(), degree, coeffs)
         })
         .collect();
 
     let m = config.error_samples_per_dim.max(2);
-    let separate = (m - 1 != degree).then(|| {
-        let samples = uniform_grid(region, m - 1);
-        let sample_values = net.forward_batch(&samples);
-        (samples, sample_values)
-    });
-    let (samples, sample_values) = separate
-        .as_ref()
-        .map_or((&grid, &values), |(samples, values)| (samples, values));
+    let sample_coords = grid_coords(region, m - 1);
+    let separate = (m - 1 != degree).then(|| net.forward_batch(&grid_points(&sample_coords)));
+    if let Some(values) = &separate {
+        network_rows += values.rows();
+    }
+    let sample_values = separate.as_ref().unwrap_or(&grid.values);
+    // bases[i][j]: the basis row at sample coordinate j of dimension i,
+    // through the `to_unit` that `eval` applies to a whole point
+    let units: Vec<Vec<f64>> = (0..m)
+        .map(|j| region.to_unit(&sample_coords.iter().map(|c| c[j]).collect::<Vec<_>>()))
+        .collect();
+    let bases: Vec<Vec<Vec<f64>>> = (0..region.dim())
+        .map(|i| units.iter().map(|t| basis_row(degree, t[i])).collect())
+        .collect();
     let r = covering_radius(region, m);
     let rigorous = rigorous_error_bound(lipschitz, region, degree);
     let mut epsilon: f64 = 0.0;
+    let mut picked: Vec<&[f64]> = Vec::with_capacity(bases.len());
     for (o, (poly, &s)) in polys.iter().zip(scale).enumerate() {
         let mut worst: f64 = 0.0;
-        for row in 0..samples.rows() {
-            let x = samples.row(row);
-            worst = worst.max((sample_values[(row, o)] * s - poly.eval(x)).abs());
+        let mut idx = vec![0usize; bases.len()];
+        for row in 0..sample_values.rows() {
+            picked.clear();
+            picked.extend(bases.iter().zip(&idx).map(|(b, &j)| b[j].as_slice()));
+            worst = worst.max((sample_values[(row, o)] * s - poly.eval_with_basis(&picked)).abs());
+            advance(&mut idx, m);
         }
-        let sampled = worst + (lipschitz + bernstein_lipschitz(poly)) * r;
+        let sampled = worst + (lipschitz + poly.lipschitz_bound()) * r;
         epsilon = epsilon.max(sampled.min(rigorous));
     }
-    (polys, epsilon)
+    RegionEval {
+        polys,
+        epsilon,
+        grid,
+        network_rows,
+    }
 }
 
 /// Configuration for [`BernsteinCertificate::build`].
@@ -384,14 +533,19 @@ impl Default for CertificateConfig {
 }
 
 /// Partition-refinement statistics of a certificate build: how many
-/// bisections were performed and how deep the refinement went. Shipped in
-/// the safety certificate so admission can compare them exactly.
+/// bisections were performed, how deep the refinement went, and how many
+/// points it ran through the network. `splits` and `depth` are shipped in
+/// the safety certificate so admission can compare them exactly;
+/// `network_rows` is the refinement's cost.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RefineStats {
     /// Number of bisections performed (cells refined).
     pub splits: usize,
     /// Number of refinement levels (0 when the root piece met tolerance).
     pub depth: usize,
+    /// Rows run through the network: grid points a region could not
+    /// inherit from its parent, plus separate error-sample grids.
+    pub network_rows: usize,
 }
 
 /// A piecewise Bernstein over-approximation of a (scaled) MLP controller:
@@ -469,12 +623,14 @@ impl BernsteinCertificate {
     /// refinement statistics alongside the certificate.
     ///
     /// Refinement is level-synchronous: every region of the current frontier
-    /// is evaluated in parallel — its coefficient grid, and its error-sample
+    /// is evaluated in parallel — the points of its coefficient grid that it
+    /// cannot inherit bit for bit from its parent's, and its error-sample
     /// grid when that is a different point set, each through one batched
-    /// forward pass — then accepted or bisected in index order. Each
-    /// region's approximants and error bound depend only on that region, so
-    /// the resulting certificate, bisection tree included, is bit-identical
-    /// for every `workers >= 1`.
+    /// forward pass — then accepted or bisected in index order, a bisected
+    /// region handing its grid values to both halves. Each region's
+    /// approximants and error bound depend only on that region, so the
+    /// resulting certificate, bisection tree included, is bit-identical for
+    /// every `workers >= 1`, and so is `network_rows`.
     ///
     /// # Errors
     ///
@@ -496,7 +652,9 @@ impl BernsteinCertificate {
         let max_scale = scale.iter().fold(0.0_f64, |m, &s| m.max(s.abs()));
         let lipschitz = max_scale * net.lipschitz_constant();
 
-        let mut frontier = vec![domain.clone()];
+        // each frontier region with the index of its parent in `parents`
+        let mut frontier: Vec<(BoxRegion, Option<usize>)> = vec![(domain.clone(), None)];
+        let mut parents: Vec<RegionGrid> = Vec::new();
         let mut pieces = Vec::new();
         let mut tree = Vec::new();
         let mut stats = RefineStats::default();
@@ -510,31 +668,39 @@ impl BernsteinCertificate {
             let evaluated = cocktail_math::parallel::map_indexed_with_workers(
                 &frontier,
                 workers,
-                |_, region| evaluate_region(net, scale, region, config, lipschitz),
+                |_, (region, parent)| {
+                    let parent = parent.map(|p| &parents[p]);
+                    evaluate_region(net, scale, region, parent, config, lipschitz)
+                },
             );
             // the frontier is nodes tree.len().., its halves follow it
             let first_half = tree.len() + frontier.len();
             let mut next = Vec::new();
-            for (region, (polys, epsilon)) in frontier.into_iter().zip(evaluated) {
-                if epsilon > config.tolerance && region.max_width() > 1e-6 {
+            let mut next_parents = Vec::new();
+            for ((region, _), eval) in frontier.into_iter().zip(evaluated) {
+                stats.network_rows += eval.network_rows;
+                if eval.epsilon > config.tolerance && region.max_width() > 1e-6 {
                     let (a, b) = region.bisect();
                     tree.push(TreeNode::Split {
                         region,
                         halves: first_half + next.len(),
                     });
-                    next.push(a);
-                    next.push(b);
+                    let parent = Some(next_parents.len());
+                    next_parents.push(eval.grid);
+                    next.push((a, parent));
+                    next.push((b, parent));
                     stats.splits += 1;
                 } else {
                     tree.push(TreeNode::Piece(pieces.len()));
                     pieces.push(CertPiece {
                         region,
-                        polys,
-                        epsilon,
+                        polys: eval.polys,
+                        epsilon: eval.epsilon,
                     });
                 }
             }
             frontier = next;
+            parents = next_parents;
             if !frontier.is_empty() {
                 stats.depth += 1;
             }
@@ -809,6 +975,7 @@ mod tests {
         );
         assert!(ref_stats.splits > 0);
         assert_eq!(reference.tree.len(), 2 * ref_stats.splits + 1);
+        assert_eq!(ref_stats.network_rows, 25 + 20 * ref_stats.splits);
         let queries = [
             BoxRegion::cube(2, -0.3, 0.2),
             BoxRegion::from_bounds(&[0.5, -1.0], &[1.0, -0.5]),
@@ -819,6 +986,10 @@ mod tests {
                     .expect("fits");
             assert_eq!(cert, reference, "workers = {workers}");
             assert_eq!(stats, ref_stats, "workers = {workers}");
+            assert_eq!(
+                stats.network_rows, ref_stats.network_rows,
+                "workers = {workers}"
+            );
             // the piece index, and what it answers
             assert_eq!(cert.tree, reference.tree, "workers = {workers}");
             for q in &queries {
@@ -949,7 +1120,7 @@ mod tests {
                     })
                     .sum::<f64>()
                     .sqrt();
-            let sampled = worst + (lipschitz + bernstein_lipschitz(&poly)) * r;
+            let sampled = worst + (lipschitz + poly.lipschitz_bound()) * r;
             epsilon = epsilon.max(sampled.min(rigorous));
             polys.push(poly);
         }
@@ -969,14 +1140,93 @@ mod tests {
                 error_samples_per_dim: samples,
                 ..Default::default()
             };
-            let (polys, eps) = evaluate_region(&net, &scale, &region, &cfg, lipschitz);
+            let eval = evaluate_region(&net, &scale, &region, None, &cfg, lipschitz);
             let (want_polys, want_eps) = evaluate_by_points(&net, &scale, &region, &cfg, lipschitz);
-            assert_eq!(polys, want_polys, "degree {degree}, {samples} samples");
             assert_eq!(
-                eps.to_bits(),
+                coeff_bits(&eval.polys),
+                coeff_bits(&want_polys),
+                "degree {degree}, {samples} samples"
+            );
+            assert_eq!(
+                eval.epsilon.to_bits(),
                 want_eps.to_bits(),
                 "degree {degree}, {samples} samples"
             );
+        }
+    }
+
+    /// Every coefficient and Lipschitz bound of `polys`, as IEEE-754 bits.
+    fn coeff_bits(polys: &[BernsteinApprox]) -> Vec<Vec<u64>> {
+        polys
+            .iter()
+            .map(|p| {
+                p.coeffs
+                    .iter()
+                    .chain([&p.lipschitz])
+                    .map(|c| c.to_bits())
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn inherited_values_match_a_fresh_evaluation_of_every_piece() {
+        let net = two_output_net(4);
+        let scale = [5.0, 3.0];
+        let dyadic = BoxRegion::cube(2, -1.0, 1.0);
+        let skewed = BoxRegion::from_bounds(&[-0.3, -1.0 / 3.0], &[0.7, 1.0]);
+        // (domain, degree, error samples, network rows per split when they
+        // are exact: on a dyadic box at degree 4 every half inherits 3 of
+        // its 5 split-axis coordinates, so 2 × 2 × 5 rows are new; at an
+        // odd degree or on a non-dyadic box rounding decides how many)
+        let cases = [
+            (&dyadic, 4, 5, Some(20)),
+            (&dyadic, 3, 4, None),
+            (&skewed, 4, 5, None),
+            (&dyadic, 4, 6, Some(20 + 2 * 36)),
+        ];
+        for (domain, degree, samples, per_split) in cases {
+            let cfg = CertificateConfig {
+                degree,
+                tolerance: 0.3,
+                max_pieces: 1 << 14,
+                error_samples_per_dim: samples,
+            };
+            let what = format!("{domain:?}, degree {degree}, {samples} samples");
+            let (cert, stats) =
+                BernsteinCertificate::build_with_workers(&net, &scale, domain, &cfg, 2)
+                    .expect("fits");
+            assert!(stats.splits > 20, "{what}: {} splits", stats.splits);
+            for piece in &cert.pieces {
+                let fresh =
+                    evaluate_region(&net, &scale, &piece.region, None, &cfg, cert.lipschitz);
+                assert_eq!(coeff_bits(&piece.polys), coeff_bits(&fresh.polys), "{what}");
+                assert_eq!(piece.epsilon.to_bits(), fresh.epsilon.to_bits(), "{what}");
+            }
+            let pts = degree + 1;
+            let root = pts * pts
+                + if samples - 1 == degree {
+                    0
+                } else {
+                    samples * samples
+                };
+            let every_point = (2 * stats.splits + 1) * root;
+            match per_split {
+                // a regression that stops inheriting fails here
+                Some(per_split) => {
+                    assert_eq!(
+                        stats.network_rows,
+                        root + per_split * stats.splits,
+                        "{what}"
+                    );
+                }
+                // at least the lower half's split-axis edge is inherited
+                None => assert!(
+                    stats.network_rows <= every_point - stats.splits * pts,
+                    "{what}: {} rows",
+                    stats.network_rows
+                ),
+            }
         }
     }
 

@@ -431,10 +431,11 @@ fn invariant_digest(grid: usize, alive: &[bool]) -> u64 {
 ///
 /// Telemetry: `verify/bernstein`, `verify/reach` and `verify/invariant`
 /// spans meter the stage wall-clocks, a `verify.cells_refined` counter
-/// records the partition bisections, `verify.budget_exhaustions` counts
-/// budget blow-ups (the paper's `κ_D` failure mode), and a `verify.verdict`
-/// event reports the outcome — all gated on `tel.enabled()` and never
-/// perturbing the certificate itself.
+/// records the partition bisections and `verify.network_rows` the grid
+/// points refinement ran through the network, `verify.budget_exhaustions`
+/// counts budget blow-ups (the paper's `κ_D` failure mode), and a
+/// `verify.verdict` event reports the outcome — all gated on
+/// `tel.enabled()` and never perturbing the certificate itself.
 ///
 /// # Errors
 ///
@@ -466,6 +467,10 @@ pub fn certify_controller(
     };
     if tel.enabled() {
         tel.record(Event::counter("verify.cells_refined", stats.splits as u64));
+        tel.record(Event::counter(
+            "verify.network_rows",
+            stats.network_rows as u64,
+        ));
     }
 
     let reach = {
@@ -595,6 +600,19 @@ mod tests {
         assert_eq!(
             observed.counter_total("verify.cells_refined") as usize,
             loud.refinement_splits
+        );
+        let (_, stats) = BernsteinCertificate::build_with_workers(
+            &net,
+            &[20.0],
+            &sys.verification_domain(),
+            &params.certificate,
+            2,
+        )
+        .expect("certifies");
+        assert!(stats.network_rows > 0);
+        assert_eq!(
+            observed.counter_total("verify.network_rows") as usize,
+            stats.network_rows
         );
         assert_eq!(observed.events_named("verify.verdict").len(), 1);
     }

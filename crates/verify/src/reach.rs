@@ -8,6 +8,16 @@
 //! the paper's `Ω ⊕ ε`) marks the cells it intersects. Snapping to the
 //! grid bounds the wrapping effect and keeps the cell count finite.
 //!
+//! A cell's one-step image — enclosure, clamp to the control bounds,
+//! interval step, and the cells it overlaps — depends on nothing but the
+//! cell (enclosures are deterministic), so each distinct cell is stepped
+//! once per analysis: the first frame that occupies it computes its image,
+//! later frames reuse it. The images are merged in occupied-cell order
+//! exactly as if recomputed, so the frames, `verified_safe`, the step of a
+//! `fail_on_unsafe` error and `peak_boxes` are unchanged. The memo lives
+//! only for one call and never holds more entries than the frames it
+//! returns.
+//!
 //! The cell budget is explicit: exceeding it returns
 //! [`VerifyError::ResourceExhausted`], which is how the paper's "`κ_D` could
 //! not be verified (segmentation fault after 12 reachable-set steps)"
@@ -18,7 +28,7 @@ use crate::error::VerifyError;
 use cocktail_env::Dynamics;
 use cocktail_math::{BoxRegion, Interval};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
 /// How reachable sets are represented between steps.
@@ -97,6 +107,10 @@ impl ReachResult {
     }
 }
 
+/// The per-dimension index ranges of the cells a box overlaps, and whether
+/// the box pokes outside the domain.
+type Overlap = (Vec<(usize, usize)>, bool);
+
 /// Uniform grid over a box.
 struct Grid {
     domain: BoxRegion,
@@ -148,7 +162,7 @@ impl Grid {
     /// Per-dimension index ranges of cells a box overlaps, or `None` when
     /// the box lies entirely outside the domain in some dimension.
     /// `clipped` is set when the box pokes outside the domain.
-    fn overlap_ranges(&self, b: &BoxRegion) -> Option<(Vec<(usize, usize)>, bool)> {
+    fn overlap_ranges(&self, b: &BoxRegion) -> Option<Overlap> {
         let mut ranges = Vec::with_capacity(self.counts.len());
         let mut clipped = false;
         for i in 0..self.counts.len() {
@@ -239,6 +253,9 @@ pub fn reach_analysis(
         .map(|&a| Interval::symmetric(a))
         .collect();
 
+    // flat cell index → the overlap of its one-step image (`None`: the
+    // image lies wholly outside the domain)
+    let mut images: BTreeMap<usize, Option<Overlap>> = BTreeMap::new();
     let mut occupied = BTreeSet::new();
     let (init_ranges, init_clipped) = grid
         .overlap_ranges(x0)
@@ -258,15 +275,18 @@ pub fn reach_analysis(
         let mut next = BTreeSet::new();
         let mut any_inside = false;
         for &flat in &occupied {
-            let cell = grid.cell_box(&grid.unflat(flat));
-            let u: Vec<Interval> = controller
-                .enclose(&cell)
-                .into_iter()
-                .zip(u_lo.iter().zip(&u_hi))
-                .map(|(iv, (&l, &h))| iv.clamp_to(l, h))
-                .collect();
-            let image = BoxRegion::new(sys.step_interval(cell.intervals(), &u, &omega));
-            match grid.overlap_ranges(&image) {
+            let overlap = images.entry(flat).or_insert_with(|| {
+                let cell = grid.cell_box(&grid.unflat(flat));
+                let u: Vec<Interval> = controller
+                    .enclose(&cell)
+                    .into_iter()
+                    .zip(u_lo.iter().zip(&u_hi))
+                    .map(|(iv, (&l, &h))| iv.clamp_to(l, h))
+                    .collect();
+                let image = BoxRegion::new(sys.step_interval(cell.intervals(), &u, &omega));
+                grid.overlap_ranges(&image)
+            });
+            match overlap {
                 None => {
                     verified_safe = false;
                     if config.fail_on_unsafe {
@@ -275,13 +295,13 @@ pub fn reach_analysis(
                 }
                 Some((ranges, clipped)) => {
                     any_inside = true;
-                    if clipped {
+                    if *clipped {
                         verified_safe = false;
                         if config.fail_on_unsafe {
                             return Err(VerifyError::Unsafe { step: step + 1 });
                         }
                     }
-                    grid.mark(&ranges, &mut next);
+                    grid.mark(ranges, &mut next);
                 }
             }
         }
@@ -432,6 +452,7 @@ mod tests {
     use crate::enclosure::LinearEnclosure;
     use cocktail_env::systems::{Poly3d, VanDerPol};
     use cocktail_math::Matrix;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn stable_linear_loop_verifies_safe() {
@@ -646,6 +667,185 @@ mod tests {
                 s = sys.step(&s, &u, &[]);
             }
         }
+    }
+
+    /// Counts the `enclose` calls made on the wrapped enclosure.
+    struct Counting<'a> {
+        inner: &'a dyn ControlEnclosure,
+        calls: AtomicUsize,
+    }
+
+    impl<'a> Counting<'a> {
+        fn new(inner: &'a dyn ControlEnclosure) -> Self {
+            Self {
+                inner,
+                calls: AtomicUsize::new(0),
+            }
+        }
+    }
+
+    impl ControlEnclosure for Counting<'_> {
+        fn state_dim(&self) -> usize {
+            self.inner.state_dim()
+        }
+
+        fn control_dim(&self) -> usize {
+            self.inner.control_dim()
+        }
+
+        fn enclose(&self, q: &BoxRegion) -> Vec<Interval> {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.enclose(q)
+        }
+    }
+
+    /// The paving loop without the image memo: every occupied cell is
+    /// enclosed and stepped again at every step.
+    fn reach_every_cell(
+        sys: &dyn Dynamics,
+        controller: &dyn ControlEnclosure,
+        x0: &BoxRegion,
+        config: &ReachConfig,
+    ) -> Result<ReachResult, VerifyError> {
+        let grid = Grid::new(sys.verification_domain(), config.split_width);
+        let (u_lo, u_hi) = sys.control_bounds();
+        let omega: Vec<Interval> = sys
+            .disturbance_amplitude()
+            .iter()
+            .map(|&a| Interval::symmetric(a))
+            .collect();
+        let mut occupied = BTreeSet::new();
+        let (init_ranges, init_clipped) = grid
+            .overlap_ranges(x0)
+            .ok_or(VerifyError::DomainEscape { step: 0 })?;
+        grid.mark(&init_ranges, &mut occupied);
+        let mut verified_safe = !init_clipped;
+        let mut peak = occupied.len();
+        let mut frames = vec![cells_to_boxes(&grid, &occupied)];
+        for step in 0..config.steps {
+            let mut next = BTreeSet::new();
+            let mut any_inside = false;
+            for &flat in &occupied {
+                let cell = grid.cell_box(&grid.unflat(flat));
+                let u: Vec<Interval> = controller
+                    .enclose(&cell)
+                    .into_iter()
+                    .zip(u_lo.iter().zip(&u_hi))
+                    .map(|(iv, (&l, &h))| iv.clamp_to(l, h))
+                    .collect();
+                let image = BoxRegion::new(sys.step_interval(cell.intervals(), &u, &omega));
+                match grid.overlap_ranges(&image) {
+                    None => {
+                        verified_safe = false;
+                        if config.fail_on_unsafe {
+                            return Err(VerifyError::Unsafe { step: step + 1 });
+                        }
+                    }
+                    Some((ranges, clipped)) => {
+                        any_inside = true;
+                        if clipped {
+                            verified_safe = false;
+                            if config.fail_on_unsafe {
+                                return Err(VerifyError::Unsafe { step: step + 1 });
+                            }
+                        }
+                        grid.mark(&ranges, &mut next);
+                    }
+                }
+            }
+            if !any_inside {
+                return Err(VerifyError::DomainEscape { step: step + 1 });
+            }
+            peak = peak.max(next.len());
+            frames.push(cells_to_boxes(&grid, &next));
+            occupied = next;
+        }
+        Ok(ReachResult {
+            frames,
+            verified_safe,
+            duration: Duration::ZERO,
+            peak_boxes: peak,
+        })
+    }
+
+    fn frame_bits(frames: &[Vec<BoxRegion>]) -> Vec<Vec<Vec<u64>>> {
+        frames
+            .iter()
+            .map(|frame| {
+                frame
+                    .iter()
+                    .map(|b| {
+                        b.intervals()
+                            .iter()
+                            .flat_map(|iv| [iv.lo().to_bits(), iv.hi().to_bits()])
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn each_distinct_cell_is_enclosed_once() {
+        let sys = VanDerPol::new();
+        let linear = LinearEnclosure::new(Matrix::from_rows(vec![vec![3.0, 3.0]]));
+        let net = cocktail_nn::MlpBuilder::new(2)
+            .hidden(6, cocktail_nn::Activation::Tanh)
+            .output(1, cocktail_nn::Activation::Tanh)
+            .seed(5)
+            .build();
+        let certificate = crate::bernstein::BernsteinCertificate::build(
+            &net,
+            &[2.0],
+            &sys.verification_domain(),
+            &crate::bernstein::CertificateConfig::default(),
+        )
+        .expect("fits");
+        let x0 = BoxRegion::from_bounds(&[0.1, 0.1], &[0.3, 0.3]);
+        let config = ReachConfig {
+            steps: 20,
+            split_width: 0.05,
+            ..Default::default()
+        };
+        let enclosures: [&dyn ControlEnclosure; 2] = [&linear, &certificate];
+        for (which, enclosure) in enclosures.into_iter().enumerate() {
+            let counted = Counting::new(enclosure);
+            let got = reach_analysis(&sys, &counted, &x0, &config).expect("reaches");
+            let want = reach_every_cell(&sys, enclosure, &x0, &config).expect("reaches");
+            assert_eq!(frame_bits(&got.frames), frame_bits(&want.frames), "{which}");
+            assert_eq!(got.verified_safe, want.verified_safe, "{which}");
+            assert_eq!(got.peak_boxes, want.peak_boxes, "{which}");
+            // every stepped frame is all but the last
+            let stepped = &frame_bits(&want.frames)[..config.steps];
+            let distinct: BTreeSet<&Vec<u64>> = stepped.iter().flatten().collect();
+            let cell_steps: usize = stepped.iter().map(Vec::len).sum();
+            assert_eq!(counted.calls.into_inner(), distinct.len(), "{which}");
+            assert!(distinct.len() < cell_steps, "{which}: cells must recur");
+        }
+    }
+
+    #[test]
+    fn fail_on_unsafe_stops_at_the_same_step_with_the_memo() {
+        // a weak law that holds the tube for a while, then lets it drift
+        // out, so cells recur before the failing step
+        let sys = VanDerPol::new();
+        let enc = LinearEnclosure::new(Matrix::from_rows(vec![vec![0.5, 0.5]]));
+        let x0 = BoxRegion::from_bounds(&[0.1, 0.1], &[0.3, 0.3]);
+        let config = ReachConfig {
+            steps: 30,
+            split_width: 0.1,
+            fail_on_unsafe: true,
+            ..Default::default()
+        };
+        let (memo, every) = (Counting::new(&enc), Counting::new(&enc));
+        let got = reach_analysis(&sys, &memo, &x0, &config).expect_err("must fail");
+        let want = reach_every_cell(&sys, &every, &x0, &config).expect_err("must fail");
+        assert!(
+            matches!(got, VerifyError::Unsafe { step } if step > 5),
+            "{got:?}"
+        );
+        assert_eq!(got, want);
+        assert!(memo.calls.into_inner() < every.calls.into_inner());
     }
 
     #[test]

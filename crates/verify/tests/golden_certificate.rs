@@ -7,9 +7,12 @@
 //! values pin the certificate across commits instead: a speed-up of the
 //! certification path must reproduce them exactly.
 //!
-//! The constants were recorded by running this test against the per-point
-//! refinement (one `Mlp::forward` per grid point) and the linear piece scan
-//! that the batched evaluation and the bisection-tree lookup replaced.
+//! The three `VanDerPol` constants were recorded by running this test
+//! against the per-point refinement (one `Mlp::forward` per grid point) and
+//! the linear piece scan that the batched evaluation and the bisection-tree
+//! lookup replaced. The `Poly3d` and `CartPole` constants were recorded
+//! against the batched refinement that evaluated every grid point of every
+//! region, before halves inherited their parent's network values.
 //! Regenerate them only for a deliberate change of the analysis, never to
 //! absorb a drift: print the actual values with `--nocapture` and say why
 //! they moved.
@@ -19,7 +22,8 @@
     reason = "a fixture that no longer certifies is a test failure"
 )]
 
-use cocktail_env::systems::VanDerPol;
+use cocktail_env::systems::{CartPole, Poly3d, VanDerPol};
+use cocktail_env::Dynamics;
 use cocktail_nn::{Activation, Mlp, MlpBuilder};
 use cocktail_obs::NullSink;
 use cocktail_verify::{
@@ -94,20 +98,34 @@ fn stabilizing_student(seed: u64) -> Mlp {
 }
 
 fn student(seed: u64) -> Mlp {
-    MlpBuilder::new(2)
+    student_of(2, seed)
+}
+
+fn student_of(inputs: usize, seed: u64) -> Mlp {
+    MlpBuilder::new(inputs)
         .hidden(8, Activation::Tanh)
         .output(1, Activation::Tanh)
         .seed(seed)
         .build()
 }
 
-/// Certifies with two workers and checks the result against `expected`,
-/// printing the actual values first so a deliberate regeneration is a
-/// copy-paste.
+/// Certifies on `VanDerPol` with two workers and checks the result against
+/// `expected`, printing the actual values first so a deliberate
+/// regeneration is a copy-paste.
 fn assert_golden(net: &Mlp, scale: f64, params: &SafetyParams, expected: &Golden) -> SafetyCert {
-    let sys = VanDerPol::new();
+    assert_golden_on(&VanDerPol::new(), net, scale, params, expected)
+}
+
+/// [`assert_golden`] on any plant.
+fn assert_golden_on(
+    sys: &dyn Dynamics,
+    net: &Mlp,
+    scale: f64,
+    params: &SafetyParams,
+    expected: &Golden,
+) -> SafetyCert {
     let cert =
-        certify_controller(&sys, net, &[scale], params, 2, &NullSink).expect("budget suffices");
+        certify_controller(sys, net, &[scale], params, 2, &NullSink).expect("budget suffices");
     let actual = Golden::of(&cert);
     println!("{actual:#x?}");
     assert_eq!(&actual, expected);
@@ -217,5 +235,89 @@ fn separate_error_grid_certificate_is_pinned() {
             invariant_digest: 0x0ea7_5056_1eea_198d,
             final_frame_contained: true,
         },
+    );
+}
+
+#[test]
+fn odd_degree_3d_certificate_is_pinned() {
+    // Poly3d under `fast_params`: three dimensions at the odd degree 3, so
+    // a half shares only some split-axis coordinates with its parent's
+    // grid, rounding deciding which, and evaluates the rest
+    let sys = Poly3d::new();
+    let cert = assert_golden_on(
+        &sys,
+        &student_of(3, 21),
+        7.0,
+        &fast_params(&sys),
+        &Golden {
+            verdict: SafetyVerdict::NotProven,
+            lipschitz: 0x4028_b6e6_ab94_c61d,
+            epsilon: 0x3fef_f77e_8662_a514,
+            pieces: 142,
+            refinement_splits: 141,
+            refinement_depth: 8,
+            reach_steps: 5,
+            reach_peak_boxes: 458,
+            reach_safe: false,
+            reach_final_hull: vec![
+                [0xbfe0_0000_0000_0000, 0x3fe0_0000_0000_0000],
+                [0xbfe0_0000_0000_0000, 0x3fe0_0000_0000_0000],
+                [0xbfe0_0000_0000_0000, 0x3fe0_0000_0000_0000],
+            ],
+            invariant_cells: 512,
+            invariant_alive: 0,
+            invariant_iterations: 5,
+            invariant_converged: true,
+            invariant_digest: 0x5797_60a9_3375_17cd,
+            final_frame_contained: false,
+        },
+    );
+    assert!(
+        cert.refinement_splits > 100,
+        "{} splits",
+        cert.refinement_splits
+    );
+}
+
+#[test]
+fn non_dyadic_4d_certificate_is_pinned() {
+    // CartPole under its shipped budgets (degree 2, 3 error samples): four
+    // dimensions over widths 4.8, 6, 0.418 and 6, none a power of two, so
+    // bisection midpoints and grid coordinates round and a half matches
+    // fewer of its parent's grid points bit for bit
+    let sys = CartPole::new();
+    let cert = assert_golden_on(
+        &sys,
+        &student_of(4, 31),
+        5.0,
+        &default_params(&sys),
+        &Golden {
+            verdict: SafetyVerdict::NotProven,
+            lipschitz: 0x4020_dd58_2487_f5de,
+            epsilon: 0x4017_fc9c_6eb0_e90a,
+            pieces: 208,
+            refinement_splits: 207,
+            refinement_depth: 8,
+            reach_steps: 8,
+            reach_peak_boxes: 180,
+            reach_safe: false,
+            reach_final_hull: vec![
+                [0xc003_3333_3333_3333, 0x4003_3333_3333_3333],
+                [0xc008_0000_0000_0000, 0x4008_0000_0000_0000],
+                [0xbfca_c083_126e_978d, 0x3fca_c083_126e_978d],
+                [0xc008_0000_0000_0000, 0x4008_0000_0000_0000],
+            ],
+            invariant_cells: 625,
+            invariant_alive: 0,
+            invariant_iterations: 4,
+            invariant_converged: true,
+            invariant_digest: 0xf4db_232e_cdac_c460,
+            final_frame_contained: false,
+        },
+    );
+    assert!(
+        cert.refinement_splits > 100,
+        "{} splits",
+        cert.refinement_splits
     );
 }
