@@ -72,23 +72,42 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
+    map_range_with_scratch(n, workers, || (), |(), i| f(i))
+}
+
+/// [`map_range_with_workers`] with per-worker scratch: every thread (the
+/// calling thread too, when the work runs sequentially) builds one `S`
+/// with `init` and passes it to each `f` call it makes, so buffers are
+/// reused across items instead of allocated per item.
+///
+/// Same determinism contract as [`map_range_with_workers`], provided `f`
+/// uses the scratch only as working memory: what one call leaves in it
+/// must never change what a later call returns.
+pub fn map_range_with_scratch<S, R, I, F>(n: usize, workers: usize, init: I, f: F) -> Vec<R>
+where
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> R + Sync,
+{
     if n == 0 {
         return Vec::new();
     }
     let workers = workers.clamp(1, n);
     if workers == 1 || n < 2 * workers {
-        return (0..n).map(f).collect();
+        let mut scratch = init();
+        return (0..n).map(|i| f(&mut scratch, i)).collect();
     }
 
     let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
     let chunk = n.div_ceil(workers);
-    let f = &f;
+    let (init, f) = (&init, &f);
     thread::scope(|scope| {
         for (c, out) in slots.chunks_mut(chunk).enumerate() {
             let start = c * chunk;
             scope.spawn(move || {
+                let mut scratch = init();
                 for (offset, slot) in out.iter_mut().enumerate() {
-                    *slot = Some(f(start + offset));
+                    *slot = Some(f(&mut scratch, start + offset));
                 }
             });
         }
@@ -149,6 +168,22 @@ mod tests {
         for workers in [2, 3, 8, 64] {
             let got = map_range_with_workers(37, workers, |i| task_seed(42, i as u64));
             assert_eq!(got, reference, "workers = {workers}");
+        }
+    }
+
+    #[test]
+    fn scratch_is_per_worker_and_results_are_worker_invariant() {
+        let reference = map_range_with_workers(37, 1, |i| task_seed(7, i as u64));
+        for workers in [2, 3, 8] {
+            let inits = std::sync::atomic::AtomicUsize::new(0);
+            let got = map_range_with_scratch(
+                37,
+                workers,
+                || inits.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+                |_, i| task_seed(7, i as u64),
+            );
+            assert_eq!(got, reference, "workers = {workers}");
+            assert_eq!(inits.into_inner(), workers, "one scratch per worker");
         }
     }
 

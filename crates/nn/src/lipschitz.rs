@@ -9,7 +9,7 @@
 //! that the analytic bound is neither violated nor absurdly loose.
 
 use crate::mlp::Mlp;
-use cocktail_math::{rng, vector, BoxRegion, Matrix};
+use cocktail_math::{parallel, rng, vector, BoxRegion, Matrix};
 
 /// Which operator norm to use per layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,34 +57,53 @@ pub fn upper_bound(net: &Mlp, kind: NormKind) -> f64 {
 /// Empirical Lipschitz lower bound: the largest observed
 /// `‖f(a) − f(b)‖₂ / ‖a − b‖₂` over `samples` random pairs in `region`.
 ///
+/// The pairs' forward passes are split across
+/// [`parallel::default_workers`]; the value does not depend on the split.
+///
 /// # Panics
 ///
 /// Panics if `region.dim() != net.input_dim()` or `samples == 0`.
 pub fn empirical_lower_bound(net: &Mlp, region: &BoxRegion, samples: usize, seed: u64) -> f64 {
+    sweep(net, region, samples, seed, parallel::default_workers())
+}
+
+/// [`empirical_lower_bound`] on `workers` threads.
+///
+/// All pairs are drawn up front (preserving the historical a-then-b stream
+/// order), then each contiguous run of pairs pushes both endpoint sets
+/// through one batched forward pass. Each output row is bit-identical to a
+/// per-sample `forward` call at any batch split, and the maximum of the
+/// non-negative ratios does not depend on the order it is taken in, so the
+/// result is the same for every `workers >= 1`.
+fn sweep(net: &Mlp, region: &BoxRegion, samples: usize, seed: u64, workers: usize) -> f64 {
     assert!(samples > 0, "need at least one sample pair");
     assert_eq!(region.dim(), net.input_dim(), "region dimension mismatch");
     let mut rng = rng::seeded(seed);
-    // Draw all pairs up front (preserving the historical a-then-b stream
-    // order), then push both endpoint sets through one batched forward —
-    // each output row is bit-identical to a per-sample `forward` call.
     let mut pairs_a = Vec::with_capacity(samples);
     let mut pairs_b = Vec::with_capacity(samples);
     for _ in 0..samples {
         pairs_a.push(rng::uniform_in_box(&mut rng, region));
         pairs_b.push(rng::uniform_in_box(&mut rng, region));
     }
-    let ya = net.forward_batch(&Matrix::from_rows(pairs_a.clone()));
-    let yb = net.forward_batch(&Matrix::from_rows(pairs_b.clone()));
-    let mut best: f64 = 0.0;
-    for i in 0..samples {
-        let dx = vector::norm_2(&vector::sub(&pairs_a[i], &pairs_b[i]));
-        if dx < 1e-12 {
-            continue;
+    // two runs per worker: `map_range_with_workers` only fans out from
+    // `2 · workers` items
+    let run = samples.div_ceil(2 * workers.max(1));
+    let best_per_run = parallel::map_range_with_workers(samples.div_ceil(run), workers, |r| {
+        let rows = r * run..((r + 1) * run).min(samples);
+        let ya = net.forward_batch(&Matrix::from_rows(pairs_a[rows.clone()].to_vec()));
+        let yb = net.forward_batch(&Matrix::from_rows(pairs_b[rows.clone()].to_vec()));
+        let mut best: f64 = 0.0;
+        for (i, pair) in rows.enumerate() {
+            let dx = vector::norm_2(&vector::sub(&pairs_a[pair], &pairs_b[pair]));
+            if dx < 1e-12 {
+                continue;
+            }
+            let dy = vector::norm_2(&vector::sub(ya.row(i), yb.row(i)));
+            best = best.max(dy / dx);
         }
-        let dy = vector::norm_2(&vector::sub(ya.row(i), yb.row(i)));
-        best = best.max(dy / dx);
-    }
-    best
+        best
+    });
+    best_per_run.into_iter().fold(0.0, f64::max)
 }
 
 #[cfg(test)]
@@ -116,6 +135,34 @@ mod tests {
         let upper = upper_bound(&n, NormKind::Spectral);
         assert!(lower <= upper * (1.0 + 1e-9), "{lower} > {upper}");
         assert!(lower > 0.0);
+    }
+
+    #[test]
+    fn sweep_matches_per_sample_forward_at_any_worker_count() {
+        let n = net();
+        let region = BoxRegion::cube(2, -3.0, 3.0);
+        let (samples, seed) = (301, 11);
+        // the sweep one pair and one `forward` call at a time
+        let mut rng = rng::seeded(seed);
+        let mut want: f64 = 0.0;
+        for _ in 0..samples {
+            let a = rng::uniform_in_box(&mut rng, &region);
+            let b = rng::uniform_in_box(&mut rng, &region);
+            let dx = vector::norm_2(&vector::sub(&a, &b));
+            if dx >= 1e-12 {
+                let dy = vector::norm_2(&vector::sub(&n.forward(&a), &n.forward(&b)));
+                want = want.max(dy / dx);
+            }
+        }
+        assert!(want > 0.0);
+        for workers in [1, 2, 8] {
+            let got = sweep(&n, &region, samples, seed, workers);
+            assert_eq!(got.to_bits(), want.to_bits(), "workers = {workers}");
+        }
+        assert_eq!(
+            empirical_lower_bound(&n, &region, samples, seed).to_bits(),
+            want.to_bits()
+        );
     }
 
     #[test]

@@ -18,30 +18,38 @@
 //! high-`L` network exhausts it ([`VerifyError::ResourceExhausted`]).
 //!
 //! Certification runs on every bundle admission, so its cost is paid at
-//! every set-up. Four structures keep it cheap without changing a bit of
+//! every set-up. These structures keep it cheap without changing a bit of
 //! the result:
 //!
 //! * each refinement region runs the network in **one batched forward
-//!   pass** through [`Mlp::forward_batch`], whose rows are bit-identical to
-//!   [`Mlp::forward`] and so a pure function of the row's input bits;
+//!   pass** through [`Mlp::forward_batch_cached`], one [`BatchCache`] per
+//!   worker, whose rows are bit-identical to [`Mlp::forward`] and so a
+//!   pure function of the row's input bits;
 //! * **halves inherit their parent's network values**: a half differs from
 //!   the region it was bisected from only on the split axis, so every grid
 //!   point whose coordinates are, bit for bit (`to_bits()`), coordinates of
 //!   the parent's grid copies the parent's value, and only the rest is run
 //!   through the network. Matching is by bits, never by position, so odd
 //!   degrees and non-dyadic domains simply match fewer points;
-//! * the error estimate computes each dimension's **basis rows once per
-//!   region** for the tensor sample grid, with [`BernsteinApprox::eval`]'s
-//!   own arithmetic, and each approximant's Lipschitz bound once when it
-//!   is built;
+//! * **the error floor decides splits early**: a region's sampled bound is
+//!   never below its [`sample_margin`] `fl(L·r)`, so when that margin and
+//!   the [`rigorous_error_bound`] both exceed the tolerance the region is
+//!   bisected without building approximants or sampling its error — it only
+//!   evaluates the coefficient grid its halves inherit;
+//! * the error estimate evaluates the approximant at **every sample at
+//!   once**: the basis row of each sample coordinate is computed once per
+//!   region, and each sample is a lane of one loop over the coefficients
+//!   that runs [`BernsteinApprox::eval`]'s multiplications and sum in
+//!   `eval`'s order, in buffers reused from region to region;
 //! * the refinement's **bisection tree** is kept as the piece index, so
 //!   [`ControlEnclosure::enclose`] descends only the subtrees overlapping
-//!   the query box instead of scanning every piece.
+//!   the query box instead of scanning every piece, and encloses each
+//!   piece in scratch shared by the whole query.
 
 use crate::enclosure::ControlEnclosure;
 use crate::error::VerifyError;
 use cocktail_math::{BoxRegion, Interval, Matrix};
-use cocktail_nn::Mlp;
+use cocktail_nn::{BatchCache, Mlp};
 use serde::{Deserialize, Serialize};
 
 /// Binomial coefficient `C(n, k)` as `f64` (degrees here are ≤ ~10).
@@ -57,11 +65,64 @@ fn binomial(n: usize, k: usize) -> f64 {
 }
 
 /// The Bernstein basis row `B_{k,d}(t) = C(d,k)·tᵏ·(1−t)^(d−k)`,
-/// `k = 0..=d`, at one unit coordinate `t`.
-fn basis_row(d: usize, t: f64) -> Vec<f64> {
-    (0..=d)
-        .map(|k| binomial(d, k) * t.powi(k as i32) * (1.0 - t).powi((d - k) as i32))
-        .collect()
+/// `k = 0..=d`, at one unit coordinate `t`, written into `row` (`d + 1`
+/// entries).
+fn basis_row_into(d: usize, t: f64, row: &mut [f64]) {
+    for (k, b) in row.iter_mut().enumerate() {
+        *b = binomial(d, k) * t.powi(k as i32) * (1.0 - t).powi((d - k) as i32);
+    }
+}
+
+/// The unit coordinate of `v` in `iv`: [`BoxRegion::to_unit`]'s expression
+/// for one dimension, so a degenerate dimension maps to `0`.
+fn unit(iv: Interval, v: f64) -> f64 {
+    if iv.width() > 0.0 {
+        (v - iv.lo()) / iv.width()
+    } else {
+        0.0
+    }
+}
+
+/// The coefficient sum of [`BernsteinApprox::eval`] for several points
+/// ("lanes") at once.
+///
+/// `basis` holds, for dimension `i` and basis index `k`, the lanes' values
+/// of `B_i[k]` at `basis[(i·pts + k)·lanes..][..lanes]`, with
+/// `lanes = acc.len()`. Each term is `c · B₀[k₀] · B₁[k₁] · …`, multiplied
+/// left to right and summed into `acc` in coefficient order (dimension 0
+/// fastest), so every lane runs exactly the arithmetic of a single-point
+/// evaluation. `idx` and `w` are working memory.
+fn sum_lanes(
+    coeffs: &[f64],
+    pts: usize,
+    basis: &[f64],
+    idx: &mut Vec<usize>,
+    w: &mut [f64],
+    acc: &mut [f64],
+) {
+    let lanes = acc.len();
+    let dims = basis.len() / (pts * lanes);
+    let row = |i: usize, k: usize| &basis[(i * pts + k) * lanes..][..lanes];
+    acc.fill(0.0);
+    // the basis index of every dimension but the first
+    idx.clear();
+    idx.resize(dims - 1, 0);
+    for run in coeffs.chunks_exact(pts) {
+        for (k, &c) in run.iter().enumerate() {
+            for (w, &b) in w.iter_mut().zip(row(0, k)) {
+                *w = c * b;
+            }
+            for (i, &k) in idx.iter().enumerate() {
+                for (w, &b) in w.iter_mut().zip(row(i + 1, k)) {
+                    *w *= b;
+                }
+            }
+            for (a, &w) in acc.iter_mut().zip(w.iter()) {
+                *a += w;
+            }
+        }
+        advance(idx, pts);
+    }
 }
 
 /// Advances a mixed-radix index of `pts` values per digit, dimension 0
@@ -129,47 +190,31 @@ impl BernsteinApprox {
     ///
     /// Panics if `x.len() != domain.dim()`.
     pub fn eval(&self, x: &[f64]) -> f64 {
-        let basis: Vec<Vec<f64>> = self
-            .domain
-            .to_unit(x)
-            .into_iter()
-            .map(|t| basis_row(self.degree, t))
-            .collect();
-        self.eval_with_basis(&basis)
+        assert_eq!(x.len(), self.domain.dim(), "point dimension mismatch");
+        self.eval_in(x.iter().copied(), &mut Vec::new(), &mut Vec::new())
     }
 
-    /// The coefficient sum of [`Self::eval`] given each dimension's
-    /// [`basis_row`] at the point, so callers that share rows between
-    /// points run the same arithmetic.
-    ///
-    /// Each term is `c · B₀[k₀] · B₁[k₁] · …`, multiplied left to right and
-    /// summed in coefficient order. Dimension 0 runs fastest, so the
-    /// factors of the other dimensions are picked once per run of
-    /// `degree + 1` coefficients.
-    #[allow(
-        clippy::expect_used,
-        reason = "a BoxRegion always has at least one dimension"
-    )]
-    fn eval_with_basis<B: AsRef<[f64]>>(&self, basis: &[B]) -> f64 {
+    /// [`Self::eval`] at the point with coordinates `x`, building the basis
+    /// rows in `rows` and counting coefficients in `idx`.
+    fn eval_in(
+        &self,
+        x: impl Iterator<Item = f64>,
+        rows: &mut Vec<f64>,
+        idx: &mut Vec<usize>,
+    ) -> f64 {
         let pts = self.degree + 1;
-        let (first, rest) = basis.split_first().expect("non-empty basis");
-        let mut idx = vec![0usize; rest.len()];
-        let mut factors: Vec<f64> = rest.iter().map(|row| row.as_ref()[0]).collect();
-        let mut acc = 0.0;
-        for run in self.coeffs.chunks_exact(pts) {
-            for (&c, &b) in run.iter().zip(first.as_ref()) {
-                let mut w = c * b;
-                for &f in &factors {
-                    w *= f;
-                }
-                acc += w;
-            }
-            advance(&mut idx, pts);
-            for ((f, row), &k) in factors.iter_mut().zip(rest).zip(&idx) {
-                *f = row.as_ref()[k];
-            }
+        rows.clear();
+        rows.resize(self.domain.dim() * pts, 0.0);
+        for ((row, &iv), v) in rows
+            .chunks_exact_mut(pts)
+            .zip(self.domain.intervals())
+            .zip(x)
+        {
+            basis_row_into(self.degree, unit(iv, v), row);
         }
-        acc
+        let mut acc = [0.0];
+        sum_lanes(&self.coeffs, pts, rows, idx, &mut [0.0], &mut acc);
+        acc[0]
     }
 
     /// The convex-hull enclosure over the *whole* domain: a Bernstein-form
@@ -202,61 +247,74 @@ impl BernsteinApprox {
     ///
     /// Panics if `q.dim() != domain.dim()`.
     pub fn enclose(&self, q: &BoxRegion) -> Interval {
+        self.enclose_in(q.intervals(), &mut EncloseScratch::default())
+    }
+
+    /// [`Self::enclose`] over the sub-box with intervals `q`, computing the
+    /// basis intervals and the centre's basis rows in `scratch`, so a
+    /// query that encloses many pieces allocates nothing per piece.
+    fn enclose_in(&self, q: &[Interval], scratch: &mut EncloseScratch) -> Interval {
+        assert_eq!(q.len(), self.domain.dim(), "sub-box dimension mismatch");
+        let d = self.degree;
+        let pts = d + 1;
         let mut bound = self.coefficient_range();
-        if let Some(tighter) = bound.intersect(&self.enclose_by_basis(q)) {
+
+        // interval evaluation of the basis products over the sub-box's
+        // unit coordinates, clamped to [0,1]
+        let one = Interval::point(1.0);
+        scratch.basis.clear();
+        for (&dom, qi) in self.domain.intervals().iter().zip(q) {
+            let (lo, hi) = (
+                unit(dom, qi.lo()).clamp(0.0, 1.0),
+                unit(dom, qi.hi()).clamp(0.0, 1.0),
+            );
+            let t = Interval::new(lo.min(hi), hi.max(lo));
+            scratch.basis.extend((0..=d).map(|k| {
+                Interval::point(binomial(d, k)) * t.powi(k as u32) * (one - t).powi((d - k) as u32)
+            }));
+        }
+        let mut by_basis = Interval::point(0.0);
+        scratch.idx.clear();
+        scratch.idx.resize(q.len(), 0);
+        for &c in &self.coeffs {
+            let mut w = Interval::point(c);
+            for (i, &k) in scratch.idx.iter().enumerate() {
+                w = w * scratch.basis[i * pts + k];
+            }
+            by_basis = by_basis + w;
+            advance(&mut scratch.idx, pts);
+        }
+        if let Some(tighter) = bound.intersect(&by_basis) {
             bound = tighter;
         }
+
+        // the mean-value bound around the centre
         let radius = q
-            .intervals()
             .iter()
             .map(|iv| iv.radius() * iv.radius())
             .sum::<f64>()
             .sqrt();
-        let centre = self.eval(&q.center());
+        let centre = self.eval_in(
+            q.iter().map(Interval::mid),
+            &mut scratch.rows,
+            &mut scratch.idx,
+        );
         let mean_value =
             Interval::symmetric(self.lipschitz_bound() * radius) + Interval::point(centre);
         bound.intersect(&mean_value).unwrap_or(bound)
     }
+}
 
-    fn enclose_by_basis(&self, q: &BoxRegion) -> Interval {
-        assert_eq!(q.dim(), self.domain.dim(), "sub-box dimension mismatch");
-        // unit coordinates of the sub-box, clamped to [0,1]
-        let d = self.degree;
-        let t: Vec<Interval> = self
-            .domain
-            .to_unit(&q.lower())
-            .into_iter()
-            .zip(self.domain.to_unit(&q.upper()))
-            .map(|(lo, hi)| {
-                let (lo, hi) = (lo.clamp(0.0, 1.0), hi.clamp(0.0, 1.0));
-                Interval::new(lo.min(hi), hi.max(lo))
-            })
-            .collect();
-        let one = Interval::point(1.0);
-        let basis: Vec<Vec<Interval>> = t
-            .iter()
-            .map(|&ti| {
-                (0..=d)
-                    .map(|k| {
-                        Interval::point(binomial(d, k))
-                            * ti.powi(k as u32)
-                            * (one - ti).powi((d - k) as u32)
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut acc = Interval::point(0.0);
-        let mut idx = vec![0usize; basis.len()];
-        for &c in &self.coeffs {
-            let mut w = Interval::point(c);
-            for (row, &k) in basis.iter().zip(&idx) {
-                w = w * row[k];
-            }
-            acc = acc + w;
-            advance(&mut idx, d + 1);
-        }
-        acc
-    }
+/// Working memory of [`BernsteinApprox::enclose_in`], reused across the
+/// pieces one query encloses.
+#[derive(Default)]
+struct EncloseScratch {
+    /// The basis intervals, `degree + 1` per dimension.
+    basis: Vec<Interval>,
+    /// The basis rows at the sub-box's centre, `degree + 1` per dimension.
+    rows: Vec<f64>,
+    /// A mixed-radix coefficient index.
+    idx: Vec<usize>,
 }
 
 /// Classical rigorous Bernstein error bound for a Lipschitz-`l` function
@@ -361,63 +419,167 @@ impl RegionGrid {
     /// the same bits as a coordinate of `parent`'s grid copies the parent's
     /// row: `forward_batch` rows are a pure function of the row's input
     /// bits, so the copy is the value the network would return. The other
-    /// points go through one [`Mlp::forward_batch`]. Returns the grid and
-    /// the number of rows run through the network.
+    /// points go through one batched forward pass. Returns the grid and the
+    /// number of rows run through the network.
     fn evaluate(
         net: &Mlp,
         region: &BoxRegion,
         degree: usize,
         parent: Option<&RegionGrid>,
+        scratch: &mut RefineScratch,
     ) -> (Self, usize) {
         let coords = grid_coords(region, degree);
         let pts = degree + 1;
-        // per dimension, child index → parent index at a bit-equal coordinate
-        let maps: Vec<Vec<Option<usize>>> = coords
-            .iter()
-            .enumerate()
-            .map(|(i, own)| {
-                own.iter()
-                    .map(|x| {
-                        parent.and_then(|p| {
-                            p.coords[i].iter().position(|y| y.to_bits() == x.to_bits())
-                        })
-                    })
-                    .collect()
-            })
-            .collect();
+        let RefineScratch {
+            forward,
+            maps,
+            idx,
+            fresh_rows,
+            fresh_points,
+            ..
+        } = scratch;
+        // maps[i·pts + k]: the parent index of child index k of dimension
+        // i at a bit-equal coordinate
+        maps.clear();
+        for (i, own) in coords.iter().enumerate() {
+            maps.extend(own.iter().map(|x| {
+                parent.and_then(|p| p.coords[i].iter().position(|y| y.to_bits() == x.to_bits()))
+            }));
+        }
         let count = pts.pow(coords.len() as u32);
         let mut values = Matrix::zeros(count, net.output_dim());
-        let mut fresh_rows = Vec::new();
-        let mut fresh_points = Vec::new();
-        let mut idx = vec![0usize; coords.len()];
+        fresh_rows.clear();
+        fresh_points.clear();
+        idx.clear();
+        idx.resize(coords.len(), 0);
         for row in 0..count {
             // the parent's row at the same point, when every coordinate maps
-            let from = maps
+            let from = idx
                 .iter()
-                .zip(&idx)
+                .enumerate()
                 .rev()
-                .try_fold(0usize, |flat, (map, &k)| map[k].map(|j| flat * pts + j));
+                .try_fold(0usize, |flat, (i, &k)| {
+                    maps[i * pts + k].map(|j| flat * pts + j)
+                });
             match parent.zip(from) {
                 Some((p, from)) => values.row_mut(row).copy_from_slice(p.values.row(from)),
                 None => {
                     fresh_rows.push(row);
-                    fresh_points.extend(coords.iter().zip(&idx).map(|(c, &k)| c[k]));
+                    fresh_points.extend(coords.iter().zip(idx.iter()).map(|(c, &k)| c[k]));
                 }
             }
-            advance(&mut idx, pts);
+            advance(idx, pts);
         }
         if !fresh_rows.is_empty() {
-            let fresh = net.forward_batch(&Matrix::from_vec(
-                fresh_rows.len(),
-                coords.len(),
-                fresh_points,
-            ));
+            let fresh = forward.run(net, fresh_points);
             for (i, &row) in fresh_rows.iter().enumerate() {
                 values.row_mut(row).copy_from_slice(fresh.row(i));
             }
         }
         (Self { coords, values }, fresh_rows.len())
     }
+}
+
+/// A worker's batched forward pass: [`Mlp::forward_batch_cached`] through
+/// one [`BatchCache`] and input block, reused from call to call. Its rows
+/// are those of [`Mlp::forward_batch`].
+#[derive(Default)]
+struct Forward {
+    cache: BatchCache,
+    input: Option<Matrix>,
+}
+
+impl Forward {
+    /// The network's outputs at `points`, `net.input_dim()` coordinates per
+    /// point, one row per point.
+    fn run(&mut self, net: &Mlp, points: &[f64]) -> &Matrix {
+        let shape = (points.len() / net.input_dim(), net.input_dim());
+        let input = match &mut self.input {
+            Some(input) if input.shape() == shape => input,
+            slot => slot.insert(Matrix::zeros(shape.0, shape.1)),
+        };
+        input.as_mut_slice().copy_from_slice(points);
+        net.forward_batch_cached(input, &mut self.cache);
+        self.cache.output()
+    }
+}
+
+/// The error-sample grid of a region as lanes of [`sum_lanes`]: the basis
+/// row of every sample coordinate, computed once per region, spread over
+/// the `m^n` samples (dimension 0 fastest).
+#[derive(Default)]
+struct SampleLanes {
+    /// `rows[(i·m + j)·pts ..][..pts]`: the basis row at sample coordinate
+    /// `j` of dimension `i`.
+    rows: Vec<f64>,
+    /// The lane vectors of [`sum_lanes`].
+    basis: Vec<f64>,
+    idx: Vec<usize>,
+    w: Vec<f64>,
+    acc: Vec<f64>,
+}
+
+impl SampleLanes {
+    /// Lays out the `m`-per-dimension sample grid of `region` at `degree`.
+    /// A sample coordinate is [`grid_coords`]' point and its unit
+    /// coordinate `to_unit`'s, the arithmetic `eval` applies to the point.
+    fn fill(&mut self, region: &BoxRegion, degree: usize, m: usize) {
+        let pts = degree + 1;
+        let n = region.dim();
+        let lanes = m.pow(n as u32);
+        self.rows.clear();
+        self.rows.resize(n * m * pts, 0.0);
+        for (i, &iv) in region.intervals().iter().enumerate() {
+            for j in 0..m {
+                let x = iv.lo() + (j as f64 / (m - 1) as f64) * iv.width();
+                basis_row_into(
+                    degree,
+                    unit(iv, x),
+                    &mut self.rows[(i * m + j) * pts..][..pts],
+                );
+            }
+        }
+        self.basis.clear();
+        self.basis.resize(n * pts * lanes, 0.0);
+        self.idx.clear();
+        self.idx.resize(n, 0);
+        for s in 0..lanes {
+            for (i, &j) in self.idx.iter().enumerate() {
+                let row = &self.rows[(i * m + j) * pts..][..pts];
+                for (k, &b) in row.iter().enumerate() {
+                    self.basis[(i * pts + k) * lanes + s] = b;
+                }
+            }
+            advance(&mut self.idx, m);
+        }
+        self.w.resize(lanes, 0.0);
+        self.acc.resize(lanes, 0.0);
+    }
+
+    /// The approximant with `coeffs` at every sample, in sample order.
+    fn eval(&mut self, coeffs: &[f64], pts: usize) -> &[f64] {
+        sum_lanes(
+            coeffs,
+            pts,
+            &self.basis,
+            &mut self.idx,
+            &mut self.w,
+            &mut self.acc,
+        );
+        &self.acc
+    }
+}
+
+/// A refinement worker's working memory, reused from region to region.
+/// Nothing a region leaves in it reaches another region's result.
+#[derive(Default)]
+struct RefineScratch {
+    forward: Forward,
+    lanes: SampleLanes,
+    maps: Vec<Option<usize>>,
+    idx: Vec<usize>,
+    fresh_rows: Vec<usize>,
+    fresh_points: Vec<f64>,
 }
 
 /// Everything refinement needs to know about one region.
@@ -443,9 +605,8 @@ struct RegionEval {
 /// the coefficient grid (`error_samples_per_dim − 1 == degree`, as in
 /// [`crate::cert::default_params`]) its network values are the
 /// coefficients themselves; otherwise it is batched once for all outputs.
-/// The sample grid is a tensor grid, so each dimension's basis rows are
-/// computed once, with [`BernsteinApprox::eval`]'s expressions, and every
-/// sample runs only `eval`'s coefficient loop over the rows it picks.
+/// The approximant runs at every sample at once, as lanes of
+/// [`sum_lanes`] over basis rows computed once per region.
 fn evaluate_region(
     net: &Mlp,
     scale: &[f64],
@@ -453,9 +614,10 @@ fn evaluate_region(
     parent: Option<&RegionGrid>,
     config: &CertificateConfig,
     lipschitz: f64,
+    scratch: &mut RefineScratch,
 ) -> RegionEval {
     let degree = config.degree;
-    let (grid, mut network_rows) = RegionGrid::evaluate(net, region, degree, parent);
+    let (grid, mut network_rows) = RegionGrid::evaluate(net, region, degree, parent, scratch);
     let polys: Vec<BernsteinApprox> = scale
         .iter()
         .enumerate()
@@ -468,32 +630,23 @@ fn evaluate_region(
         .collect();
 
     let m = config.error_samples_per_dim.max(2);
-    let sample_coords = grid_coords(region, m - 1);
-    let separate = (m - 1 != degree).then(|| net.forward_batch(&grid_points(&sample_coords)));
+    let separate = (m - 1 != degree).then(|| {
+        let points = grid_points(&grid_coords(region, m - 1));
+        scratch.forward.run(net, points.as_slice()).clone()
+    });
     if let Some(values) = &separate {
         network_rows += values.rows();
     }
     let sample_values = separate.as_ref().unwrap_or(&grid.values);
-    // bases[i][j]: the basis row at sample coordinate j of dimension i,
-    // through the `to_unit` that `eval` applies to a whole point
-    let units: Vec<Vec<f64>> = (0..m)
-        .map(|j| region.to_unit(&sample_coords.iter().map(|c| c[j]).collect::<Vec<_>>()))
-        .collect();
-    let bases: Vec<Vec<Vec<f64>>> = (0..region.dim())
-        .map(|i| units.iter().map(|t| basis_row(degree, t[i])).collect())
-        .collect();
+    scratch.lanes.fill(region, degree, m);
     let r = covering_radius(region, m);
     let rigorous = rigorous_error_bound(lipschitz, region, degree);
     let mut epsilon: f64 = 0.0;
-    let mut picked: Vec<&[f64]> = Vec::with_capacity(bases.len());
     for (o, (poly, &s)) in polys.iter().zip(scale).enumerate() {
+        let fitted = scratch.lanes.eval(&poly.coeffs, degree + 1);
         let mut worst: f64 = 0.0;
-        let mut idx = vec![0usize; bases.len()];
-        for row in 0..sample_values.rows() {
-            picked.clear();
-            picked.extend(bases.iter().zip(&idx).map(|(b, &j)| b[j].as_slice()));
-            worst = worst.max((sample_values[(row, o)] * s - poly.eval_with_basis(&picked)).abs());
-            advance(&mut idx, m);
+        for (row, &b) in fitted.iter().enumerate() {
+            worst = worst.max((sample_values[(row, o)] * s - b).abs());
         }
         let sampled = worst + (lipschitz + poly.lipschitz_bound()) * r;
         epsilon = epsilon.max(sampled.min(rigorous));
@@ -504,6 +657,29 @@ fn evaluate_region(
         grid,
         network_rows,
     }
+}
+
+/// Whether `region` is bisected whatever its approximants turn out to be.
+///
+/// Every output's sampled bound `worst + (L + L_B)·r` is at least
+/// `fl(L·r)`, the [`sample_margin`]: `worst ≥ 0`, `L_B ≥ 0` (a NaN drops
+/// out of the `min` below) and round-to-nearest is monotone. So when that
+/// margin and the [`rigorous_error_bound`] both exceed the tolerance, so
+/// does `ε = max_o min(sampled_o, rigorous)`, and the region is split
+/// unless it is already at the width floor. Such a region needs only its
+/// coefficient grid, for its halves.
+fn floor_decides_split(region: &BoxRegion, config: &CertificateConfig, lipschitz: f64) -> bool {
+    sample_margin(lipschitz, region, config.error_samples_per_dim) > config.tolerance
+        && rigorous_error_bound(lipschitz, region, config.degree) > config.tolerance
+        && region.max_width() > 1e-6
+}
+
+/// What refinement learned about one frontier region.
+enum Visit {
+    /// [`floor_decides_split`]: the coefficient grid and the rows it ran.
+    FloorSplit(RegionGrid, usize),
+    /// A full [`evaluate_region`].
+    Evaluated(RegionEval),
 }
 
 /// Configuration for [`BernsteinCertificate::build`].
@@ -536,7 +712,7 @@ impl Default for CertificateConfig {
 /// bisections were performed, how deep the refinement went, and how many
 /// points it ran through the network. `splits` and `depth` are shipped in
 /// the safety certificate so admission can compare them exactly;
-/// `network_rows` is the refinement's cost.
+/// `network_rows` and `floor_splits` describe the refinement's cost.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RefineStats {
     /// Number of bisections performed (cells refined).
@@ -546,6 +722,9 @@ pub struct RefineStats {
     /// Rows run through the network: grid points a region could not
     /// inherit from its parent, plus separate error-sample grids.
     pub network_rows: usize,
+    /// Bisections the error floor decided before any approximant was
+    /// built (see [`sample_margin`]); these regions sampled no error.
+    pub floor_splits: usize,
 }
 
 /// A piecewise Bernstein over-approximation of a (scaled) MLP controller:
@@ -627,10 +806,13 @@ impl BernsteinCertificate {
     /// cannot inherit bit for bit from its parent's, and its error-sample
     /// grid when that is a different point set, each through one batched
     /// forward pass — then accepted or bisected in index order, a bisected
-    /// region handing its grid values to both halves. Each region's
-    /// approximants and error bound depend only on that region, so the
-    /// resulting certificate, bisection tree included, is bit-identical for
-    /// every `workers >= 1`, and so is `network_rows`.
+    /// region handing its grid values to both halves. A region whose error
+    /// floor already forces the split ([`sample_margin`] and
+    /// [`rigorous_error_bound`] both above the tolerance) evaluates only its
+    /// coefficient grid. Each region's approximants and error bound depend
+    /// only on that region, so the resulting certificate, bisection tree
+    /// included, is bit-identical for every `workers >= 1`, and so are all
+    /// the [`RefineStats`].
     ///
     /// # Errors
     ///
@@ -665,38 +847,64 @@ impl BernsteinCertificate {
                     budget: config.max_pieces,
                 });
             }
-            let evaluated = cocktail_math::parallel::map_indexed_with_workers(
-                &frontier,
+            let visits = cocktail_math::parallel::map_range_with_scratch(
+                frontier.len(),
                 workers,
-                |_, (region, parent)| {
+                RefineScratch::default,
+                |scratch, i| {
+                    let (region, parent) = &frontier[i];
                     let parent = parent.map(|p| &parents[p]);
-                    evaluate_region(net, scale, region, parent, config, lipschitz)
+                    if floor_decides_split(region, config, lipschitz) {
+                        let (grid, rows) =
+                            RegionGrid::evaluate(net, region, config.degree, parent, scratch);
+                        Visit::FloorSplit(grid, rows)
+                    } else {
+                        Visit::Evaluated(evaluate_region(
+                            net, scale, region, parent, config, lipschitz, scratch,
+                        ))
+                    }
                 },
             );
             // the frontier is nodes tree.len().., its halves follow it
             let first_half = tree.len() + frontier.len();
             let mut next = Vec::new();
             let mut next_parents = Vec::new();
-            for ((region, _), eval) in frontier.into_iter().zip(evaluated) {
-                stats.network_rows += eval.network_rows;
-                if eval.epsilon > config.tolerance && region.max_width() > 1e-6 {
-                    let (a, b) = region.bisect();
-                    tree.push(TreeNode::Split {
-                        region,
-                        halves: first_half + next.len(),
-                    });
-                    let parent = Some(next_parents.len());
-                    next_parents.push(eval.grid);
-                    next.push((a, parent));
-                    next.push((b, parent));
-                    stats.splits += 1;
-                } else {
-                    tree.push(TreeNode::Piece(pieces.len()));
-                    pieces.push(CertPiece {
-                        region,
-                        polys: eval.polys,
-                        epsilon: eval.epsilon,
-                    });
+            for ((region, _), visit) in frontier.into_iter().zip(visits) {
+                let (grid, fit, rows) = match visit {
+                    Visit::FloorSplit(grid, rows) => (grid, None, rows),
+                    Visit::Evaluated(eval) => (
+                        eval.grid,
+                        Some((eval.polys, eval.epsilon)),
+                        eval.network_rows,
+                    ),
+                };
+                stats.network_rows += rows;
+                match fit {
+                    Some((polys, epsilon))
+                        if !(epsilon > config.tolerance && region.max_width() > 1e-6) =>
+                    {
+                        tree.push(TreeNode::Piece(pieces.len()));
+                        pieces.push(CertPiece {
+                            region,
+                            polys,
+                            epsilon,
+                        });
+                    }
+                    fit => {
+                        let (a, b) = region.bisect();
+                        tree.push(TreeNode::Split {
+                            region,
+                            halves: first_half + next.len(),
+                        });
+                        let parent = Some(next_parents.len());
+                        next_parents.push(grid);
+                        next.push((a, parent));
+                        next.push((b, parent));
+                        stats.splits += 1;
+                        if fit.is_none() {
+                            stats.floor_splits += 1;
+                        }
+                    }
                 }
             }
             frontier = next;
@@ -789,7 +997,7 @@ impl ControlEnclosure for BernsteinCertificate {
     /// The hull, per output, of `B_P(q ∩ P) ± ε_P` over the pieces `P`
     /// intersecting `q`. The bisection tree finds those pieces; they are
     /// folded in piece order, so the hull is bit-identical to a scan over
-    /// every piece.
+    /// every piece. One scratch serves every piece of the query.
     #[allow(
         clippy::expect_used,
         reason = "only intersecting pieces are collected, and the partition covers the domain"
@@ -800,13 +1008,23 @@ impl ControlEnclosure for BernsteinCertificate {
         self.collect_covering(0, q, &mut hits);
         hits.sort_unstable();
         let mut out: Vec<Option<Interval>> = vec![None; self.output_dim];
+        let mut scratch = EncloseScratch::default();
+        let mut overlap = Vec::with_capacity(q.dim());
         for piece in hits.into_iter().map(|i| &self.pieces[i]) {
-            let overlap = piece
-                .region
-                .intersect(q)
-                .expect("collected as intersecting");
+            // `BoxRegion::intersect`, dimension by dimension
+            overlap.clear();
+            overlap.extend(
+                piece
+                    .region
+                    .intervals()
+                    .iter()
+                    .zip(q.intervals())
+                    .map(|(a, b)| a.intersect(b).expect("collected as intersecting")),
+            );
             for (o, poly) in piece.polys.iter().enumerate() {
-                let iv = poly.enclose(&overlap).inflate(piece.epsilon);
+                let iv = poly
+                    .enclose_in(&overlap, &mut scratch)
+                    .inflate(piece.epsilon);
                 out[o] = Some(match out[o] {
                     Some(acc) => acc.hull(&iv),
                     None => iv,
@@ -1086,7 +1304,8 @@ mod tests {
     }
 
     /// The per-point construction the batched evaluation replaced: one
-    /// forward pass per coefficient and per error sample, per output.
+    /// forward pass per coefficient and per error sample, per output, and
+    /// one term-by-term evaluation of the approximant per sample.
     fn evaluate_by_points(
         net: &Mlp,
         scale: &[f64],
@@ -1108,7 +1327,7 @@ mod tests {
                     .map(|i| ((point / m.pow(i as u32)) % m) as f64 / (m - 1) as f64)
                     .collect();
                 let x = region.lerp(&t);
-                worst = worst.max((f(&x) - poly.eval(&x)).abs());
+                worst = worst.max((f(&x) - eval_by_terms(&poly, &x)).abs());
             }
             let r = 0.5
                 * region
@@ -1140,7 +1359,15 @@ mod tests {
                 error_samples_per_dim: samples,
                 ..Default::default()
             };
-            let eval = evaluate_region(&net, &scale, &region, None, &cfg, lipschitz);
+            let eval = evaluate_region(
+                &net,
+                &scale,
+                &region,
+                None,
+                &cfg,
+                lipschitz,
+                &mut RefineScratch::default(),
+            );
             let (want_polys, want_eps) = evaluate_by_points(&net, &scale, &region, &cfg, lipschitz);
             assert_eq!(
                 coeff_bits(&eval.polys),
@@ -1175,57 +1402,342 @@ mod tests {
         let scale = [5.0, 3.0];
         let dyadic = BoxRegion::cube(2, -1.0, 1.0);
         let skewed = BoxRegion::from_bounds(&[-0.3, -1.0 / 3.0], &[0.7, 1.0]);
-        // (domain, degree, error samples, network rows per split when they
-        // are exact: on a dyadic box at degree 4 every half inherits 3 of
-        // its 5 split-axis coordinates, so 2 × 2 × 5 rows are new; at an
-        // odd degree or on a non-dyadic box rounding decides how many)
+        // (domain, degree, error samples, whether the network rows are
+        // exact: on a dyadic box at degree 4 every half inherits 3 of its
+        // 5 split-axis coordinates, so 2 × 2 × 5 rows are new per split; at
+        // an odd degree or on a non-dyadic box rounding decides how many)
         let cases = [
-            (&dyadic, 4, 5, Some(20)),
-            (&dyadic, 3, 4, None),
-            (&skewed, 4, 5, None),
-            (&dyadic, 4, 6, Some(20 + 2 * 36)),
+            (&dyadic, 4, 5, true),
+            (&dyadic, 3, 4, false),
+            (&skewed, 4, 5, false),
+            (&dyadic, 4, 6, true),
         ];
-        for (domain, degree, samples, per_split) in cases {
-            let cfg = CertificateConfig {
-                degree,
-                tolerance: 0.3,
-                max_pieces: 1 << 14,
-                error_samples_per_dim: samples,
-            };
+        let mut scratch = RefineScratch::default();
+        for (domain, degree, samples, exact) in cases {
+            let cfg = refine_config(degree, samples);
             let what = format!("{domain:?}, degree {degree}, {samples} samples");
             let (cert, stats) =
                 BernsteinCertificate::build_with_workers(&net, &scale, domain, &cfg, 2)
                     .expect("fits");
             assert!(stats.splits > 20, "{what}: {} splits", stats.splits);
             for piece in &cert.pieces {
-                let fresh =
-                    evaluate_region(&net, &scale, &piece.region, None, &cfg, cert.lipschitz);
+                let fresh = evaluate_region(
+                    &net,
+                    &scale,
+                    &piece.region,
+                    None,
+                    &cfg,
+                    cert.lipschitz,
+                    &mut scratch,
+                );
                 assert_eq!(coeff_bits(&piece.polys), coeff_bits(&fresh.polys), "{what}");
                 assert_eq!(piece.epsilon.to_bits(), fresh.epsilon.to_bits(), "{what}");
             }
             let pts = degree + 1;
-            let root = pts * pts
-                + if samples - 1 == degree {
-                    0
-                } else {
-                    samples * samples
-                };
-            let every_point = (2 * stats.splits + 1) * root;
-            match per_split {
+            let regions = 2 * stats.splits + 1;
+            // a separate error-sample grid runs in every region but the
+            // floor-decided splits
+            let separate = if samples - 1 == degree {
+                0
+            } else {
+                samples * samples * (regions - stats.floor_splits)
+            };
+            if exact {
                 // a regression that stops inheriting fails here
-                Some(per_split) => {
-                    assert_eq!(
-                        stats.network_rows,
-                        root + per_split * stats.splits,
-                        "{what}"
-                    );
-                }
+                assert_eq!(
+                    stats.network_rows,
+                    pts * pts + 20 * stats.splits + separate,
+                    "{what}"
+                );
+            } else {
                 // at least the lower half's split-axis edge is inherited
-                None => assert!(
+                let every_point = regions * pts * pts + separate;
+                assert!(
                     stats.network_rows <= every_point - stats.splits * pts,
                     "{what}: {} rows",
                     stats.network_rows
-                ),
+                );
+            }
+        }
+    }
+
+    /// The refinement settings of the inheritance and floor tests.
+    fn refine_config(degree: usize, samples: usize) -> CertificateConfig {
+        CertificateConfig {
+            degree,
+            tolerance: 0.3,
+            max_pieces: 1 << 14,
+            error_samples_per_dim: samples,
+        }
+    }
+
+    /// Refinement without the error floor: every region, split or not, is
+    /// evaluated in full from a fresh grid, one region at a time.
+    fn refine_evaluating_every_region(
+        net: &Mlp,
+        scale: &[f64],
+        domain: &BoxRegion,
+        config: &CertificateConfig,
+    ) -> (BernsteinCertificate, [usize; 2]) {
+        let max_scale = scale.iter().fold(0.0_f64, |m, &s| m.max(s.abs()));
+        let lipschitz = max_scale * net.lipschitz_constant();
+        let mut scratch = RefineScratch::default();
+        let (mut pieces, mut tree) = (Vec::new(), Vec::new());
+        let [mut splits, mut depth] = [0, 0];
+        let mut frontier = vec![domain.clone()];
+        while !frontier.is_empty() {
+            let first_half = tree.len() + frontier.len();
+            let mut next = Vec::new();
+            for region in frontier {
+                let eval =
+                    evaluate_region(net, scale, &region, None, config, lipschitz, &mut scratch);
+                if eval.epsilon > config.tolerance && region.max_width() > 1e-6 {
+                    let (a, b) = region.bisect();
+                    tree.push(TreeNode::Split {
+                        region,
+                        halves: first_half + next.len(),
+                    });
+                    next.extend([a, b]);
+                    splits += 1;
+                } else {
+                    tree.push(TreeNode::Piece(pieces.len()));
+                    pieces.push(CertPiece {
+                        region,
+                        polys: eval.polys,
+                        epsilon: eval.epsilon,
+                    });
+                }
+            }
+            frontier = next;
+            depth += usize::from(!frontier.is_empty());
+        }
+        let cert = BernsteinCertificate {
+            pieces,
+            tree,
+            domain: domain.clone(),
+            output_dim: scale.len(),
+            lipschitz,
+        };
+        (cert, [splits, depth])
+    }
+
+    #[test]
+    fn floor_splits_match_a_refinement_that_evaluates_every_region() {
+        let dyadic = BoxRegion::cube(2, -1.0, 1.0);
+        let skewed = BoxRegion::from_bounds(&[-0.3, -1.0 / 3.0], &[0.7, 1.0]);
+        let one_output = (small_net(5), vec![5.0]);
+        let two_outputs = (two_output_net(4), vec![5.0, 3.0]);
+        // in 1-D at degree 16 with 2 samples, `L·r = L·w/2` exceeds the
+        // rigorous `1.5·L·w/4`, so the floor needs both conditions: a
+        // region inside the margin but within the rigorous bound is a piece
+        let line = BoxRegion::cube(1, -1.0, 1.0);
+        let one_input = (
+            MlpBuilder::new(1)
+                .hidden(6, Activation::Tanh)
+                .output(1, Activation::Tanh)
+                .seed(3)
+                .build(),
+            vec![5.0],
+        );
+        let cases = [
+            (&one_output, &dyadic, 4, 5),
+            (&one_output, &dyadic, 3, 4),
+            (&one_output, &skewed, 4, 5),
+            (&two_outputs, &dyadic, 4, 6),
+            (&one_input, &line, 16, 2),
+        ];
+        for ((net, scale), domain, degree, samples) in cases {
+            let cfg = refine_config(degree, samples);
+            let what = format!("{domain:?}, degree {degree}, {samples} samples");
+            let (cert, stats) =
+                BernsteinCertificate::build_with_workers(net, scale, domain, &cfg, 2)
+                    .expect("fits");
+            let (want, [splits, depth]) = refine_evaluating_every_region(net, scale, domain, &cfg);
+            assert!(stats.floor_splits > 0, "{what}: no floor-decided split");
+            assert_eq!([stats.splits, stats.depth], [splits, depth], "{what}");
+            assert_eq!(cert.tree, want.tree, "{what}");
+            assert_eq!(cert.pieces.len(), want.pieces.len(), "{what}");
+            for (got, want) in cert.pieces.iter().zip(&want.pieces) {
+                assert_eq!(got.region, want.region, "{what}");
+                assert_eq!(coeff_bits(&got.polys), coeff_bits(&want.polys), "{what}");
+                assert_eq!(got.epsilon.to_bits(), want.epsilon.to_bits(), "{what}");
+            }
+            assert_eq!(cert.lipschitz.to_bits(), want.lipschitz.to_bits(), "{what}");
+        }
+    }
+
+    /// The single-point evaluation the lane kernel replaced: each
+    /// dimension's basis row at `to_unit(x)`, then every term multiplied
+    /// left to right and summed in coefficient order.
+    #[allow(
+        clippy::expect_used,
+        reason = "a BoxRegion always has at least one dimension"
+    )]
+    fn eval_by_terms(poly: &BernsteinApprox, x: &[f64]) -> f64 {
+        let d = poly.degree;
+        let pts = d + 1;
+        let basis: Vec<Vec<f64>> = poly
+            .domain
+            .to_unit(x)
+            .into_iter()
+            .map(|t| {
+                (0..=d)
+                    .map(|k| binomial(d, k) * t.powi(k as i32) * (1.0 - t).powi((d - k) as i32))
+                    .collect()
+            })
+            .collect();
+        let (first, rest) = basis.split_first().expect("non-empty basis");
+        let mut idx = vec![0usize; rest.len()];
+        let mut factors: Vec<f64> = rest.iter().map(|row| row[0]).collect();
+        let mut acc = 0.0;
+        for run in poly.coeffs.chunks_exact(pts) {
+            for (&c, &b) in run.iter().zip(first) {
+                let mut w = c * b;
+                for &f in &factors {
+                    w *= f;
+                }
+                acc += w;
+            }
+            advance(&mut idx, pts);
+            for ((f, row), &k) in factors.iter_mut().zip(rest).zip(&idx) {
+                *f = row[k];
+            }
+        }
+        acc
+    }
+
+    /// The enclosure the scratch-based one replaced: the coefficient range,
+    /// the interval basis sum and the mean-value bound, each built afresh.
+    fn enclose_by_reference(poly: &BernsteinApprox, q: &BoxRegion) -> Interval {
+        let mut bound = poly.coefficient_range();
+        if let Some(tighter) = bound.intersect(&enclose_by_basis(poly, q)) {
+            bound = tighter;
+        }
+        let radius = q
+            .intervals()
+            .iter()
+            .map(|iv| iv.radius() * iv.radius())
+            .sum::<f64>()
+            .sqrt();
+        let centre = eval_by_terms(poly, &q.center());
+        let mean_value =
+            Interval::symmetric(poly.lipschitz_bound() * radius) + Interval::point(centre);
+        bound.intersect(&mean_value).unwrap_or(bound)
+    }
+
+    fn enclose_by_basis(poly: &BernsteinApprox, q: &BoxRegion) -> Interval {
+        let d = poly.degree;
+        let t: Vec<Interval> = poly
+            .domain
+            .to_unit(&q.lower())
+            .into_iter()
+            .zip(poly.domain.to_unit(&q.upper()))
+            .map(|(lo, hi)| {
+                let (lo, hi) = (lo.clamp(0.0, 1.0), hi.clamp(0.0, 1.0));
+                Interval::new(lo.min(hi), hi.max(lo))
+            })
+            .collect();
+        let one = Interval::point(1.0);
+        let basis: Vec<Vec<Interval>> = t
+            .iter()
+            .map(|&ti| {
+                (0..=d)
+                    .map(|k| {
+                        Interval::point(binomial(d, k))
+                            * ti.powi(k as u32)
+                            * (one - ti).powi((d - k) as u32)
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut acc = Interval::point(0.0);
+        let mut idx = vec![0usize; basis.len()];
+        for &c in &poly.coeffs {
+            let mut w = Interval::point(c);
+            for (row, &k) in basis.iter().zip(&idx) {
+                w = w * row[k];
+            }
+            acc = acc + w;
+            advance(&mut idx, d + 1);
+        }
+        acc
+    }
+
+    /// A seeded approximant with random coefficients over a random box.
+    fn random_approx(seed: u64, degree: usize, dim: usize) -> BernsteinApprox {
+        let mut rng = cocktail_math::rng::seeded(seed);
+        let corner = cocktail_math::rng::uniform_in_box(&mut rng, &BoxRegion::cube(dim, -2.0, 1.0));
+        let widths = cocktail_math::rng::uniform_in_box(&mut rng, &BoxRegion::cube(dim, 0.1, 3.0));
+        let upper: Vec<f64> = corner.iter().zip(&widths).map(|(c, w)| c + w).collect();
+        let domain = BoxRegion::from_bounds(&corner, &upper);
+        let count = (degree + 1).pow(dim as u32);
+        let coeffs =
+            cocktail_math::rng::uniform_in_box(&mut rng, &BoxRegion::cube(count, -3.0, 3.0));
+        BernsteinApprox::from_coeffs(domain, degree, coeffs)
+    }
+
+    #[test]
+    fn eval_matches_the_term_by_term_reference() {
+        let mut rng = cocktail_math::rng::seeded(29);
+        for degree in 1..=8 {
+            for dim in 1..=4 {
+                let poly = random_approx(10 * degree as u64 + dim as u64, degree, dim);
+                for _ in 0..10 {
+                    let x = cocktail_math::rng::uniform_in_box(&mut rng, poly.domain());
+                    assert_eq!(
+                        poly.eval(&x).to_bits(),
+                        eval_by_terms(&poly, &x).to_bits(),
+                        "degree {degree}, dim {dim}, {x:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn enclose_matches_the_reference_enclosure() {
+        let mut rng = cocktail_math::rng::seeded(31);
+        for degree in 1..=8 {
+            for dim in 1..=4 {
+                let poly = random_approx(10 * degree as u64 + dim as u64, degree, dim);
+                let domain = poly.domain().clone();
+                let (lo, hi) = (domain.lower(), domain.upper());
+                let mut queries = vec![domain.clone()];
+                // random sub-boxes
+                for _ in 0..6 {
+                    let a = cocktail_math::rng::uniform_in_box(&mut rng, &domain);
+                    let b = cocktail_math::rng::uniform_in_box(&mut rng, &domain);
+                    let (l, h): (Vec<f64>, Vec<f64>) = a
+                        .iter()
+                        .zip(&b)
+                        .map(|(&a, &b)| (a.min(b), a.max(b)))
+                        .unzip();
+                    queries.push(BoxRegion::from_bounds(&l, &h));
+                }
+                // zero-width faces on the boundary and the two extreme corners
+                for i in 0..dim {
+                    for edge in [lo[i], hi[i]] {
+                        let (mut l, mut h) = (lo.clone(), hi.clone());
+                        (l[i], h[i]) = (edge, edge);
+                        queries.push(BoxRegion::from_bounds(&l, &h));
+                    }
+                }
+                queries.push(BoxRegion::from_bounds(&lo, &lo));
+                queries.push(BoxRegion::from_bounds(&hi, &hi));
+                // boxes reaching past the domain, whose unit coordinates clamp
+                queries.push(domain.inflate(0.5));
+                for corner in [&lo, &hi] {
+                    queries.push(BoxRegion::from_bounds(corner, corner).inflate(0.3));
+                }
+                for q in &queries {
+                    let got = poly.enclose(q);
+                    let want = enclose_by_reference(&poly, q);
+                    assert_eq!(
+                        [got.lo().to_bits(), got.hi().to_bits()],
+                        [want.lo().to_bits(), want.hi().to_bits()],
+                        "degree {degree}, dim {dim}, {q:?}"
+                    );
+                }
             }
         }
     }

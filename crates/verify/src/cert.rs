@@ -2,11 +2,12 @@
 //! re-derivable record of the paper's full Section III-C loop.
 //!
 //! [`certify_controller`] runs Bernstein certificate construction (with
-//! partition refinement), closed-loop reachability over the plant dynamics
-//! from a seeded initial box, and the control-invariant grid fixpoint, and
-//! condenses the outcome into a [`SafetyCert`]: verdict, refinement stats,
-//! reach horizon and final hull, a digest of the invariant bitmap, and the
-//! verification wall-clock (the paper's Property-3 metric).
+//! partition refinement), the control-invariant grid fixpoint, and
+//! closed-loop reachability over the plant dynamics from a seeded initial
+//! box, and condenses the outcome into a [`SafetyCert`]: verdict,
+//! refinement stats, reach horizon and final hull, a digest of the
+//! invariant bitmap, and the verification wall-clock (the paper's
+//! Property-3 metric).
 //!
 //! The whole computation is a pure function of `(plant, weights, scale,
 //! params)` — the parallel maps and the Jacobi fixpoint are worker-count
@@ -18,9 +19,10 @@
 //! were altered after export.
 
 use crate::bernstein::{BernsteinCertificate, CertificateConfig};
+use crate::enclosure::ControlEnclosure;
 use crate::error::VerifyError;
-use crate::invariant::{invariant_set_with_workers, InvariantConfig};
-use crate::reach::{reach_analysis, ReachConfig, ReachMode};
+use crate::invariant::{invariant_with_images, InvariantConfig, InvariantResult};
+use crate::reach::{reach_with_images, ReachConfig, ReachMode, ReachResult};
 use crate::report::SafetyVerdict;
 use cocktail_env::Dynamics;
 use cocktail_math::{BoxRegion, Interval};
@@ -429,13 +431,19 @@ fn invariant_digest(grid: usize, alive: &[bool]) -> u64 {
 /// Runs the full verification loop for the scaled network `scale ⊙ net` in
 /// closed loop with `sys` and condenses the outcome into a [`SafetyCert`].
 ///
-/// Telemetry: `verify/bernstein`, `verify/reach` and `verify/invariant`
+/// The invariant fixpoint runs before reachability, which reuses the
+/// invariant's cell images where the two grids coincide.
+///
+/// Telemetry: `verify/bernstein`, `verify/invariant` and `verify/reach`
 /// spans meter the stage wall-clocks, a `verify.cells_refined` counter
-/// records the partition bisections and `verify.network_rows` the grid
-/// points refinement ran through the network, `verify.budget_exhaustions`
-/// counts budget blow-ups (the paper's `κ_D` failure mode), and a
-/// `verify.verdict` event reports the outcome — all gated on
-/// `tel.enabled()` and never perturbing the certificate itself.
+/// records the partition bisections, `verify.network_rows` the grid points
+/// refinement ran through the network, `verify.floor_splits` the
+/// bisections decided by the error floor alone,
+/// `verify.reach_images_reused` the cell images reach took from the
+/// invariant, `verify.budget_exhaustions` counts budget blow-ups (the
+/// paper's `κ_D` failure mode), and a `verify.verdict` event reports the
+/// outcome — all gated on `tel.enabled()` and never perturbing the
+/// certificate itself.
 ///
 /// # Errors
 ///
@@ -471,25 +479,17 @@ pub fn certify_controller(
             "verify.network_rows",
             stats.network_rows as u64,
         ));
+        tel.record(Event::counter(
+            "verify.floor_splits",
+            stats.floor_splits as u64,
+        ));
     }
 
-    let reach = {
-        let _span = Span::enter(tel, "verify/reach");
-        reach_analysis(sys, &cert, &params.initial_set, &params.reach)
-    };
-    let reach = match reach {
-        Ok(r) => r,
-        Err(e) => return Err(note_exhaustion(tel, e)),
-    };
-
-    let inv = {
-        let _span = Span::enter(tel, "verify/invariant");
-        invariant_set_with_workers(sys, &cert, &params.invariant, workers)
-    };
-    let inv = match inv {
-        Ok(r) => r,
-        Err(e) => return Err(note_exhaustion(tel, e)),
-    };
+    let (reach, reused, inv) =
+        closed_loop(sys, &cert, params, workers, tel).map_err(|e| note_exhaustion(tel, e))?;
+    if tel.enabled() {
+        tel.record(Event::counter("verify.reach_images_reused", reused as u64));
+    }
 
     let contained = inv.converged
         && reach
@@ -535,6 +535,34 @@ pub fn certify_controller(
     Ok(out)
 }
 
+/// The closed-loop analyses of a certified `controller`: the invariant
+/// fixpoint, then reachability, which takes the one-step images of the
+/// invariant's cells wherever its paving steps the same cells (see
+/// [`crate::reach`]). Returns the reach result, the number of images it
+/// took from the invariant, and the invariant result.
+///
+/// A reach error is returned before an invariant error, and a dimension
+/// mismatch panics in reach, as when reach ran first.
+fn closed_loop(
+    sys: &dyn Dynamics,
+    controller: &dyn ControlEnclosure,
+    params: &SafetyParams,
+    workers: usize,
+    tel: &dyn Telemetry,
+) -> Result<(ReachResult, usize, InvariantResult), VerifyError> {
+    let inv = {
+        let _span = Span::enter(tel, "verify/invariant");
+        invariant_with_images(sys, controller, &params.invariant, workers)
+    };
+    let (reach, reused) = {
+        let _span = Span::enter(tel, "verify/reach");
+        let known = inv.as_ref().ok().map(|(_, images)| images);
+        reach_with_images(sys, controller, &params.initial_set, &params.reach, known)?
+    };
+    let (inv, _) = inv?;
+    Ok((reach, reused, inv))
+}
+
 /// Counts budget exhaustions before handing the error back.
 fn note_exhaustion(tel: &dyn Telemetry, e: VerifyError) -> VerifyError {
     if tel.enabled() {
@@ -548,6 +576,8 @@ fn note_exhaustion(tel: &dyn Telemetry, e: VerifyError) -> VerifyError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::enclosure::Counting;
+    use crate::reach::reach_analysis;
     use cocktail_env::systems::VanDerPol;
     use cocktail_nn::{Activation, Mlp, MlpBuilder};
     use cocktail_obs::{InMemorySink, NullSink};
@@ -614,7 +644,80 @@ mod tests {
             observed.counter_total("verify.network_rows") as usize,
             stats.network_rows
         );
+        assert!(stats.floor_splits > 0);
+        assert_eq!(
+            observed.counter_total("verify.floor_splits") as usize,
+            stats.floor_splits
+        );
+        assert!(observed.counter_total("verify.reach_images_reused") > 0);
         assert_eq!(observed.events_named("verify.verdict").len(), 1);
+    }
+
+    #[test]
+    fn reach_inside_certification_reuses_the_invariants_images() {
+        // fast budgets pave the oscillator's domain 8 × 8, like its
+        // invariant grid
+        let sys = VanDerPol::new();
+        let net = student(3);
+        let params = fast_params(&sys);
+        let tel = InMemorySink::new();
+        let cert = certify_controller(&sys, &net, &[20.0], &params, 2, &tel).expect("certifies");
+        let (bernstein, _) = BernsteinCertificate::build_with_workers(
+            &net,
+            &[20.0],
+            &sys.verification_domain(),
+            &params.certificate,
+            2,
+        )
+        .expect("certifies");
+        let alone = Counting::new(&bernstein);
+        let want =
+            reach_analysis(&sys, &alone, &params.initial_set, &params.reach).expect("reaches");
+        assert_eq!(cert.reach_steps, want.frames.len() - 1);
+        assert_eq!(cert.reach_safe, want.verified_safe);
+        assert_eq!(cert.reach_peak_boxes, want.peak_boxes);
+        assert_eq!(cert.reach_final_hull, want.final_hull());
+        assert_eq!(
+            tel.counter_total("verify.reach_images_reused") as usize,
+            alone.calls()
+        );
+
+        // the same analyses on a counting enclosure: the invariant's
+        // cells are the only enclosures, and reach's frames are unchanged
+        let counted = Counting::new(&bernstein);
+        let (got, reused, _) =
+            closed_loop(&sys, &counted, &params, 2, &NullSink).expect("analyses");
+        assert_eq!(reused, alone.calls());
+        assert_eq!(counted.calls(), params.invariant.grid.pow(2));
+        assert_eq!(got.frames, want.frames);
+    }
+
+    #[test]
+    fn reach_errors_are_still_the_returned_error() {
+        let sys = VanDerPol::new();
+        let net = student(3);
+        let mut params = fast_params(&sys);
+        params.reach.max_boxes = 1;
+        let tel = InMemorySink::new();
+        let err = certify_controller(&sys, &net, &[20.0], &params, 2, &tel)
+            .expect_err("one reach cell cannot hold the tube");
+        assert!(
+            matches!(
+                err,
+                VerifyError::ResourceExhausted {
+                    resource: "reachable cells",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        assert_eq!(tel.counter_total("verify.budget_exhaustions"), 1);
+
+        let mut params = fast_params(&sys);
+        params.initial_set = BoxRegion::cube(2, 5.0, 6.0);
+        let err = certify_controller(&sys, &net, &[20.0], &params, 2, &NullSink)
+            .expect_err("the initial box lies outside the domain");
+        assert_eq!(err, VerifyError::DomainEscape { step: 0 });
     }
 
     #[test]

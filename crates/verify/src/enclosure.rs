@@ -101,6 +101,45 @@ impl ControlEnclosure for LinearEnclosure {
     }
 }
 
+/// Counts the `enclose` calls made on the wrapped enclosure.
+#[cfg(test)]
+pub(crate) struct Counting<'a> {
+    inner: &'a dyn ControlEnclosure,
+    calls: std::sync::atomic::AtomicUsize,
+}
+
+#[cfg(test)]
+impl<'a> Counting<'a> {
+    pub(crate) fn new(inner: &'a dyn ControlEnclosure) -> Self {
+        Self {
+            inner,
+            calls: std::sync::atomic::AtomicUsize::new(0),
+        }
+    }
+
+    /// The calls so far.
+    pub(crate) fn calls(&self) -> usize {
+        self.calls.load(std::sync::atomic::Ordering::Relaxed)
+    }
+}
+
+#[cfg(test)]
+impl ControlEnclosure for Counting<'_> {
+    fn state_dim(&self) -> usize {
+        self.inner.state_dim()
+    }
+
+    fn control_dim(&self) -> usize {
+        self.inner.control_dim()
+    }
+
+    fn enclose(&self, q: &BoxRegion) -> Vec<Interval> {
+        self.calls
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.inner.enclose(q)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

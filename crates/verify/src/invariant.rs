@@ -6,11 +6,20 @@
 //! is not covered by the surviving cells are removed until nothing changes.
 //! What remains is an under-approximation of the maximal control invariant
 //! set: every trajectory started inside it provably stays inside forever.
+//!
+//! The cell images, one enclosure each, are the cost; they are computed in
+//! parallel, once. The fixpoint is Jacobi: each sweep decides every cell
+//! against the previous sweep's bitmap, so the sweep count — a certificate
+//! field — cannot depend on an evaluation order. A sweep only reads the
+//! bitmap, so it runs on the calling thread. [`crate::cert`] hands the
+//! cells and images on to the reachability analysis of the same
+//! certificate, which steps the same cells.
 
 use crate::enclosure::ControlEnclosure;
 use crate::error::VerifyError;
+use crate::reach::{disturbance, one_step_image};
 use cocktail_env::Dynamics;
-use cocktail_math::{BoxRegion, Interval};
+use cocktail_math::BoxRegion;
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
@@ -179,10 +188,9 @@ pub fn invariant_set(
 /// [`invariant_set`] with an explicit worker count.
 ///
 /// The per-cell one-step image precompute (the dominant cost) fans out over
-/// `workers` threads, and the fixpoint runs Jacobi-style: every sweep
-/// decides each cell against the *previous* sweep's survival bitmap and
-/// removals apply between sweeps, so the result is bit-identical for every
-/// `workers >= 1` (removal order within a sweep cannot matter).
+/// `workers` threads, so the result is bit-identical for every
+/// `workers >= 1`. The fixpoint then runs on the calling thread: a sweep
+/// only reads a bitmap, far too little work to pay for spawning threads.
 ///
 /// # Errors
 ///
@@ -197,6 +205,47 @@ pub fn invariant_set_with_workers(
     config: &InvariantConfig,
     workers: usize,
 ) -> Result<InvariantResult, VerifyError> {
+    invariant_with_images(sys, controller, config, workers).map(|(result, _)| result)
+}
+
+/// The invariant's grid cells and their one-step images, in flat cell
+/// order (dimension 0 fastest): what [`invariant_with_images`] computed
+/// the fixpoint from, kept for the reachability analysis of the same
+/// certificate (see [`crate::reach`]).
+pub(crate) struct CellImages {
+    /// Cells per dimension.
+    pub grid: usize,
+    /// `domain.subdivide(grid)`.
+    pub cells: Vec<BoxRegion>,
+    /// [`one_step_image`] of every cell.
+    pub images: Vec<BoxRegion>,
+}
+
+impl CellImages {
+    /// The image of cell `flat`, when that cell is `cell` bit for bit.
+    pub(crate) fn image_of(&self, flat: usize, cell: &BoxRegion) -> Option<&BoxRegion> {
+        let same = self.cells.get(flat).is_some_and(|c| {
+            c.dim() == cell.dim()
+                && c.intervals().iter().zip(cell.intervals()).all(|(a, b)| {
+                    a.lo().to_bits() == b.lo().to_bits() && a.hi().to_bits() == b.hi().to_bits()
+                })
+        });
+        if same {
+            self.images.get(flat)
+        } else {
+            None
+        }
+    }
+}
+
+/// [`invariant_set_with_workers`], also returning the cells and images it
+/// computed.
+pub(crate) fn invariant_with_images(
+    sys: &dyn Dynamics,
+    controller: &dyn ControlEnclosure,
+    config: &InvariantConfig,
+    workers: usize,
+) -> Result<(InvariantResult, CellImages), VerifyError> {
     assert!(config.grid > 0, "grid must be positive");
     if controller.state_dim() != sys.state_dim() || controller.control_dim() != sys.control_dim() {
         return Err(VerifyError::DimensionMismatch {
@@ -214,24 +263,14 @@ pub fn invariant_set_with_workers(
     let grid = config.grid;
     let cells = domain.subdivide(grid);
     let total = cells.len();
-    let (u_lo, u_hi) = sys.control_bounds();
-    let omega: Vec<Interval> = sys
-        .disturbance_amplitude()
-        .iter()
-        .map(|&a| Interval::symmetric(a))
-        .collect();
+    let bounds = sys.control_bounds();
+    let omega = disturbance(sys);
 
     // precompute each cell's one-step image box in parallel: pure per-cell
     // work, bit-identical for any worker split
     let images: Vec<BoxRegion> =
         cocktail_math::parallel::map_indexed_with_workers(&cells, workers, |_, cell| {
-            let u: Vec<Interval> = controller
-                .enclose(cell)
-                .into_iter()
-                .zip(u_lo.iter().zip(&u_hi))
-                .map(|(iv, (&l, &h))| iv.clamp_to(l, h))
-                .collect();
-            BoxRegion::new(sys.step_interval(cell.intervals(), &u, &omega))
+            one_step_image(sys, controller, cell, &bounds, &omega)
         });
 
     let mut result = InvariantResult {
@@ -251,16 +290,18 @@ pub fn invariant_set_with_workers(
 
     for iteration in 1..=config.max_iterations {
         // Jacobi sweep: keep-decisions read only the previous sweep's
-        // bitmap, removals apply after the sweep
+        // bitmap, removals apply after the sweep. The sweep count is a
+        // certificate field, so a sweep must never see its own removals.
         let alive = &result.alive;
-        let keep: Vec<bool> =
-            cocktail_math::parallel::map_range_with_workers(total, workers, |i| {
+        let keep: Vec<bool> = (0..total)
+            .map(|i| {
                 alive[i]
                     && match &ranges[i] {
                         None => false, // image leaves X
                         Some(ranges) => all_alive(ranges, alive, grid),
                     }
-            });
+            })
+            .collect();
         let removed = result.alive.iter().zip(&keep).any(|(&a, &k)| a && !k);
         result.alive = keep;
         result.iterations = iteration;
@@ -270,7 +311,14 @@ pub fn invariant_set_with_workers(
         }
     }
     result.duration = start.elapsed();
-    Ok(result)
+    Ok((
+        result,
+        CellImages {
+            grid,
+            cells,
+            images,
+        },
+    ))
 }
 
 /// Whether every grid cell in the per-dimension index `ranges` is alive.

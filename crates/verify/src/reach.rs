@@ -18,6 +18,14 @@
 //! only for one call and never holds more entries than the frames it
 //! returns.
 //!
+//! Inside [`crate::cert::certify_controller`] the invariant fixpoint has
+//! already computed the same [`one_step_image`] for every cell of its own
+//! grid. When the paving has as many cells per dimension as that grid and
+//! a cell is, bit for bit, the invariant cell with the same flat index,
+//! reach takes that image instead of enclosing the cell again; any other
+//! cell is computed here. On the 2-D export budgets the two grids
+//! coincide and reach encloses nothing itself.
+//!
 //! The cell budget is explicit: exceeding it returns
 //! [`VerifyError::ResourceExhausted`], which is how the paper's "`κ_D` could
 //! not be verified (segmentation fault after 12 reachable-set steps)"
@@ -25,6 +33,7 @@
 
 use crate::enclosure::ControlEnclosure;
 use crate::error::VerifyError;
+use crate::invariant::CellImages;
 use cocktail_env::Dynamics;
 use cocktail_math::{BoxRegion, Interval};
 use serde::{Deserialize, Serialize};
@@ -229,6 +238,31 @@ pub fn reach_analysis(
     x0: &BoxRegion,
     config: &ReachConfig,
 ) -> Result<ReachResult, VerifyError> {
+    reach_with_images(sys, controller, x0, config, None).map(|(result, _)| result)
+}
+
+/// [`reach_analysis`] that takes a cell's one-step image from `known`, the
+/// invariant's cells and images under the same `controller`, instead of
+/// computing it, when the paving has `known.grid` cells in every
+/// dimension and the cell is, bit for bit, the invariant cell with the
+/// same flat index. Both grids index dimension 0 fastest, and both images
+/// are [`one_step_image`] of the cell, so the result is that of
+/// [`reach_analysis`]. Returns it with the number of images taken.
+///
+/// # Errors
+///
+/// See [`reach_analysis`].
+///
+/// # Panics
+///
+/// See [`reach_analysis`].
+pub(crate) fn reach_with_images(
+    sys: &dyn Dynamics,
+    controller: &dyn ControlEnclosure,
+    x0: &BoxRegion,
+    config: &ReachConfig,
+    known: Option<&CellImages>,
+) -> Result<(ReachResult, usize), VerifyError> {
     assert_eq!(x0.dim(), sys.state_dim(), "initial box dimension mismatch");
     assert_eq!(
         controller.state_dim(),
@@ -242,16 +276,14 @@ pub fn reach_analysis(
     );
     assert!(config.split_width > 0.0, "split width must be positive");
     if config.mode == ReachMode::Subdivision {
-        return reach_by_subdivision(sys, controller, x0, config);
+        return reach_by_subdivision(sys, controller, x0, config).map(|result| (result, 0));
     }
     let start = Instant::now();
     let grid = Grid::new(sys.verification_domain(), config.split_width);
-    let (u_lo, u_hi) = sys.control_bounds();
-    let omega: Vec<Interval> = sys
-        .disturbance_amplitude()
-        .iter()
-        .map(|&a| Interval::symmetric(a))
-        .collect();
+    let bounds = sys.control_bounds();
+    let omega = disturbance(sys);
+    let known = known.filter(|k| grid.counts.iter().all(|&c| c == k.grid));
+    let mut reused = 0;
 
     // flat cell index → the overlap of its one-step image (`None`: the
     // image lies wholly outside the domain)
@@ -277,14 +309,14 @@ pub fn reach_analysis(
         for &flat in &occupied {
             let overlap = images.entry(flat).or_insert_with(|| {
                 let cell = grid.cell_box(&grid.unflat(flat));
-                let u: Vec<Interval> = controller
-                    .enclose(&cell)
-                    .into_iter()
-                    .zip(u_lo.iter().zip(&u_hi))
-                    .map(|(iv, (&l, &h))| iv.clamp_to(l, h))
-                    .collect();
-                let image = BoxRegion::new(sys.step_interval(cell.intervals(), &u, &omega));
-                grid.overlap_ranges(&image)
+                match known.and_then(|k| k.image_of(flat, &cell)) {
+                    Some(image) => {
+                        reused += 1;
+                        grid.overlap_ranges(image)
+                    }
+                    None => grid
+                        .overlap_ranges(&one_step_image(sys, controller, &cell, &bounds, &omega)),
+                }
             });
             match overlap {
                 None => {
@@ -319,12 +351,40 @@ pub fn reach_analysis(
         occupied = next;
     }
 
-    Ok(ReachResult {
+    let result = ReachResult {
         frames,
         verified_safe,
         duration: start.elapsed(),
         peak_boxes: peak,
-    })
+    };
+    Ok((result, reused))
+}
+
+/// The disturbance set `Ω` of `sys`, one interval per disturbance input.
+pub(crate) fn disturbance(sys: &dyn Dynamics) -> Vec<Interval> {
+    sys.disturbance_amplitude()
+        .iter()
+        .map(|&a| Interval::symmetric(a))
+        .collect()
+}
+
+/// A cell's one-step interval image: the controller's enclosure over the
+/// cell, clamped to the control `bounds`, through the interval dynamics
+/// with disturbance `omega`.
+pub(crate) fn one_step_image(
+    sys: &dyn Dynamics,
+    controller: &dyn ControlEnclosure,
+    cell: &BoxRegion,
+    (u_lo, u_hi): &(Vec<f64>, Vec<f64>),
+    omega: &[Interval],
+) -> BoxRegion {
+    let u: Vec<Interval> = controller
+        .enclose(cell)
+        .into_iter()
+        .zip(u_lo.iter().zip(u_hi))
+        .map(|(iv, (&l, &h))| iv.clamp_to(l, h))
+        .collect();
+    BoxRegion::new(sys.step_interval(cell.intervals(), &u, omega))
 }
 
 fn cells_to_boxes(grid: &Grid, cells: &BTreeSet<usize>) -> Vec<BoxRegion> {
@@ -345,11 +405,7 @@ fn reach_by_subdivision(
     let start = Instant::now();
     let safe_box = sys.verification_domain();
     let (u_lo, u_hi) = sys.control_bounds();
-    let omega: Vec<Interval> = sys
-        .disturbance_amplitude()
-        .iter()
-        .map(|&a| Interval::symmetric(a))
-        .collect();
+    let omega = disturbance(sys);
 
     let mut current = vec![x0.clone()];
     let mut verified_safe = safe_box.contains_box(x0);
@@ -449,10 +505,11 @@ fn coalesce(boxes: Vec<BoxRegion>, split_width: f64) -> Vec<BoxRegion> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enclosure::LinearEnclosure;
-    use cocktail_env::systems::{Poly3d, VanDerPol};
+    use crate::cert::{default_params, fast_params, SafetyParams};
+    use crate::enclosure::{Counting, LinearEnclosure};
+    use crate::invariant::invariant_with_images;
+    use cocktail_env::systems::{CartPole, Poly3d, VanDerPol};
     use cocktail_math::Matrix;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn stable_linear_loop_verifies_safe() {
@@ -669,36 +726,6 @@ mod tests {
         }
     }
 
-    /// Counts the `enclose` calls made on the wrapped enclosure.
-    struct Counting<'a> {
-        inner: &'a dyn ControlEnclosure,
-        calls: AtomicUsize,
-    }
-
-    impl<'a> Counting<'a> {
-        fn new(inner: &'a dyn ControlEnclosure) -> Self {
-            Self {
-                inner,
-                calls: AtomicUsize::new(0),
-            }
-        }
-    }
-
-    impl ControlEnclosure for Counting<'_> {
-        fn state_dim(&self) -> usize {
-            self.inner.state_dim()
-        }
-
-        fn control_dim(&self) -> usize {
-            self.inner.control_dim()
-        }
-
-        fn enclose(&self, q: &BoxRegion) -> Vec<Interval> {
-            self.calls.fetch_add(1, Ordering::Relaxed);
-            self.inner.enclose(q)
-        }
-    }
-
     /// The paving loop without the image memo: every occupied cell is
     /// enclosed and stepped again at every step.
     fn reach_every_cell(
@@ -819,7 +846,7 @@ mod tests {
             let stepped = &frame_bits(&want.frames)[..config.steps];
             let distinct: BTreeSet<&Vec<u64>> = stepped.iter().flatten().collect();
             let cell_steps: usize = stepped.iter().map(Vec::len).sum();
-            assert_eq!(counted.calls.into_inner(), distinct.len(), "{which}");
+            assert_eq!(counted.calls(), distinct.len(), "{which}");
             assert!(distinct.len() < cell_steps, "{which}: cells must recur");
         }
     }
@@ -845,7 +872,139 @@ mod tests {
             "{got:?}"
         );
         assert_eq!(got, want);
-        assert!(memo.calls.into_inner() < every.calls.into_inner());
+        assert!(memo.calls() < every.calls());
+    }
+
+    /// `VanDerPol` on the non-dyadic domain `[-0.05, 2]²`: on an 8-cell
+    /// grid the paving's last cell of each dimension ends at
+    /// `lo + 8·w = 1.9999999999999998`, the invariant's at `2`.
+    struct Skewed(VanDerPol);
+
+    impl Dynamics for Skewed {
+        fn name(&self) -> &str {
+            "skewed-oscillator"
+        }
+
+        fn state_dim(&self) -> usize {
+            self.0.state_dim()
+        }
+
+        fn control_dim(&self) -> usize {
+            self.0.control_dim()
+        }
+
+        fn disturbance_dim(&self) -> usize {
+            self.0.disturbance_dim()
+        }
+
+        fn step(&self, s: &[f64], u: &[f64], omega: &[f64]) -> Vec<f64> {
+            self.0.step(s, u, omega)
+        }
+
+        fn step_interval(
+            &self,
+            s: &[Interval],
+            u: &[Interval],
+            omega: &[Interval],
+        ) -> Vec<Interval> {
+            self.0.step_interval(s, u, omega)
+        }
+
+        fn is_safe(&self, s: &[f64]) -> bool {
+            self.verification_domain().contains(s)
+        }
+
+        fn initial_set(&self) -> BoxRegion {
+            BoxRegion::cube(2, 1.7, 2.0)
+        }
+
+        fn verification_domain(&self) -> BoxRegion {
+            BoxRegion::cube(2, -0.05, 2.0)
+        }
+
+        fn control_bounds(&self) -> (Vec<f64>, Vec<f64>) {
+            self.0.control_bounds()
+        }
+
+        fn disturbance_amplitude(&self) -> Vec<f64> {
+            self.0.disturbance_amplitude()
+        }
+
+        fn horizon(&self) -> usize {
+            self.0.horizon()
+        }
+    }
+
+    /// Runs reach from `x0` under `params` once with the first `keep` of
+    /// the invariant's cell images of `enclosure` and once standalone,
+    /// asserts the two results are identical, and returns how many images
+    /// reach took from the invariant and how many cells it enclosed itself.
+    fn reach_with_invariant_images(
+        sys: &dyn Dynamics,
+        enclosure: &dyn ControlEnclosure,
+        params: &SafetyParams,
+        x0: &BoxRegion,
+        keep: usize,
+    ) -> [usize; 2] {
+        let (_, mut known) =
+            invariant_with_images(sys, enclosure, &params.invariant, 2).expect("dimensions agree");
+        known.cells.truncate(keep);
+        known.images.truncate(keep);
+        let (own, alone) = (Counting::new(enclosure), Counting::new(enclosure));
+        let (got, reused) =
+            reach_with_images(sys, &own, x0, &params.reach, Some(&known)).expect("reaches");
+        let want = reach_analysis(sys, &alone, x0, &params.reach).expect("reaches");
+        assert_eq!(frame_bits(&got.frames), frame_bits(&want.frames));
+        assert_eq!(got.verified_safe, want.verified_safe);
+        assert_eq!(got.peak_boxes, want.peak_boxes);
+        assert_eq!(
+            frame_bits(&[vec![got.final_hull()]]),
+            frame_bits(&[vec![want.final_hull()]])
+        );
+        assert_eq!(reused + own.calls(), alone.calls(), "every cell once");
+        [reused, own.calls()]
+    }
+
+    #[test]
+    fn reach_takes_every_image_from_the_invariant_when_the_grids_coincide() {
+        // 2-D export budgets: a 32 × 32 paving and a 32 × 32 invariant grid
+        // over the same dyadic domain
+        let sys = VanDerPol::new();
+        let enc = LinearEnclosure::new(Matrix::from_rows(vec![vec![3.0, 3.0]]));
+        let params = default_params(&sys);
+        let x0 = BoxRegion::from_bounds(&[0.1, 0.1], &[0.3, 0.3]);
+        let [reused, own] = reach_with_invariant_images(&sys, &enc, &params, &x0, usize::MAX);
+        assert!(reused > 10, "{reused} images reused");
+        assert_eq!(own, 0);
+    }
+
+    #[test]
+    fn reach_computes_the_images_the_invariant_cannot_give() {
+        // 4-D export budgets: the paving has 5, 6, 1 and 6 cells per
+        // dimension, the invariant grid 5 in every dimension
+        let cartpole = CartPole::new();
+        let enc = LinearEnclosure::new(Matrix::from_rows(vec![vec![-1.0, -1.5, 18.0, 3.0]]));
+        let params = default_params(&cartpole);
+        let [reused, own] =
+            reach_with_invariant_images(&cartpole, &enc, &params, &params.initial_set, usize::MAX);
+        assert_eq!(reused, 0);
+        assert!(own > 0);
+
+        // the same grid counts on a non-dyadic domain: the cells in the
+        // last row or column differ in their upper bound's bits
+        let skewed = Skewed(VanDerPol::new());
+        let enc = LinearEnclosure::new(Matrix::from_rows(vec![vec![3.0, 3.0]]));
+        let params = fast_params(&skewed);
+        let x0 = skewed.initial_set();
+        let [reused, own] = reach_with_invariant_images(&skewed, &enc, &params, &x0, usize::MAX);
+        assert!(reused > 0 && own > 0, "{reused} reused, {own} computed");
+
+        // cells past the images handed over
+        let sys = VanDerPol::new();
+        let params = default_params(&sys);
+        let x0 = BoxRegion::from_bounds(&[-0.3, -0.3], &[0.3, 0.3]);
+        let [reused, own] = reach_with_invariant_images(&sys, &enc, &params, &x0, 32 * 16);
+        assert!(reused > 0 && own > 0, "{reused} reused, {own} computed");
     }
 
     #[test]
