@@ -21,8 +21,6 @@
     reason = "experiment harness code aborts on failure by design"
 )]
 
-pub mod perf;
-
 use cocktail_core::SystemId;
 use serde::Serialize;
 use std::path::PathBuf;

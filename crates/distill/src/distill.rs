@@ -486,6 +486,32 @@ mod tests {
     }
 
     #[test]
+    fn recording_telemetry_does_not_perturb_the_student() {
+        let data = dataset();
+        let cfg = DistillConfig {
+            epochs: 10,
+            hidden: 16,
+            ..Default::default()
+        };
+        let silent = robust_distill(&data, &cfg);
+        let sink = Arc::new(cocktail_obs::InMemorySink::new());
+        let mut session = RobustDistillSession::new(&data, &cfg);
+        session.set_telemetry(sink.clone());
+        while !session.is_complete() {
+            session.step_epoch(&data);
+        }
+        assert!(
+            !sink.events().is_empty(),
+            "the recording sink saw the epochs"
+        );
+        assert_eq!(
+            session.finish().network(),
+            silent.network(),
+            "telemetry observes, it never perturbs"
+        );
+    }
+
+    #[test]
     fn checkpointed_session_resumes_bit_for_bit() {
         let data = dataset();
         let cfg = DistillConfig {

@@ -5,17 +5,16 @@
 //! batched-forward speedup below 2×. This module supplies the replacement:
 //! a clamped rational approximation of `tanh` (the `[11/10]` Padé
 //! approximant, i.e. the Lambert continued fraction truncated at
-//! denominator 21) in both `f64` and `f32`, together with a
-//! **machine-checked certificate** that its error never exceeds
-//! [`FAST_TANH_EPS`] / [`FAST_TANH_F32_EPS`] anywhere on ℝ.
+//! denominator 21), together with a **machine-checked certificate** that
+//! its error never exceeds [`FAST_TANH_EPS`] anywhere on ℝ.
 //!
 //! The certificate is computed by [`certified_fast_tanh_bound`] using the
 //! outwardly-rounded interval arithmetic of `cocktail-math`: a centered
 //! form per subdivision cell (`|err(x)| ≤ |err(c)| + r · sup|err′|`, with
 //! the derivative enclosed by interval evaluation) plus a closed-form tail
 //! bound beyond the clamp point. Training, admission re-derivation and the
-//! default serving tier stay on exact `tanh`; the fast kernels are opt-in
-//! via [`ForwardKernel`] and their error budget is folded into the
+//! default serving tier stay on exact `tanh`; the fast kernel is opt-in
+//! via [`ForwardKernel`] and its error budget is folded into the
 //! `ControllerBundle` fast-tier certificate checked at admission.
 
 use cocktail_math::Interval;
@@ -31,19 +30,6 @@ pub const FAST_TANH_CLAMP: f64 = 7.5;
 /// bound at 2¹⁶ cells is ≈ `4.11e-7` — the small gap is the centered
 /// form's per-cell interval overestimation.
 pub const FAST_TANH_EPS: f64 = 5.0e-7;
-
-/// Additional error allowance for evaluating the same rational in `f32`
-/// ([`fast_tanh_f32`]) on an `f32` argument, against `tanh` of that
-/// argument. Forward error analysis of the Horner forms (all-positive
-/// coefficients, `y = x² ≥ 0`, so no cancellation: the relative condition
-/// number of each Horner sum is 1) bounds the evaluation error by
-/// `~20 u₃₂ ≈ 1.2e-6` relative, `|result| ≤ 1`, plus one final rounding to
-/// `f32`; `4e-6` covers it with > 3× margin, and a dense sampled test
-/// checks the margin empirically.
-pub const FAST_TANH_F32_SLACK: f64 = 4.0e-6;
-
-/// Certified sup-norm error of [`fast_tanh_f32`] against exact `tanh`.
-pub const FAST_TANH_F32_EPS: f64 = FAST_TANH_EPS + FAST_TANH_F32_SLACK;
 
 // [11/10] Padé of tanh: tanh x ≈ x·P(x²)/Q(x²). Integer coefficients from
 // the Lambert continued fraction x/(1+x²/(3+x²/(5+…+x²/21))); exactly
@@ -81,21 +67,6 @@ fn rational(x: f64) -> f64 {
 pub fn fast_tanh(x: f64) -> f64 {
     let x = x.clamp(-FAST_TANH_CLAMP, FAST_TANH_CLAMP);
     rational(x).clamp(-1.0, 1.0)
-}
-
-/// `f32` fast `tanh`: same rational, evaluated in `f32`, with certified
-/// error `≤` [`FAST_TANH_F32_EPS`] against exact (`f64`) `tanh` of the
-/// argument.
-#[inline]
-pub fn fast_tanh_f32(x: f32) -> f32 {
-    const C: f32 = FAST_TANH_CLAMP as f32;
-    let x = x.clamp(-C, C);
-    let y = x * x;
-    let p = ((((P5 as f32 * y + P4 as f32) * y + P3 as f32) * y + P2 as f32) * y + P1 as f32) * y
-        + P0 as f32;
-    let q = ((((Q5 as f32 * y + Q4 as f32) * y + Q3 as f32) * y + Q2 as f32) * y + Q1 as f32) * y
-        + Q0 as f32;
-    (x * p / q).clamp(-1.0, 1.0)
 }
 
 /// Relative inflation applied to every interval enclosure the certifier
@@ -245,27 +216,6 @@ mod tests {
             assert_eq!(fast_tanh(-x), -fast_tanh(x), "odd symmetry at {x}");
         }
         assert!(fast_tanh(f64::NAN).is_nan());
-    }
-
-    #[test]
-    fn fast_tanh_f32_error_within_eps_sampled() {
-        use rand::Rng;
-        let mut rng = cocktail_math::rng::seeded(0xfa32);
-        for _ in 0..200_000 {
-            let x = rng.gen_range(-40.0_f64..40.0) as f32;
-            let err = (f64::from(fast_tanh_f32(x)) - f64::from(x).tanh()).abs();
-            assert!(
-                err <= FAST_TANH_F32_EPS,
-                "fast_tanh_f32({x}) error {err:.3e}"
-            );
-            // and the f32 evaluation stays well inside its analytic slack
-            let eval_drift = (f64::from(fast_tanh_f32(x)) - fast_tanh(f64::from(x))).abs();
-            assert!(
-                eval_drift <= FAST_TANH_F32_SLACK / 2.0,
-                "f32 evaluation drift {eval_drift:.3e} eats the slack margin at {x}"
-            );
-        }
-        assert!((-1.0..=1.0).contains(&fast_tanh_f32(123.0)));
     }
 
     #[test]

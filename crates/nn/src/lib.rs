@@ -37,8 +37,8 @@
 //! ```
 
 pub mod activation;
-pub mod f32tier;
 pub mod fast;
+pub mod fast_tier;
 pub mod layer;
 pub mod lipschitz;
 pub mod loss;
@@ -47,8 +47,8 @@ pub mod optimizer;
 pub mod train;
 
 pub use activation::Activation;
-pub use f32tier::{certify_fast_tier, BatchCacheF32, FastTierCert, MlpF32};
-pub use fast::{fast_tanh, fast_tanh_f32, ForwardKernel, FAST_TANH_EPS, FAST_TANH_F32_EPS};
+pub use fast::{fast_tanh, ForwardKernel, FAST_TANH_EPS};
+pub use fast_tier::{certify_fast_tier, FastTierCert};
 pub use layer::Dense;
 pub use mlp::{BatchCache, Mlp, MlpBuilder};
 pub use optimizer::{Adam, GradStore, Optimizer, Sgd};

@@ -380,11 +380,8 @@ fn run_checks(
             if !fresh.matches(claimed, tol.max(1e-9)) {
                 return Err(AdmissionError::FastTierMismatch {
                     detail: format!(
-                        "shipped bounds (ft {:?}, f32 {:?}) != re-derived (ft {:?}, f32 {:?})",
-                        claimed.fast_tanh_output_error,
-                        claimed.f32_output_error,
-                        fresh.fast_tanh_output_error,
-                        fresh.f32_output_error
+                        "shipped bounds {:?} != re-derived {:?}",
+                        claimed.fast_tanh_output_error, fresh.fast_tanh_output_error
                     ),
                 });
             }
@@ -450,7 +447,7 @@ fn run_checks(
             }
         }
         None => {
-            let reason = if bundle.version < crate::bundle::BUNDLE_VERSION {
+            let reason = if bundle.predates_safety_certs() {
                 format!(
                     "bundle format v{} predates safety certification",
                     bundle.version
@@ -548,13 +545,68 @@ mod tests {
     fn tampered_fast_tier_cert_is_refused() {
         let mut b = healthy_bundle();
         let cert = b.fast_tier.as_mut().expect("tanh student has a cert");
-        // understate the f32 quantization error claim by half: the serving
-        // tier would then promise tighter outputs than the weights deliver
-        cert.f32_output_error[0] *= 0.5;
+        // understate the fast-tanh error claim by half: the serving tier
+        // would then promise tighter outputs than the weights deliver
+        cert.fast_tanh_output_error[0] *= 0.5;
         let err = admit(b).expect_err("refused");
         assert!(
             matches!(err, AdmissionError::FastTierMismatch { .. }),
             "{err}"
+        );
+    }
+
+    #[test]
+    fn v3_file_with_f32_keys_loads_validates_and_admits() {
+        let b = healthy_bundle();
+        let path = std::env::temp_dir().join(format!(
+            "cocktail-serve-admission-v3-{}.json",
+            std::process::id()
+        ));
+        b.save(&path).expect("save succeeds");
+        let text = std::fs::read_to_string(&path).expect("readable");
+        // rebuild the file as a version-3 artifact: older stamp, and the
+        // fast-tier certificate still carries the retired f32 tier's
+        // epsilon and output-error keys
+        let tier = "f32";
+        let f32_keys = format!(
+            "\"fast_tanh_{tier}_eps\": 0.0000045,\n    \"{tier}_output_error\": [\n      0.0007\n    ],"
+        );
+        let v3 = text
+            .replacen(
+                &format!("\"version\": {}", crate::BUNDLE_VERSION),
+                "\"version\": 3",
+                1,
+            )
+            .replacen(
+                "\"fast_tanh_output_error\": [",
+                &format!("{f32_keys}\n    \"fast_tanh_output_error\": ["),
+                1,
+            );
+        assert!(v3.contains("\"version\": 3") && v3.contains("\"f32_output_error\""));
+        std::fs::write(&path, v3).expect("writable");
+        let back = ControllerBundle::load(&path).expect("v3 file loads and validates");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(back.version, 3);
+        let shipped = b.fast_tier.as_ref().expect("tanh student has a cert");
+        assert_eq!(
+            back.fast_tier.as_ref(),
+            Some(shipped),
+            "f32 keys are ignored"
+        );
+        let admitted = admit(back).expect("v3 bundle admits");
+        let (net, _) = admitted.bundle.network().expect("neural spec");
+        let fresh = cocktail_nn::certify_fast_tier(net, &admitted.bundle.input_domain)
+            .expect("re-derivation succeeds");
+        let bits = |c: &cocktail_nn::FastTierCert| -> Vec<u64> {
+            c.fast_tanh_output_error
+                .iter()
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        assert_eq!(
+            bits(&fresh),
+            bits(shipped),
+            "same fast-tanh bound, bit for bit"
         );
     }
 

@@ -37,9 +37,9 @@ use cocktail_serve::loadgen::{self, LoadGenConfig, LoadReport};
 #[cfg(target_os = "linux")]
 use cocktail_serve::ReactorServer;
 use cocktail_serve::{
-    admit_with, load_recorded, shadow_replay, AdmissionConfig, BinaryTcpClient, ControlClient,
-    ControllerBundle, DriftConfig, Engine, EngineConfig, EngineHandle, Provenance, RolloutAction,
-    RolloutBudget, RolloutConfig, RolloutError, ServeTier,
+    admit_with, load_recorded, shadow_replay, AdmissionConfig, BinaryTcpClient, ControllerBundle,
+    DriftConfig, Engine, EngineConfig, EngineHandle, Provenance, RolloutAction, RolloutBudget,
+    RolloutConfig, RolloutError, ServeTier,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -141,14 +141,14 @@ fn usage() -> String {
      check         --bundle <path> [--allow-uncertified]\n\
      verify        --bundle <path> [--allow-uncertified]\n\
      serve         --bundle <path> --addr <ip:port> [--allow-uncertified] [--max-batch N]\n\
-                   [--deadline-us N] [--capacity N] [--shards N] [--tier exact|fast-tanh|f32]\n\
+                   [--deadline-us N] [--capacity N] [--shards N] [--tier exact|fast-tanh]\n\
                    [--telemetry <jsonl>] [--drift-window N] [--drift-threshold X]\n\
                    [--retrain-dir <dir>]\n\
      loadgen       --bundle <path> --addr <ip:port> [--requests N] [--connections N]\n\
                    [--seed N]\n\
      smoke         --bundle <path> [--allow-uncertified] [--requests N] [--connections N]\n\
                    [--seed N] [--telemetry <jsonl>] [--max-batch N] [--deadline-us N]\n\
-                   [--capacity N] [--shards N] [--tier exact|fast-tanh|f32]\n\
+                   [--capacity N] [--shards N] [--tier exact|fast-tanh]\n\
                    [--drift-window N] [--drift-threshold X]\n\
      replay        --telemetry <jsonl> --incumbent <path> --candidate <path>\n\
                    [--max-divergence X] [--max-envelope-violations N]\n\
@@ -220,12 +220,7 @@ fn engine_config(args: &Args) -> Result<EngineConfig, String> {
     let tier = match args.get("tier").unwrap_or("exact") {
         "exact" => ServeTier::Exact,
         "fast-tanh" => ServeTier::FastTanh,
-        "f32" => ServeTier::F32,
-        other => {
-            return Err(format!(
-                "--tier must be exact, fast-tanh or f32, got `{other}`"
-            ))
-        }
+        other => return Err(format!("--tier must be exact or fast-tanh, got `{other}`")),
     };
     Ok(EngineConfig {
         max_batch: args.parsed("max-batch", defaults.max_batch)?,
@@ -341,7 +336,7 @@ fn cmd_verify(args: &Args) -> Result<ExitCode, String> {
     let bundle = load_bundle(args)?;
     bundle.validate().map_err(|e| e.to_string())?;
     let Some(shipped) = &bundle.safety else {
-        let reason = if bundle.version < cocktail_serve::BUNDLE_VERSION {
+        let reason = if bundle.predates_safety_certs() {
             format!(
                 "bundle format v{} predates safety certification",
                 bundle.version

@@ -28,10 +28,13 @@ use std::path::{Path, PathBuf};
 /// Version history: 1 — initial format; 2 — adds the optional `fast_tier`
 /// quantization/approximation error certificate; 3 — adds the optional
 /// `safety` formal safety certificate (Bernstein + reachability +
-/// invariant set). Version-2 bundles still load and validate, but the
-/// admission gate refuses them by default as uncertified (see
+/// invariant set); 4 — `fast_tier` drops the retired `f32` tier's
+/// epsilon and output-error keys. Version-2 and -3 bundles still load and
+/// validate (fields are looked up by name, so the extra `f32` keys of a
+/// v2/v3 file are ignored), but the admission gate refuses version-2
+/// bundles by default as uncertified (see
 /// `AdmissionConfig::allow_uncertified`).
-pub const BUNDLE_VERSION: u32 = 3;
+pub const BUNDLE_VERSION: u32 = 4;
 
 /// Oldest bundle format [`ControllerBundle::validate`] still accepts.
 pub const OLDEST_READABLE_VERSION: u32 = 2;
@@ -147,11 +150,11 @@ pub struct ControllerBundle {
     /// Analyzer findings at export time (informational; admission re-runs
     /// the analyzer rather than trusting these).
     pub analysis: Vec<BundleFinding>,
-    /// Certified output-error bounds of the reduced-precision serving
-    /// kernels (fast-tanh and f32 tiers) over `input_domain`, derived at
-    /// export with interval arithmetic. `None` when the controller uses
-    /// activations the fast tiers do not cover; admission re-derives the
-    /// certificate from the shipped weights and refuses on mismatch.
+    /// Certified output-error bound of the fast-tanh serving kernel over
+    /// `input_domain`, derived at export with interval arithmetic. `None`
+    /// when the controller uses activations the fast tier does not cover;
+    /// admission re-derives the certificate from the shipped weights and
+    /// refuses on mismatch.
     pub fast_tier: Option<FastTierCert>,
     /// The formal safety certificate: Bernstein enclosure, closed-loop
     /// reachability and control-invariant set, derived at export from the
@@ -331,7 +334,7 @@ impl ControllerBundle {
                 self.version
             )));
         }
-        if self.version < 3 && self.safety.is_some() {
+        if self.predates_safety_certs() && self.safety.is_some() {
             return Err(BundleError::Format(format!(
                 "version {} predates safety certificates yet carries one",
                 self.version
@@ -382,25 +385,16 @@ impl ControllerBundle {
             )));
         }
         if let Some(cert) = &self.fast_tier {
-            let scalars = [cert.fast_tanh_eps, cert.fast_tanh_f32_eps];
-            let rows = cert
-                .fast_tanh_output_error
-                .iter()
-                .chain(&cert.f32_output_error);
-            if scalars
-                .iter()
-                .chain(rows)
+            if std::iter::once(&cert.fast_tanh_eps)
+                .chain(&cert.fast_tanh_output_error)
                 .any(|v| !v.is_finite() || *v < 0.0)
             {
                 return Err(BundleError::NonFinite("fast tier certificate".into()));
             }
-            if cert.fast_tanh_output_error.len() != control_dim
-                || cert.f32_output_error.len() != control_dim
-            {
+            if cert.fast_tanh_output_error.len() != control_dim {
                 return Err(BundleError::Format(format!(
-                    "fast tier certificate arity ({}, {}) != control dimension {control_dim}",
-                    cert.fast_tanh_output_error.len(),
-                    cert.f32_output_error.len()
+                    "fast tier certificate arity {} != control dimension {control_dim}",
+                    cert.fast_tanh_output_error.len()
                 )));
             }
         }
@@ -409,6 +403,12 @@ impl ControllerBundle {
         }
         spec_params_finite(&self.spec)?;
         Ok(())
+    }
+
+    /// Whether the bundle's format version predates the `safety` field
+    /// (format version 3).
+    pub fn predates_safety_certs(&self) -> bool {
+        self.version < 3
     }
 
     /// The network and scale of a servable (`Mlp` family) bundle.
@@ -688,9 +688,7 @@ mod tests {
         let b = bundle();
         let cert = b.fast_tier.as_ref().expect("tanh student is certifiable");
         assert_eq!(cert.fast_tanh_output_error.len(), 1);
-        assert_eq!(cert.f32_output_error.len(), 1);
         assert!(cert.fast_tanh_output_error[0] > 0.0);
-        assert!(cert.f32_output_error[0] > 0.0);
         let (net, _) = b.network().expect("neural spec");
         let fresh =
             cocktail_nn::certify_fast_tier(net, &b.input_domain).expect("re-derivation succeeds");
@@ -701,7 +699,7 @@ mod tests {
     fn validate_refuses_a_non_finite_fast_tier_cert() {
         let mut b = bundle();
         if let Some(cert) = b.fast_tier.as_mut() {
-            cert.f32_output_error[0] = f64::NAN;
+            cert.fast_tanh_output_error[0] = f64::NAN;
         }
         let err = b.validate().expect_err("NaN cert refused");
         assert!(matches!(err, BundleError::NonFinite(_)), "{err}");
@@ -747,7 +745,9 @@ mod tests {
         b.save(&path).expect("save succeeds");
         let text = std::fs::read_to_string(&path).expect("readable");
 
-        let skewed = text.replacen("\"version\": 3", "\"version\": 99", 1);
+        let stamp = format!("\"version\": {BUNDLE_VERSION}");
+        assert!(text.contains(&stamp), "pretty-printed version stamp");
+        let skewed = text.replacen(&stamp, "\"version\": 99", 1);
         std::fs::write(&path, skewed).expect("writable");
         let err = ControllerBundle::load(&path).expect_err("version skew refused");
         assert!(err.to_string().contains("version 99"), "{err}");
@@ -819,7 +819,11 @@ mod tests {
                 }
                 continue;
             }
-            v2_lines.push(line.replacen("\"version\": 3", "\"version\": 2", 1));
+            v2_lines.push(line.replacen(
+                &format!("\"version\": {BUNDLE_VERSION}"),
+                "\"version\": 2",
+                1,
+            ));
         }
         let v2_text = v2_lines.join("\n");
         assert!(!v2_text.contains("\"safety\""), "key must be gone");

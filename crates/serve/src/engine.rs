@@ -66,7 +66,7 @@ use crate::rollout::{
 use crate::wire::{self, ResponseRec, MAX_WIRE_CONTROL_DIM};
 use cocktail_control::Controller;
 use cocktail_math::Matrix;
-use cocktail_nn::{BatchCache, BatchCacheF32, ForwardKernel, Mlp, MlpF32};
+use cocktail_nn::{BatchCache, ForwardKernel, Mlp};
 use cocktail_obs::{Event, NullSink, Span, Telemetry};
 use std::collections::VecDeque;
 use std::fmt;
@@ -84,7 +84,7 @@ const INTERNAL_ID_BASE: u64 = 1 << 48;
 ///
 /// [`ServeTier::Exact`] (the default) preserves the engine's founding
 /// invariant: every batched row is bit-identical to a per-sample
-/// [`Mlp::forward`]. The reduced-precision tiers trade that invariant for
+/// [`Mlp::forward`]. The fast-tanh tier trades that invariant for
 /// throughput, bounded by the certificate the bundle ships (and admission
 /// re-derives): served outputs stay within `|scale| ×` the certified
 /// sup-norm error of the exact path over the bundle's input domain.
@@ -95,9 +95,16 @@ pub enum ServeTier {
     Exact,
     /// `f64` weights with the certified Padé fast-tanh activation kernel.
     FastTanh,
-    /// `f32`-quantized weights and `f32` fast-tanh; requires the network
-    /// to be quantizable (Tanh / `ReLU` / Identity activations only).
-    F32,
+}
+
+impl ServeTier {
+    /// The batched-forward kernel this tier serves with.
+    fn kernel(self) -> ForwardKernel {
+        match self {
+            ServeTier::Exact => ForwardKernel::Exact,
+            ServeTier::FastTanh => ForwardKernel::FastTanh,
+        }
+    }
 }
 
 /// Scheduler knobs.
@@ -295,41 +302,9 @@ struct Request {
 /// swapping controllers is a pointer swap, never a weight copy.
 struct ModelParams {
     net: Mlp,
-    /// The `f32`-quantized twin, present iff the engine runs at
-    /// [`ServeTier::F32`]; quantization happens once at install time.
-    net32: Option<MlpF32>,
     scale: Vec<f64>,
     u_inf: Vec<f64>,
     u_sup: Vec<f64>,
-}
-
-impl ModelParams {
-    /// Builds the servable parts for `tier`, quantizing the `f32` twin up
-    /// front. Fails when the `F32` tier is requested for a network whose
-    /// activations the quantized kernel does not cover.
-    fn for_tier(
-        net: Mlp,
-        scale: Vec<f64>,
-        u_inf: Vec<f64>,
-        u_sup: Vec<f64>,
-        tier: ServeTier,
-    ) -> Result<Self, String> {
-        let net32 = match tier {
-            ServeTier::F32 => Some(MlpF32::quantize(&net).ok_or_else(|| {
-                "network has activations the f32 tier does not cover \
-                 (Tanh / ReLU / Identity only)"
-                    .to_string()
-            })?),
-            _ => None,
-        };
-        Ok(Self {
-            net,
-            net32,
-            scale,
-            u_inf,
-            u_sup,
-        })
-    }
 }
 
 /// A canary candidate plus its traffic split and auto-rollback budget.
@@ -814,7 +789,7 @@ impl Engine {
 
     /// Starts an engine from raw parts, bypassing admission. Exists for
     /// the fault drills (serving a deliberately overflowing network to
-    /// exercise the fallback path) and the perf harness; production
+    /// exercise the fallback path) and the serving tests; production
     /// callers go through [`crate::admission::admit`] + [`Self::start`].
     ///
     /// # Errors
@@ -867,10 +842,12 @@ impl Engine {
                 wake: Condvar::new(),
             })
             .collect();
-        let incumbent = Arc::new(
-            ModelParams::for_tier(net, scale, u_inf, u_sup, config.tier)
-                .map_err(ServeError::BadRequest)?,
-        );
+        let incumbent = Arc::new(ModelParams {
+            net,
+            scale,
+            u_inf,
+            u_sup,
+        });
         let drift = config
             .drift
             .map(|cfg| DriftDetector::new(cfg, &incumbent.u_inf, &incumbent.u_sup));
@@ -1014,8 +991,12 @@ impl Engine {
                 u_sup.len()
             )));
         }
-        let params = ModelParams::for_tier(net, scale, u_inf, u_sup, self.shared.tier)
-            .map_err(RolloutError::Incompatible)?;
+        let params = ModelParams {
+            net,
+            scale,
+            u_inf,
+            u_sup,
+        };
         self.shared.install_candidate(params, cfg)
     }
 
@@ -1173,10 +1154,10 @@ struct ShardScratch {
     spent: Vec<Vec<f64>>,
     route: Vec<Route>,
     inputs: Vec<Option<Matrix>>,
-    caches: Vec<TierSlot>,
+    caches: Vec<CacheSlot>,
     can_inputs: Vec<Option<Matrix>>,
-    can_caches: Vec<TierSlot>,
-    shadow_caches: Vec<TierSlot>,
+    can_caches: Vec<CacheSlot>,
+    shadow_caches: Vec<CacheSlot>,
     divs: Vec<f64>,
     scaled: Vec<f64>,
 }
@@ -1188,63 +1169,37 @@ impl ShardScratch {
             spent: Vec::with_capacity(capacity + max_batch),
             route: Vec::with_capacity(max_batch),
             inputs: (0..=max_batch).map(|_| None).collect(),
-            caches: (0..=max_batch).map(|_| TierSlot::default()).collect(),
+            caches: (0..=max_batch).map(|_| CacheSlot::default()).collect(),
             can_inputs: (0..=max_batch).map(|_| None).collect(),
-            can_caches: (0..=max_batch).map(|_| TierSlot::default()).collect(),
-            shadow_caches: (0..=max_batch).map(|_| TierSlot::default()).collect(),
+            can_caches: (0..=max_batch).map(|_| CacheSlot::default()).collect(),
+            shadow_caches: (0..=max_batch).map(|_| CacheSlot::default()).collect(),
             divs: Vec::with_capacity(max_batch),
             scaled: vec![0.0; control_dim],
         }
     }
 }
 
-/// One batch-size class's forward scratch, covering every [`ServeTier`]:
-/// the `f64` kernels fill `cache`, the `f32` tier fills `cache32`/`out32`.
-/// Like the old per-class `BatchCache`s, each member is allocated on first
-/// use and reused forever after.
+/// One batch-size class's forward cache, allocated on first use and
+/// reused forever after.
 #[derive(Default)]
-struct TierSlot {
-    cache: Option<BatchCache>,
-    cache32: Option<BatchCacheF32>,
-    out32: Option<Matrix>,
-}
+struct CacheSlot(Option<BatchCache>);
 
-impl TierSlot {
-    /// Runs `params`' forward for `tier` over `input` into this slot,
-    /// catching the network's internal finiteness panic; `false` means the
-    /// batch is poisoned and must degrade to the fallback expert.
-    fn forward(&mut self, params: &ModelParams, tier: ServeTier, input: &Matrix) -> bool {
-        match (tier, &params.net32) {
-            (ServeTier::F32, Some(net32)) => {
-                let out = self
-                    .out32
-                    .get_or_insert_with(|| Matrix::zeros(input.rows(), net32.output_dim()));
-                let cache = self.cache32.get_or_insert_with(BatchCacheF32::new);
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    net32.forward_batch_into(input, out, cache);
-                }))
-                .is_ok()
-            }
-            _ => {
-                let kernel = match tier {
-                    ServeTier::FastTanh => ForwardKernel::FastTanh,
-                    _ => ForwardKernel::Exact,
-                };
-                let cache = self.cache.get_or_insert_with(BatchCache::new);
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    params.net.forward_batch_cached_kernel(input, cache, kernel);
-                }))
-                .is_ok()
-            }
-        }
+impl CacheSlot {
+    /// Runs `params`' batched forward with `kernel` over `input` into this
+    /// slot, catching the network's internal finiteness panic; `false`
+    /// means the batch is poisoned and must degrade to the fallback
+    /// expert.
+    fn forward(&mut self, params: &ModelParams, kernel: ForwardKernel, input: &Matrix) -> bool {
+        let cache = self.0.get_or_insert_with(BatchCache::new);
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            params.net.forward_batch_cached_kernel(input, cache, kernel);
+        }))
+        .is_ok()
     }
 
     /// Row `j` of the last forward's output, if one ran.
-    fn output_row(&self, tier: ServeTier, j: usize) -> Option<&[f64]> {
-        match tier {
-            ServeTier::F32 => self.out32.as_ref().map(|m| m.row(j)),
-            _ => self.cache.as_ref().map(|c| c.output().row(j)),
-        }
+    fn output_row(&self, j: usize) -> Option<&[f64]> {
+        self.0.as_ref().map(|c| c.output().row(j))
     }
 }
 
@@ -1365,7 +1320,7 @@ fn run_batch(
     };
 
     let inc = models.incumbent.as_ref();
-    let tier = shared.tier;
+    let kernel = shared.tier.kernel();
 
     // ---- route each request: a pure function of its id, so the split is
     // identical for any shard count and batch composition
@@ -1397,7 +1352,7 @@ fn run_batch(
         // the network asserts its own activations are finite and panics
         // otherwise; the slot catches that so one poisoned batch degrades
         // to the fallback expert instead of killing the shard worker
-        scratch.caches[n_inc].forward(inc, tier, input)
+        scratch.caches[n_inc].forward(inc, kernel, input)
     } else {
         true
     };
@@ -1420,12 +1375,12 @@ fn run_batch(
                 input.row_mut(*j).copy_from_slice(&req.state);
             }
         }
-        can_ok = scratch.can_caches[n_can].forward(can, tier, input);
+        can_ok = scratch.can_caches[n_can].forward(can, kernel, input);
         // shadow: the incumbent recomputes the very same staged rows with
         // the very same tier; in the Exact tier batched ≡ per-sample, so
         // the shadow is bit-identical to what the incumbent would have
-        // served (fast tiers stay within their certified bound of it)
-        shadow_ok = scratch.shadow_caches[n_can].forward(inc, tier, input);
+        // served (the fast-tanh tier stays within its certified bound)
+        shadow_ok = scratch.shadow_caches[n_can].forward(inc, kernel, input);
 
         // guard pass over the whole canary sub-batch
         scratch.divs.clear();
@@ -1434,7 +1389,7 @@ fn run_batch(
         let mut max_finite_div = 0.0_f64;
         for j in 0..n_can {
             let can_row = if can_ok {
-                scratch.can_caches[n_can].output_row(tier, j)
+                scratch.can_caches[n_can].output_row(j)
             } else {
                 None
             };
@@ -1444,7 +1399,7 @@ fn run_batch(
                 continue;
             };
             let shadow_row = if shadow_ok {
-                scratch.shadow_caches[n_can].output_row(tier, j)
+                scratch.shadow_caches[n_can].output_row(j)
             } else {
                 None
             };
@@ -1534,7 +1489,7 @@ fn run_batch(
         let (model, row): (&ModelParams, Option<&[f64]>) = match scratch.route[r] {
             Route::Incumbent(j) => {
                 let row = if inc_ok {
-                    scratch.caches[n_inc].output_row(tier, j)
+                    scratch.caches[n_inc].output_row(j)
                 } else {
                     None
                 };
@@ -1546,14 +1501,14 @@ fn run_batch(
                     // incumbent's shadow outputs: zero candidate
                     // responses escape
                     let row = if shadow_ok {
-                        scratch.shadow_caches[n_can].output_row(tier, j)
+                        scratch.shadow_caches[n_can].output_row(j)
                     } else {
                         None
                     };
                     (inc, row)
                 } else {
                     let row = if can_ok {
-                        scratch.can_caches[n_can].output_row(tier, j)
+                        scratch.can_caches[n_can].output_row(j)
                     } else {
                         None
                     };
@@ -1752,91 +1707,37 @@ mod tests {
         let region = cocktail_math::BoxRegion::cube(2, -3.0, 3.0);
         let cert = cocktail_nn::certify_fast_tier(&net, &region).expect("tanh net certifies");
         let scale = 2.0_f64;
-        for tier in [ServeTier::FastTanh, ServeTier::F32] {
-            // the clip to the control envelope is 1-Lipschitz, so the
-            // served control error is at most |scale| × the certified
-            // network-output bound
-            let bound = scale
-                * match tier {
-                    ServeTier::FastTanh => cert.fast_tanh_output_error[0],
-                    _ => cert.f32_output_error[0],
-                };
-            for shards in [1usize, 2, 8] {
-                let engine = Engine::from_parts(
-                    net.clone(),
-                    vec![scale],
-                    vec![-5.0],
-                    vec![5.0],
-                    EngineConfig {
-                        shards,
-                        tier,
-                        ..EngineConfig::default()
-                    },
-                    None,
-                    Arc::new(NullSink),
-                )
-                .expect("engine starts");
-                let h = engine.handle();
-                let mut rng = cocktail_math::rng::seeded(0xfa57 + shards as u64);
-                for i in 0..32u64 {
-                    let s = cocktail_math::rng::uniform_in_box(&mut rng, &region);
-                    let served = h.pinned(i).submit(&s).expect("served").control[0];
-                    let oracle = (net.forward(&s)[0] * scale).clamp(-5.0, 5.0);
-                    assert!(
-                        (served - oracle).abs() <= bound,
-                        "{tier:?} on {shards} shard(s): |{served} - {oracle}| > {bound}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn f32_tier_refuses_unquantizable_activations() {
-        let net = MlpBuilder::new(2)
-            .hidden(4, Activation::Sigmoid)
-            .output(1, Activation::Identity)
-            .seed(2)
-            .build();
-        let err = Engine::from_parts(
-            net.clone(),
-            vec![1.0],
-            vec![-5.0],
-            vec![5.0],
-            EngineConfig {
-                tier: ServeTier::F32,
-                ..EngineConfig::default()
-            },
-            None,
-            Arc::new(NullSink),
-        )
-        .err();
-        assert!(matches!(err, Some(ServeError::BadRequest(_))), "{err:?}");
-
-        // a running f32 engine likewise refuses an unquantizable canary
-        let engine = Engine::from_parts(
-            small_net(),
-            vec![2.0],
-            vec![-5.0],
-            vec![5.0],
-            EngineConfig {
-                tier: ServeTier::F32,
-                ..EngineConfig::default()
-            },
-            None,
-            Arc::new(NullSink),
-        )
-        .expect("quantizable incumbent starts");
-        let err = engine
-            .propose_parts(
-                net,
-                vec![1.0],
+        // the clip to the control envelope is 1-Lipschitz, so the served
+        // control error is at most |scale| × the certified network-output
+        // bound
+        let bound = scale * cert.fast_tanh_output_error[0];
+        for shards in [1usize, 2, 8] {
+            let engine = Engine::from_parts(
+                net.clone(),
+                vec![scale],
                 vec![-5.0],
                 vec![5.0],
-                &RolloutConfig::default(),
+                EngineConfig {
+                    shards,
+                    tier: ServeTier::FastTanh,
+                    ..EngineConfig::default()
+                },
+                None,
+                Arc::new(NullSink),
             )
-            .expect_err("sigmoid canary refused");
-        assert!(matches!(err, RolloutError::Incompatible(_)), "{err}");
+            .expect("engine starts");
+            let h = engine.handle();
+            let mut rng = cocktail_math::rng::seeded(0xfa57 + shards as u64);
+            for i in 0..32u64 {
+                let s = cocktail_math::rng::uniform_in_box(&mut rng, &region);
+                let served = h.pinned(i).submit(&s).expect("served").control[0];
+                let oracle = (net.forward(&s)[0] * scale).clamp(-5.0, 5.0);
+                assert!(
+                    (served - oracle).abs() <= bound,
+                    "fast-tanh on {shards} shard(s): |{served} - {oracle}| > {bound}"
+                );
+            }
+        }
     }
 
     #[test]

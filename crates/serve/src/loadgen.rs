@@ -11,8 +11,8 @@
 //! (p50/p99/p999) alongside aggregate throughput.
 
 use crate::bundle::{BundleError, ControllerBundle};
-use crate::engine::{EngineHandle, ServeError};
-use crate::transport::{BinaryTcpClient, ControlClient};
+use crate::engine::ServeError;
+use crate::transport::BinaryTcpClient;
 use cocktail_math::{rng, vector};
 use std::net::SocketAddr;
 use std::time::Instant;
@@ -111,37 +111,6 @@ pub fn run_tcp(
     addr: SocketAddr,
     cfg: &LoadGenConfig,
 ) -> Result<LoadReport, BundleError> {
-    run_with(bundle, cfg, |_| {
-        BinaryTcpClient::connect(addr).map_err(|e| ServeError::BadRequest(format!("connect: {e}")))
-    })
-}
-
-/// Runs the drill in-process against an engine handle (no sockets). Each
-/// drill connection gets a shard-pinned handle, mirroring what the
-/// reactor does per connection.
-///
-/// # Errors
-///
-/// [`BundleError`] when the bundle is not `Mlp`-family.
-pub fn run_in_process(
-    bundle: &ControllerBundle,
-    handle: &EngineHandle,
-    cfg: &LoadGenConfig,
-) -> Result<LoadReport, BundleError> {
-    run_with(bundle, cfg, |c| Ok(handle.pinned(c as u64)))
-}
-
-/// The generic core behind [`run_tcp`] and [`run_in_process`]: one
-/// client per connection from `make_client`.
-fn run_with<C, F>(
-    bundle: &ControllerBundle,
-    cfg: &LoadGenConfig,
-    make_client: F,
-) -> Result<LoadReport, BundleError>
-where
-    C: ControlClient + Send,
-    F: Fn(usize) -> Result<C, ServeError> + Sync,
-{
     let states = generate_states(bundle, cfg.requests, cfg.seed);
     let expected: Vec<Vec<f64>> = states
         .iter()
@@ -165,7 +134,6 @@ where
             .map(|c| {
                 let states = &states;
                 let expected = &expected;
-                let make_client = &make_client;
                 scope.spawn(move || {
                     let mut tally = Tally {
                         completed: 0,
@@ -176,7 +144,7 @@ where
                         reconnects: 0,
                         latencies_us: Vec::new(),
                     };
-                    let Ok(mut client) = make_client(c) else {
+                    let Ok(mut client) = BinaryTcpClient::connect(addr) else {
                         // count every request this connection owned as an
                         // error rather than silently shrinking the drill
                         tally.errors = (c..states.len()).step_by(connections).count();

@@ -519,7 +519,7 @@ fn flush(epoll: &Epoll, conn: &mut Conn, token: u64) -> bool {
 pub(crate) mod tests {
     use super::*;
     use crate::engine::{Engine, EngineConfig, ServeError};
-    use crate::transport::{BinaryTcpClient, ControlClient};
+    use crate::transport::BinaryTcpClient;
     use cocktail_nn::{Activation, MlpBuilder};
     use cocktail_obs::NullSink;
 

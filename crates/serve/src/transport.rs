@@ -1,8 +1,6 @@
 //! The client side of the TCP transport: [`BinaryTcpClient`] speaks the
 //! binary wire protocol ([`crate::wire`]) to the epoll reactor
-//! ([`crate::reactor`]), and [`ControlClient`] is the trait the load
-//! generator is written against, so the same drill runs in-process and
-//! over the wire.
+//! ([`crate::reactor`]); the load generator drives one per connection.
 //!
 //! A client sends the [`WIRE_HELLO`] byte (`0xC1`) once after
 //! connecting, then fixed-layout request frames; the server answers with
@@ -11,7 +9,7 @@
 //! shard, so cross-connection concurrency is what fills batches.
 
 use crate::bundle::fnv1a_64;
-use crate::engine::{ControlResponse, EngineHandle, PinnedHandle, ServeError};
+use crate::engine::{ControlResponse, ServeError};
 use crate::wire::{self, ResponseRec, WIRE_HELLO};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -104,36 +102,6 @@ fn transport_error(e: &io::Error) -> ServeError {
     }
 }
 
-/// Anything that can answer a control request — the in-process engine
-/// handle or a TCP client. The load generator is written against this so
-/// the same drill runs in-process and over the wire.
-pub trait ControlClient {
-    /// Computes the clipped control for `state`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the server-side [`ServeError`].
-    fn control(&mut self, state: &[f64]) -> Result<ControlResponse, ServeError>;
-
-    /// How many times this client re-established a dropped connection.
-    /// In-process handles never reconnect.
-    fn reconnects(&self) -> u64 {
-        0
-    }
-}
-
-impl ControlClient for EngineHandle {
-    fn control(&mut self, state: &[f64]) -> Result<ControlResponse, ServeError> {
-        self.submit(state)
-    }
-}
-
-impl ControlClient for PinnedHandle {
-    fn control(&mut self, state: &[f64]) -> Result<ControlResponse, ServeError> {
-        self.submit(state)
-    }
-}
-
 /// A blocking client speaking the binary wire protocol (hello byte, then
 /// fixed-layout frames). Its buffers are reused across requests, so a
 /// steady-state request performs no client-side allocation either.
@@ -181,6 +149,46 @@ impl BinaryTcpClient {
             frame: Vec::with_capacity(256),
             filled: 0,
         })
+    }
+
+    /// Computes the clipped control for `state` over the wire,
+    /// reconnecting and resending on transport errors.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the server-side [`ServeError`]; a transport failure
+    /// that survives every reconnect attempt becomes
+    /// [`ServeError::Shutdown`] (hangups) or [`ServeError::BadRequest`].
+    pub fn control(&mut self, state: &[f64]) -> Result<ControlResponse, ServeError> {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.frame.clear();
+        wire::encode_request_into(id, state, &mut self.frame);
+        let mut attempt = 0u32;
+        loop {
+            match self.try_once(id) {
+                Ok(result) => return result,
+                Err(e) => {
+                    if attempt >= self.config.max_reconnects {
+                        return Err(transport_error(&e));
+                    }
+                    std::thread::sleep(backoff_delay(&self.config, attempt));
+                    attempt += 1;
+                    if let Ok(mut stream) = open_stream(self.addr, &self.config) {
+                        if stream.write_all(&[WIRE_HELLO]).is_ok() {
+                            self.stream = stream;
+                            self.filled = 0; // stale half-frames are gone
+                            self.reconnects += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// How many times this client re-established a dropped connection.
+    pub fn reconnects(&self) -> u64 {
+        self.reconnects
     }
 
     /// Test hook: tears the TCP connection down without telling the
@@ -242,39 +250,6 @@ impl BinaryTcpClient {
             }),
             Some(e) => Err(e),
         })
-    }
-}
-
-impl ControlClient for BinaryTcpClient {
-    fn control(&mut self, state: &[f64]) -> Result<ControlResponse, ServeError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.frame.clear();
-        wire::encode_request_into(id, state, &mut self.frame);
-        let mut attempt = 0u32;
-        loop {
-            match self.try_once(id) {
-                Ok(result) => return result,
-                Err(e) => {
-                    if attempt >= self.config.max_reconnects {
-                        return Err(transport_error(&e));
-                    }
-                    std::thread::sleep(backoff_delay(&self.config, attempt));
-                    attempt += 1;
-                    if let Ok(mut stream) = open_stream(self.addr, &self.config) {
-                        if stream.write_all(&[WIRE_HELLO]).is_ok() {
-                            self.stream = stream;
-                            self.filled = 0; // stale half-frames are gone
-                            self.reconnects += 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn reconnects(&self) -> u64 {
-        self.reconnects
     }
 }
 

@@ -186,7 +186,9 @@ fn corrupted_bundles_never_serve() {
     let healthy = bundle();
     healthy.save(&path).expect("healthy bundle saves");
     let text = std::fs::read_to_string(&path).expect("readable");
-    std::fs::write(&path, text.replacen("\"version\": 3", "\"version\": 99", 1)).expect("writable");
+    let stamp = format!("\"version\": {}", cocktail_serve::BUNDLE_VERSION);
+    assert!(text.contains(&stamp), "pretty-printed version stamp");
+    std::fs::write(&path, text.replacen(&stamp, "\"version\": 99", 1)).expect("writable");
     assert!(
         ControllerBundle::load(&path).is_err(),
         "load refuses version skew"
@@ -279,7 +281,8 @@ fn reactor_smoke_serves_the_reference_at_every_shard_count() {
     use cocktail_serve::ReactorServer;
     let b = bundle();
     let admitted = admit(b.clone()).expect("admitted");
-    for shards in [1usize, 4] {
+    // (shards, connections): the 32-connection drill is the loaded case
+    for (shards, connections) in [(1usize, 8usize), (4, 8), (1, 32)] {
         let engine = Engine::start_with(
             &admitted,
             EngineConfig {
@@ -296,14 +299,14 @@ fn reactor_smoke_serves_the_reference_at_every_shard_count() {
             server.local_addr(),
             &loadgen::LoadGenConfig {
                 requests: 128,
-                connections: 8,
+                connections,
                 seed: 0xEAC7,
             },
         )
         .expect("drill runs");
         assert!(
             report.is_clean(),
-            "reactor shards={shards} must be clean: {report:?}"
+            "reactor shards={shards} connections={connections} must be clean: {report:?}"
         );
         assert!(report.p999_latency_us >= report.p99_latency_us);
         assert!(report.p99_latency_us >= report.p50_latency_us);

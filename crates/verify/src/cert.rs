@@ -23,13 +23,33 @@ use crate::enclosure::ControlEnclosure;
 use crate::error::VerifyError;
 use crate::invariant::{invariant_with_images, InvariantConfig, InvariantResult};
 use crate::reach::{reach_with_images, ReachConfig, ReachMode, ReachResult};
-use crate::report::SafetyVerdict;
 use cocktail_env::Dynamics;
 use cocktail_math::{BoxRegion, Interval};
 use cocktail_nn::Mlp;
 use cocktail_obs::{Event, Span, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
+
+/// The verdict of a certification run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum SafetyVerdict {
+    /// Every reachable over-approximation stayed inside the safe domain
+    /// for the full horizon.
+    Safe,
+    /// The over-approximation left the safe domain — possibly spurious
+    /// (over-approximation), but the property could not be proven.
+    NotProven,
+}
+
+impl SafetyVerdict {
+    /// Stable kebab-case label for telemetry and CLI output.
+    pub fn label(self) -> &'static str {
+        match self {
+            SafetyVerdict::Safe => "safe",
+            SafetyVerdict::NotProven => "not-proven",
+        }
+    }
+}
 
 /// Everything needed to re-derive a [`SafetyCert`] besides the weights and
 /// the plant: the verification budgets and the seeded initial box. Shipped

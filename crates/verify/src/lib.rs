@@ -59,10 +59,11 @@ pub mod error;
 pub mod invariant;
 pub mod lyapunov;
 pub mod reach;
-pub mod report;
 
 pub use bernstein::{BernsteinApprox, BernsteinCertificate, CertificateConfig, RefineStats};
-pub use cert::{certify_controller, default_params, fast_params, SafetyCert, SafetyParams};
+pub use cert::{
+    certify_controller, default_params, fast_params, SafetyCert, SafetyParams, SafetyVerdict,
+};
 pub use enclosure::ControlEnclosure;
 pub use error::VerifyError;
 pub use invariant::{invariant_set, invariant_set_with_workers, InvariantConfig, InvariantResult};
@@ -70,4 +71,3 @@ pub use lyapunov::{
     solve_discrete_lyapunov, verify_ellipsoid_invariant, EllipsoidCheck, QuadraticForm,
 };
 pub use reach::{reach_analysis, ReachConfig, ReachMode, ReachResult};
-pub use report::{certify_safety, SafetyReport, SafetyVerdict};

@@ -511,6 +511,37 @@ mod tests {
     use cocktail_env::systems::{CartPole, Poly3d, VanDerPol};
     use cocktail_math::Matrix;
 
+    /// Clones the stabilizing linear law `u = −(3, 4)·s` into a small
+    /// tanh student (output scaled by 20).
+    fn stabilizing_student() -> cocktail_nn::Mlp {
+        use cocktail_nn::train::{fit_regression, TrainConfig};
+        use cocktail_nn::{Activation, MlpBuilder};
+        let domain = BoxRegion::cube(2, -2.0, 2.0);
+        let mut rng = cocktail_math::rng::seeded(0);
+        let states: Vec<Vec<f64>> = (0..512)
+            .map(|_| cocktail_math::rng::uniform_in_box(&mut rng, &domain))
+            .collect();
+        let targets: Vec<Vec<f64>> = states
+            .iter()
+            .map(|s| vec![(-(3.0 * s[0] + 4.0 * s[1]) / 20.0).clamp(-1.0, 1.0)])
+            .collect();
+        let mut net = MlpBuilder::new(2)
+            .hidden(12, Activation::Tanh)
+            .output(1, Activation::Tanh)
+            .seed(4)
+            .build();
+        fit_regression(
+            &mut net,
+            &states,
+            &targets,
+            &TrainConfig {
+                epochs: 120,
+                ..Default::default()
+            },
+        );
+        net
+    }
+
     #[test]
     fn stable_linear_loop_verifies_safe() {
         let sys = VanDerPol::new();
@@ -529,6 +560,39 @@ mod tests {
         .expect("must verify");
         assert!(result.verified_safe);
         assert_eq!(result.frames.len(), 21);
+        assert!(result.peak_boxes >= 1);
+    }
+
+    /// The same kind of law cloned into a network: its Bernstein
+    /// certificate, tracked by subdivision, must prove the loop safe too.
+    #[test]
+    fn certifies_a_stabilizing_student() {
+        use crate::bernstein::{BernsteinCertificate, CertificateConfig};
+        let sys = VanDerPol::new();
+        let student = BernsteinCertificate::build(
+            &stabilizing_student(),
+            &[20.0],
+            &sys.verification_domain(),
+            &CertificateConfig {
+                degree: 4,
+                tolerance: 0.3,
+                max_pieces: 1 << 16,
+                error_samples_per_dim: 7,
+            },
+        )
+        .expect("student certifies");
+        assert!(student.piece_count() > 0);
+        assert!(student.epsilon() <= 0.3 + 1e-12);
+        let config = ReachConfig {
+            steps: 15,
+            split_width: 0.05,
+            mode: ReachMode::Subdivision,
+            ..Default::default()
+        };
+        let x0 = BoxRegion::from_bounds(&[0.2, 0.2], &[0.3, 0.3]);
+        let result = reach_analysis(&sys, &student, &x0, &config).expect("must verify");
+        assert!(result.verified_safe);
+        assert_eq!(result.frames.len(), 16);
         assert!(result.peak_boxes >= 1);
     }
 
