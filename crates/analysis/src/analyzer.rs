@@ -14,9 +14,9 @@ pub struct AnalysisConfig {
     /// comparison (the bound itself is still reported).
     pub lipschitz_target: Option<f64>,
     /// Verification-side parameters (degree, tolerance, piece budget,
-    /// error-sample grid) used to predict the Bernstein certification
-    /// cost. [`AnalysisConfig::for_plant`] sets the budget a controller is
-    /// actually certified under.
+    /// error-sample grid, error margin) used to predict the Bernstein
+    /// certification cost. [`AnalysisConfig::for_plant`] sets the budget a
+    /// controller is actually certified under.
     pub certificate: CertificateConfig,
     /// Per-layer spectral-norm limit above which a layer counts as
     /// exploding.

@@ -16,6 +16,11 @@
 //! in the widths: splitting every axis `k` times divides `ε₀` by `2^k`
 //! while multiplying the piece count by `2^{kn}`, so reaching a tolerance
 //! `τ < ε₀` takes about `(ε₀/τ)^n` pieces.
+//!
+//! That count is the first-order one. Under the residual error margin
+//! ([`ErrorMargin::Residual`]) a piece's bound shrinks with the square of
+//! its width and has no `L·r` floor, so refinement stops far sooner and the
+//! count is an upper estimate; the diagnostics say so.
 
 use crate::analyzer::AnalysisConfig;
 use crate::report::{AnalysisReport, Diagnostic};
@@ -23,6 +28,7 @@ use crate::spec::ControllerSpec;
 use cocktail_env::Dynamics;
 use cocktail_nn::lipschitz::{self, NormKind};
 use cocktail_verify::bernstein::{rigorous_error_bound, sample_margin};
+use cocktail_verify::ErrorMargin;
 
 pub(crate) const PASS: &str = "lipschitz";
 
@@ -90,12 +96,20 @@ pub fn check(
 
     let margin = sample_margin(l, &domain, cert.error_samples_per_dim);
     let pieces = predicted_pieces(epsilon.min(margin), cert.tolerance, domain.dim());
+    // the first-order count is what refinement needs under the first-order
+    // margin, and an upper estimate under the residual one
+    let note = match cert.margin {
+        ErrorMargin::Lipschitz => "",
+        ErrorMargin::Residual => {
+            ", an upper estimate (the first-order count; the residual error margin needs fewer)"
+        }
+    };
     if pieces > cert.max_pieces as f64 {
         report.push(Diagnostic::warn(
             PASS,
             "verification-budget",
             format!(
-                "reaching tolerance {} needs an estimated {pieces:.0} domain partitions, \
+                "reaching tolerance {} needs an estimated {pieces:.0} domain partitions{note}, \
                  beyond the certificate budget of {} pieces — verification will likely \
                  be inconclusive at this Lipschitz bound",
                 cert.tolerance, cert.max_pieces
@@ -106,7 +120,7 @@ pub fn check(
             PASS,
             "verification-cost",
             format!(
-                "estimated {pieces:.0} domain partition(s) to reach tolerance {} \
+                "estimated {pieces:.0} domain partition(s) to reach tolerance {}{note} \
                  (sampled-bound margin {margin:.4} at {} error samples per dimension), \
                  within the certificate budget of {} pieces",
                 cert.tolerance,
@@ -198,8 +212,9 @@ mod tests {
 
     #[test]
     fn shipped_budget_makes_a_kappa_star_bound_a_cost_note() {
-        // a bound like the benchmark's κ* (L ≈ 18.7 at scale 20), which
-        // certifies in 2,923 pieces under the oscillator's export budget
+        // a bound like the benchmark's κ* (L ≈ 18.7), which certifies in
+        // 2,923 pieces under the first-order margin and 124 under the
+        // oscillator's export budget (the residual margin)
         let mut net = oscillator_student(0);
         let target = 18.7 / 20.0;
         let per_layer = (target / lipschitz::upper_bound(&net, NormKind::Spectral))
@@ -222,6 +237,7 @@ mod tests {
         );
         let cost = diagnostic(&report, "verification-cost").expect("cost note");
         assert_eq!(cost.severity, Severity::Info, "{report}");
+        assert!(cost.message.contains("upper estimate"), "{report}");
 
         // a shipped budget wins over the plant's export budget
         let tight = CertificateConfig {
@@ -233,19 +249,30 @@ mod tests {
         assert_eq!(budget.severity, Severity::Warn, "{report}");
     }
 
+    /// The seeded students of the prediction tests: 2-16-16-1 tanh nets
+    /// with their weights shrunk to 0.6, and their bound at scale 20.
+    fn shrunk_student(seed: u64) -> (cocktail_nn::Mlp, f64) {
+        let mut net = oscillator_student(seed);
+        for layer in net.layers_mut() {
+            layer.weights_mut().scale_inplace(0.6);
+        }
+        let l = 20.0 * lipschitz::upper_bound(&net, NormKind::Spectral);
+        (net, l)
+    }
+
     #[test]
     fn prediction_does_not_exceed_what_refinement_needs() {
         // the prediction is the uniform-bisection count of the floor under
-        // the verifier's per-piece bound, so a real certificate needs at
-        // least that many pieces
+        // the first-order per-piece bound, so a certificate refined under
+        // the first-order margin needs at least that many pieces
         let sys = VanDerPol::new();
-        let config = AnalysisConfig::for_plant(&sys, None);
+        let first_order = CertificateConfig {
+            margin: ErrorMargin::Lipschitz,
+            ..default_params(&sys).certificate
+        };
+        let config = AnalysisConfig::for_plant(&sys, Some(&first_order));
         for seed in [1u64, 2, 3] {
-            let mut net = oscillator_student(seed);
-            for layer in net.layers_mut() {
-                layer.weights_mut().scale_inplace(0.6);
-            }
-            let l = 20.0 * lipschitz::upper_bound(&net, NormKind::Spectral);
+            let (net, l) = shrunk_student(seed);
             let domain = sys.verification_domain();
             let cert = &config.certificate;
             let floor = rigorous_error_bound(l, &domain, cert.degree).min(sample_margin(
@@ -258,6 +285,35 @@ mod tests {
                 .expect("fits the export budget");
             assert!(
                 predicted <= built.piece_count() as f64,
+                "seed {seed}: predicted {predicted}, built {}",
+                built.piece_count()
+            );
+        }
+    }
+
+    #[test]
+    fn under_the_residual_margin_the_prediction_never_under_warns() {
+        // the same students under the export budget, which refines under
+        // the residual margin: the first-order count is at least what
+        // refinement builds, so the budget warning fires no later than the
+        // budget is exhausted
+        let sys = VanDerPol::new();
+        let config = AnalysisConfig::for_plant(&sys, None);
+        let cert = &config.certificate;
+        assert_eq!(cert.margin, ErrorMargin::Residual);
+        for seed in [1u64, 2, 3] {
+            let (net, l) = shrunk_student(seed);
+            let domain = sys.verification_domain();
+            let floor = rigorous_error_bound(l, &domain, cert.degree).min(sample_margin(
+                l,
+                &domain,
+                cert.error_samples_per_dim,
+            ));
+            let predicted = predicted_pieces(floor, cert.tolerance, domain.dim());
+            let built = cocktail_verify::BernsteinCertificate::build(&net, &[20.0], &domain, cert)
+                .expect("fits the export budget");
+            assert!(
+                predicted >= built.piece_count() as f64,
                 "seed {seed}: predicted {predicted}, built {}",
                 built.piece_count()
             );

@@ -24,7 +24,7 @@ use cocktail_verify::enclosure::LinearEnclosure;
 use cocktail_verify::reach::ReachMode;
 use cocktail_verify::{
     certify_controller, default_params, invariant_set, reach_analysis, BernsteinCertificate,
-    CertificateConfig, InvariantConfig, ReachConfig,
+    CertificateConfig, ErrorMargin, InvariantConfig, ReachConfig,
 };
 
 fn bench_fig2_trace(c: &mut Criterion) {
@@ -59,6 +59,7 @@ fn bench_fig3_machinery(c: &mut Criterion) {
         tolerance: 0.5,
         max_pieces: 1 << 14,
         error_samples_per_dim: 7,
+        margin: ErrorMargin::Lipschitz,
     };
     let mut group = c.benchmark_group("fig3");
     group.sample_size(10);
@@ -132,6 +133,7 @@ fn bench_verification_scaling(c: &mut Criterion) {
         tolerance: 0.4,
         max_pieces: 1 << 16,
         error_samples_per_dim: 7,
+        margin: ErrorMargin::Lipschitz,
     };
     let mut group = c.benchmark_group("verification_vs_lipschitz");
     group.sample_size(10);
@@ -153,9 +155,10 @@ fn bench_verification_scaling(c: &mut Criterion) {
 
 /// The whole certificate admission re-derives on every bundle set-up —
 /// Bernstein refinement, reachability and the invariant fixpoint — under
-/// the oscillator's export budget (`default_params`), on a seeded student
+/// the oscillator's export budget (`default_params`: the residual error
+/// margin, a 60-cell invariant grid and reach paving), on a seeded student
 /// scaled to the Lipschitz bound of a trained κ* (≈ 18.7 at output scale
-/// 20), which refines to a few thousand pieces.
+/// 20).
 fn bench_certify_controller(c: &mut Criterion) {
     let sys = SystemId::Oscillator.dynamics();
     let mut net = MlpBuilder::new(2)

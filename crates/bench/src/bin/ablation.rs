@@ -28,7 +28,9 @@ use cocktail_core::{Preset, SystemId};
 use cocktail_distill::{robust_distill, DistillConfig, TeacherDataset};
 use cocktail_rl::DdpgConfig;
 use cocktail_verify::enclosure::IbpEnclosure;
-use cocktail_verify::{invariant_set, BernsteinCertificate, CertificateConfig, InvariantConfig};
+use cocktail_verify::{
+    invariant_set, BernsteinCertificate, CertificateConfig, ErrorMargin, InvariantConfig,
+};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -207,6 +209,7 @@ fn main() {
             tolerance: 0.15,
             max_pieces: 1 << 18,
             error_samples_per_dim: 9,
+            margin: ErrorMargin::Lipschitz,
         },
     )
     .expect("budget suffices");

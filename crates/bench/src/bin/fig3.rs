@@ -24,7 +24,8 @@ use cocktail_core::experiment::{build_controller_set, Preset};
 use cocktail_core::SystemId;
 use cocktail_env::{rollout, RolloutConfig};
 use cocktail_verify::{
-    invariant_set, BernsteinCertificate, CertificateConfig, InvariantConfig, VerifyError,
+    invariant_set, BernsteinCertificate, CertificateConfig, ErrorMargin, InvariantConfig,
+    VerifyError,
 };
 use serde::Serialize;
 use std::time::Instant;
@@ -139,6 +140,7 @@ fn main() {
         tolerance: 0.15,
         max_pieces: 1 << 18,
         error_samples_per_dim: 9,
+        margin: ErrorMargin::Lipschitz,
     };
     let inv_cfg = InvariantConfig {
         grid: 60,

@@ -24,7 +24,9 @@ use cocktail_core::experiment::{build_controller_set, Preset};
 use cocktail_core::SystemId;
 use cocktail_math::BoxRegion;
 use cocktail_verify::reach::ReachMode;
-use cocktail_verify::{reach_analysis, BernsteinCertificate, CertificateConfig, ReachConfig};
+use cocktail_verify::{
+    reach_analysis, BernsteinCertificate, CertificateConfig, ErrorMargin, ReachConfig,
+};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -127,6 +129,7 @@ fn main() {
         tolerance: 0.06,
         max_pieces: 60_000,
         error_samples_per_dim: 7,
+        margin: ErrorMargin::Lipschitz,
     };
     let reach_cfg = ReachConfig {
         steps: 15,

@@ -478,9 +478,11 @@ fn run_checks(
 mod tests {
     use super::*;
     use crate::bundle::tests_support::{healthy_bundle, v2_bundle};
+    use crate::bundle::BUNDLE_VERSION;
     use cocktail_analysis::ControllerSpec;
     use cocktail_core::SystemId;
     use cocktail_obs::InMemorySink;
+    use cocktail_verify::ErrorMargin;
 
     #[test]
     fn healthy_bundle_is_admitted_with_evidence() {
@@ -708,6 +710,56 @@ mod tests {
         assert_eq!(admitted.safety, None);
         let reason = admitted.uncertified_reason.expect("reason recorded");
         assert!(reason.contains("omits"), "{reason}");
+    }
+
+    #[test]
+    fn v4_files_without_a_margin_key_rederive_under_the_first_order_margin() {
+        // the fixture certifies under `fast_params`, the first-order
+        // margin, so it is a v4 certificate once the key is gone
+        let b = healthy_bundle();
+        let path = std::env::temp_dir().join(format!(
+            "cocktail-serve-admission-v4-{}.json",
+            std::process::id()
+        ));
+        b.save(&path).expect("save succeeds");
+        let text = std::fs::read_to_string(&path).expect("readable");
+        let key = text.find("\"margin\"").expect("v5 files name the margin");
+        let comma = text[..key].rfind(',').expect("margin is not the first key");
+        let end = key + text[key..].find('\n').expect("pretty-printed");
+        let v4 = format!("{}{}", &text[..comma], &text[end..]).replacen(
+            &format!("\"version\": {BUNDLE_VERSION}"),
+            "\"version\": 4",
+            1,
+        );
+        assert!(!v4.contains("\"margin\""), "key must be gone");
+        std::fs::write(&path, v4).expect("writable");
+
+        let back = ControllerBundle::load(&path).expect("v4 file loads");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(back.version, 4);
+        let shipped = back.safety.clone().expect("v4 files carry certificates");
+        assert_eq!(shipped.params.certificate.margin, ErrorMargin::Lipschitz);
+        assert_eq!(Some(&shipped), b.safety.as_ref(), "nothing else moved");
+        let admitted = admit(back).expect("a v4 bundle admits");
+        let mut fresh = admitted.safety.expect("re-derived");
+        fresh.verify_ms = shipped.verify_ms;
+        assert_eq!(fresh, shipped, "bit for bit, modulo wall-clock");
+    }
+
+    #[test]
+    fn a_flipped_error_margin_is_a_mismatch() {
+        // the certificate re-derives under the shipped parameters, margin
+        // included, so a flipped margin re-derives a different refinement
+        let mut b = healthy_bundle();
+        let cert = b.safety.as_mut().expect("fixture ships a cert");
+        assert_eq!(cert.params.certificate.margin, ErrorMargin::Lipschitz);
+        cert.params.certificate.margin = ErrorMargin::Residual;
+        let err = admit(b).expect_err("refused");
+        assert!(
+            matches!(&err, AdmissionError::SafetyMismatch { detail }
+                if detail.contains("pieces")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -307,11 +307,12 @@ fn cmd_check(args: &Args) -> Result<ExitCode, String> {
             );
             match (&admitted.safety, &admitted.uncertified_reason) {
                 (Some(cert), _) => println!(
-                    "safety: verdict {} re-derived in {:.0} ms ({} pieces, \
-                     epsilon {:.3e}, invariant {}/{} cells)",
+                    "safety: verdict {} re-derived in {:.0} ms ({} pieces under the {} \
+                     margin, epsilon {:.3e}, invariant {}/{} cells)",
                     cert.verdict.label(),
                     cert.verify_ms,
                     cert.pieces,
+                    cert.params.certificate.margin.label(),
                     cert.epsilon,
                     cert.invariant_alive,
                     cert.invariant_cells

@@ -18,7 +18,7 @@ use cocktail_core::SystemId;
 use cocktail_math::BoxRegion;
 use cocktail_nn::{FastTierCert, Mlp};
 use cocktail_obs::{NullSink, Telemetry};
-use cocktail_verify::{certify_controller, default_params, SafetyCert, SafetyParams};
+use cocktail_verify::{certify_controller, default_params, ErrorMargin, SafetyCert, SafetyParams};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -29,12 +29,15 @@ use std::path::{Path, PathBuf};
 /// quantization/approximation error certificate; 3 — adds the optional
 /// `safety` formal safety certificate (Bernstein + reachability +
 /// invariant set); 4 — `fast_tier` drops the retired `f32` tier's
-/// epsilon and output-error keys. Version-2 and -3 bundles still load and
+/// epsilon and output-error keys; 5 — the safety certificate's Bernstein
+/// parameters name their error margin (`margin`, first-order `Lipschitz`
+/// or second-order `Residual`). Version-2 to -4 bundles still load and
 /// validate (fields are looked up by name, so the extra `f32` keys of a
-/// v2/v3 file are ignored), but the admission gate refuses version-2
-/// bundles by default as uncertified (see
+/// v2/v3 file are ignored, and a certificate without a `margin` key was
+/// derived under, and re-derives under, the first-order margin), but the
+/// admission gate refuses version-2 bundles by default as uncertified (see
 /// `AdmissionConfig::allow_uncertified`).
-pub const BUNDLE_VERSION: u32 = 4;
+pub const BUNDLE_VERSION: u32 = 5;
 
 /// Oldest bundle format [`ControllerBundle::validate`] still accepts.
 pub const OLDEST_READABLE_VERSION: u32 = 2;
@@ -339,6 +342,16 @@ impl ControllerBundle {
                 "version {} predates safety certificates yet carries one",
                 self.version
             )));
+        }
+        if let Some(cert) = &self.safety {
+            let margin = cert.params.certificate.margin;
+            if self.version < 5 && margin != ErrorMargin::Lipschitz {
+                return Err(BundleError::Format(format!(
+                    "version {} predates error margins yet names the {} margin",
+                    self.version,
+                    margin.label()
+                )));
+            }
         }
         let state_dim = self
             .spec
@@ -843,6 +856,22 @@ mod tests {
         b.version = 2;
         let err = b.validate().expect_err("v2 with cert refused");
         assert!(matches!(err, BundleError::Format(_)), "{err}");
+    }
+
+    #[test]
+    fn validate_refuses_a_v4_bundle_that_names_the_residual_margin() {
+        let mut b = bundle();
+        b.version = 4;
+        b.validate()
+            .expect("a first-order certificate is a v4 certificate");
+        if let Some(cert) = b.safety.as_mut() {
+            cert.params.certificate.margin = ErrorMargin::Residual;
+        }
+        let err = b.validate().expect_err("v4 with a residual margin refused");
+        assert!(
+            matches!(&err, BundleError::Format(m) if m.contains("residual")),
+            "{err}"
+        );
     }
 
     #[test]

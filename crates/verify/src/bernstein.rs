@@ -45,9 +45,17 @@
 //!   [`ControlEnclosure::enclose`] descends only the subtrees overlapping
 //!   the query box instead of scanning every piece, and encloses each
 //!   piece in scratch shared by the whole query.
+//!
+//! What refinement costs is set by the sampled error margin
+//! ([`ErrorMargin`]). The first-order margin `(L + L_B)·r` shrinks with the
+//! piece width. The residual margin bounds the slope of `f − B` on the
+//! piece instead, from the network's interval Jacobian and the range of
+//! `∇B`, so it shrinks with the square of the width and accepts pieces
+//! far sooner.
 
 use crate::enclosure::ControlEnclosure;
 use crate::error::VerifyError;
+use crate::jacobian::{interval_jacobian, JacobianScratch};
 use cocktail_math::{BoxRegion, Interval, Matrix};
 use cocktail_nn::{BatchCache, Mlp};
 use serde::{Deserialize, Serialize};
@@ -342,9 +350,10 @@ fn covering_radius(domain: &BoxRegion, samples_per_dim: usize) -> f64 {
 }
 
 /// The Lipschitz margin `L·r` of the sampled error bound over `domain`,
-/// with `r` the covering radius of the error-sample grid. The sampled bound
-/// of a piece is never below it, whatever the fit, so only bisection
-/// removes it: the floor the static analyzer predicts refinement cost from.
+/// with `r` the covering radius of the error-sample grid. Under
+/// [`ErrorMargin::Lipschitz`] the sampled bound of a piece is never below
+/// it, whatever the fit, so only bisection removes it: the floor the static
+/// analyzer predicts refinement cost from.
 pub fn sample_margin(lipschitz: f64, domain: &BoxRegion, samples_per_dim: usize) -> f64 {
     lipschitz * covering_radius(domain, samples_per_dim.max(2))
 }
@@ -372,6 +381,59 @@ fn bernstein_lipschitz(domain: &BoxRegion, d: usize, coeffs: &[f64]) -> f64 {
         }
     }
     acc.sqrt()
+}
+
+/// An upper bound on `sup_P ‖∇(s·f) − ∇B‖₂` over the domain `P` of
+/// `poly`, the approximant of the scaled output `s·f`, given `jacobian`,
+/// an enclosure of `∇f` over `P` (one interval per input dimension).
+///
+/// `∇B` ranges over the derivative Bernstein coefficients: `∂B/∂xᵢ` is a
+/// Bernstein polynomial with coefficients `d·(c_{k+eᵢ} − c_k)/wᵢ`, so by
+/// the convex-hull property it lies between their least and greatest over
+/// `P`. Both enclosures hold at every point, so each component of the
+/// difference lies in their interval difference, whose magnitude is
+/// summed in squares. A dimension of width 0 is skipped: no two points of
+/// `P` differ in it. Every step is widened for rounding, and the result is
+/// inflated by a relative `1e-9`. A NaN anywhere gives NaN.
+fn residual_lipschitz(jacobian: &[[f64; 2]], scale: f64, poly: &BernsteinApprox) -> f64 {
+    const EPS: f64 = f64::EPSILON;
+    let d = poly.degree;
+    let pts = d + 1;
+    let mut acc = 0.0;
+    for (i, &[j_lo, j_hi]) in jacobian.iter().enumerate() {
+        let w = poly.domain.interval(i).width();
+        if w <= 0.0 {
+            continue;
+        }
+        let stride: usize = pts.pow(i as u32);
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        for (idx, &c) in poly.coeffs.iter().enumerate() {
+            if (idx / stride) % pts + 1 < pts {
+                let diff = poly.coeffs[idx + stride] - c;
+                if diff.is_nan() {
+                    return f64::NAN;
+                }
+                lo = lo.min(diff);
+                hi = hi.max(diff);
+            }
+        }
+        // three roundings: the difference, the product and the quotient
+        let (b_lo, b_hi) = (d as f64 * lo / w, d as f64 * hi / w);
+        let (b_lo, b_hi) = (b_lo - 4.0 * EPS * b_lo.abs(), b_hi + 4.0 * EPS * b_hi.abs());
+        let (f_lo, f_hi) = if scale >= 0.0 {
+            (scale * j_lo, scale * j_hi)
+        } else {
+            (scale * j_hi, scale * j_lo)
+        };
+        let (below, above) = (f_lo - b_hi, f_hi - b_lo);
+        if below.is_nan() || above.is_nan() {
+            return f64::NAN;
+        }
+        let slack = 2.0 * EPS * (f_lo.abs().max(f_hi.abs()) + b_lo.abs().max(b_hi.abs()));
+        let mag = below.abs().max(above.abs()) + slack;
+        acc += mag * mag;
+    }
+    acc.sqrt() * (1.0 + 1e-9)
 }
 
 /// The coordinates of the uniform grid with `intervals + 1` points per
@@ -576,6 +638,7 @@ impl SampleLanes {
 struct RefineScratch {
     forward: Forward,
     lanes: SampleLanes,
+    jacobian: JacobianScratch,
     maps: Vec<Option<usize>>,
     idx: Vec<usize>,
     fresh_rows: Vec<usize>,
@@ -601,7 +664,12 @@ struct RegionEval {
 /// The error bound is sound from a sample grid plus the Lipschitz covering
 /// margin: if the grid has covering radius `r` (2-norm) then
 /// `‖f − B‖_∞ ≤ max_grid |f − B| + (L_f + L_B)·r`, and the smaller of that
-/// and [`rigorous_error_bound`] is kept per output. When the sample grid is
+/// and [`rigorous_error_bound`] is kept per output. Under
+/// [`ErrorMargin::Residual`] the residual margin `max_grid |f − B| +
+/// L_res·r` joins the minimum, with `L_res` from [`residual_lipschitz`]
+/// over the region's [`interval_jacobian`]: by the mean-value inequality on
+/// the convex region, `|f − B|` moves by at most `L_res·r` between a point
+/// and its nearest sample. When the sample grid is
 /// the coefficient grid (`error_samples_per_dim − 1 == degree`, as in
 /// [`crate::cert::default_params`]) its network values are the
 /// coefficients themselves; otherwise it is batched once for all outputs.
@@ -641,6 +709,11 @@ fn evaluate_region(
     scratch.lanes.fill(region, degree, m);
     let r = covering_radius(region, m);
     let rigorous = rigorous_error_bound(lipschitz, region, degree);
+    // the network's Jacobian over the region, `None` inside when a NaN
+    // arose (the residual margin then drops out of the minimum)
+    let jacobian = (config.margin == ErrorMargin::Residual)
+        .then(|| interval_jacobian(net, region, &mut scratch.jacobian));
+    let n = region.dim();
     let mut epsilon: f64 = 0.0;
     for (o, (poly, &s)) in polys.iter().zip(scale).enumerate() {
         let fitted = scratch.lanes.eval(&poly.coeffs, degree + 1);
@@ -649,7 +722,14 @@ fn evaluate_region(
             worst = worst.max((sample_values[(row, o)] * s - b).abs());
         }
         let sampled = worst + (lipschitz + poly.lipschitz_bound()) * r;
-        epsilon = epsilon.max(sampled.min(rigorous));
+        let mut bound = sampled.min(rigorous);
+        if let Some(jacobian) = &jacobian {
+            let slope = jacobian.map_or(f64::NAN, |jac| {
+                residual_lipschitz(&jac[o * n..][..n], s, poly)
+            });
+            bound = bound.min(worst + slope * r);
+        }
+        epsilon = epsilon.max(bound);
     }
     RegionEval {
         polys,
@@ -661,15 +741,18 @@ fn evaluate_region(
 
 /// Whether `region` is bisected whatever its approximants turn out to be.
 ///
-/// Every output's sampled bound `worst + (L + L_B)·r` is at least
-/// `fl(L·r)`, the [`sample_margin`]: `worst ≥ 0`, `L_B ≥ 0` (a NaN drops
-/// out of the `min` below) and round-to-nearest is monotone. So when that
-/// margin and the [`rigorous_error_bound`] both exceed the tolerance, so
-/// does `ε = max_o min(sampled_o, rigorous)`, and the region is split
-/// unless it is already at the width floor. Such a region needs only its
-/// coefficient grid, for its halves.
+/// Under [`ErrorMargin::Lipschitz`], every output's sampled bound
+/// `worst + (L + L_B)·r` is at least `fl(L·r)`, the [`sample_margin`]:
+/// `worst ≥ 0`, `L_B ≥ 0` (a NaN drops out of the `min` below) and
+/// round-to-nearest is monotone. So when that margin and the
+/// [`rigorous_error_bound`] both exceed the tolerance, so does
+/// `ε = max_o min(sampled_o, rigorous)`, and the region is split unless it
+/// is already at the width floor. Such a region needs only its coefficient
+/// grid, for its halves. The residual margin has no such floor, so under
+/// [`ErrorMargin::Residual`] every region is evaluated.
 fn floor_decides_split(region: &BoxRegion, config: &CertificateConfig, lipschitz: f64) -> bool {
-    sample_margin(lipschitz, region, config.error_samples_per_dim) > config.tolerance
+    config.margin == ErrorMargin::Lipschitz
+        && sample_margin(lipschitz, region, config.error_samples_per_dim) > config.tolerance
         && rigorous_error_bound(lipschitz, region, config.degree) > config.tolerance
         && region.max_width() > 1e-6
 }
@@ -682,8 +765,38 @@ enum Visit {
     Evaluated(RegionEval),
 }
 
+/// Which margin the sampled error bound of a piece adds to the largest
+/// sampled `|f − B|`. Both are sound; each piece keeps the smallest of the
+/// bounds its margin allows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum ErrorMargin {
+    /// The first-order margin `(L + L_B)·r` of Sec. III-C, from the global
+    /// Lipschitz bounds of the network and the approximant. Linear in the
+    /// piece width.
+    Lipschitz,
+    /// The smaller of the first-order margin and the residual margin
+    /// `L_res·r`, where `L_res` bounds the slope of `f − B` on the piece
+    /// from the network's interval Jacobian and the range of `∇B`.
+    /// Quadratic in the piece width.
+    Residual,
+}
+
+impl ErrorMargin {
+    /// Stable kebab-case label for diagnostics and CLI output.
+    pub fn label(self) -> &'static str {
+        match self {
+            ErrorMargin::Lipschitz => "lipschitz",
+            ErrorMargin::Residual => "residual",
+        }
+    }
+}
+
 /// Configuration for [`BernsteinCertificate::build`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// `Deserialize` is hand-written: `margin` arrived after certificates were
+/// first shipped, and a file without the key was derived under
+/// [`ErrorMargin::Lipschitz`], so a missing key reads as that.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CertificateConfig {
     /// Bernstein degree per dimension.
     pub degree: usize,
@@ -693,8 +806,10 @@ pub struct CertificateConfig {
     /// of the paper's memory blow-up for high-Lipschitz students.
     pub max_pieces: usize,
     /// Sample-grid resolution per dimension for the sound
-    /// sampled-plus-Lipschitz-margin error bound of each piece.
+    /// sampled-plus-margin error bound of each piece.
     pub error_samples_per_dim: usize,
+    /// The margin of the sampled error bound.
+    pub margin: ErrorMargin,
 }
 
 impl Default for CertificateConfig {
@@ -704,7 +819,39 @@ impl Default for CertificateConfig {
             tolerance: 0.5,
             max_pieces: 2048,
             error_samples_per_dim: 5,
+            margin: ErrorMargin::Lipschitz,
         }
+    }
+}
+
+impl Deserialize for CertificateConfig {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        let serde::Value::Map(fields) = v else {
+            return Err(serde::DeError::custom(format!(
+                "expected map for `CertificateConfig`, got {}",
+                v.kind()
+            )));
+        };
+        fn req<T: Deserialize>(
+            fields: &[(String, serde::Value)],
+            name: &str,
+        ) -> Result<T, serde::DeError> {
+            T::from_value(
+                serde::__field(fields, name)
+                    .map_err(|e| serde::DeError::custom(format!("in `CertificateConfig`: {e}")))?,
+            )
+        }
+        let margin = match fields.iter().find(|(k, _)| k == "margin") {
+            Some((_, v)) => ErrorMargin::from_value(v)?,
+            None => ErrorMargin::Lipschitz,
+        };
+        Ok(Self {
+            degree: req(fields, "degree")?,
+            tolerance: req(fields, "tolerance")?,
+            max_pieces: req(fields, "max_pieces")?,
+            error_samples_per_dim: req(fields, "error_samples_per_dim")?,
+            margin,
+        })
     }
 }
 
@@ -1357,6 +1504,7 @@ mod tests {
             let cfg = CertificateConfig {
                 degree,
                 error_samples_per_dim: samples,
+                margin: ErrorMargin::Lipschitz,
                 ..Default::default()
             };
             let eval = evaluate_region(
@@ -1468,6 +1616,7 @@ mod tests {
             tolerance: 0.3,
             max_pieces: 1 << 14,
             error_samples_per_dim: samples,
+            margin: ErrorMargin::Lipschitz,
         }
     }
 
@@ -1740,6 +1889,204 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The settings of the residual-margin tests: the export degree and
+    /// error grid of 2-D and 3-D plants, under `margin`.
+    fn margin_config(margin: ErrorMargin, tolerance: f64) -> CertificateConfig {
+        CertificateConfig {
+            degree: 4,
+            tolerance,
+            max_pieces: 1 << 14,
+            error_samples_per_dim: 5,
+            margin,
+        }
+    }
+
+    /// Seeded nets over 2, 3 and 4 inputs, with their scale, domain and
+    /// residual-margin settings, which they meet in tens of pieces: tanh,
+    /// `ReLU` and softplus hidden layers, and in 4-D the export degree 2
+    /// with 3 error samples per dimension.
+    fn residual_cases() -> Vec<(Mlp, Vec<f64>, BoxRegion, CertificateConfig)> {
+        let net = |inputs: usize, act: Activation, outputs: usize, seed: u64| {
+            MlpBuilder::new(inputs)
+                .hidden(6, act)
+                .output(outputs, Activation::Tanh)
+                .seed(seed)
+                .build()
+        };
+        vec![
+            (
+                net(2, Activation::Tanh, 2, 4),
+                vec![5.0, -3.0],
+                BoxRegion::cube(2, -1.0, 1.0),
+                margin_config(ErrorMargin::Residual, 0.05),
+            ),
+            (
+                net(3, Activation::Relu, 1, 12),
+                vec![4.0],
+                BoxRegion::from_bounds(&[-0.3, -1.0 / 3.0, -1.0], &[0.7, 1.0, 0.5]),
+                margin_config(ErrorMargin::Residual, 0.3),
+            ),
+            (
+                net(4, Activation::Softplus, 1, 13),
+                vec![3.0],
+                BoxRegion::cube(4, -1.0, 1.0),
+                CertificateConfig {
+                    degree: 2,
+                    error_samples_per_dim: 3,
+                    ..margin_config(ErrorMargin::Residual, 0.5)
+                },
+            ),
+        ]
+    }
+
+    #[test]
+    fn residual_error_bounds_hold_at_dense_samples_of_every_piece() {
+        for (net, scale, domain, cfg) in residual_cases() {
+            let n = domain.dim();
+            let cert = BernsteinCertificate::build(&net, &scale, &domain, &cfg).expect("fits");
+            assert!(cert.piece_count() > 1, "{n}-D: refinement must happen");
+            // a grid that shares only the corners with the error samples
+            let m = match n {
+                2 => 11usize,
+                3 => 7,
+                _ => 4,
+            };
+            let mut checked = 0usize;
+            for piece in &cert.pieces {
+                for point in 0..m.pow(n as u32) {
+                    let t: Vec<f64> = (0..n)
+                        .map(|i| ((point / m.pow(i as u32)) % m) as f64 / (m - 1) as f64)
+                        .collect();
+                    let x = piece.region.lerp(&t);
+                    let y = net.forward(&x);
+                    for (o, poly) in piece.polys.iter().enumerate() {
+                        let err = (scale[o] * y[o] - poly.eval(&x)).abs();
+                        assert!(
+                            err <= piece.epsilon,
+                            "{n}-D: |f − B| = {err} > ε = {} at {x:?}",
+                            piece.epsilon
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+            assert!(checked > 1000, "{n}-D: {checked} samples");
+        }
+    }
+
+    /// Every node region of a certificate's bisection tree, with the
+    /// piece's `ε` for an accepted region and `None` for a bisected one.
+    fn node_regions(cert: &BernsteinCertificate) -> Vec<(&BoxRegion, Option<f64>)> {
+        cert.tree
+            .iter()
+            .map(|node| match node {
+                TreeNode::Piece(i) => (&cert.pieces[*i].region, Some(cert.pieces[*i].epsilon)),
+                TreeNode::Split { region, .. } => (region, None),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_residual_tree_is_a_subtree_of_the_lipschitz_tree() {
+        // the 2-D and 3-D nets, at tolerances the first-order margin meets
+        // in hundreds of pieces (in 4-D it needs thousands)
+        for ((net, scale, domain, _), tolerance) in residual_cases().into_iter().zip([0.2, 0.5]) {
+            let n = domain.dim();
+            let build = |margin| {
+                BernsteinCertificate::build(
+                    &net,
+                    &scale,
+                    &domain,
+                    &margin_config(margin, tolerance),
+                )
+                .expect("fits")
+            };
+            let (first, residual) = (build(ErrorMargin::Lipschitz), build(ErrorMargin::Residual));
+            // the margin is what makes refinement cheap
+            assert!(
+                4 * residual.piece_count() < first.piece_count(),
+                "{n}-D: {} residual pieces, {} first-order",
+                residual.piece_count(),
+                first.piece_count()
+            );
+            let first_nodes = node_regions(&first);
+            for (region, epsilon) in node_regions(&residual) {
+                let (_, first_epsilon) = first_nodes
+                    .iter()
+                    .find(|(r, _)| *r == region)
+                    .unwrap_or_else(|| panic!("{n}-D: {region:?} is not a first-order region"));
+                // a region the residual margin splits, the first-order one
+                // splits too
+                assert!(
+                    epsilon.is_some() || first_epsilon.is_none(),
+                    "{n}-D: only the residual tree splits {region:?}"
+                );
+            }
+            // on every residual piece, the same approximants with a bound
+            // no larger than the first-order one
+            let first_cfg = margin_config(ErrorMargin::Lipschitz, tolerance);
+            let mut scratch = RefineScratch::default();
+            for piece in &residual.pieces {
+                let fresh = evaluate_region(
+                    &net,
+                    &scale,
+                    &piece.region,
+                    None,
+                    &first_cfg,
+                    residual.lipschitz,
+                    &mut scratch,
+                );
+                assert_eq!(coeff_bits(&piece.polys), coeff_bits(&fresh.polys), "{n}-D");
+                assert!(
+                    piece.epsilon <= fresh.epsilon,
+                    "{n}-D: ε {} > first-order {} on {:?}",
+                    piece.epsilon,
+                    fresh.epsilon,
+                    piece.region
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn residual_certificates_do_not_depend_on_the_worker_count() {
+        for (net, scale, domain, cfg) in residual_cases() {
+            let (reference, ref_stats) =
+                BernsteinCertificate::build_with_workers(&net, &scale, &domain, &cfg, 1)
+                    .expect("fits");
+            assert!(ref_stats.splits > 0);
+            assert_eq!(
+                ref_stats.floor_splits, 0,
+                "no floor under the residual margin"
+            );
+            for workers in [2usize, 8] {
+                let (cert, stats) =
+                    BernsteinCertificate::build_with_workers(&net, &scale, &domain, &cfg, workers)
+                        .expect("fits");
+                assert_eq!(cert, reference, "workers = {workers}");
+                assert_eq!(stats, ref_stats, "workers = {workers}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_config_without_a_margin_reads_as_lipschitz() {
+        let residual = margin_config(ErrorMargin::Residual, 0.25);
+        let value = residual.to_value();
+        assert_eq!(CertificateConfig::from_value(&value), Ok(residual.clone()));
+        let serde::Value::Map(fields) = value else {
+            panic!("a config serializes to a map")
+        };
+        let older = serde::Value::Map(fields.into_iter().filter(|(k, _)| k != "margin").collect());
+        assert_eq!(
+            CertificateConfig::from_value(&older),
+            Ok(CertificateConfig {
+                margin: ErrorMargin::Lipschitz,
+                ..residual
+            })
+        );
     }
 
     #[test]

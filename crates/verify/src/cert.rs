@@ -18,7 +18,7 @@
 //! any disagreement means the weights, the plant spec, or the certificate
 //! were altered after export.
 
-use crate::bernstein::{BernsteinCertificate, CertificateConfig};
+use crate::bernstein::{BernsteinCertificate, CertificateConfig, ErrorMargin};
 use crate::enclosure::ControlEnclosure;
 use crate::error::VerifyError;
 use crate::invariant::{invariant_with_images, InvariantConfig, InvariantResult};
@@ -148,8 +148,11 @@ impl SafetyParams {
 /// Canonical per-plant verification parameters used at export time. Sized so
 /// certification of typical students finishes in bounded wall-clock while
 /// keeping the paving fine enough to be informative: 2D plants get the
-/// paper's Fig. 3-style resolutions, higher-dimensional plants coarser ones
-/// (the cell counts are exponential in the state dimension).
+/// paper's Fig. 3 resolution (60 cells per dimension for the invariant grid
+/// and the reach paving alike, so reach takes every cell image from the
+/// invariant), higher-dimensional plants coarser ones (the cell counts are
+/// exponential in the state dimension). Every plant refines under the
+/// residual error margin ([`ErrorMargin::Residual`]).
 pub fn default_params(sys: &dyn Dynamics) -> SafetyParams {
     let domain = sys.verification_domain();
     let (u_lo, u_hi) = sys.control_bounds();
@@ -164,7 +167,7 @@ pub fn default_params(sys: &dyn Dynamics) -> SafetyParams {
     // budget for small students. Higher dimensions trade resolution for
     // bounded wall-clock: the cell counts are exponential in `dim`.
     let (paving_per_dim, grid, degree, samples, tol_factor) = match domain.dim() {
-        0..=2 => (32usize, 32usize, 4usize, 5usize, 0.01),
+        0..=2 => (60usize, 60usize, 4usize, 5usize, 0.01),
         3 => (12, 12, 3, 4, 0.05),
         _ => (6, 5, 2, 3, 0.3),
     };
@@ -179,6 +182,7 @@ pub fn default_params(sys: &dyn Dynamics) -> SafetyParams {
             tolerance: (tol_factor * span).max(1e-6),
             max_pieces: if domain.dim() <= 2 { 1 << 16 } else { 1 << 14 },
             error_samples_per_dim: samples,
+            margin: ErrorMargin::Residual,
         },
         reach: ReachConfig {
             steps: if domain.dim() <= 3 { 10 } else { 8 },
@@ -198,7 +202,8 @@ pub fn default_params(sys: &dyn Dynamics) -> SafetyParams {
 /// A deliberately coarse budget tier for fixtures and smoke tests. The
 /// resulting certificates are exactly as sound and as re-derivable as
 /// [`default_params`] ones — just far more conservative (looser `ε`,
-/// coarser paving), so they finish in milliseconds even unoptimized.
+/// coarser paving, the first-order error margin), so they finish in
+/// milliseconds even unoptimized.
 /// Export tooling should prefer [`default_params`].
 pub fn fast_params(sys: &dyn Dynamics) -> SafetyParams {
     let domain = sys.verification_domain();
@@ -219,6 +224,7 @@ pub fn fast_params(sys: &dyn Dynamics) -> SafetyParams {
             tolerance: (0.05 * span).max(1e-6),
             max_pieces: 2048,
             error_samples_per_dim: 4,
+            margin: ErrorMargin::Lipschitz,
         },
         reach: ReachConfig {
             steps: 5,
@@ -614,18 +620,27 @@ mod tests {
     fn certification_is_deterministic_and_worker_invariant() {
         let sys = VanDerPol::new();
         let net = student(11);
-        let params = fast_params(&sys);
-        let reference =
-            certify_controller(&sys, &net, &[20.0], &params, 1, &NullSink).expect("certifies");
-        for workers in [2usize, 8] {
-            let got = certify_controller(&sys, &net, &[20.0], &params, workers, &NullSink)
-                .expect("certifies");
-            assert!(got.matches(&reference, 0.0), "workers = {workers}");
-            let mut a = got.clone();
-            let mut b = reference.clone();
-            a.verify_ms = 0.0;
-            b.verify_ms = 0.0;
-            assert_eq!(a, b, "bit-identical modulo wall-clock, workers = {workers}");
+        for margin in [ErrorMargin::Lipschitz, ErrorMargin::Residual] {
+            let mut params = fast_params(&sys);
+            params.certificate.margin = margin;
+            let reference =
+                certify_controller(&sys, &net, &[20.0], &params, 1, &NullSink).expect("certifies");
+            for workers in [2usize, 8] {
+                let got = certify_controller(&sys, &net, &[20.0], &params, workers, &NullSink)
+                    .expect("certifies");
+                assert!(
+                    got.matches(&reference, 0.0),
+                    "{margin:?}, workers = {workers}"
+                );
+                let mut a = got.clone();
+                let mut b = reference.clone();
+                a.verify_ms = 0.0;
+                b.verify_ms = 0.0;
+                assert_eq!(
+                    a, b,
+                    "bit-identical modulo wall-clock, {margin:?}, workers = {workers}"
+                );
+            }
         }
     }
 

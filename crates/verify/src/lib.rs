@@ -57,10 +57,13 @@ pub mod cert;
 pub mod enclosure;
 pub mod error;
 pub mod invariant;
+mod jacobian;
 pub mod lyapunov;
 pub mod reach;
 
-pub use bernstein::{BernsteinApprox, BernsteinCertificate, CertificateConfig, RefineStats};
+pub use bernstein::{
+    BernsteinApprox, BernsteinCertificate, CertificateConfig, ErrorMargin, RefineStats,
+};
 pub use cert::{
     certify_controller, default_params, fast_params, SafetyCert, SafetyParams, SafetyVerdict,
 };

@@ -567,7 +567,7 @@ mod tests {
     /// certificate, tracked by subdivision, must prove the loop safe too.
     #[test]
     fn certifies_a_stabilizing_student() {
-        use crate::bernstein::{BernsteinCertificate, CertificateConfig};
+        use crate::bernstein::{BernsteinCertificate, CertificateConfig, ErrorMargin};
         let sys = VanDerPol::new();
         let student = BernsteinCertificate::build(
             &stabilizing_student(),
@@ -578,6 +578,7 @@ mod tests {
                 tolerance: 0.3,
                 max_pieces: 1 << 16,
                 error_samples_per_dim: 7,
+                margin: ErrorMargin::Lipschitz,
             },
         )
         .expect("student certifies");
@@ -1031,8 +1032,8 @@ mod tests {
 
     #[test]
     fn reach_takes_every_image_from_the_invariant_when_the_grids_coincide() {
-        // 2-D export budgets: a 32 × 32 paving and a 32 × 32 invariant grid
-        // over the same dyadic domain
+        // 2-D export budgets: a 60 × 60 paving and a 60 × 60 invariant grid
+        // over the same domain
         let sys = VanDerPol::new();
         let enc = LinearEnclosure::new(Matrix::from_rows(vec![vec![3.0, 3.0]]));
         let params = default_params(&sys);
@@ -1063,11 +1064,12 @@ mod tests {
         let [reused, own] = reach_with_invariant_images(&skewed, &enc, &params, &x0, usize::MAX);
         assert!(reused > 0 && own > 0, "{reused} reused, {own} computed");
 
-        // cells past the images handed over
+        // cells past the images handed over: only the lower half of the
+        // 60 × 60 grid's rows
         let sys = VanDerPol::new();
         let params = default_params(&sys);
         let x0 = BoxRegion::from_bounds(&[-0.3, -0.3], &[0.3, 0.3]);
-        let [reused, own] = reach_with_invariant_images(&sys, &enc, &params, &x0, 32 * 16);
+        let [reused, own] = reach_with_invariant_images(&sys, &enc, &params, &x0, 60 * 30);
         assert!(reused > 0 && own > 0, "{reused} reused, {own} computed");
     }
 

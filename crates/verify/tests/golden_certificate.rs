@@ -16,6 +16,14 @@
 //! Regenerate them only for a deliberate change of the analysis, never to
 //! absorb a drift: print the actual values with `--nocapture` and say why
 //! they moved.
+//!
+//! The certificate's parameters are part of what is pinned, so every
+//! golden passes its parameters as literals (or as `fast_params`, which
+//! stays on the first-order margin) instead of tracking `default_params`.
+//! The export defaults moved to the residual error margin and a 60-cell
+//! 2-D grid after these constants were recorded; the constants did not
+//! move. `kappa_star_export_certificate_is_safe` pins the certificate under
+//! the current export defaults.
 
 #![allow(
     clippy::expect_used,
@@ -24,10 +32,12 @@
 
 use cocktail_env::systems::{CartPole, Poly3d, VanDerPol};
 use cocktail_env::Dynamics;
+use cocktail_math::BoxRegion;
 use cocktail_nn::{Activation, Mlp, MlpBuilder};
 use cocktail_obs::NullSink;
 use cocktail_verify::{
-    certify_controller, default_params, fast_params, SafetyCert, SafetyParams, SafetyVerdict,
+    certify_controller, default_params, fast_params, CertificateConfig, ErrorMargin,
+    InvariantConfig, ReachConfig, ReachMode, SafetyCert, SafetyParams, SafetyVerdict,
 };
 
 /// Every claim field of a certificate; floats as their IEEE-754 bits.
@@ -109,6 +119,61 @@ fn student_of(inputs: usize, seed: u64) -> Mlp {
         .build()
 }
 
+/// The oscillator's export budgets when the 2-D goldens were recorded:
+/// degree 4 with 5 error samples per dimension (the error grid is the
+/// coefficient grid), tolerance 0.4, a 32 × 32 reach paving and invariant
+/// grid, and the first-order error margin.
+fn oscillator_params_at_32() -> SafetyParams {
+    SafetyParams {
+        certificate: CertificateConfig {
+            degree: 4,
+            tolerance: 0.4,
+            max_pieces: 65536,
+            error_samples_per_dim: 5,
+            margin: ErrorMargin::Lipschitz,
+        },
+        reach: ReachConfig {
+            steps: 10,
+            split_width: 0.125,
+            max_boxes: 200_000,
+            fail_on_unsafe: false,
+            mode: ReachMode::GridPaving,
+        },
+        invariant: InvariantConfig {
+            grid: 32,
+            max_iterations: 256,
+        },
+        initial_set: BoxRegion::cube(2, -0.2, 0.2),
+    }
+}
+
+/// `CartPole`'s export budgets when its golden was recorded: degree 2 with
+/// 3 error samples, one paving cell per unit of width, a 5-cell invariant
+/// grid, and the first-order error margin.
+fn cartpole_params_first_order() -> SafetyParams {
+    SafetyParams {
+        certificate: CertificateConfig {
+            degree: 2,
+            tolerance: 6.0,
+            max_pieces: 16384,
+            error_samples_per_dim: 3,
+            margin: ErrorMargin::Lipschitz,
+        },
+        reach: ReachConfig {
+            steps: 8,
+            split_width: 1.0,
+            max_boxes: 200_000,
+            fail_on_unsafe: false,
+            mode: ReachMode::GridPaving,
+        },
+        invariant: InvariantConfig {
+            grid: 5,
+            max_iterations: 256,
+        },
+        initial_set: BoxRegion::cube(4, -0.020000000000000004, 0.020000000000000004),
+    }
+}
+
 /// Certifies on `VanDerPol` with two workers and checks the result against
 /// `expected`, printing the actual values first so a deliberate
 /// regeneration is a copy-paste.
@@ -168,14 +233,13 @@ fn fast_params_certificate_is_pinned() {
 
 #[test]
 fn export_budget_certificate_is_pinned() {
-    // the budgets that ship (degree 4 with 5 error samples per dimension,
-    // so the error grid is the coefficient grid; 32×32 paving and grid)
-    // on a student they prove safe
-    let sys = VanDerPol::new();
+    // the export budgets of the time (degree 4 with 5 error samples per
+    // dimension, so the error grid is the coefficient grid; 32×32 paving
+    // and grid) on a student they prove safe
     let cert = assert_golden(
         &stabilizing_student(3),
         20.0,
-        &default_params(&sys),
+        &oscillator_params_at_32(),
         &Golden {
             verdict: SafetyVerdict::Safe,
             lipschitz: 0x4016_7bda_db34_325b,
@@ -207,8 +271,7 @@ fn separate_error_grid_certificate_is_pinned() {
     // an error grid that is not the coefficient grid (6 samples at degree
     // 4, sharing only the corners with it), so the error bound evaluates
     // points of its own
-    let sys = VanDerPol::new();
-    let mut params = default_params(&sys);
+    let mut params = oscillator_params_at_32();
     params.certificate.error_samples_per_dim = 6;
     assert_golden(
         &stabilizing_student(3),
@@ -281,7 +344,7 @@ fn odd_degree_3d_certificate_is_pinned() {
 
 #[test]
 fn non_dyadic_4d_certificate_is_pinned() {
-    // CartPole under its shipped budgets (degree 2, 3 error samples): four
+    // CartPole under its export budgets (degree 2, 3 error samples): four
     // dimensions over widths 4.8, 6, 0.418 and 6, none a power of two, so
     // bisection midpoints and grid coordinates round and a half matches
     // fewer of its parent's grid points bit for bit
@@ -290,7 +353,7 @@ fn non_dyadic_4d_certificate_is_pinned() {
         &sys,
         &student_of(4, 31),
         5.0,
-        &default_params(&sys),
+        &cartpole_params_first_order(),
         &Golden {
             verdict: SafetyVerdict::NotProven,
             lipschitz: 0x4020_dd58_2487_f5de,
@@ -320,4 +383,48 @@ fn non_dyadic_4d_certificate_is_pinned() {
         "{} splits",
         cert.refinement_splits
     );
+}
+
+/// The benchmark's κ*: `pipeline_config(Oscillator, Fast, 0)` trained by
+/// the in-repo pipeline, a 2-24-24-1 tanh network with scale 1 and
+/// Lipschitz bound 18.67.
+fn kappa_star() -> Mlp {
+    Mlp::from_json(include_str!("fixtures/kappa_star_oscillator.json")).expect("fixture parses")
+}
+
+#[test]
+fn kappa_star_export_certificate_is_safe() {
+    // the student that ships, under the export defaults: the residual
+    // margin and a 60 × 60 invariant grid and reach paving
+    let sys = VanDerPol::new();
+    let params = default_params(&sys);
+    assert_eq!(params.certificate.margin, ErrorMargin::Residual);
+    assert_eq!(params.invariant.grid, 60);
+    let cert = assert_golden(
+        &kappa_star(),
+        1.0,
+        &params,
+        &Golden {
+            verdict: SafetyVerdict::Safe,
+            lipschitz: 0x4032_aa5f_f165_b965,
+            epsilon: 0x3fd9_96d5_b824_0c7b,
+            pieces: 124,
+            refinement_splits: 123,
+            refinement_depth: 8,
+            reach_steps: 10,
+            reach_peak_boxes: 422,
+            reach_safe: true,
+            reach_final_hull: vec![
+                [0xbfe9_9999_9999_999a, 0x3feb_bbbb_bbbb_bbbc],
+                [0xbfe9_9999_9999_999a, 0x3fed_dddd_dddd_dddc],
+            ],
+            invariant_cells: 3600,
+            invariant_alive: 3369,
+            invariant_iterations: 9,
+            invariant_converged: true,
+            invariant_digest: 0x37fd_3600_aeb2_69c7,
+            final_frame_contained: true,
+        },
+    );
+    assert!(cert.pieces <= 200, "{} pieces", cert.pieces);
 }

@@ -10,8 +10,8 @@ use cocktail_verify::bernstein::BernsteinApprox;
 use cocktail_verify::enclosure::{ControlEnclosure, IbpEnclosure, LinearEnclosure};
 use cocktail_verify::reach::ReachMode;
 use cocktail_verify::{
-    invariant_set, reach_analysis, BernsteinCertificate, CertificateConfig, InvariantConfig,
-    ReachConfig,
+    invariant_set, reach_analysis, BernsteinCertificate, CertificateConfig, ErrorMargin,
+    InvariantConfig, ReachConfig,
 };
 use proptest::prelude::*;
 
@@ -37,6 +37,7 @@ proptest! {
                 tolerance: 0.5,
                 max_pieces: 1 << 12,
                 error_samples_per_dim: 5,
+                margin: ErrorMargin::Lipschitz,
             },
         )
         .expect("budget suffices for tiny nets");

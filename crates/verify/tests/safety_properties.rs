@@ -11,8 +11,8 @@ use cocktail_nn::train::{fit_regression, TrainConfig};
 use cocktail_nn::{Activation, Mlp, MlpBuilder};
 use cocktail_verify::reach::ReachMode;
 use cocktail_verify::{
-    invariant_set, reach_analysis, BernsteinCertificate, CertificateConfig, InvariantConfig,
-    ReachConfig,
+    invariant_set, reach_analysis, BernsteinCertificate, CertificateConfig, ErrorMargin,
+    InvariantConfig, ReachConfig,
 };
 use proptest::prelude::*;
 
@@ -51,6 +51,7 @@ proptest! {
                 tolerance: 2.0,
                 max_pieces: 1 << 12,
                 error_samples_per_dim: 4,
+                margin: ErrorMargin::Lipschitz,
             },
         ).expect("budget suffices for tiny nets");
         let x0 = BoxRegion::from_bounds(&[cx - 0.1, cy - 0.1], &[cx + 0.1, cy + 0.1]);
@@ -109,6 +110,7 @@ fn invariant_points_stay_inside_for_one_step() {
             tolerance: 0.35,
             max_pieces: 1 << 15,
             error_samples_per_dim: 5,
+            margin: ErrorMargin::Lipschitz,
         },
     )
     .expect("stabilizing student certifies");

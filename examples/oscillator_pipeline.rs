@@ -103,8 +103,9 @@ fn export_bundle(
                 .safety
                 .expect("exported bundle carries a safety certificate");
             println!(
-                "admission self-check: safety verdict {} re-derived in {:.0} ms",
+                "admission self-check: safety verdict {} ({} error margin) re-derived in {:.0} ms",
                 cert.verdict.label(),
+                cert.params.certificate.margin.label(),
                 cert.verify_ms
             );
         }

@@ -22,8 +22,8 @@ use cocktail_nn::train::{fit_regression, TrainConfig};
 use cocktail_nn::{Activation, MlpBuilder};
 use cocktail_verify::reach::ReachMode;
 use cocktail_verify::{
-    invariant_set, reach_analysis, BernsteinCertificate, CertificateConfig, InvariantConfig,
-    ReachConfig,
+    invariant_set, reach_analysis, BernsteinCertificate, CertificateConfig, ErrorMargin,
+    InvariantConfig, ReachConfig,
 };
 
 /// Clones `u = -(3 s1 + 4 s2)` into a small tanh network.
@@ -77,6 +77,7 @@ fn main() {
             tolerance: 0.15,
             max_pieces: 1 << 18,
             error_samples_per_dim: 9,
+            margin: ErrorMargin::Lipschitz,
         },
     )
     .expect("certificate fits the budget");

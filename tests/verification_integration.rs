@@ -15,7 +15,7 @@ use cocktail_verify::lyapunov::{
 use cocktail_verify::reach::ReachMode;
 use cocktail_verify::{
     invariant_set, reach_analysis, BernsteinCertificate, CertificateConfig, ControlEnclosure,
-    InvariantConfig, ReachConfig, VerifyError,
+    ErrorMargin, InvariantConfig, ReachConfig, VerifyError,
 };
 use std::sync::OnceLock;
 
@@ -35,6 +35,7 @@ fn certificate(student: &cocktail_control::NnController) -> BernsteinCertificate
             tolerance: 0.3,
             max_pieces: 1 << 17,
             error_samples_per_dim: 7,
+            margin: ErrorMargin::Lipschitz,
         },
     )
     .expect("smoke students fit the budget")
@@ -155,6 +156,7 @@ fn tighter_budgets_fail_gracefully_not_catastrophically() {
             tolerance: 1e-4,
             max_pieces: 64,
             error_samples_per_dim: 5,
+            margin: ErrorMargin::Lipschitz,
         },
     );
     assert!(matches!(result, Err(VerifyError::ResourceExhausted { .. })));
