@@ -44,7 +44,14 @@
 //! * the refinement's **bisection tree** is kept as the piece index, so
 //!   [`ControlEnclosure::enclose`] descends only the subtrees overlapping
 //!   the query box instead of scanning every piece, and encloses each
-//!   piece in scratch shared by the whole query.
+//!   piece in scratch shared by the whole query;
+//! * an enclosure is **per-axis tables, then one combination**: the basis
+//!   intervals over the box's interval on each axis and the basis row at
+//!   its midpoint, then the coefficient range, the interval basis sum and
+//!   the mean-value bound from them. [`ControlEnclosure::enclose_grid`]
+//!   computes each piece's tables once per cell interval of each axis and
+//!   combines them for every cell of the product, so a whole invariant
+//!   grid is enclosed with the arithmetic of one `enclose` per cell.
 //!
 //! What refinement costs is set by the sampled error margin
 //! ([`ErrorMargin`]). The first-order margin `(L + L_B)·r` shrinks with the
@@ -53,7 +60,7 @@
 //! `∇B`, so it shrinks with the square of the width and accepts pieces
 //! far sooner.
 
-use crate::enclosure::ControlEnclosure;
+use crate::enclosure::{enclose_each_cell, ControlEnclosure};
 use crate::error::VerifyError;
 use crate::jacobian::{interval_jacobian, JacobianScratch};
 use cocktail_math::{BoxRegion, Interval, Matrix};
@@ -199,21 +206,9 @@ impl BernsteinApprox {
     /// Panics if `x.len() != domain.dim()`.
     pub fn eval(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.domain.dim(), "point dimension mismatch");
-        self.eval_in(x.iter().copied(), &mut Vec::new(), &mut Vec::new())
-    }
-
-    /// [`Self::eval`] at the point with coordinates `x`, building the basis
-    /// rows in `rows` and counting coefficients in `idx`.
-    fn eval_in(
-        &self,
-        x: impl Iterator<Item = f64>,
-        rows: &mut Vec<f64>,
-        idx: &mut Vec<usize>,
-    ) -> f64 {
         let pts = self.degree + 1;
-        rows.clear();
-        rows.resize(self.domain.dim() * pts, 0.0);
-        for ((row, &iv), v) in rows
+        let mut rows = vec![0.0; x.len() * pts];
+        for ((row, &iv), &v) in rows
             .chunks_exact_mut(pts)
             .zip(self.domain.intervals())
             .zip(x)
@@ -221,7 +216,14 @@ impl BernsteinApprox {
             basis_row_into(self.degree, unit(iv, v), row);
         }
         let mut acc = [0.0];
-        sum_lanes(&self.coeffs, pts, rows, idx, &mut [0.0], &mut acc);
+        sum_lanes(
+            &self.coeffs,
+            pts,
+            &rows,
+            &mut Vec::new(),
+            &mut [0.0],
+            &mut acc,
+        );
         acc[0]
     }
 
@@ -255,74 +257,104 @@ impl BernsteinApprox {
     ///
     /// Panics if `q.dim() != domain.dim()`.
     pub fn enclose(&self, q: &BoxRegion) -> Interval {
-        self.enclose_in(q.intervals(), &mut EncloseScratch::default())
+        assert_eq!(q.dim(), self.domain.dim(), "sub-box dimension mismatch");
+        let mut tables = AxisTables::default();
+        for (axis, &qi) in q.intervals().iter().enumerate() {
+            self.axis_tables(axis, qi, &mut tables);
+        }
+        self.combine(&tables, &mut Vec::new())
     }
 
-    /// [`Self::enclose`] over the sub-box with intervals `q`, computing the
-    /// basis intervals and the centre's basis rows in `scratch`, so a
-    /// query that encloses many pieces allocates nothing per piece.
-    fn enclose_in(&self, q: &[Interval], scratch: &mut EncloseScratch) -> Interval {
-        assert_eq!(q.len(), self.domain.dim(), "sub-box dimension mismatch");
+    /// Appends to `tables` what [`Self::enclose`] needs of the sub-box's
+    /// interval `q` on `axis`: the basis intervals over its unit
+    /// coordinates, clamped to `[0, 1]`, the basis row at its midpoint, and
+    /// its squared radius. These depend on nothing but the axis, so
+    /// sub-boxes sharing an interval on an axis can share them.
+    fn axis_tables(&self, axis: usize, q: Interval, tables: &mut AxisTables) {
         let d = self.degree;
-        let pts = d + 1;
+        let dom = self.domain.interval(axis);
+        let (lo, hi) = (
+            unit(dom, q.lo()).clamp(0.0, 1.0),
+            unit(dom, q.hi()).clamp(0.0, 1.0),
+        );
+        let t = Interval::new(lo.min(hi), hi.max(lo));
+        let one = Interval::point(1.0);
+        tables.basis.extend((0..=d).map(|k| {
+            Interval::point(binomial(d, k)) * t.powi(k as u32) * (one - t).powi((d - k) as u32)
+        }));
+        let start = tables.mid_rows.len();
+        tables.mid_rows.resize(start + d + 1, 0.0);
+        basis_row_into(d, unit(dom, q.mid()), &mut tables.mid_rows[start..]);
+        tables.radius_sq.push(q.radius() * q.radius());
+    }
+
+    /// [`Self::enclose`] from the [`Self::axis_tables`] of every axis of
+    /// the sub-box, in axis order: the coefficient range, intersected with
+    /// the interval basis sum, intersected with the mean-value bound around
+    /// the midpoint. `idx` is working memory.
+    fn combine(&self, tables: &AxisTables, idx: &mut Vec<usize>) -> Interval {
+        let pts = self.degree + 1;
         let mut bound = self.coefficient_range();
 
-        // interval evaluation of the basis products over the sub-box's
-        // unit coordinates, clamped to [0,1]
-        let one = Interval::point(1.0);
-        scratch.basis.clear();
-        for (&dom, qi) in self.domain.intervals().iter().zip(q) {
-            let (lo, hi) = (
-                unit(dom, qi.lo()).clamp(0.0, 1.0),
-                unit(dom, qi.hi()).clamp(0.0, 1.0),
-            );
-            let t = Interval::new(lo.min(hi), hi.max(lo));
-            scratch.basis.extend((0..=d).map(|k| {
-                Interval::point(binomial(d, k)) * t.powi(k as u32) * (one - t).powi((d - k) as u32)
-            }));
-        }
+        // interval evaluation of the basis products
         let mut by_basis = Interval::point(0.0);
-        scratch.idx.clear();
-        scratch.idx.resize(q.len(), 0);
+        idx.clear();
+        idx.resize(self.domain.dim(), 0);
         for &c in &self.coeffs {
             let mut w = Interval::point(c);
-            for (i, &k) in scratch.idx.iter().enumerate() {
-                w = w * scratch.basis[i * pts + k];
+            for (i, &k) in idx.iter().enumerate() {
+                w = w * tables.basis[i * pts + k];
             }
             by_basis = by_basis + w;
-            advance(&mut scratch.idx, pts);
+            advance(idx, pts);
         }
         if let Some(tighter) = bound.intersect(&by_basis) {
             bound = tighter;
         }
 
-        // the mean-value bound around the centre
-        let radius = q
-            .iter()
-            .map(|iv| iv.radius() * iv.radius())
-            .sum::<f64>()
-            .sqrt();
-        let centre = self.eval_in(
-            q.iter().map(Interval::mid),
-            &mut scratch.rows,
-            &mut scratch.idx,
+        // the mean-value bound around the midpoint
+        let radius = tables.radius_sq.iter().copied().sum::<f64>().sqrt();
+        let mut centre = [0.0];
+        sum_lanes(
+            &self.coeffs,
+            pts,
+            &tables.mid_rows,
+            idx,
+            &mut [0.0],
+            &mut centre,
         );
         let mean_value =
-            Interval::symmetric(self.lipschitz_bound() * radius) + Interval::point(centre);
+            Interval::symmetric(self.lipschitz_bound() * radius) + Interval::point(centre[0]);
         bound.intersect(&mean_value).unwrap_or(bound)
     }
 }
 
-/// Working memory of [`BernsteinApprox::enclose_in`], reused across the
-/// pieces one query encloses.
+/// The per-axis factors of [`BernsteinApprox::enclose`] (see
+/// [`BernsteinApprox::axis_tables`]), axis after axis: `degree + 1` basis
+/// intervals and midpoint basis values, and one squared radius, per axis.
 #[derive(Default)]
-struct EncloseScratch {
-    /// The basis intervals, `degree + 1` per dimension.
+struct AxisTables {
     basis: Vec<Interval>,
-    /// The basis rows at the sub-box's centre, `degree + 1` per dimension.
-    rows: Vec<f64>,
-    /// A mixed-radix coefficient index.
-    idx: Vec<usize>,
+    mid_rows: Vec<f64>,
+    radius_sq: Vec<f64>,
+}
+
+impl AxisTables {
+    fn clear(&mut self) {
+        self.basis.clear();
+        self.mid_rows.clear();
+        self.radius_sq.clear();
+    }
+
+    /// Appends the tables of axis `row` of `from`, which holds `pts`
+    /// entries per axis.
+    fn push_row(&mut self, from: &AxisTables, row: usize, pts: usize) {
+        self.basis
+            .extend_from_slice(&from.basis[row * pts..][..pts]);
+        self.mid_rows
+            .extend_from_slice(&from.mid_rows[row * pts..][..pts]);
+        self.radius_sq.push(from.radius_sq[row]);
+    }
 }
 
 /// Classical rigorous Bernstein error bound for a Lipschitz-`l` function
@@ -1144,7 +1176,7 @@ impl ControlEnclosure for BernsteinCertificate {
     /// The hull, per output, of `B_P(q ∩ P) ± ε_P` over the pieces `P`
     /// intersecting `q`. The bisection tree finds those pieces; they are
     /// folded in piece order, so the hull is bit-identical to a scan over
-    /// every piece. One scratch serves every piece of the query.
+    /// every piece. One set of tables serves every piece of the query.
     #[allow(
         clippy::expect_used,
         reason = "only intersecting pieces are collected, and the partition covers the domain"
@@ -1155,10 +1187,9 @@ impl ControlEnclosure for BernsteinCertificate {
         self.collect_covering(0, q, &mut hits);
         hits.sort_unstable();
         let mut out: Vec<Option<Interval>> = vec![None; self.output_dim];
-        let mut scratch = EncloseScratch::default();
-        let mut overlap = Vec::with_capacity(q.dim());
+        let (mut overlap, mut tables, mut idx) = (Vec::new(), AxisTables::default(), Vec::new());
         for piece in hits.into_iter().map(|i| &self.pieces[i]) {
-            // `BoxRegion::intersect`, dimension by dimension
+            // `BoxRegion::intersect`, axis by axis
             overlap.clear();
             overlap.extend(
                 piece
@@ -1169,19 +1200,121 @@ impl ControlEnclosure for BernsteinCertificate {
                     .map(|(a, b)| a.intersect(b).expect("collected as intersecting")),
             );
             for (o, poly) in piece.polys.iter().enumerate() {
-                let iv = poly
-                    .enclose_in(&overlap, &mut scratch)
-                    .inflate(piece.epsilon);
-                out[o] = Some(match out[o] {
-                    Some(acc) => acc.hull(&iv),
-                    None => iv,
-                });
+                tables.clear();
+                for (axis, &iv) in overlap.iter().enumerate() {
+                    poly.axis_tables(axis, iv, &mut tables);
+                }
+                let iv = poly.combine(&tables, &mut idx).inflate(piece.epsilon);
+                hull_into(&mut out[o], iv);
             }
         }
         out.into_iter()
             .map(|iv| iv.expect("query box must intersect the certified domain"))
             .collect()
     }
+
+    /// [`Self::enclose`] of every cell, bit for bit, with each piece's axis
+    /// tables computed once per axis interval instead of once per cell.
+    ///
+    /// Pieces are walked in order. On each axis a binary search finds the
+    /// cells that `overlaps`'s closed test accepts (so a cell that only
+    /// touches the piece, a zero-width overlap, is included); the tables
+    /// of each (piece, axis, cell index) are computed once, and every cell
+    /// of the product of those ranges combines its axes' tables and folds
+    /// the result into its hull. Each cell thus sees its pieces in piece
+    /// order with the arithmetic of [`Self::enclose`]. Axes whose cells
+    /// are not in increasing order fall back to one `enclose` per cell.
+    #[allow(
+        clippy::expect_used,
+        reason = "only overlapping cells are enclosed, and the partition covers the domain"
+    )]
+    fn enclose_grid(&self, axes: &[&[Interval]]) -> Vec<Vec<Interval>> {
+        assert_eq!(axes.len(), self.domain.dim(), "box dimension mismatch");
+        let sorted = axes.iter().all(|cells| {
+            cells
+                .windows(2)
+                .all(|w| w[0].lo() <= w[1].lo() && w[0].hi() <= w[1].hi())
+        });
+        if !sorted {
+            return enclose_each_cell(self, axes);
+        }
+        let counts: Vec<usize> = axes.iter().map(|cells| cells.len()).collect();
+        let m = self.output_dim;
+        let mut out: Vec<Option<Interval>> = vec![None; counts.iter().product::<usize>() * m];
+        // per axis, the first overlapped cell and how many there are
+        let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(axes.len());
+        let (mut tables, mut cell) = (AxisTables::default(), AxisTables::default());
+        let (mut idx, mut k) = (Vec::new(), Vec::new());
+        for piece in &self.pieces {
+            ranges.clear();
+            ranges.extend(piece.region.intervals().iter().zip(axes).map(|(p, cells)| {
+                // lo and hi both increase, so the cells with `hi ≥ p.lo`
+                // are a suffix and those with `lo ≤ p.hi` a prefix
+                let first = cells.partition_point(|c| c.hi() < p.lo());
+                let end = cells.partition_point(|c| c.lo() <= p.hi());
+                (first, end.saturating_sub(first))
+            }));
+            if ranges.iter().any(|&(_, len)| len == 0) {
+                continue;
+            }
+            for (o, poly) in piece.polys.iter().enumerate() {
+                tables.clear();
+                for (axis, (cells, &(first, len))) in axes.iter().zip(&ranges).enumerate() {
+                    let p = piece.region.interval(axis);
+                    for c in &cells[first..first + len] {
+                        let overlap = p.intersect(c).expect("found as overlapping");
+                        poly.axis_tables(axis, overlap, &mut tables);
+                    }
+                }
+                // every cell of the ranges, axis 0 fastest
+                k.clear();
+                k.resize(axes.len(), 0);
+                loop {
+                    cell.clear();
+                    let (mut flat, mut stride, mut row) = (0, 1, 0);
+                    for ((&ki, &(first, len)), &count) in k.iter().zip(&ranges).zip(&counts) {
+                        cell.push_row(&tables, row + ki, poly.degree + 1);
+                        flat += (first + ki) * stride;
+                        stride *= count;
+                        row += len;
+                    }
+                    let iv = poly.combine(&cell, &mut idx).inflate(piece.epsilon);
+                    hull_into(&mut out[flat * m + o], iv);
+                    if !advance_within(&mut k, &ranges) {
+                        break;
+                    }
+                }
+            }
+        }
+        out.chunks_exact(m)
+            .map(|cell| {
+                cell.iter()
+                    .map(|iv| iv.expect("query box must intersect the certified domain"))
+                    .collect()
+            })
+            .collect()
+    }
+}
+
+/// Folds `iv` into the running hull `acc`.
+fn hull_into(acc: &mut Option<Interval>, iv: Interval) {
+    *acc = Some(match *acc {
+        Some(acc) => acc.hull(&iv),
+        None => iv,
+    });
+}
+
+/// Advances a mixed-radix index whose digit `i` runs over `0..ranges[i].1`,
+/// digit 0 fastest; `false` after the last index.
+fn advance_within(k: &mut [usize], ranges: &[(usize, usize)]) -> bool {
+    for (ki, &(_, len)) in k.iter_mut().zip(ranges) {
+        *ki += 1;
+        if *ki < len {
+            return true;
+        }
+        *ki = 0;
+    }
+    false
 }
 
 #[cfg(test)]
@@ -1888,6 +2021,140 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The cells of `domain.subdivide(grid)` and their intervals per axis.
+    fn subdivided_axes(domain: &BoxRegion, grid: usize) -> (Vec<BoxRegion>, Vec<Vec<Interval>>) {
+        let cells = domain.subdivide(grid);
+        let axes = (0..domain.dim())
+            .map(|i| {
+                let stride = grid.pow(i as u32);
+                (0..grid).map(|k| cells[k * stride].interval(i)).collect()
+            })
+            .collect();
+        (cells, axes)
+    }
+
+    /// Asserts that `enclose_grid` over `domain.subdivide(grid)`, and over
+    /// the upper half of its slowest axis, is `enclose` of every cell bit
+    /// for bit. Returns how many (cell, piece) overlaps have zero width on
+    /// some axis.
+    fn assert_grid_matches_each_cell(cert: &BernsteinCertificate, grid: usize) -> usize {
+        let (cells, axes) = subdivided_axes(cert.domain(), grid);
+        let mut view: Vec<&[Interval]> = axes.iter().map(Vec::as_slice).collect();
+        let got = cert.enclose_grid(&view);
+        assert_eq!(got.len(), cells.len());
+        for (flat, (cell, got)) in cells.iter().zip(&got).enumerate() {
+            assert_eq!(
+                bits(got),
+                bits(&cert.enclose(cell)),
+                "cell {flat}: {cell:?}"
+            );
+        }
+        let slowest = axes.len() - 1;
+        view[slowest] = &axes[slowest][grid / 2..];
+        let stripe = cert.enclose_grid(&view);
+        let skipped = cells.len() / grid * (grid / 2);
+        assert_eq!(stripe.len(), cells.len() - skipped);
+        for (flat, (a, b)) in stripe.iter().zip(&got[skipped..]).enumerate() {
+            assert_eq!(bits(a), bits(b), "upper stripe, cell {flat}");
+        }
+        cells
+            .iter()
+            .flat_map(|cell| cert.pieces.iter().filter_map(|p| p.region.intersect(cell)))
+            .filter(|overlap| overlap.intervals().iter().any(|iv| iv.width() == 0.0))
+            .count()
+    }
+
+    #[test]
+    fn grid_enclosure_matches_each_cells_enclosure() {
+        use crate::cert::{default_params, fast_params};
+        use cocktail_env::systems::{CartPole, Poly3d, VanDerPol};
+        use cocktail_env::Dynamics;
+
+        let certify = |sys: &dyn Dynamics, net: &Mlp, scale: f64, cfg: &CertificateConfig| {
+            BernsteinCertificate::build(net, &[scale], &sys.verification_domain(), cfg)
+                .expect("fits the budget")
+        };
+        let student = |inputs: usize, seed: u64| {
+            MlpBuilder::new(inputs)
+                .hidden(8, Activation::Tanh)
+                .output(1, Activation::Tanh)
+                .seed(seed)
+                .build()
+        };
+        let vdp = VanDerPol::new();
+        let kappa_star =
+            Mlp::from_json(include_str!("../tests/fixtures/kappa_star_oscillator.json"))
+                .expect("fixture parses");
+        let params = default_params(&vdp);
+        assert_eq!(params.invariant.grid, 60);
+        let exported = certify(&vdp, &kappa_star, 1.0, &params.certificate);
+        assert_grid_matches_each_cell(&exported, 60);
+
+        // the first-order margin and grid 32 of the older export budgets
+        let first_order = CertificateConfig {
+            degree: 4,
+            tolerance: 0.4,
+            max_pieces: 65536,
+            error_samples_per_dim: 5,
+            margin: ErrorMargin::Lipschitz,
+        };
+        let fine = certify(&vdp, &kappa_star, 1.0, &first_order);
+        assert!(fine.piece_count() > 2000, "{} pieces", fine.piece_count());
+        assert_grid_matches_each_cell(&fine, 32);
+
+        // two outputs, each folded into its own hull
+        let two = BernsteinCertificate::build(
+            &two_output_net(9),
+            &[5.0, 3.0],
+            &vdp.verification_domain(),
+            &CertificateConfig {
+                tolerance: 0.5,
+                ..Default::default()
+            },
+        )
+        .expect("fits");
+        assert!(two.piece_count() > 20, "{} pieces", two.piece_count());
+        assert_grid_matches_each_cell(&two, 24);
+        // an axis listed in decreasing order takes the per-cell path
+        let (_, mut axes) = subdivided_axes(two.domain(), 6);
+        axes[0].reverse();
+        let view: Vec<&[Interval]> = axes.iter().map(Vec::as_slice).collect();
+        for (got, want) in two
+            .enclose_grid(&view)
+            .iter()
+            .zip(enclose_each_cell(&two, &view))
+        {
+            assert_eq!(bits(got), bits(&want));
+        }
+
+        // the golden 3-D and non-dyadic 4-D certificates at their grids
+        let poly = Poly3d::new();
+        let fast = fast_params(&poly);
+        let odd = certify(&poly, &student(3, 21), 7.0, &fast.certificate);
+        assert_grid_matches_each_cell(&odd, fast.invariant.grid);
+        let cartpole = CartPole::new();
+        let non_dyadic = certify(
+            &cartpole,
+            &student(4, 31),
+            5.0,
+            &CertificateConfig {
+                degree: 2,
+                tolerance: 6.0,
+                max_pieces: 16384,
+                error_samples_per_dim: 3,
+                margin: ErrorMargin::Lipschitz,
+            },
+        );
+        assert_grid_matches_each_cell(&non_dyadic, 5);
+
+        // 0.5-wide cells on [−2, 2]²: every cell edge is a possible piece
+        // edge, so cells touch pieces along zero-width faces
+        for cert in [&exported, &two] {
+            let touching = assert_grid_matches_each_cell(cert, 8);
+            assert!(touching > 10, "{touching} zero-width overlaps");
         }
     }
 

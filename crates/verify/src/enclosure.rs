@@ -24,6 +24,41 @@ pub trait ControlEnclosure: Send + Sync {
     /// Implementations panic when `q.dim() != self.state_dim()` or when `q`
     /// lies outside the certified domain.
     fn enclose(&self, q: &BoxRegion) -> Vec<Interval>;
+
+    /// [`Self::enclose`] of every cell of a product grid, in flat order
+    /// (axis 0 fastest): `axes[i]` lists the cells' intervals on axis `i`.
+    /// An implementation may share work between cells, but each result
+    /// must be that cell's `enclose`, bit for bit. The default encloses
+    /// one cell at a time.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::enclose`], for any cell.
+    fn enclose_grid(&self, axes: &[&[Interval]]) -> Vec<Vec<Interval>> {
+        enclose_each_cell(self, axes)
+    }
+}
+
+/// [`ControlEnclosure::enclose_grid`] by one [`ControlEnclosure::enclose`]
+/// per cell.
+pub(crate) fn enclose_each_cell<E: ControlEnclosure + ?Sized>(
+    enclosure: &E,
+    axes: &[&[Interval]],
+) -> Vec<Vec<Interval>> {
+    let total = axes.iter().map(|cells| cells.len()).product();
+    (0..total)
+        .map(|mut flat| {
+            let cell = axes
+                .iter()
+                .map(|cells| {
+                    let iv = cells[flat % cells.len()];
+                    flat /= cells.len();
+                    iv
+                })
+                .collect();
+            enclosure.enclose(&BoxRegion::new(cell))
+        })
+        .collect()
 }
 
 /// Interval-bound-propagation enclosure of a scaled MLP — no Bernstein

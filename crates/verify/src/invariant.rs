@@ -7,19 +7,24 @@
 //! What remains is an under-approximation of the maximal control invariant
 //! set: every trajectory started inside it provably stays inside forever.
 //!
-//! The cell images, one enclosure each, are the cost; they are computed in
-//! parallel, once. The fixpoint is Jacobi: each sweep decides every cell
-//! against the previous sweep's bitmap, so the sweep count — a certificate
-//! field — cannot depend on an evaluation order. A sweep only reads the
-//! bitmap, so it runs on the calling thread. [`crate::cert`] hands the
-//! cells and images on to the reachability analysis of the same
-//! certificate, which steps the same cells.
+//! The cell images are the cost; they are computed once. The grid is cut
+//! into one stripe of the slowest axis per worker, and each stripe's
+//! enclosures come from one [`ControlEnclosure::enclose_grid`] call, which
+//! for a Bernstein certificate shares each piece's per-axis work between
+//! the cells of a row or column. The fixpoint is Jacobi: each sweep decides
+//! every cell against the previous sweep's bitmap, so the sweep count — a
+//! certificate field — cannot depend on an evaluation order. A sweep
+//! builds a summed-area table of the previous bitmap's dead cells and asks
+//! it, per alive cell, whether the image's cell range holds a dead cell:
+//! `O(2ⁿ)` per cell whatever the range's size, on the calling thread.
+//! [`crate::cert`] hands the cells and images on to the reachability
+//! analysis of the same certificate, which steps the same cells.
 
 use crate::enclosure::ControlEnclosure;
 use crate::error::VerifyError;
-use crate::reach::{disturbance, one_step_image};
+use crate::reach::{disturbance, step_image};
 use cocktail_env::Dynamics;
-use cocktail_math::BoxRegion;
+use cocktail_math::{BoxRegion, Interval};
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
@@ -101,10 +106,8 @@ impl InvariantResult {
     ///
     /// Panics if `b.dim() != domain.dim()`.
     pub fn contains_box(&self, b: &BoxRegion) -> bool {
-        match self.cell_range(b) {
-            None => false,
-            Some(ranges) => all_alive(&ranges, &self.alive, self.grid),
-        }
+        let mut ranges = Vec::new();
+        self.cell_range(b, &mut ranges) && all_alive(&ranges, &self.alive, self.grid)
     }
 
     /// The surviving cells as boxes (for plotting Fig. 3).
@@ -139,16 +142,14 @@ impl InvariantResult {
         Some(index)
     }
 
-    /// Index range (per dimension) of the cells a box overlaps; `None` when
-    /// the box pokes outside the domain.
-    fn cell_range(&self, b: &BoxRegion) -> Option<Vec<(usize, usize)>> {
-        let n = self.domain.dim();
-        let mut ranges = Vec::with_capacity(n);
-        for i in 0..n {
+    /// Appends to `ranges` the index range (per dimension) of the cells a
+    /// box overlaps; `false` when the box pokes outside the domain.
+    fn cell_range(&self, b: &BoxRegion, ranges: &mut Vec<(usize, usize)>) -> bool {
+        for i in 0..self.domain.dim() {
             let dom = self.domain.interval(i);
             let cell = b.interval(i);
             if cell.lo() < dom.lo() - 1e-12 || cell.hi() > dom.hi() + 1e-12 {
-                return None;
+                return false;
             }
             let w = dom.width() / self.grid as f64;
             let lo =
@@ -157,7 +158,7 @@ impl InvariantResult {
             let hi = (hi_raw - 1).clamp(lo, self.grid as isize - 1);
             ranges.push((lo as usize, hi as usize));
         }
-        Some(ranges)
+        true
     }
 }
 
@@ -263,15 +264,7 @@ pub(crate) fn invariant_with_images(
     let grid = config.grid;
     let cells = domain.subdivide(grid);
     let total = cells.len();
-    let bounds = sys.control_bounds();
-    let omega = disturbance(sys);
-
-    // precompute each cell's one-step image box in parallel: pure per-cell
-    // work, bit-identical for any worker split
-    let images: Vec<BoxRegion> =
-        cocktail_math::parallel::map_indexed_with_workers(&cells, workers, |_, cell| {
-            one_step_image(sys, controller, cell, &bounds, &omega)
-        });
+    let images = stripe_images(sys, controller, &cells, grid, workers);
 
     let mut result = InvariantResult {
         domain: domain.clone(),
@@ -282,28 +275,34 @@ pub(crate) fn invariant_with_images(
         duration: Duration::ZERO,
     };
 
-    // image cell-ranges never change between sweeps; resolve them once
-    let ranges: Vec<Option<Vec<(usize, usize)>>> = images
+    // image cell-ranges never change between sweeps; resolve them once,
+    // `n` per cell (`inside` is false where the image leaves X)
+    let n = domain.dim();
+    let mut ranges = Vec::with_capacity(total * n);
+    let inside: Vec<bool> = images
         .iter()
-        .map(|image| result.cell_range(image))
+        .map(|image| {
+            let before = ranges.len();
+            let inside = result.cell_range(image, &mut ranges);
+            ranges.resize(before + n, (0, 0));
+            inside
+        })
         .collect();
 
+    let mut dead = DeadCells::new(grid, n);
+    let mut keep = vec![false; total];
     for iteration in 1..=config.max_iterations {
         // Jacobi sweep: keep-decisions read only the previous sweep's
         // bitmap, removals apply after the sweep. The sweep count is a
         // certificate field, so a sweep must never see its own removals.
-        let alive = &result.alive;
-        let keep: Vec<bool> = (0..total)
-            .map(|i| {
-                alive[i]
-                    && match &ranges[i] {
-                        None => false, // image leaves X
-                        Some(ranges) => all_alive(ranges, alive, grid),
-                    }
-            })
-            .collect();
-        let removed = result.alive.iter().zip(&keep).any(|(&a, &k)| a && !k);
-        result.alive = keep;
+        dead.count(&result.alive);
+        let mut removed = false;
+        for (i, keep) in keep.iter_mut().enumerate() {
+            let alive = result.alive[i];
+            *keep = alive && inside[i] && dead.none_in(&ranges[i * n..][..n]);
+            removed |= alive && !*keep;
+        }
+        std::mem::swap(&mut result.alive, &mut keep);
         result.iterations = iteration;
         if !removed {
             result.converged = true;
@@ -319,6 +318,130 @@ pub(crate) fn invariant_with_images(
             images,
         },
     ))
+}
+
+/// The one-step images of `cells`, the `gridⁿ` cells of `sys`'s domain in
+/// flat order.
+///
+/// The slowest axis is cut into at most `workers` contiguous stripes. A
+/// stripe is a contiguous run of cells and a product grid itself, so each
+/// worker encloses its stripe with one
+/// [`ControlEnclosure::enclose_grid`] call and steps its cells; the
+/// stripes are concatenated in order. Every image is
+/// [`crate::reach::one_step_image`] of its cell, bit for bit, for any
+/// `workers`.
+fn stripe_images(
+    sys: &dyn Dynamics,
+    controller: &dyn ControlEnclosure,
+    cells: &[BoxRegion],
+    grid: usize,
+    workers: usize,
+) -> Vec<BoxRegion> {
+    let bounds = sys.control_bounds();
+    let omega = disturbance(sys);
+    // `subdivide` builds a product grid: the cells' intervals on axis `i`
+    // are those of the cells `k·gridⁱ`
+    let mut stride = 1;
+    let axes: Vec<Vec<Interval>> = (0..cells[0].dim())
+        .map(|i| {
+            let axis = (0..grid).map(|k| cells[k * stride].interval(i)).collect();
+            stride *= grid;
+            axis
+        })
+        .collect();
+    let (slowest, row) = (axes.len() - 1, cells.len() / grid);
+    let stripes = workers.clamp(1, grid);
+    let stripe = |s: usize| {
+        let rows = s * grid / stripes..(s + 1) * grid / stripes;
+        let mut view: Vec<&[Interval]> = axes.iter().map(Vec::as_slice).collect();
+        view[slowest] = &axes[slowest][rows.clone()];
+        let enclosures = controller.enclose_grid(&view);
+        cells[rows.start * row..rows.end * row]
+            .iter()
+            .zip(enclosures)
+            .map(|(cell, u)| step_image(sys, cell, u, &bounds, &omega))
+            .collect::<Vec<_>>()
+    };
+    std::thread::scope(|scope| {
+        let rest: Vec<_> = (1..stripes)
+            .map(|s| scope.spawn(move || stripe(s)))
+            .collect();
+        let mut images = stripe(0);
+        for handle in rest {
+            images.extend(
+                handle
+                    .join()
+                    .unwrap_or_else(|e| std::panic::resume_unwind(e)),
+            );
+        }
+        images
+    })
+}
+
+/// A summed-area table of the dead cells of a `gridⁿ` bitmap, so that a
+/// sweep decides each cell with one `O(2ⁿ)` query instead of visiting
+/// every cell its image overlaps.
+struct DeadCells {
+    grid: usize,
+    dims: usize,
+    /// At the flat index of `(k₀, …)`: how many cells `(j₀, …)` with
+    /// `jᵢ ≤ kᵢ` for every `i` are dead.
+    sums: Vec<usize>,
+}
+
+impl DeadCells {
+    fn new(grid: usize, dims: usize) -> Self {
+        Self {
+            grid,
+            dims,
+            sums: Vec::new(),
+        }
+    }
+
+    /// Rebuilds the table from `alive`, one prefix-sum pass per axis.
+    fn count(&mut self, alive: &[bool]) {
+        self.sums.clear();
+        self.sums.extend(alive.iter().map(|&a| usize::from(!a)));
+        let mut stride = 1;
+        for _ in 0..self.dims {
+            // blocks of `grid` runs of `stride` cells along this axis
+            for block in self.sums.chunks_exact_mut(stride * self.grid) {
+                for k in stride..block.len() {
+                    block[k] += block[k - stride];
+                }
+            }
+            stride *= self.grid;
+        }
+    }
+
+    /// Whether no cell in the per-dimension index `ranges` is dead: the
+    /// inclusion–exclusion sum over the box's `2ⁿ` corners, where a corner
+    /// below index 0 contributes nothing.
+    fn none_in(&self, ranges: &[(usize, usize)]) -> bool {
+        let mut dead = 0usize;
+        'corners: for corner in 0..1usize << ranges.len() {
+            let (mut flat, mut stride, mut below) = (0, 1, 0);
+            for (i, &(lo, hi)) in ranges.iter().enumerate() {
+                let k = if corner >> i & 1 == 1 {
+                    hi
+                } else if lo == 0 {
+                    continue 'corners;
+                } else {
+                    below += 1;
+                    lo - 1
+                };
+                flat += k * stride;
+                stride *= self.grid;
+            }
+            let sum = self.sums[flat];
+            dead = if below % 2 == 0 {
+                dead.wrapping_add(sum)
+            } else {
+                dead.wrapping_sub(sum)
+            };
+        }
+        dead == 0
+    }
 }
 
 /// Whether every grid cell in the per-dimension index `ranges` is alive.
@@ -480,6 +603,166 @@ mod tests {
         let err =
             invariant_set(&sys, &enc, &InvariantConfig::default()).expect_err("3 != 2 must fail");
         assert!(matches!(err, VerifyError::DimensionMismatch { .. }));
+    }
+
+    /// A 3-D chain `x ← y ← z ← u` that leaks 5% a step, on `[−1, 1]³`,
+    /// with a cubic drift that pushes large `|x|` out: the invariant set
+    /// is a core around `x = 0`, or empty when the feedback destabilizes.
+    struct Chain3;
+
+    impl Dynamics for Chain3 {
+        fn name(&self) -> &str {
+            "chain-3"
+        }
+
+        fn state_dim(&self) -> usize {
+            3
+        }
+
+        fn control_dim(&self) -> usize {
+            1
+        }
+
+        fn disturbance_dim(&self) -> usize {
+            0
+        }
+
+        fn step(&self, s: &[f64], u: &[f64], _: &[f64]) -> Vec<f64> {
+            vec![
+                0.95 * s[0] + 0.05 * s[1] + 0.1 * s[0].powi(3),
+                0.95 * s[1] + 0.05 * s[2],
+                0.95 * s[2] + 0.1 * u[0],
+            ]
+        }
+
+        fn step_interval(&self, s: &[Interval], u: &[Interval], _: &[Interval]) -> Vec<Interval> {
+            vec![
+                s[0] * 0.95 + s[1] * 0.05 + s[0].powi(3) * 0.1,
+                s[1] * 0.95 + s[2] * 0.05,
+                s[2] * 0.95 + u[0] * 0.1,
+            ]
+        }
+
+        fn is_safe(&self, s: &[f64]) -> bool {
+            self.verification_domain().contains(s)
+        }
+
+        fn initial_set(&self) -> BoxRegion {
+            BoxRegion::cube(3, -0.2, 0.2)
+        }
+
+        fn verification_domain(&self) -> BoxRegion {
+            BoxRegion::cube(3, -1.0, 1.0)
+        }
+
+        fn control_bounds(&self) -> (Vec<f64>, Vec<f64>) {
+            (vec![-5.0], vec![5.0])
+        }
+
+        fn disturbance_amplitude(&self) -> Vec<f64> {
+            Vec::new()
+        }
+
+        fn horizon(&self) -> usize {
+            20
+        }
+    }
+
+    /// The fixpoint the summed-area table replaced: every sweep scans each
+    /// alive cell's image range against the previous sweep's bitmap.
+    /// Returns the bitmap, the sweep count and whether it converged.
+    fn fixpoint_by_scan(
+        sys: &dyn Dynamics,
+        enc: &dyn ControlEnclosure,
+        config: &InvariantConfig,
+    ) -> (Vec<bool>, usize, bool) {
+        let domain = sys.verification_domain();
+        let grid = config.grid;
+        let cells = domain.subdivide(grid);
+        let bounds = sys.control_bounds();
+        let omega = disturbance(sys);
+        let probe = InvariantResult {
+            domain: domain.clone(),
+            grid,
+            alive: Vec::new(),
+            iterations: 0,
+            converged: false,
+            duration: Duration::ZERO,
+        };
+        let ranges: Vec<Option<Vec<(usize, usize)>>> = cells
+            .iter()
+            .map(|cell| {
+                let image = crate::reach::one_step_image(sys, enc, cell, &bounds, &omega);
+                let mut ranges = Vec::new();
+                probe.cell_range(&image, &mut ranges).then_some(ranges)
+            })
+            .collect();
+        let mut alive = vec![true; cells.len()];
+        for iteration in 1..=config.max_iterations {
+            let keep: Vec<bool> = (0..cells.len())
+                .map(|i| {
+                    alive[i]
+                        && match &ranges[i] {
+                            None => false,
+                            Some(ranges) => all_alive(ranges, &alive, grid),
+                        }
+                })
+                .collect();
+            let removed = alive.iter().zip(&keep).any(|(&a, &k)| a && !k);
+            alive = keep;
+            if !removed {
+                return (alive, iteration, true);
+            }
+        }
+        (alive, config.max_iterations, false)
+    }
+
+    #[test]
+    fn summed_area_sweeps_match_the_scanning_fixpoint() {
+        let mut rng = cocktail_math::rng::seeded(71);
+        // (plant, grid, gain centre, spread): stable, marginal and
+        // unstable feedback, each around a centre with seeded noise
+        let vdp = VanDerPol::new();
+        let cases: [(&dyn Dynamics, usize, &[f64], f64); 6] = [
+            (&vdp, 24, &[3.0, 4.0], 0.5),
+            (&vdp, 20, &[0.6, 0.8], 0.2),
+            (&vdp, 16, &[-10.0, -10.0], 1.0),
+            (&Chain3, 12, &[0.05, 0.05, 0.05], 0.05),
+            (&Chain3, 12, &[-0.1, -0.1, -0.1], 0.02),
+            (&Chain3, 10, &[-0.3, -0.3, -0.3], 0.1),
+        ];
+        let mut not_converged = 0;
+        for (sys, grid, centre, spread) in cases {
+            for _ in 0..2 {
+                let noise = cocktail_math::rng::uniform_symmetric(&mut rng, centre.len(), spread);
+                let gain: Vec<f64> = centre.iter().zip(&noise).map(|(c, e)| c + e).collect();
+                let enc = LinearEnclosure::new(Matrix::from_rows(vec![gain.clone()]));
+                let full = InvariantConfig {
+                    grid,
+                    ..Default::default()
+                };
+                let (_, sweeps, _) = fixpoint_by_scan(sys, &enc, &full);
+                let mut caps = vec![full.max_iterations, 0, 1, 2, sweeps - 1];
+                caps.dedup();
+                for max_iterations in caps {
+                    let config = InvariantConfig {
+                        grid,
+                        max_iterations,
+                    };
+                    let (alive, iterations, converged) = fixpoint_by_scan(sys, &enc, &config);
+                    let got = invariant_set_with_workers(sys, &enc, &config, 2).expect("ok");
+                    let at = format!(
+                        "{} grid {grid}, gain {gain:?}, cap {max_iterations}",
+                        sys.name()
+                    );
+                    assert_eq!(got.alive(), &alive[..], "{at}");
+                    assert_eq!(got.iterations, iterations, "{at}");
+                    assert_eq!(got.converged, converged, "{at}");
+                    not_converged += usize::from(!converged);
+                }
+            }
+        }
+        assert!(not_converged >= 12, "{not_converged} capped runs");
     }
 
     #[test]

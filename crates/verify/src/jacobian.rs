@@ -38,6 +38,10 @@ pub(crate) struct JacobianScratch {
     /// the network input, row-major (`units × inputs`).
     jacobian: Vec<[f64; 2]>,
     next_jacobian: Vec<[f64; 2]>,
+    /// [`mid_rad`] of every entry of `value`, and of `jacobian` column by
+    /// column (column-major), computed once per layer.
+    value_mid_rad: Vec<(f64, f64)>,
+    jacobian_mid_rad: Vec<(f64, f64)>,
 }
 
 /// The interval `[lo, hi]` widened by `pad` on both sides, or `None` when
@@ -53,12 +57,11 @@ fn mid_rad([lo, hi]: [f64; 2]) -> (f64, f64) {
     (mid, (hi - mid).max(mid - lo))
 }
 
-/// Encloses `Σₖ wₖ·xₖ + bias` over `xₖ ∈ x[k]` in centre/radius form,
-/// padded by the rounding bound of the sums.
-fn affine(weights: &[f64], x: impl Iterator<Item = [f64; 2]>, bias: f64) -> Option<[f64; 2]> {
+/// Encloses `Σₖ wₖ·xₖ + bias` over `xₖ ∈ x[k]`, given as [`mid_rad`]
+/// pairs, in centre/radius form, padded by the rounding bound of the sums.
+fn affine(weights: &[f64], x: &[(f64, f64)], bias: f64) -> Option<[f64; 2]> {
     let (mut centre, mut radius, mut magnitude) = (bias, 0.0, bias.abs());
-    for (&w, iv) in weights.iter().zip(x) {
-        let (m, r) = mid_rad(iv);
+    for (&w, &(m, r)) in weights.iter().zip(x) {
         centre += w * m;
         radius += w.abs() * r;
         magnitude += (w * m).abs();
@@ -180,6 +183,8 @@ pub(crate) fn interval_jacobian<'s>(
         next_value,
         jacobian,
         next_jacobian,
+        value_mid_rad,
+        jacobian_mid_rad,
     } = scratch;
     value.clear();
     value.extend(region.intervals().iter().map(|iv| [iv.lo(), iv.hi()]));
@@ -192,13 +197,19 @@ pub(crate) fn interval_jacobian<'s>(
         let w = layer.weights();
         next_value.clear();
         next_jacobian.clear();
+        let inputs = value.len();
+        value_mid_rad.clear();
+        value_mid_rad.extend(value.iter().map(|&iv| mid_rad(iv)));
+        jacobian_mid_rad.clear();
+        for i in 0..n {
+            jacobian_mid_rad.extend((0..inputs).map(|k| mid_rad(jacobian[k * n + i])));
+        }
         for (j, &bias) in layer.biases().iter().enumerate() {
             let row = w.row(j);
-            let z = affine(row, value.iter().copied(), bias)?;
+            let z = affine(row, value_mid_rad, bias)?;
             next_value.push(image(layer.activation(), z)?);
             let s = slope(layer.activation(), z);
-            for i in 0..n {
-                let column = (0..row.len()).map(|k| jacobian[k * n + i]);
+            for column in jacobian_mid_rad.chunks_exact(inputs) {
                 next_jacobian.push(product(s, affine(row, column, 0.0)?)?);
             }
         }

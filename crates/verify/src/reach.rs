@@ -14,9 +14,12 @@
 //! once per analysis: the first frame that occupies it computes its image,
 //! later frames reuse it. The images are merged in occupied-cell order
 //! exactly as if recomputed, so the frames, `verified_safe`, the step of a
-//! `fail_on_unsafe` error and `peak_boxes` are unchanged. The memo lives
-//! only for one call and never holds more entries than the frames it
-//! returns.
+//! `fail_on_unsafe` error and `peak_boxes` are unchanged. The memo, keyed
+//! by flat cell index, lives only for one call and never holds more
+//! entries than the frames it returns. A frame is a sorted list of
+//! distinct flat indices: an image's cells are pushed, and the list is
+//! sorted and deduplicated at the end of the step (and whenever repeats
+//! have doubled it, so they cannot pile up).
 //!
 //! Inside [`crate::cert::certify_controller`] the invariant fixpoint has
 //! already computed the same [`one_step_image`] for every cell of its own
@@ -37,7 +40,7 @@ use crate::invariant::CellImages;
 use cocktail_env::Dynamics;
 use cocktail_math::{BoxRegion, Interval};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// How reachable sets are represented between steps.
@@ -193,11 +196,11 @@ impl Grid {
         Some((ranges, clipped))
     }
 
-    /// Marks all cells in the given per-dimension ranges into `set`.
-    fn mark(&self, ranges: &[(usize, usize)], set: &mut BTreeSet<usize>) {
+    /// Appends all cells in the given per-dimension ranges to `cells`.
+    fn mark(&self, ranges: &[(usize, usize)], cells: &mut Vec<usize>) {
         let mut idx: Vec<usize> = ranges.iter().map(|r| r.0).collect();
         loop {
-            set.insert(self.flat(&idx));
+            cells.push(self.flat(&idx));
             let mut d = 0;
             loop {
                 if d == idx.len() {
@@ -287,12 +290,14 @@ pub(crate) fn reach_with_images(
 
     // flat cell index → the overlap of its one-step image (`None`: the
     // image lies wholly outside the domain)
-    let mut images: BTreeMap<usize, Option<Overlap>> = BTreeMap::new();
-    let mut occupied = BTreeSet::new();
+    let mut images: HashMap<usize, Option<Overlap>> = HashMap::new();
+    // the occupied cells' flat indices, sorted and distinct
+    let mut occupied = Vec::new();
     let (init_ranges, init_clipped) = grid
         .overlap_ranges(x0)
         .ok_or(VerifyError::DomainEscape { step: 0 })?;
     grid.mark(&init_ranges, &mut occupied);
+    settle(&mut occupied);
     let mut verified_safe = !init_clipped;
     let mut peak = occupied.len();
     let mut frames = vec![cells_to_boxes(&grid, &occupied)];
@@ -304,7 +309,8 @@ pub(crate) fn reach_with_images(
                 budget: config.max_boxes,
             });
         }
-        let mut next = BTreeSet::new();
+        let mut next = Vec::new();
+        let mut settled = 0;
         let mut any_inside = false;
         for &flat in &occupied {
             let overlap = images.entry(flat).or_insert_with(|| {
@@ -334,9 +340,16 @@ pub(crate) fn reach_with_images(
                         }
                     }
                     grid.mark(ranges, &mut next);
+                    // repeated marks never outgrow the distinct cells by
+                    // much more than one image
+                    if next.len() >= 2 * settled.max(4096) {
+                        settle(&mut next);
+                        settled = next.len();
+                    }
                 }
             }
         }
+        settle(&mut next);
         if !any_inside {
             return Err(VerifyError::DomainEscape { step: step + 1 });
         }
@@ -375,11 +388,22 @@ pub(crate) fn one_step_image(
     sys: &dyn Dynamics,
     controller: &dyn ControlEnclosure,
     cell: &BoxRegion,
+    bounds: &(Vec<f64>, Vec<f64>),
+    omega: &[Interval],
+) -> BoxRegion {
+    step_image(sys, cell, controller.enclose(cell), bounds, omega)
+}
+
+/// [`one_step_image`] of `cell` from the controller's enclosure `u` over
+/// it.
+pub(crate) fn step_image(
+    sys: &dyn Dynamics,
+    cell: &BoxRegion,
+    u: Vec<Interval>,
     (u_lo, u_hi): &(Vec<f64>, Vec<f64>),
     omega: &[Interval],
 ) -> BoxRegion {
-    let u: Vec<Interval> = controller
-        .enclose(cell)
+    let u: Vec<Interval> = u
         .into_iter()
         .zip(u_lo.iter().zip(u_hi))
         .map(|(iv, (&l, &h))| iv.clamp_to(l, h))
@@ -387,7 +411,13 @@ pub(crate) fn one_step_image(
     BoxRegion::new(sys.step_interval(cell.intervals(), &u, omega))
 }
 
-fn cells_to_boxes(grid: &Grid, cells: &BTreeSet<usize>) -> Vec<BoxRegion> {
+/// Sorts `cells` and drops repeats.
+fn settle(cells: &mut Vec<usize>) {
+    cells.sort_unstable();
+    cells.dedup();
+}
+
+fn cells_to_boxes(grid: &Grid, cells: &[usize]) -> Vec<BoxRegion> {
     cells
         .iter()
         .map(|&f| grid.cell_box(&grid.unflat(f)))
@@ -510,6 +540,7 @@ mod tests {
     use crate::invariant::invariant_with_images;
     use cocktail_env::systems::{CartPole, Poly3d, VanDerPol};
     use cocktail_math::Matrix;
+    use std::collections::BTreeSet;
 
     /// Clones the stabilizing linear law `u = −(3, 4)·s` into a small
     /// tanh student (output scaled by 20).
@@ -806,14 +837,23 @@ mod tests {
             .iter()
             .map(|&a| Interval::symmetric(a))
             .collect();
+        // marks `ranges` into a set, as the paving did before it pushed
+        // into a list
+        let mark = |ranges: &[(usize, usize)], set: &mut BTreeSet<usize>| {
+            let mut marked = Vec::new();
+            grid.mark(ranges, &mut marked);
+            set.extend(marked);
+        };
+        let boxes =
+            |set: &BTreeSet<usize>| cells_to_boxes(&grid, &set.iter().copied().collect::<Vec<_>>());
         let mut occupied = BTreeSet::new();
         let (init_ranges, init_clipped) = grid
             .overlap_ranges(x0)
             .ok_or(VerifyError::DomainEscape { step: 0 })?;
-        grid.mark(&init_ranges, &mut occupied);
+        mark(&init_ranges, &mut occupied);
         let mut verified_safe = !init_clipped;
         let mut peak = occupied.len();
-        let mut frames = vec![cells_to_boxes(&grid, &occupied)];
+        let mut frames = vec![boxes(&occupied)];
         for step in 0..config.steps {
             let mut next = BTreeSet::new();
             let mut any_inside = false;
@@ -841,7 +881,7 @@ mod tests {
                                 return Err(VerifyError::Unsafe { step: step + 1 });
                             }
                         }
-                        grid.mark(&ranges, &mut next);
+                        mark(&ranges, &mut next);
                     }
                 }
             }
@@ -849,7 +889,7 @@ mod tests {
                 return Err(VerifyError::DomainEscape { step: step + 1 });
             }
             peak = peak.max(next.len());
-            frames.push(cells_to_boxes(&grid, &next));
+            frames.push(boxes(&next));
             occupied = next;
         }
         Ok(ReachResult {
@@ -1081,9 +1121,9 @@ mod tests {
         let (ranges, clipped) = grid.overlap_ranges(&b).expect("inside");
         assert!(!clipped);
         assert_eq!(ranges, vec![(1, 1), (2, 3)]);
-        let mut set = BTreeSet::new();
+        let mut set = Vec::new();
         grid.mark(&ranges, &mut set);
-        assert_eq!(set.len(), 2);
+        assert_eq!(set, vec![9, 13]);
         for &f in &set {
             let cell = grid.cell_box(&grid.unflat(f));
             assert!(cell.intersect(&b).is_some());
