@@ -37,16 +37,26 @@ pub fn seeded(seed: u64) -> StdRng {
 /// assert!(b.contains(&p));
 /// ```
 pub fn uniform_in_box<R: Rng + ?Sized>(rng: &mut R, b: &BoxRegion) -> Vec<f64> {
-    b.intervals()
-        .iter()
-        .map(|d| {
-            if d.width() == 0.0 {
-                d.lo()
-            } else {
-                rng.gen_range(d.lo()..=d.hi())
-            }
-        })
-        .collect()
+    let mut out = vec![0.0; b.dim()];
+    uniform_in_box_into(rng, b, &mut out);
+    out
+}
+
+/// [`uniform_in_box`] into a caller-owned slice: the same draws from
+/// `rng`, without allocating.
+///
+/// # Panics
+///
+/// Panics if `out.len() != b.dim()`.
+pub fn uniform_in_box_into<R: Rng + ?Sized>(rng: &mut R, b: &BoxRegion, out: &mut [f64]) {
+    assert_eq!(out.len(), b.dim(), "point dimension mismatch");
+    for (o, d) in out.iter_mut().zip(b.intervals()) {
+        *o = if d.width() == 0.0 {
+            d.lo()
+        } else {
+            rng.gen_range(d.lo()..=d.hi())
+        };
+    }
 }
 
 /// Samples a vector whose components are uniform in `[-amplitude, amplitude]`.

@@ -137,6 +137,28 @@ impl Activation {
         xs.iter().map(|&x| self.apply(x)).collect()
     }
 
+    /// Applies the activation element-wise from `input` into `out`,
+    /// allocating nothing. Each output is bit-identical to
+    /// [`Activation::apply`] of its input. `Tanh` runs several lanes at a
+    /// time through a SIMD port of glibc's `tanh` once a per-process probe
+    /// has matched it with `f64::tanh` bit for bit, and `f64::tanh` per
+    /// element otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ.
+    pub fn apply_slice(self, input: &[f64], out: &mut [f64]) {
+        assert_eq!(input.len(), out.len(), "activation slice length mismatch");
+        match self {
+            Activation::Tanh => crate::lane_tanh::tanh_slice(input, out),
+            _ => {
+                for (o, &x) in out.iter_mut().zip(input) {
+                    *o = self.apply(x);
+                }
+            }
+        }
+    }
+
     /// Global Lipschitz factor contributed by this activation, per the
     /// paper's footnote 1: `ReLU` and Tanh contribute 1, Sigmoid ¼.
     pub fn lipschitz_factor(self) -> f64 {
@@ -325,6 +347,23 @@ mod tests {
     fn apply_vec_maps_each() {
         let out = Activation::Relu.apply_vec(&[-1.0, 2.0]);
         assert_eq!(out, vec![0.0, 2.0]);
+    }
+
+    #[test]
+    fn apply_slice_is_bit_identical_to_apply() {
+        let xs: Vec<f64> = (0..200)
+            .map(|i| crate::lane_tanh::seeded_input(11, i))
+            .chain([0.0, -0.0, 22.0, -1.0, f64::INFINITY, f64::NAN])
+            .collect();
+        for act in ALL {
+            for len in (0..=17).chain([xs.len()]) {
+                let mut out = vec![0.0; len];
+                act.apply_slice(&xs[..len], &mut out);
+                for (x, y) in xs.iter().zip(&out) {
+                    assert_eq!(y.to_bits(), act.apply(*x).to_bits(), "{act} at {x:e}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -177,11 +177,7 @@ impl Dense {
                     *ai = crate::fast::fast_tanh(zi);
                 }
             }
-            _ => {
-                for (ai, &zi) in a.as_mut_slice().iter_mut().zip(z.as_slice()) {
-                    *ai = self.activation.apply(zi);
-                }
-            }
+            _ => self.activation.apply_slice(z.as_slice(), a.as_mut_slice()),
         }
     }
 

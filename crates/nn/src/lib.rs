@@ -39,6 +39,7 @@
 pub mod activation;
 pub mod fast;
 pub mod fast_tier;
+mod lane_tanh;
 pub mod layer;
 pub mod lipschitz;
 pub mod loss;

@@ -8,7 +8,7 @@
 //! empirical lower bound by pairwise sampling, which is handy for testing
 //! that the analytic bound is neither violated nor absurdly loose.
 
-use crate::mlp::Mlp;
+use crate::mlp::{BatchCache, Mlp};
 use cocktail_math::{parallel, rng, vector, BoxRegion, Matrix};
 
 /// Which operator norm to use per layer.
@@ -70,39 +70,46 @@ pub fn empirical_lower_bound(net: &Mlp, region: &BoxRegion, samples: usize, seed
 /// [`empirical_lower_bound`] on `workers` threads.
 ///
 /// All pairs are drawn up front (preserving the historical a-then-b stream
-/// order), then each contiguous run of pairs pushes both endpoint sets
-/// through one batched forward pass. Each output row is bit-identical to a
-/// per-sample `forward` call at any batch split, and the maximum of the
-/// non-negative ratios does not depend on the order it is taken in, so the
-/// result is the same for every `workers >= 1`.
+/// order) into one input block per contiguous run of pairs: the run's `a`
+/// endpoints, then its `b` endpoints. Each worker pushes a whole block
+/// through one batched forward pass into its own [`BatchCache`]. Each
+/// output row is bit-identical to a per-sample `forward` call at any batch
+/// split, and the maximum of the non-negative ratios does not depend on
+/// the order it is taken in, so the result is the same for every
+/// `workers >= 1`.
 fn sweep(net: &Mlp, region: &BoxRegion, samples: usize, seed: u64, workers: usize) -> f64 {
     assert!(samples > 0, "need at least one sample pair");
     assert_eq!(region.dim(), net.input_dim(), "region dimension mismatch");
-    let mut rng = rng::seeded(seed);
-    let mut pairs_a = Vec::with_capacity(samples);
-    let mut pairs_b = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        pairs_a.push(rng::uniform_in_box(&mut rng, region));
-        pairs_b.push(rng::uniform_in_box(&mut rng, region));
-    }
-    // two runs per worker: `map_range_with_workers` only fans out from
+    // two runs per worker: `map_range_with_scratch` only fans out from
     // `2 · workers` items
     let run = samples.div_ceil(2 * workers.max(1));
-    let best_per_run = parallel::map_range_with_workers(samples.div_ceil(run), workers, |r| {
-        let rows = r * run..((r + 1) * run).min(samples);
-        let ya = net.forward_batch(&Matrix::from_rows(pairs_a[rows.clone()].to_vec()));
-        let yb = net.forward_batch(&Matrix::from_rows(pairs_b[rows.clone()].to_vec()));
-        let mut best: f64 = 0.0;
-        for (i, pair) in rows.enumerate() {
-            let dx = vector::norm_2(&vector::sub(&pairs_a[pair], &pairs_b[pair]));
-            if dx < 1e-12 {
-                continue;
+    let mut blocks: Vec<Matrix> = (0..samples.div_ceil(run))
+        .map(|r| Matrix::zeros(2 * run.min(samples - r * run), region.dim()))
+        .collect();
+    let mut rng = rng::seeded(seed);
+    for pair in 0..samples {
+        let block = &mut blocks[pair / run];
+        let (i, len) = (pair % run, block.rows() / 2);
+        rng::uniform_in_box_into(&mut rng, region, block.row_mut(i));
+        rng::uniform_in_box_into(&mut rng, region, block.row_mut(len + i));
+    }
+    let best_per_run =
+        parallel::map_range_with_scratch(blocks.len(), workers, BatchCache::new, |cache, r| {
+            let x = &blocks[r];
+            let len = x.rows() / 2;
+            net.forward_batch_cached(x, cache);
+            let y = cache.output();
+            let mut best: f64 = 0.0;
+            for i in 0..len {
+                let dx = vector::norm_2(&vector::sub(x.row(i), x.row(len + i)));
+                if dx < 1e-12 {
+                    continue;
+                }
+                let dy = vector::norm_2(&vector::sub(y.row(i), y.row(len + i)));
+                best = best.max(dy / dx);
             }
-            let dy = vector::norm_2(&vector::sub(ya.row(i), yb.row(i)));
-            best = best.max(dy / dx);
-        }
-        best
-    });
+            best
+        });
     best_per_run.into_iter().fold(0.0, f64::max)
 }
 

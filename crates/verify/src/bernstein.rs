@@ -262,7 +262,7 @@ impl BernsteinApprox {
         for (axis, &qi) in q.intervals().iter().enumerate() {
             self.axis_tables(axis, qi, &mut tables);
         }
-        self.combine(&tables, &mut Vec::new())
+        self.combine(&tables, self.coefficient_range(), &mut Vec::new())
     }
 
     /// Appends to `tables` what [`Self::enclose`] needs of the sub-box's
@@ -289,14 +289,55 @@ impl BernsteinApprox {
     }
 
     /// [`Self::enclose`] from the [`Self::axis_tables`] of every axis of
-    /// the sub-box, in axis order: the coefficient range, intersected with
-    /// the interval basis sum, intersected with the mean-value bound around
-    /// the midpoint. `idx` is working memory.
-    fn combine(&self, tables: &AxisTables, idx: &mut Vec<usize>) -> Interval {
+    /// the sub-box, in axis order: `range`, the [`Self::coefficient_range`],
+    /// intersected with the interval basis sum, intersected with the
+    /// mean-value bound around the midpoint. One walk over the coefficients,
+    /// a run of axis 0 at a time as in [`sum_lanes`], computes both sums:
+    /// each term is `c · B₀[k₀] · B₁[k₁] · …`, multiplied left to right and
+    /// added in coefficient order, over the basis intervals for the first
+    /// and over the midpoint's basis values for the second, which is
+    /// [`sum_lanes`]'s arithmetic for one lane. `idx` is working memory.
+    fn combine(&self, tables: &AxisTables, range: Interval, idx: &mut Vec<usize>) -> Interval {
+        let pts = self.degree + 1;
+        let (basis0, basis) = tables.basis.split_at(pts);
+        let (mid0, mid) = tables.mid_rows.split_at(pts);
+        let mut by_basis = Interval::point(0.0);
+        let mut centre = 0.0;
+        // the basis index of every axis but the first
+        idx.clear();
+        idx.resize(self.domain.dim() - 1, 0);
+        for run in self.coeffs.chunks_exact(pts) {
+            for ((&c, &b), &m) in run.iter().zip(basis0).zip(mid0) {
+                let mut w = Interval::point(c) * b;
+                let mut at_mid = c * m;
+                for (i, &k) in idx.iter().enumerate() {
+                    w = w * basis[i * pts + k];
+                    at_mid *= mid[i * pts + k];
+                }
+                by_basis = by_basis + w;
+                centre += at_mid;
+            }
+            advance(idx, pts);
+        }
+        let mut bound = range;
+        if let Some(tighter) = bound.intersect(&by_basis) {
+            bound = tighter;
+        }
+
+        // the mean-value bound around the midpoint
+        let radius = tables.radius_sq.iter().copied().sum::<f64>().sqrt();
+        let mean_value =
+            Interval::symmetric(self.lipschitz_bound() * radius) + Interval::point(centre);
+        bound.intersect(&mean_value).unwrap_or(bound)
+    }
+
+    /// [`Self::combine`] as it was before it walked runs: one mixed-radix
+    /// step per coefficient, and the coefficient range recomputed on every
+    /// call. The rewrite must match it bit for bit.
+    #[cfg(test)]
+    fn combine_reference(&self, tables: &AxisTables, idx: &mut Vec<usize>) -> Interval {
         let pts = self.degree + 1;
         let mut bound = self.coefficient_range();
-
-        // interval evaluation of the basis products
         let mut by_basis = Interval::point(0.0);
         idx.clear();
         idx.resize(self.domain.dim(), 0);
@@ -311,8 +352,6 @@ impl BernsteinApprox {
         if let Some(tighter) = bound.intersect(&by_basis) {
             bound = tighter;
         }
-
-        // the mean-value bound around the midpoint
         let radius = tables.radius_sq.iter().copied().sum::<f64>().sqrt();
         let mut centre = [0.0];
         sum_lanes(
@@ -1204,7 +1243,9 @@ impl ControlEnclosure for BernsteinCertificate {
                 for (axis, &iv) in overlap.iter().enumerate() {
                     poly.axis_tables(axis, iv, &mut tables);
                 }
-                let iv = poly.combine(&tables, &mut idx).inflate(piece.epsilon);
+                let iv = poly
+                    .combine(&tables, poly.coefficient_range(), &mut idx)
+                    .inflate(piece.epsilon);
                 hull_into(&mut out[o], iv);
             }
         }
@@ -1258,6 +1299,7 @@ impl ControlEnclosure for BernsteinCertificate {
                 continue;
             }
             for (o, poly) in piece.polys.iter().enumerate() {
+                let range = poly.coefficient_range();
                 tables.clear();
                 for (axis, (cells, &(first, len))) in axes.iter().zip(&ranges).enumerate() {
                     let p = piece.region.interval(axis);
@@ -1278,7 +1320,7 @@ impl ControlEnclosure for BernsteinCertificate {
                         stride *= count;
                         row += len;
                     }
-                    let iv = poly.combine(&cell, &mut idx).inflate(piece.epsilon);
+                    let iv = poly.combine(&cell, range, &mut idx).inflate(piece.epsilon);
                     hull_into(&mut out[flat * m + o], iv);
                     if !advance_within(&mut k, &ranges) {
                         break;
@@ -2065,6 +2107,99 @@ mod tests {
             .flat_map(|cell| cert.pieces.iter().filter_map(|p| p.region.intersect(cell)))
             .filter(|overlap| overlap.intervals().iter().any(|iv| iv.width() == 0.0))
             .count()
+    }
+
+    /// The committed κ* and its certificate under the export budgets, as
+    /// admission re-derives it.
+    fn kappa_star_export() -> (Mlp, BernsteinCertificate) {
+        use crate::cert::default_params;
+        use cocktail_env::systems::VanDerPol;
+        use cocktail_env::Dynamics;
+
+        let vdp = VanDerPol::new();
+        let kappa_star =
+            Mlp::from_json(include_str!("../tests/fixtures/kappa_star_oscillator.json"))
+                .expect("fixture parses");
+        let params = default_params(&vdp);
+        assert_eq!(params.certificate.margin, ErrorMargin::Residual);
+        let cert = BernsteinCertificate::build(
+            &kappa_star,
+            &[1.0],
+            &vdp.verification_domain(),
+            &params.certificate,
+        )
+        .expect("fits the budget");
+        (kappa_star, cert)
+    }
+
+    #[test]
+    fn kappa_star_jacobians_match_the_reference_on_every_refined_region() {
+        let (net, cert) = kappa_star_export();
+        // every region the refinement evaluated: the tree's nodes
+        let regions: Vec<&BoxRegion> = cert
+            .tree
+            .iter()
+            .map(|node| match node {
+                TreeNode::Piece(i) => &cert.pieces[*i].region,
+                TreeNode::Split { region, .. } => region,
+            })
+            .collect();
+        assert_eq!(regions.len(), 247);
+        let mut scratch = JacobianScratch::default();
+        let as_bits = |jac: &[[f64; 2]]| -> Vec<[u64; 2]> {
+            jac.iter()
+                .map(|[lo, hi]| [lo.to_bits(), hi.to_bits()])
+                .collect()
+        };
+        for region in regions {
+            let want = crate::jacobian::reference::interval_jacobian(&net, region)
+                .expect("finite weights");
+            let got = interval_jacobian(&net, region, &mut scratch).expect("finite weights");
+            assert_eq!(as_bits(got), as_bits(&want), "{region:?}");
+        }
+    }
+
+    /// [`BernsteinCertificate::enclose`] through
+    /// [`BernsteinApprox::combine_reference`].
+    fn enclose_with_reference_combine(cert: &BernsteinCertificate, q: &BoxRegion) -> Vec<Interval> {
+        let mut hits = Vec::new();
+        cert.collect_covering(0, q, &mut hits);
+        hits.sort_unstable();
+        let mut out: Vec<Option<Interval>> = vec![None; cert.output_dim];
+        let (mut tables, mut idx) = (AxisTables::default(), Vec::new());
+        for piece in hits.into_iter().map(|i| &cert.pieces[i]) {
+            let overlap = piece
+                .region
+                .intersect(q)
+                .expect("collected as intersecting");
+            for (o, poly) in piece.polys.iter().enumerate() {
+                tables.clear();
+                for (axis, &iv) in overlap.intervals().iter().enumerate() {
+                    poly.axis_tables(axis, iv, &mut tables);
+                }
+                let iv = poly
+                    .combine_reference(&tables, &mut idx)
+                    .inflate(piece.epsilon);
+                hull_into(&mut out[o], iv);
+            }
+        }
+        out.into_iter().map(|iv| iv.expect("covered")).collect()
+    }
+
+    #[test]
+    fn kappa_star_grid_enclosure_matches_the_reference_combine() {
+        let (_, cert) = kappa_star_export();
+        let (cells, axes) = subdivided_axes(cert.domain(), 60);
+        let view: Vec<&[Interval]> = axes.iter().map(Vec::as_slice).collect();
+        let got = cert.enclose_grid(&view);
+        assert_eq!(got.len(), 3600);
+        for (flat, (cell, got)) in cells.iter().zip(&got).enumerate() {
+            assert_eq!(
+                bits(got),
+                bits(&enclose_with_reference_combine(&cert, cell)),
+                "cell {flat}: {cell:?}"
+            );
+        }
     }
 
     #[test]
