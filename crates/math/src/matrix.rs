@@ -278,20 +278,19 @@ impl Matrix {
             (self.rows, other.rows),
             "matmul_transpose_b output shape mismatch"
         );
-        self.matmul_transpose_b_into_tier(other, out, bt, GemmTier::best());
-    }
-
-    /// [`Matrix::matmul_transpose_b_into_with`] through one compiled
-    /// `tier` of the kernel.
-    fn matmul_transpose_b_into_tier(
-        &self,
-        other: &Matrix,
-        out: &mut Matrix,
-        bt: &mut Vec<f64>,
-        tier: GemmTier,
-    ) {
         // Materialize Bᵀ once so the inner loops run over contiguous
-        // output columns.
+        // output columns, then drive a register-tiled microkernel: MR×NR
+        // accumulator blocks live in registers across the whole k loop, so
+        // each output element costs one store total instead of a
+        // load+store per k (the axpy form this replaces), and the NR lane
+        // dimension vectorizes without any reduction. Each output element
+        // still accumulates its `k` terms in ascending order, exactly like
+        // `matvec`, so the result is bit-identical to the naive
+        // row-dot-row form regardless of tiling — the serving shapes
+        // (2-24-24-1) tile as three full 8-lanes for the hidden layers and
+        // fall to the scalar edge for the 1-wide output.
+        const MR: usize = 4;
+        const NR: usize = 8;
         let n = other.cols;
         let m = other.rows;
         bt.clear();
@@ -301,7 +300,66 @@ impl Matrix {
                 bt[k * m + j] = b;
             }
         }
-        tier.run(&self.data, n, bt, m, &mut out.data);
+        let a = &self.data;
+        let o = &mut out.data;
+        let mut r = 0;
+        while r + MR <= self.rows {
+            let mut j = 0;
+            while j + NR <= m {
+                let mut acc = [[0.0f64; NR]; MR];
+                for k in 0..n {
+                    let lanes = &bt[k * m + j..k * m + j + NR];
+                    for (i, acc_row) in acc.iter_mut().enumerate() {
+                        let av = a[(r + i) * n + k];
+                        for (s, &b) in acc_row.iter_mut().zip(lanes) {
+                            *s += av * b;
+                        }
+                    }
+                }
+                for (i, acc_row) in acc.iter().enumerate() {
+                    o[(r + i) * m + j..(r + i) * m + j + NR].copy_from_slice(acc_row);
+                }
+                j += NR;
+            }
+            while j < m {
+                let mut acc = [0.0f64; MR];
+                for k in 0..n {
+                    let b = bt[k * m + j];
+                    for (i, s) in acc.iter_mut().enumerate() {
+                        *s += a[(r + i) * n + k] * b;
+                    }
+                }
+                for (i, &s) in acc.iter().enumerate() {
+                    o[(r + i) * m + j] = s;
+                }
+                j += 1;
+            }
+            r += MR;
+        }
+        while r < self.rows {
+            let arow = &a[r * n..(r + 1) * n];
+            let mut j = 0;
+            while j + NR <= m {
+                let mut acc = [0.0f64; NR];
+                for (k, &av) in arow.iter().enumerate() {
+                    let lanes = &bt[k * m + j..k * m + j + NR];
+                    for (s, &b) in acc.iter_mut().zip(lanes) {
+                        *s += av * b;
+                    }
+                }
+                o[r * m + j..r * m + j + NR].copy_from_slice(&acc);
+                j += NR;
+            }
+            while j < m {
+                let mut s = 0.0;
+                for (k, &av) in arow.iter().enumerate() {
+                    s += av * bt[k * m + j];
+                }
+                o[r * m + j] = s;
+                j += 1;
+            }
+            r += 1;
+        }
     }
 
     /// Matrix product with a transposed left factor, `Aᵀ B`.
@@ -544,160 +602,6 @@ impl fmt::Display for Matrix {
     }
 }
 
-/// A compiled build of [`tiled_transpose_b`]. The kernel is the same code
-/// in each; only the instructions the compiler may use differ. Rust never
-/// fuses a multiply and an add, so every tier rounds every product and
-/// every sum alone, in the same order, and returns the same bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum GemmTier {
-    /// Compiled for AVX-512F: an 8-lane accumulator row is one register.
-    Avx512,
-    /// Compiled for AVX2: two registers per row.
-    Avx2,
-    /// The crate's build target.
-    Baseline,
-}
-
-impl GemmTier {
-    /// Every tier, widest first.
-    #[cfg(test)]
-    const ALL: [GemmTier; 3] = [GemmTier::Avx512, GemmTier::Avx2, GemmTier::Baseline];
-
-    /// Whether this CPU has the instructions the tier is compiled for.
-    fn is_supported(self) -> bool {
-        #[cfg(target_arch = "x86_64")]
-        {
-            match self {
-                GemmTier::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
-                GemmTier::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
-                GemmTier::Baseline => true,
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            self == GemmTier::Baseline
-        }
-    }
-
-    /// The widest supported tier.
-    fn best() -> GemmTier {
-        if GemmTier::Avx512.is_supported() {
-            GemmTier::Avx512
-        } else if GemmTier::Avx2.is_supported() {
-            GemmTier::Avx2
-        } else {
-            GemmTier::Baseline
-        }
-    }
-
-    /// [`tiled_transpose_b`] through this tier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the CPU does not support the tier.
-    fn run(self, a: &[f64], n: usize, bt: &[f64], m: usize, o: &mut [f64]) {
-        assert!(self.is_supported(), "{self:?} GEMM is not supported here");
-        match self {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: the CPU has AVX-512F, asserted above.
-            GemmTier::Avx512 => unsafe { tiled_transpose_b_avx512(a, n, bt, m, o) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: the CPU has AVX2, asserted above.
-            GemmTier::Avx2 => unsafe { tiled_transpose_b_avx2(a, n, bt, m, o) },
-            _ => tiled_transpose_b(a, n, bt, m, o),
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn tiled_transpose_b_avx512(a: &[f64], n: usize, bt: &[f64], m: usize, o: &mut [f64]) {
-    tiled_transpose_b(a, n, bt, m, o);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn tiled_transpose_b_avx2(a: &[f64], n: usize, bt: &[f64], m: usize, o: &mut [f64]) {
-    tiled_transpose_b(a, n, bt, m, o);
-}
-
-/// `O = A Bᵀ` for row-major `A` (`rows × n`) and a materialized `Bᵀ`
-/// (`n × m`), into row-major `O` (`rows × m`).
-///
-/// A register-tiled microkernel: MR×NR accumulator blocks live in
-/// registers across the whole k loop, so each output element costs one
-/// store total instead of a load+store per k (the axpy form this
-/// replaces), and the NR lane dimension vectorizes without any reduction.
-/// Each output element still accumulates its `k` terms in ascending order,
-/// exactly like `matvec`, so the result is bit-identical to the naive
-/// row-dot-row form regardless of tiling — the serving shapes (2-24-24-1)
-/// tile as three full 8-lanes for the hidden layers and fall to the
-/// scalar edge for the 1-wide output.
-#[inline(always)]
-fn tiled_transpose_b(a: &[f64], n: usize, bt: &[f64], m: usize, o: &mut [f64]) {
-    const MR: usize = 4;
-    const NR: usize = 8;
-    let rows = a.len() / n;
-    let mut r = 0;
-    while r + MR <= rows {
-        let mut j = 0;
-        while j + NR <= m {
-            let mut acc = [[0.0f64; NR]; MR];
-            for k in 0..n {
-                let lanes = &bt[k * m + j..k * m + j + NR];
-                for (i, acc_row) in acc.iter_mut().enumerate() {
-                    let av = a[(r + i) * n + k];
-                    for (s, &b) in acc_row.iter_mut().zip(lanes) {
-                        *s += av * b;
-                    }
-                }
-            }
-            for (i, acc_row) in acc.iter().enumerate() {
-                o[(r + i) * m + j..(r + i) * m + j + NR].copy_from_slice(acc_row);
-            }
-            j += NR;
-        }
-        while j < m {
-            let mut acc = [0.0f64; MR];
-            for k in 0..n {
-                let b = bt[k * m + j];
-                for (i, s) in acc.iter_mut().enumerate() {
-                    *s += a[(r + i) * n + k] * b;
-                }
-            }
-            for (i, &s) in acc.iter().enumerate() {
-                o[(r + i) * m + j] = s;
-            }
-            j += 1;
-        }
-        r += MR;
-    }
-    while r < rows {
-        let arow = &a[r * n..(r + 1) * n];
-        let mut j = 0;
-        while j + NR <= m {
-            let mut acc = [0.0f64; NR];
-            for (k, &av) in arow.iter().enumerate() {
-                let lanes = &bt[k * m + j..k * m + j + NR];
-                for (s, &b) in acc.iter_mut().zip(lanes) {
-                    *s += av * b;
-                }
-            }
-            o[r * m + j..r * m + j + NR].copy_from_slice(&acc);
-            j += NR;
-        }
-        while j < m {
-            let mut s = 0.0;
-            for (k, &av) in arow.iter().enumerate() {
-                s += av * bt[k * m + j];
-            }
-            o[r * m + j] = s;
-            j += 1;
-        }
-        r += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -799,22 +703,15 @@ mod tests {
         ] {
             let a = Matrix::from_fn(rows, n, |r, c| ((r * 31 + c * 7) % 13) as f64 * 0.37 - 1.1);
             let b = Matrix::from_fn(m, n, |r, c| ((r * 17 + c * 5) % 11) as f64 * 0.29 - 0.8);
-            let dispatched = a.matmul_transpose_b(&b);
-            // every compiled tier this CPU runs, called directly
-            let tiers = GemmTier::ALL.into_iter().filter(|t| t.is_supported());
-            for tier in tiers {
-                let mut out = Matrix::zeros(rows, m);
-                a.matmul_transpose_b_into_tier(&b, &mut out, &mut Vec::new(), tier);
-                assert_eq!(out, dispatched, "{tier:?} ({rows},{m},{n})");
-                for r in 0..rows {
-                    let per_row = b.matvec(a.row(r));
-                    for j in 0..m {
-                        assert_eq!(
-                            out[(r, j)].to_bits(),
-                            per_row[j].to_bits(),
-                            "{tier:?} ({rows},{m},{n}) element ({r},{j})"
-                        );
-                    }
+            let out = a.matmul_transpose_b(&b);
+            for r in 0..rows {
+                let per_row = b.matvec(a.row(r));
+                for j in 0..m {
+                    assert_eq!(
+                        out[(r, j)].to_bits(),
+                        per_row[j].to_bits(),
+                        "({rows},{m},{n}) element ({r},{j})"
+                    );
                 }
             }
         }

@@ -139,10 +139,10 @@ impl Activation {
 
     /// Applies the activation element-wise from `input` into `out`,
     /// allocating nothing. Each output is bit-identical to
-    /// [`Activation::apply`] of its input. `Tanh` runs several lanes at a
-    /// time through a SIMD port of glibc's `tanh` once a per-process probe
-    /// has matched it with `f64::tanh` bit for bit, and `f64::tanh` per
-    /// element otherwise.
+    /// [`Activation::apply`] of its input. `Tanh` runs 8 lanes at a time
+    /// through an AVX-512 port of glibc 2.36's `tanh` on hosts running that
+    /// glibc, once a per-process probe has matched it with `f64::tanh` bit
+    /// for bit, and `f64::tanh` per element otherwise.
     ///
     /// # Panics
     ///

@@ -1,26 +1,26 @@
-//! `libm`'s `tanh`, several values at a time, bit for bit.
+//! `libm`'s `tanh`, eight values at a time, bit for bit.
 //!
 //! The exact forward spends most of its time in `f64::tanh`, which on
 //! x86-64 Linux is glibc's `__tanh` (fdlibm's `s_tanh.c`) over `__expm1`.
 //! On a host with FMA and AVX2 glibc's ifunc resolves `__expm1` to the
 //! variant compiled with `-mfma -mavx2`, in which the compiler fused some
-//! of the multiply-adds. [`tanh_lane`] is that code with every branch
-//! turned into a select, and exactly those products fused (`mul_add`)
-//! that the FMA build fuses; every other operation keeps its operands and
-//! order. It is written once and compiled twice, as loops the compiler
-//! vectorizes: 8 lanes under AVX-512F/DQ and 4 lanes under AVX2 + FMA
-//! ([`TanhTier`]).
+//! of the multiply-adds. [`tanh_lane`] is that code, as glibc 2.36 ships
+//! it, with every branch turned into a select, and exactly those products
+//! fused (`mul_add`) that the FMA build fuses; every other operation keeps
+//! its operands and order. [`tanh_lanes`] compiles it as a loop the
+//! compiler vectorizes at 8 lanes under AVX-512F/DQ.
 //!
 //! A port of another library's code can only be as exact as the library
 //! it copies, and the host's `libm` may be another version, another
-//! `expm1` variant or not glibc at all. So no tier is trusted up front: the
-//! first [`tanh_slice`] of a process [`probe`]s each supported tier, widest
-//! first, against `f64::tanh` over every branch boundary of the port and
-//! [`PROBE_VALUES`] seeded values, and a tier that disagrees on any bit,
-//! NaN payloads included, is never used. Without an accepted tier (another
-//! architecture, an older CPU, another `libm`) [`tanh_slice`] calls
-//! `f64::tanh` per element. Either way each output is the bits `f64::tanh`
-//! returns for its input, so switching tiers changes no result.
+//! `expm1` variant or not glibc at all. So the port is not trusted up
+//! front: the first [`tanh_slice`] of a process uses it only if the C
+//! library reports glibc 2.36 and a [`probe`] against `f64::tanh` over
+//! every branch boundary of the port and [`PROBE_VALUES`] seeded values
+//! agrees on every bit, NaN payloads included. Otherwise (another
+//! architecture, a CPU without AVX-512, another `libm`) [`tanh_slice`]
+//! calls `f64::tanh` per element. Where the port is accepted, its output
+//! matched `f64::tanh` on every input the probe and the test suite tried;
+//! on any other input the match is only as certain as that sample.
 
 use std::sync::OnceLock;
 
@@ -137,147 +137,78 @@ fn tanh_lane(x: f64) -> f64 {
     }
 }
 
-/// A compiled width of [`tanh_lane`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TanhTier {
-    /// 8 lanes, compiled for AVX-512F/DQ.
-    Avx512,
-    /// 4 lanes, compiled for AVX2 + FMA.
-    Avx2,
-}
-
-impl TanhTier {
-    /// Every tier, widest first: the order [`accepted_tier`] probes in.
-    pub(crate) const ALL: [TanhTier; 2] = [TanhTier::Avx512, TanhTier::Avx2];
-
-    /// The tier's lane count.
-    pub(crate) fn lanes(self) -> usize {
-        match self {
-            TanhTier::Avx512 => 8,
-            TanhTier::Avx2 => 4,
-        }
-    }
-
-    /// The tier's name as the probe reports it.
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            TanhTier::Avx512 => "avx512",
-            TanhTier::Avx2 => "avx2",
-        }
-    }
-
-    /// Whether this CPU has the instructions the tier is compiled for.
-    pub(crate) fn is_supported(self) -> bool {
-        #[cfg(target_arch = "x86_64")]
-        {
-            match self {
-                TanhTier::Avx512 => {
-                    std::arch::is_x86_feature_detected!("avx512f")
-                        && std::arch::is_x86_feature_detected!("avx512dq")
-                        && std::arch::is_x86_feature_detected!("avx2")
-                        && std::arch::is_x86_feature_detected!("fma")
-                }
-                TanhTier::Avx2 => {
-                    std::arch::is_x86_feature_detected!("avx2")
-                        && std::arch::is_x86_feature_detected!("fma")
-                }
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            false
-        }
-    }
-
-    /// The port of `tanh` of every element of `input`, into `out`, at this
-    /// tier's width. A remainder shorter than the width runs as one full
-    /// vector of zero-padded lanes, so every element takes the same code.
-    ///
-    /// Unlike [`tanh_slice`] this does not ask the probe: it is how the
-    /// probe and the tests reach a tier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ or the CPU does not support the tier.
-    pub(crate) fn apply(self, input: &[f64], out: &mut [f64]) {
-        assert_eq!(input.len(), out.len(), "tanh slice length mismatch");
-        assert!(
-            self.is_supported(),
-            "{} tier is not supported here",
-            self.name()
-        );
-        let width = self.lanes();
-        let split = input.len() - input.len() % width;
-        let (head, tail) = input.split_at(split);
-        let (out_head, out_tail) = out.split_at_mut(split);
-        // SAFETY: the CPU supports the tier, asserted above.
-        unsafe { self.run(head, out_head) };
-        if !tail.is_empty() {
-            // room for the widest tier's lanes
-            let (mut padded, mut lanes) = ([0.0; 8], [0.0; 8]);
-            padded[..tail.len()].copy_from_slice(tail);
-            // SAFETY: as above.
-            unsafe { self.run(&padded[..width], &mut lanes[..width]) };
-            out_tail.copy_from_slice(&lanes[..tail.len()]);
-        }
-    }
-
-    /// One call of the tier's compiled loop.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support the tier ([`Self::is_supported`]).
+/// Whether this CPU has the instructions [`tanh_lanes`] is compiled for.
+fn lanes_supported() -> bool {
     #[cfg(target_arch = "x86_64")]
-    unsafe fn run(self, input: &[f64], out: &mut [f64]) {
-        match self {
-            // SAFETY: the caller guarantees the CPU has the features.
-            TanhTier::Avx512 => unsafe { tanh_avx512(input, out) },
-            // SAFETY: as above.
-            TanhTier::Avx2 => unsafe { tanh_avx2(input, out) },
-        }
+    {
+        std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512dq")
+            && std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("fma")
     }
-
-    /// No tier is supported off x86-64, so `apply` never gets here.
-    ///
-    /// # Safety
-    ///
-    /// None needed; the signature matches the x86-64 one.
     #[cfg(not(target_arch = "x86_64"))]
-    unsafe fn run(self, _input: &[f64], _out: &mut [f64]) {}
+    {
+        false
+    }
 }
 
-/// [`tanh_lane`] over a slice; the loop is left to the vectorizer, which
-/// runs it at the width of the caller's target features.
-#[inline(always)]
-fn tanh_loop(input: &[f64], out: &mut [f64]) {
+/// The port of `tanh` of every element of `input`, into `out`, 8 lanes at
+/// a time. A remainder shorter than 8 runs as one full vector of
+/// zero-padded lanes, so every element takes the same code.
+///
+/// Unlike [`tanh_slice`] this does not ask the probe: it is how the probe
+/// and the tests reach the port.
+///
+/// # Panics
+///
+/// Panics if the lengths differ or the CPU lacks the instructions
+/// ([`lanes_supported`]).
+fn tanh_lanes(input: &[f64], out: &mut [f64]) {
+    const LANES: usize = 8;
+    assert_eq!(input.len(), out.len(), "tanh slice length mismatch");
+    assert!(lanes_supported(), "the 8-lane tanh is not supported here");
+    let split = input.len() - input.len() % LANES;
+    let (head, tail) = input.split_at(split);
+    let (out_head, out_tail) = out.split_at_mut(split);
+    // SAFETY: the CPU has the features, asserted above.
+    unsafe { tanh_avx512(head, out_head) };
+    if !tail.is_empty() {
+        let (mut padded, mut lanes) = ([0.0; LANES], [0.0; LANES]);
+        padded[..tail.len()].copy_from_slice(tail);
+        // SAFETY: as above.
+        unsafe { tanh_avx512(&padded, &mut lanes) };
+        out_tail.copy_from_slice(&lanes[..tail.len()]);
+    }
+}
+
+/// [`tanh_lane`] over a slice, compiled for AVX-512; the loop is left to
+/// the vectorizer.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx2,fma")]
+#[inline(never)]
+fn tanh_avx512(input: &[f64], out: &mut [f64]) {
     for (o, &x) in out.iter_mut().zip(input) {
         *o = tanh_lane(x);
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512dq,avx2,fma")]
-#[inline(never)]
-fn tanh_avx512(input: &[f64], out: &mut [f64]) {
-    tanh_loop(input, out);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[inline(never)]
-fn tanh_avx2(input: &[f64], out: &mut [f64]) {
-    tanh_loop(input, out);
-}
+/// No CPU off x86-64 passes [`lanes_supported`], so this never runs.
+///
+/// # Safety
+///
+/// None needed; the signature matches the x86-64 one.
+#[cfg(not(target_arch = "x86_64"))]
+unsafe fn tanh_avx512(_input: &[f64], _out: &mut [f64]) {}
 
 /// How many seeded values [`probe`] checks besides the boundaries.
-pub(crate) const PROBE_VALUES: u64 = 1 << 16;
+const PROBE_VALUES: u64 = 1 << 16;
 
 /// Calls `f` on every input at which the port changes branch, and one ulp
 /// either side: each `expm1` reduction boundary `(k + ½)·ln2 / 2` for
 /// `k ∈ [−4, 70]` and the high-word thresholds of `expm1` and `tanh`,
 /// with both signs, plus `±0`, subnormals, `±1`, `±22`, `±f64::MAX`,
 /// `±∞` and NaNs with payloads.
-pub(crate) fn for_each_boundary(mut f: impl FnMut(f64)) {
+fn for_each_boundary(mut f: impl FnMut(f64)) {
     let mut around = |v: f64| {
         for w in [v.next_down(), v, v.next_up()] {
             f(w);
@@ -327,13 +258,13 @@ pub(crate) fn seeded_input(seed: u64, i: u64) -> f64 {
     }
 }
 
-/// Whether `tier` agrees with `reference` on every raw bit over every
-/// [`for_each_boundary`] input and the first [`PROBE_VALUES`] of
-/// [`seeded_input`]'s stream. An unsupported tier fails. Allocates
-/// nothing: inputs go through a stack block.
-pub(crate) fn probe(tier: TanhTier, reference: impl Fn(f64) -> f64) -> bool {
+/// Whether [`tanh_lanes`] agrees with `reference` on every raw bit over
+/// every [`for_each_boundary`] input and the first [`PROBE_VALUES`] of
+/// [`seeded_input`]'s stream. Fails on a CPU without the instructions.
+/// Allocates nothing: inputs go through a stack block.
+fn probe(reference: impl Fn(f64) -> f64) -> bool {
     const BLOCK: usize = 64;
-    if !tier.is_supported() {
+    if !lanes_supported() {
         return false;
     }
     let mut agrees = true;
@@ -341,7 +272,7 @@ pub(crate) fn probe(tier: TanhTier, reference: impl Fn(f64) -> f64) -> bool {
     let mut filled = 0;
     let mut check = |xs: &[f64]| {
         let mut out = [0.0; BLOCK];
-        tier.apply(xs, &mut out[..xs.len()]);
+        tanh_lanes(xs, &mut out[..xs.len()]);
         agrees &= xs
             .iter()
             .zip(&out)
@@ -366,31 +297,47 @@ pub(crate) fn probe(tier: TanhTier, reference: impl Fn(f64) -> f64) -> bool {
 /// The probe's stream seed.
 const PROBE_SEED: u64 = 0x7a_6e68;
 
-/// The widest supported tier that passes [`probe`] against `f64::tanh`,
-/// decided on the first call of the process.
-pub(crate) fn accepted_tier() -> Option<TanhTier> {
-    static ACCEPTED: OnceLock<Option<TanhTier>> = OnceLock::new();
-    *ACCEPTED.get_or_init(|| {
-        TanhTier::ALL
-            .into_iter()
-            .find(|&tier| probe(tier, f64::tanh))
-    })
+/// Whether the C library is the one [`tanh_lane`] was read from, glibc
+/// 2.36. The probe samples; this rules out the libraries it was never
+/// compared with, however well they do on the sample.
+fn runs_the_ported_libm() -> bool {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn gnu_get_libc_version() -> *const std::ffi::c_char;
+        }
+        // SAFETY: glibc returns a pointer to a static NUL-terminated string.
+        let version = unsafe { std::ffi::CStr::from_ptr(gnu_get_libc_version()) };
+        version.to_bytes() == b"2.36"
+    }
+    #[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+    {
+        false
+    }
 }
 
-/// `f64::tanh` of every element of `input`, into `out`: through the
-/// [`accepted_tier`], or one `f64::tanh` call per element without one.
+/// Whether [`tanh_slice`] runs the port: the CPU has the instructions,
+/// the C library is glibc 2.36 and [`probe`] agrees with `f64::tanh`.
+/// Decided on the first call of the process.
+fn lanes_accepted() -> bool {
+    static ACCEPTED: OnceLock<bool> = OnceLock::new();
+    *ACCEPTED.get_or_init(|| runs_the_ported_libm() && probe(f64::tanh))
+}
+
+/// `f64::tanh` of every element of `input`, into `out`: through
+/// [`tanh_lanes`] once [`lanes_accepted`], or one `f64::tanh` call per
+/// element.
 ///
 /// # Panics
 ///
 /// Panics if the lengths differ.
 pub(crate) fn tanh_slice(input: &[f64], out: &mut [f64]) {
     assert_eq!(input.len(), out.len(), "tanh slice length mismatch");
-    match accepted_tier() {
-        Some(tier) => tier.apply(input, out),
-        None => {
-            for (o, &x) in out.iter_mut().zip(input) {
-                *o = x.tanh();
-            }
+    if lanes_accepted() {
+        tanh_lanes(input, out);
+    } else {
+        for (o, &x) in out.iter_mut().zip(input) {
+            *o = x.tanh();
         }
     }
 }
@@ -399,19 +346,12 @@ pub(crate) fn tanh_slice(input: &[f64], out: &mut [f64]) {
 mod tests {
     use super::*;
 
-    /// The tiers this CPU can run; the probe plays no part in choosing them.
-    fn supported() -> Vec<TanhTier> {
-        TanhTier::ALL
-            .into_iter()
-            .filter(|t| t.is_supported())
-            .collect()
-    }
-
-    /// Inputs of `xs` whose `tier` output differs from `f64::tanh` in any
-    /// bit, with both outputs.
-    fn mismatches(tier: TanhTier, xs: &[f64]) -> Vec<(f64, f64, f64)> {
+    /// Inputs of `xs` whose port output differs from `f64::tanh` in any
+    /// bit, with both outputs. The port runs whenever the CPU can run it;
+    /// the probe plays no part.
+    fn mismatches(xs: &[f64]) -> Vec<(f64, f64, f64)> {
         let mut out = vec![0.0; xs.len()];
-        tier.apply(xs, &mut out);
+        tanh_lanes(xs, &mut out);
         xs.iter()
             .zip(&out)
             .filter(|(&x, y)| y.to_bits() != x.tanh().to_bits())
@@ -420,7 +360,7 @@ mod tests {
     }
 
     #[test]
-    fn every_supported_tier_matches_libm_on_ten_million_inputs() {
+    fn the_lane_port_matches_libm_on_ten_million_inputs() {
         const INPUTS: u64 = 10_000_000;
         const BLOCK: u64 = 1 << 14;
         let mut boundaries = Vec::new();
@@ -430,22 +370,22 @@ mod tests {
             "{} boundary inputs",
             boundaries.len()
         );
-        let mut block = Vec::with_capacity(BLOCK as usize);
-        for tier in supported() {
-            let mut bad = mismatches(tier, &boundaries);
-            for start in (0..INPUTS).step_by(BLOCK as usize) {
-                block.clear();
-                block.extend((start..(start + BLOCK).min(INPUTS)).map(|i| seeded_input(19, i)));
-                bad.extend(mismatches(tier, &block));
-            }
-            assert!(
-                bad.is_empty(),
-                "{}: {} mismatches, first {:?}",
-                tier.name(),
-                bad.len(),
-                &bad[..bad.len().min(4)]
-            );
+        if !lanes_supported() {
+            return;
         }
+        let mut bad = mismatches(&boundaries);
+        let mut block = Vec::with_capacity(BLOCK as usize);
+        for start in (0..INPUTS).step_by(BLOCK as usize) {
+            block.clear();
+            block.extend((start..(start + BLOCK).min(INPUTS)).map(|i| seeded_input(19, i)));
+            bad.extend(mismatches(&block));
+        }
+        assert!(
+            bad.is_empty(),
+            "{} mismatches, first {:?}",
+            bad.len(),
+            &bad[..bad.len().min(4)]
+        );
     }
 
     #[test]
@@ -476,13 +416,14 @@ mod tests {
 
     #[test]
     fn every_remainder_length_matches_libm() {
+        if !lanes_supported() {
+            return;
+        }
         let xs: Vec<f64> = (0..64).map(|i| seeded_input(5, i)).collect();
-        for tier in supported() {
-            for len in 0..=17 {
-                for offset in [0, 3] {
-                    let bad = mismatches(tier, &xs[offset..offset + len]);
-                    assert!(bad.is_empty(), "{} at length {len}: {bad:?}", tier.name());
-                }
+        for len in 0..=17 {
+            for offset in [0, 3] {
+                let bad = mismatches(&xs[offset..offset + len]);
+                assert!(bad.is_empty(), "at length {len}: {bad:?}");
             }
         }
     }
@@ -494,7 +435,7 @@ mod tests {
     }
 
     #[test]
-    fn a_tier_that_disagrees_on_one_boundary_is_refused() {
+    fn a_port_that_disagrees_on_one_boundary_is_refused() {
         let boundary = (3.5 * std::f64::consts::LN_2 / 2.0).next_up();
         let wrong = |x: f64| {
             if x.to_bits() == boundary.to_bits() {
@@ -503,35 +444,35 @@ mod tests {
                 x.tanh()
             }
         };
-        for tier in supported() {
-            assert!(
-                !probe(tier, wrong),
-                "{} accepted a wrong reference",
-                tier.name()
-            );
-        }
-        // a tier this CPU cannot run is never accepted
-        for tier in TanhTier::ALL.into_iter().filter(|t| !t.is_supported()) {
-            assert!(!probe(tier, f64::tanh));
+        assert!(!probe(wrong), "the probe accepted a wrong reference");
+        // without the instructions the probe refuses even the right one
+        if !lanes_supported() {
+            assert!(!probe(f64::tanh));
         }
     }
 
     #[test]
-    fn reports_the_accepted_tier() {
-        let accepted = accepted_tier();
+    fn reports_whether_the_lane_port_is_accepted() {
+        let accepted = lanes_accepted();
         println!(
-            "lane tanh: supported tiers {:?}, accepted {}",
-            supported().iter().map(|t| t.name()).collect::<Vec<_>>(),
-            accepted.map_or("none (f64::tanh per element)", TanhTier::name)
-        );
-        if let Some(tier) = accepted {
-            assert!(tier.is_supported() && probe(tier, f64::tanh));
-            // the widest tier that passes
-            let wider = TanhTier::ALL.iter().take_while(|&&t| t != tier);
-            for &t in wider {
-                assert!(!probe(t, f64::tanh), "{} passes but was skipped", t.name());
+            "lane tanh: avx512 {}, glibc 2.36 {}, accepted {}",
+            if lanes_supported() {
+                "supported"
+            } else {
+                "unsupported"
+            },
+            runs_the_ported_libm(),
+            if accepted {
+                "avx512 (8 lanes)"
+            } else {
+                "none (f64::tanh per element)"
             }
-        }
+        );
+        assert_eq!(
+            accepted,
+            runs_the_ported_libm() && probe(f64::tanh),
+            "the decision is the gate and the probe"
+        );
         let xs: Vec<f64> = (0..100).map(|i| seeded_input(7, i)).collect();
         let mut out = vec![0.0; xs.len()];
         tanh_slice(&xs, &mut out);
