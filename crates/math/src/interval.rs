@@ -289,6 +289,34 @@ impl Interval {
         Interval::new(self.lo.max(0.0), self.hi.max(0.0))
     }
 
+    /// The `k` cells of a uniform subdivision, in increasing order: cell
+    /// `i` spans `lo + i·w` to `lo + (i + 1)·w` with `w = width / k`, the
+    /// first starting at `lo` and the last ending at `hi` exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0`.
+    pub fn subdivide(&self, k: usize) -> Vec<Interval> {
+        assert!(k > 0, "subdivision count must be positive");
+        let w = self.width() / k as f64;
+        (0..k)
+            .map(|i| {
+                let lo = if i == 0 {
+                    self.lo
+                } else {
+                    self.lo + i as f64 * w
+                };
+                let hi = if i + 1 == k {
+                    self.hi
+                } else {
+                    self.lo + (i + 1) as f64 * w
+                };
+                // guard against rounding making lo > hi on tiny cells
+                Interval::new(lo.min(hi), hi.max(lo))
+            })
+            .collect()
+    }
+
     /// Clamps the interval into `[lo, hi]` element-wise (image of the clip
     /// function applied to every member).
     pub fn clamp_to(&self, lo: f64, hi: f64) -> Interval {
@@ -567,36 +595,21 @@ impl BoxRegion {
     }
 
     /// Subdivides into `k^n` sub-boxes (`k` cells per dimension), returned
-    /// in lexicographic cell order.
+    /// in lexicographic cell order (dimension 0 fastest): the products of
+    /// [`Interval::subdivide`] of every dimension.
     ///
     /// # Panics
     ///
     /// Panics if `k == 0`.
     pub fn subdivide(&self, k: usize) -> Vec<BoxRegion> {
-        assert!(k > 0, "subdivision count must be positive");
+        let axes: Vec<Vec<Interval>> = self.dims.iter().map(|d| d.subdivide(k)).collect();
         let n = self.dim();
         let mut cells = Vec::with_capacity(k.pow(n as u32));
         let mut idx = vec![0usize; n];
         loop {
-            let dims = (0..n)
-                .map(|i| {
-                    let d = self.dims[i];
-                    let w = d.width() / k as f64;
-                    let lo = if idx[i] == 0 {
-                        d.lo()
-                    } else {
-                        d.lo() + idx[i] as f64 * w
-                    };
-                    let hi = if idx[i] + 1 == k {
-                        d.hi()
-                    } else {
-                        d.lo() + (idx[i] + 1) as f64 * w
-                    };
-                    // guard against rounding making lo > hi on tiny cells
-                    Interval::new(lo.min(hi), hi.max(lo))
-                })
-                .collect();
-            cells.push(BoxRegion::new(dims));
+            cells.push(BoxRegion::new(
+                idx.iter().zip(&axes).map(|(&i, axis)| axis[i]).collect(),
+            ));
             // increment mixed-radix counter
             let mut i = 0;
             loop {

@@ -262,7 +262,8 @@ impl BernsteinApprox {
         for (axis, &qi) in q.intervals().iter().enumerate() {
             self.axis_tables(axis, qi, &mut tables);
         }
-        self.combine(&tables, self.coefficient_range(), &mut Vec::new())
+        let rows: Vec<usize> = (0..q.dim()).collect();
+        self.combine(&tables, &rows, self.coefficient_range(), &mut Vec::new())
     }
 
     /// Appends to `tables` what [`Self::enclose`] needs of the sub-box's
@@ -279,61 +280,159 @@ impl BernsteinApprox {
         );
         let t = Interval::new(lo.min(hi), hi.max(lo));
         let one = Interval::point(1.0);
-        tables.basis.extend((0..=d).map(|k| {
-            Interval::point(binomial(d, k)) * t.powi(k as u32) * (one - t).powi((d - k) as u32)
-        }));
+        for k in 0..=d {
+            let b =
+                Interval::point(binomial(d, k)) * t.powi(k as u32) * (one - t).powi((d - k) as u32);
+            tables.signed |= !(b.lo().is_sign_positive() && b.hi().is_sign_positive());
+            tables.basis.push([b.lo(), b.hi()]);
+        }
         let start = tables.mid_rows.len();
         tables.mid_rows.resize(start + d + 1, 0.0);
         basis_row_into(d, unit(dom, q.mid()), &mut tables.mid_rows[start..]);
         tables.radius_sq.push(q.radius() * q.radius());
     }
 
-    /// [`Self::enclose`] from the [`Self::axis_tables`] of every axis of
-    /// the sub-box, in axis order: `range`, the [`Self::coefficient_range`],
-    /// intersected with the interval basis sum, intersected with the
-    /// mean-value bound around the midpoint. One walk over the coefficients,
-    /// a run of axis 0 at a time as in [`sum_lanes`], computes both sums:
-    /// each term is `c · B₀[k₀] · B₁[k₁] · …`, multiplied left to right and
-    /// added in coefficient order, over the basis intervals for the first
-    /// and over the midpoint's basis values for the second, which is
-    /// [`sum_lanes`]'s arithmetic for one lane. `idx` is working memory.
-    fn combine(&self, tables: &AxisTables, range: Interval, idx: &mut Vec<usize>) -> Interval {
-        let pts = self.degree + 1;
-        let (basis0, basis) = tables.basis.split_at(pts);
-        let (mid0, mid) = tables.mid_rows.split_at(pts);
-        let mut by_basis = Interval::point(0.0);
-        let mut centre = 0.0;
-        // the basis index of every axis but the first
-        idx.clear();
-        idx.resize(self.domain.dim() - 1, 0);
-        for run in self.coeffs.chunks_exact(pts) {
-            for ((&c, &b), &m) in run.iter().zip(basis0).zip(mid0) {
-                let mut w = Interval::point(c) * b;
-                let mut at_mid = c * m;
-                for (i, &k) in idx.iter().enumerate() {
-                    w = w * basis[i * pts + k];
-                    at_mid *= mid[i * pts + k];
-                }
-                by_basis = by_basis + w;
-                centre += at_mid;
-            }
-            advance(idx, pts);
-        }
+    /// [`Self::enclose`] from [`Self::axis_tables`]: `rows[i]` is the row of
+    /// `tables` that holds axis `i`'s factors, and `range` the
+    /// [`Self::coefficient_range`]. The range is intersected with the
+    /// interval basis sum, then with the mean-value bound around the
+    /// midpoint. Both sums walk the coefficients a run of axis 0 at a time,
+    /// as [`sum_lanes`] does: each term is `c · B₀[k₀] · B₁[k₁] · …`,
+    /// multiplied left to right and added in coefficient order, over the
+    /// basis intervals for the first sum and over the midpoint's basis
+    /// values for the second, which is [`sum_lanes`]'s arithmetic for one
+    /// lane. The interval sum takes the sign split
+    /// ([`Self::sign_split_sums`]) unless a table entry is negative or the
+    /// split's sums are not finite; then it is recomputed with
+    /// [`Interval`] products, which panic where they always did. `idx` is
+    /// working memory.
+    fn combine(
+        &self,
+        tables: &AxisTables,
+        rows: &[usize],
+        range: Interval,
+        idx: &mut Vec<usize>,
+    ) -> Interval {
+        let sums = if tables.signed {
+            None
+        } else {
+            self.sign_split_sums(tables, rows, idx)
+        };
+        let (by_basis, centre) = sums.unwrap_or_else(|| self.interval_sums(tables, rows, idx));
         let mut bound = range;
         if let Some(tighter) = bound.intersect(&by_basis) {
             bound = tighter;
         }
 
         // the mean-value bound around the midpoint
-        let radius = tables.radius_sq.iter().copied().sum::<f64>().sqrt();
+        let radius = rows
+            .iter()
+            .map(|&row| tables.radius_sq[row])
+            .sum::<f64>()
+            .sqrt();
         let mean_value =
             Interval::symmetric(self.lipschitz_bound() * radius) + Interval::point(centre);
         bound.intersect(&mean_value).unwrap_or(bound)
     }
 
+    /// [`Self::combine`]'s two sums on raw `(lo, hi)` pairs, for tables
+    /// whose basis intervals are all non-negative (as every basis interval
+    /// over a sub-box of `[0, 1]` is): the interval basis sum and the
+    /// midpoint value.
+    ///
+    /// A term `c · B₀ · B₁ · …` whose factors are all `≥ +0` keeps the sign
+    /// of `c` at every step, so the ends of each product are those of
+    /// `[c, c]` times the factors' lower ends and times their upper ends,
+    /// swapped when `c < 0`. Rounding is monotone, so these are exactly the
+    /// least and greatest of the four products [`Interval`]'s `*` compares,
+    /// signed zeros included: every zero among them has the sign of `c`.
+    /// That holds while every product is finite; a NaN or an infinity
+    /// anywhere reaches a sum, so `None` when either sum is not finite,
+    /// and the caller recomputes with [`Interval`] products.
+    fn sign_split_sums(
+        &self,
+        tables: &AxisTables,
+        rows: &[usize],
+        idx: &mut Vec<usize>,
+    ) -> Option<(Interval, f64)> {
+        let pts = self.degree + 1;
+        let basis = |row: usize| &tables.basis[row * pts..][..pts];
+        let mid = |row: usize| &tables.mid_rows[row * pts..][..pts];
+        let (b0, m0) = (basis(rows[0]), mid(rows[0]));
+        let (mut lo, mut hi, mut centre) = (0.0, 0.0, 0.0);
+        if let [_, r1] = *rows {
+            // the factor of axis 1 is the same along a run
+            for ((run, b), &m) in self.coeffs.chunks_exact(pts).zip(basis(r1)).zip(mid(r1)) {
+                for ((&c, a), &ma) in run.iter().zip(b0).zip(m0) {
+                    let s = usize::from(c < 0.0);
+                    lo += c * a[s] * b[s];
+                    hi += c * a[1 - s] * b[1 - s];
+                    centre += c * ma * m;
+                }
+            }
+        } else {
+            // the basis index of every axis but the first
+            idx.clear();
+            idx.resize(rows.len() - 1, 0);
+            for run in self.coeffs.chunks_exact(pts) {
+                for ((&c, a), &ma) in run.iter().zip(b0).zip(m0) {
+                    let s = usize::from(c < 0.0);
+                    let (mut l, mut h, mut m) = (c * a[s], c * a[1 - s], c * ma);
+                    for (&row, &k) in rows[1..].iter().zip(idx.iter()) {
+                        let b = tables.basis[row * pts + k];
+                        l *= b[s];
+                        h *= b[1 - s];
+                        m *= tables.mid_rows[row * pts + k];
+                    }
+                    lo += l;
+                    hi += h;
+                    centre += m;
+                }
+                advance(idx, pts);
+            }
+        }
+        (lo.is_finite() && hi.is_finite()).then(|| (Interval::new(lo, hi), centre))
+    }
+
+    /// [`Self::combine`]'s two sums with [`Interval`] products: the path
+    /// for a negative table entry or a non-finite sum.
+    fn interval_sums(
+        &self,
+        tables: &AxisTables,
+        rows: &[usize],
+        idx: &mut Vec<usize>,
+    ) -> (Interval, f64) {
+        let pts = self.degree + 1;
+        let basis = |axis: usize, k: usize| {
+            let [lo, hi] = tables.basis[rows[axis] * pts + k];
+            Interval::new(lo, hi)
+        };
+        let mid = |axis: usize, k: usize| tables.mid_rows[rows[axis] * pts + k];
+        let mut by_basis = Interval::point(0.0);
+        let mut centre = 0.0;
+        // the basis index of every axis but the first
+        idx.clear();
+        idx.resize(rows.len() - 1, 0);
+        for run in self.coeffs.chunks_exact(pts) {
+            for (k0, &c) in run.iter().enumerate() {
+                let mut w = Interval::point(c) * basis(0, k0);
+                let mut at_mid = c * mid(0, k0);
+                for (i, &k) in idx.iter().enumerate() {
+                    w = w * basis(i + 1, k);
+                    at_mid *= mid(i + 1, k);
+                }
+                by_basis = by_basis + w;
+                centre += at_mid;
+            }
+            advance(idx, pts);
+        }
+        (by_basis, centre)
+    }
+
     /// [`Self::combine`] as it was before it walked runs: one mixed-radix
-    /// step per coefficient, and the coefficient range recomputed on every
-    /// call. The rewrite must match it bit for bit.
+    /// step per coefficient, [`Interval`] products, and the coefficient
+    /// range recomputed on every call, over tables holding one row per
+    /// axis in axis order. The rewrite must match it bit for bit.
     #[cfg(test)]
     fn combine_reference(&self, tables: &AxisTables, idx: &mut Vec<usize>) -> Interval {
         let pts = self.degree + 1;
@@ -344,7 +443,8 @@ impl BernsteinApprox {
         for &c in &self.coeffs {
             let mut w = Interval::point(c);
             for (i, &k) in idx.iter().enumerate() {
-                w = w * tables.basis[i * pts + k];
+                let [lo, hi] = tables.basis[i * pts + k];
+                w = w * Interval::new(lo, hi);
             }
             by_basis = by_basis + w;
             advance(idx, pts);
@@ -369,13 +469,17 @@ impl BernsteinApprox {
 }
 
 /// The per-axis factors of [`BernsteinApprox::enclose`] (see
-/// [`BernsteinApprox::axis_tables`]), axis after axis: `degree + 1` basis
-/// intervals and midpoint basis values, and one squared radius, per axis.
+/// [`BernsteinApprox::axis_tables`]), one row per axis interval: `degree +
+/// 1` basis intervals as `[lo, hi]` and midpoint basis values, and one
+/// squared radius, per row.
 #[derive(Default)]
 struct AxisTables {
-    basis: Vec<Interval>,
+    basis: Vec<[f64; 2]>,
     mid_rows: Vec<f64>,
     radius_sq: Vec<f64>,
+    /// Whether an end of some basis interval has its sign bit set, so
+    /// [`BernsteinApprox::combine`] cannot take the sign split.
+    signed: bool,
 }
 
 impl AxisTables {
@@ -383,16 +487,7 @@ impl AxisTables {
         self.basis.clear();
         self.mid_rows.clear();
         self.radius_sq.clear();
-    }
-
-    /// Appends the tables of axis `row` of `from`, which holds `pts`
-    /// entries per axis.
-    fn push_row(&mut self, from: &AxisTables, row: usize, pts: usize) {
-        self.basis
-            .extend_from_slice(&from.basis[row * pts..][..pts]);
-        self.mid_rows
-            .extend_from_slice(&from.mid_rows[row * pts..][..pts]);
-        self.radius_sq.push(from.radius_sq[row]);
+        self.signed = false;
     }
 }
 
@@ -1227,6 +1322,7 @@ impl ControlEnclosure for BernsteinCertificate {
         hits.sort_unstable();
         let mut out: Vec<Option<Interval>> = vec![None; self.output_dim];
         let (mut overlap, mut tables, mut idx) = (Vec::new(), AxisTables::default(), Vec::new());
+        let rows: Vec<usize> = (0..q.dim()).collect();
         for piece in hits.into_iter().map(|i| &self.pieces[i]) {
             // `BoxRegion::intersect`, axis by axis
             overlap.clear();
@@ -1244,7 +1340,7 @@ impl ControlEnclosure for BernsteinCertificate {
                     poly.axis_tables(axis, iv, &mut tables);
                 }
                 let iv = poly
-                    .combine(&tables, poly.coefficient_range(), &mut idx)
+                    .combine(&tables, &rows, poly.coefficient_range(), &mut idx)
                     .inflate(piece.epsilon);
                 hull_into(&mut out[o], iv);
             }
@@ -1263,13 +1359,15 @@ impl ControlEnclosure for BernsteinCertificate {
     /// of each (piece, axis, cell index) are computed once, and every cell
     /// of the product of those ranges combines its axes' tables and folds
     /// the result into its hull. Each cell thus sees its pieces in piece
-    /// order with the arithmetic of [`Self::enclose`]. Axes whose cells
+    /// order with the arithmetic of [`Self::enclose`]. A cell's tables are
+    /// rows of the piece's tables, picked by index, and the hulls live in
+    /// one flat buffer, so nothing is allocated per cell. Axes whose cells
     /// are not in increasing order fall back to one `enclose` per cell.
     #[allow(
         clippy::expect_used,
         reason = "only overlapping cells are enclosed, and the partition covers the domain"
     )]
-    fn enclose_grid(&self, axes: &[&[Interval]]) -> Vec<Vec<Interval>> {
+    fn enclose_grid(&self, axes: &[&[Interval]]) -> Vec<Interval> {
         assert_eq!(axes.len(), self.domain.dim(), "box dimension mismatch");
         let sorted = axes.iter().all(|cells| {
             cells
@@ -1284,8 +1382,8 @@ impl ControlEnclosure for BernsteinCertificate {
         let mut out: Vec<Option<Interval>> = vec![None; counts.iter().product::<usize>() * m];
         // per axis, the first overlapped cell and how many there are
         let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(axes.len());
-        let (mut tables, mut cell) = (AxisTables::default(), AxisTables::default());
-        let (mut idx, mut k) = (Vec::new(), Vec::new());
+        let mut tables = AxisTables::default();
+        let (mut idx, mut k, mut rows) = (Vec::new(), Vec::new(), Vec::new());
         for piece in &self.pieces {
             ranges.clear();
             ranges.extend(piece.region.intervals().iter().zip(axes).map(|(p, cells)| {
@@ -1312,15 +1410,17 @@ impl ControlEnclosure for BernsteinCertificate {
                 k.clear();
                 k.resize(axes.len(), 0);
                 loop {
-                    cell.clear();
+                    rows.clear();
                     let (mut flat, mut stride, mut row) = (0, 1, 0);
                     for ((&ki, &(first, len)), &count) in k.iter().zip(&ranges).zip(&counts) {
-                        cell.push_row(&tables, row + ki, poly.degree + 1);
+                        rows.push(row + ki);
                         flat += (first + ki) * stride;
                         stride *= count;
                         row += len;
                     }
-                    let iv = poly.combine(&cell, range, &mut idx).inflate(piece.epsilon);
+                    let iv = poly
+                        .combine(&tables, &rows, range, &mut idx)
+                        .inflate(piece.epsilon);
                     hull_into(&mut out[flat * m + o], iv);
                     if !advance_within(&mut k, &ranges) {
                         break;
@@ -1328,12 +1428,8 @@ impl ControlEnclosure for BernsteinCertificate {
                 }
             }
         }
-        out.chunks_exact(m)
-            .map(|cell| {
-                cell.iter()
-                    .map(|iv| iv.expect("query box must intersect the certified domain"))
-                    .collect()
-            })
+        out.into_iter()
+            .map(|iv| iv.expect("query box must intersect the certified domain"))
             .collect()
     }
 }
@@ -2085,9 +2181,10 @@ mod tests {
     fn assert_grid_matches_each_cell(cert: &BernsteinCertificate, grid: usize) -> usize {
         let (cells, axes) = subdivided_axes(cert.domain(), grid);
         let mut view: Vec<&[Interval]> = axes.iter().map(Vec::as_slice).collect();
+        let m = cert.output_dim;
         let got = cert.enclose_grid(&view);
-        assert_eq!(got.len(), cells.len());
-        for (flat, (cell, got)) in cells.iter().zip(&got).enumerate() {
+        assert_eq!(got.len(), cells.len() * m);
+        for (flat, (cell, got)) in cells.iter().zip(got.chunks_exact(m)).enumerate() {
             assert_eq!(
                 bits(got),
                 bits(&cert.enclose(cell)),
@@ -2098,8 +2195,12 @@ mod tests {
         view[slowest] = &axes[slowest][grid / 2..];
         let stripe = cert.enclose_grid(&view);
         let skipped = cells.len() / grid * (grid / 2);
-        assert_eq!(stripe.len(), cells.len() - skipped);
-        for (flat, (a, b)) in stripe.iter().zip(&got[skipped..]).enumerate() {
+        assert_eq!(stripe.len(), (cells.len() - skipped) * m);
+        for (flat, (a, b)) in stripe
+            .chunks_exact(m)
+            .zip(got[skipped * m..].chunks_exact(m))
+            .enumerate()
+        {
             assert_eq!(bits(a), bits(b), "upper stripe, cell {flat}");
         }
         cells
@@ -2186,6 +2287,133 @@ mod tests {
         out.into_iter().map(|iv| iv.expect("covered")).collect()
     }
 
+    /// The axis tables of `q` on every axis of `poly`, one row per axis.
+    fn tables_of(poly: &BernsteinApprox, q: &BoxRegion) -> AxisTables {
+        let mut tables = AxisTables::default();
+        for (axis, &iv) in q.intervals().iter().enumerate() {
+            poly.axis_tables(axis, iv, &mut tables);
+        }
+        tables
+    }
+
+    /// `f`'s result, or the message it panicked with.
+    fn outcome<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|e| {
+            e.downcast_ref::<String>()
+                .cloned()
+                .or_else(|| e.downcast_ref::<&str>().map(|s| (*s).to_string()))
+                .unwrap_or_default()
+        })
+    }
+
+    #[test]
+    fn sign_split_combine_matches_the_reference_combine() {
+        let mut rng = cocktail_math::rng::seeded(37);
+        let mut idx = Vec::new();
+        let (mut split, mut fallback, mut non_finite) = (0, 0, 0);
+        for degree in 1..=8 {
+            for dim in 1..=3 {
+                // coefficients of both signs, with an exact +0 and −0
+                let mut poly = random_approx(100 + 10 * degree as u64 + dim as u64, degree, dim);
+                let last = poly.coeffs.len() - 1;
+                (poly.coeffs[0], poly.coeffs[last]) = (0.0, -0.0);
+                let poly = BernsteinApprox::from_coeffs(poly.domain, degree, poly.coeffs);
+                // a domain starting at +0, queried from −0: unit
+                // coordinates of −0 make basis intervals that end in −0
+                let unit = BernsteinApprox::from_coeffs(
+                    BoxRegion::cube(dim, 0.0, 1.0),
+                    degree,
+                    poly.coeffs.clone(),
+                );
+                let mut cases = Vec::new();
+                for p in [&poly, &unit] {
+                    let domain = p.domain().clone();
+                    let (lo, hi) = (domain.lower(), domain.upper());
+                    let mut queries = vec![domain.clone()];
+                    for _ in 0..8 {
+                        let a = cocktail_math::rng::uniform_in_box(&mut rng, &domain);
+                        let b = cocktail_math::rng::uniform_in_box(&mut rng, &domain);
+                        let (l, h): (Vec<f64>, Vec<f64>) = a
+                            .iter()
+                            .zip(&b)
+                            .map(|(&a, &b)| (a.min(b), a.max(b)))
+                            .unzip();
+                        queries.push(BoxRegion::from_bounds(&l, &h));
+                    }
+                    // zero-width faces on both edges of every axis, where
+                    // basis intervals are exactly 0, and both corners
+                    for i in 0..dim {
+                        for edge in [lo[i], hi[i]] {
+                            let (mut l, mut h) = (lo.clone(), hi.clone());
+                            (l[i], h[i]) = (edge, edge);
+                            queries.push(BoxRegion::from_bounds(&l, &h));
+                        }
+                    }
+                    queries.push(BoxRegion::from_bounds(&lo, &lo));
+                    queries.push(BoxRegion::from_bounds(&hi, &hi));
+                    cases.extend(queries.into_iter().map(|q| (p, q)));
+                }
+                let negative_zero = vec![-0.0; dim];
+                cases.push((
+                    &unit,
+                    BoxRegion::from_bounds(&negative_zero, &vec![0.5; dim]),
+                ));
+                cases.push((
+                    &unit,
+                    BoxRegion::from_bounds(&negative_zero, &negative_zero),
+                ));
+                let rows: Vec<usize> = (0..dim).collect();
+                for (p, q) in &cases {
+                    let tables = tables_of(p, q);
+                    let at = format!("degree {degree}, dim {dim}, {q:?}");
+                    let got = p.combine(&tables, &rows, p.coefficient_range(), &mut idx);
+                    let want = p.combine_reference(&tables, &mut idx);
+                    assert_eq!(bits(&[got]), bits(&[want]), "{at}");
+                    match p.sign_split_sums(&tables, &rows, &mut idx) {
+                        Some((by_basis, centre)) if !tables.signed => {
+                            let (b, c) = p.interval_sums(&tables, &rows, &mut idx);
+                            assert_eq!(bits(&[by_basis]), bits(&[b]), "{at}");
+                            assert_eq!(centre.to_bits(), c.to_bits(), "{at}");
+                            split += 1;
+                        }
+                        _ => fallback += 1,
+                    }
+                }
+                // a non-finite coefficient takes the four-product path, and
+                // returns or panics as the reference does
+                for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+                    let mut coeffs = poly.coeffs.clone();
+                    coeffs[last / 2] = bad;
+                    let p = BernsteinApprox::from_coeffs(poly.domain.clone(), degree, coeffs);
+                    for q in [
+                        p.domain().clone(),
+                        BoxRegion::from_bounds(&p.domain.lower(), &p.domain.lower()),
+                    ] {
+                        let tables = tables_of(&p, &q);
+                        assert!(p.sign_split_sums(&tables, &rows, &mut idx).is_none());
+                        let got = outcome(|| {
+                            bits(&[p.combine(
+                                &tables,
+                                &rows,
+                                p.coefficient_range(),
+                                &mut Vec::new(),
+                            )])
+                        });
+                        let want =
+                            outcome(|| bits(&[p.combine_reference(&tables, &mut Vec::new())]));
+                        assert_eq!(got, want, "{bad} in degree {degree}, dim {dim}, {q:?}");
+                        non_finite += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            split > 500 && fallback >= 48,
+            "{split} split, {fallback} fallback"
+        );
+        assert_eq!(non_finite, 8 * 3 * 3 * 2);
+    }
+
     #[test]
     fn kappa_star_grid_enclosure_matches_the_reference_combine() {
         let (_, cert) = kappa_star_export();
@@ -2193,7 +2421,7 @@ mod tests {
         let view: Vec<&[Interval]> = axes.iter().map(Vec::as_slice).collect();
         let got = cert.enclose_grid(&view);
         assert_eq!(got.len(), 3600);
-        for (flat, (cell, got)) in cells.iter().zip(&got).enumerate() {
+        for (flat, (cell, got)) in cells.iter().zip(got.chunks_exact(1)).enumerate() {
             assert_eq!(
                 bits(got),
                 bits(&enclose_with_reference_combine(&cert, cell)),
@@ -2257,13 +2485,9 @@ mod tests {
         let (_, mut axes) = subdivided_axes(two.domain(), 6);
         axes[0].reverse();
         let view: Vec<&[Interval]> = axes.iter().map(Vec::as_slice).collect();
-        for (got, want) in two
-            .enclose_grid(&view)
-            .iter()
-            .zip(enclose_each_cell(&two, &view))
-        {
-            assert_eq!(bits(got), bits(&want));
-        }
+        let want = enclose_each_cell(&two, &view);
+        assert_eq!(want.len(), 36 * 2);
+        assert_eq!(bits(&two.enclose_grid(&view)), bits(&want));
 
         // the golden 3-D and non-dyadic 4-D certificates at their grids
         let poly = Poly3d::new();

@@ -578,7 +578,7 @@ fn closed_loop(
 ) -> Result<(ReachResult, usize, InvariantResult), VerifyError> {
     let inv = {
         let _span = Span::enter(tel, "verify/invariant");
-        invariant_with_images(sys, controller, &params.invariant, workers)
+        invariant_with_images(sys, controller, &params.invariant, workers, tel)
     };
     let (reach, reused) = {
         let _span = Span::enter(tel, "verify/reach");
@@ -606,7 +606,7 @@ mod tests {
     use crate::reach::reach_analysis;
     use cocktail_env::systems::VanDerPol;
     use cocktail_nn::{Activation, Mlp, MlpBuilder};
-    use cocktail_obs::{InMemorySink, NullSink};
+    use cocktail_obs::{EventKind, InMemorySink, NullSink};
 
     fn student(seed: u64) -> Mlp {
         MlpBuilder::new(2)
@@ -686,6 +686,29 @@ mod tests {
         );
         assert!(observed.counter_total("verify.reach_images_reused") > 0);
         assert_eq!(observed.events_named("verify.verdict").len(), 1);
+        // the invariant's two stages are spans inside its own
+        let spans: Vec<(EventKind, String)> = observed
+            .events()
+            .into_iter()
+            .filter(|e| matches!(e.kind, EventKind::SpanStart | EventKind::SpanEnd))
+            .map(|e| (e.kind, e.name))
+            .collect();
+        let at = |kind: EventKind, name: &str| {
+            spans
+                .iter()
+                .position(|(k, n)| *k == kind && n == name)
+                .unwrap_or_else(|| panic!("no {kind:?} of {name} in {spans:?}"))
+        };
+        let order = [
+            at(EventKind::SpanStart, "verify/invariant"),
+            at(EventKind::SpanStart, "verify/invariant/images"),
+            at(EventKind::SpanEnd, "verify/invariant/images"),
+            at(EventKind::SpanStart, "verify/invariant/fixpoint"),
+            at(EventKind::SpanEnd, "verify/invariant/fixpoint"),
+            at(EventKind::SpanEnd, "verify/invariant"),
+            at(EventKind::SpanStart, "verify/reach"),
+        ];
+        assert!(order.windows(2).all(|w| w[0] < w[1]), "{spans:?}");
     }
 
     #[test]

@@ -26,15 +26,16 @@ pub trait ControlEnclosure: Send + Sync {
     fn enclose(&self, q: &BoxRegion) -> Vec<Interval>;
 
     /// [`Self::enclose`] of every cell of a product grid, in flat order
-    /// (axis 0 fastest): `axes[i]` lists the cells' intervals on axis `i`.
-    /// An implementation may share work between cells, but each result
-    /// must be that cell's `enclose`, bit for bit. The default encloses
+    /// (axis 0 fastest), [`Self::control_dim`] intervals per cell in one
+    /// flat list: `axes[i]` lists the cells' intervals on axis `i`. An
+    /// implementation may share work between cells, but each cell's
+    /// intervals must be its `enclose`, bit for bit. The default encloses
     /// one cell at a time.
     ///
     /// # Panics
     ///
     /// As [`Self::enclose`], for any cell.
-    fn enclose_grid(&self, axes: &[&[Interval]]) -> Vec<Vec<Interval>> {
+    fn enclose_grid(&self, axes: &[&[Interval]]) -> Vec<Interval> {
         enclose_each_cell(self, axes)
     }
 }
@@ -44,10 +45,10 @@ pub trait ControlEnclosure: Send + Sync {
 pub(crate) fn enclose_each_cell<E: ControlEnclosure + ?Sized>(
     enclosure: &E,
     axes: &[&[Interval]],
-) -> Vec<Vec<Interval>> {
+) -> Vec<Interval> {
     let total = axes.iter().map(|cells| cells.len()).product();
     (0..total)
-        .map(|mut flat| {
+        .flat_map(|mut flat| {
             let cell = axes
                 .iter()
                 .map(|cells| {

@@ -16,7 +16,9 @@
 //! certificate field — cannot depend on an evaluation order. A sweep
 //! builds a summed-area table of the previous bitmap's dead cells and asks
 //! it, per alive cell, whether the image's cell range holds a dead cell:
-//! `O(2ⁿ)` per cell whatever the range's size, on the calling thread.
+//! `2ⁿ` loads and adds per cell whatever the range's size, on the calling
+//! thread, because each image's range is turned once, before the first
+//! sweep, into the `2ⁿ` table offsets of its corners.
 //! [`crate::cert`] hands the cells and images on to the reachability
 //! analysis of the same certificate, which steps the same cells.
 
@@ -25,6 +27,7 @@ use crate::error::VerifyError;
 use crate::reach::{disturbance, step_image};
 use cocktail_env::Dynamics;
 use cocktail_math::{BoxRegion, Interval};
+use cocktail_obs::{NullSink, Span, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
@@ -172,7 +175,7 @@ impl InvariantResult {
 ///
 /// # Panics
 ///
-/// Panics if `config.grid == 0`.
+/// Panics if `config.grid == 0` or the grid has `u32::MAX` cells or more.
 pub fn invariant_set(
     sys: &dyn Dynamics,
     controller: &dyn ControlEnclosure,
@@ -206,7 +209,7 @@ pub fn invariant_set_with_workers(
     config: &InvariantConfig,
     workers: usize,
 ) -> Result<InvariantResult, VerifyError> {
-    invariant_with_images(sys, controller, config, workers).map(|(result, _)| result)
+    invariant_with_images(sys, controller, config, workers, &NullSink).map(|(result, _)| result)
 }
 
 /// The invariant's grid cells and their one-step images, in flat cell
@@ -216,36 +219,38 @@ pub fn invariant_set_with_workers(
 pub(crate) struct CellImages {
     /// Cells per dimension.
     pub grid: usize,
-    /// `domain.subdivide(grid)`.
-    pub cells: Vec<BoxRegion>,
-    /// [`one_step_image`] of every cell.
+    /// The cells' intervals on each axis, [`Interval::subdivide`] of the
+    /// domain's: cell `(k₀, …)` is the box of `axes[i][kᵢ]`, which is
+    /// `domain.subdivide(grid)`'s cell.
+    pub axes: Vec<Vec<Interval>>,
+    /// [`crate::reach::one_step_image`] of every cell.
     pub images: Vec<BoxRegion>,
 }
 
 impl CellImages {
-    /// The image of cell `flat`, when that cell is `cell` bit for bit.
-    pub(crate) fn image_of(&self, flat: usize, cell: &BoxRegion) -> Option<&BoxRegion> {
-        let same = self.cells.get(flat).is_some_and(|c| {
-            c.dim() == cell.dim()
-                && c.intervals().iter().zip(cell.intervals()).all(|(a, b)| {
-                    a.lo().to_bits() == b.lo().to_bits() && a.hi().to_bits() == b.hi().to_bits()
-                })
-        });
-        if same {
-            self.images.get(flat)
-        } else {
-            None
-        }
+    /// The image of cell `flat`, when that cell's intervals are `cell` bit
+    /// for bit.
+    pub(crate) fn image_of(&self, mut flat: usize, cell: &[Interval]) -> Option<&BoxRegion> {
+        let image = self.images.get(flat)?;
+        let same = self.axes.len() == cell.len()
+            && self.axes.iter().zip(cell).all(|(axis, b)| {
+                let a = axis[flat % self.grid];
+                flat /= self.grid;
+                a.lo().to_bits() == b.lo().to_bits() && a.hi().to_bits() == b.hi().to_bits()
+            });
+        same.then_some(image)
     }
 }
 
 /// [`invariant_set_with_workers`], also returning the cells and images it
-/// computed.
+/// computed. `verify/invariant/images` and `verify/invariant/fixpoint`
+/// spans on `tel` meter the two stages.
 pub(crate) fn invariant_with_images(
     sys: &dyn Dynamics,
     controller: &dyn ControlEnclosure,
     config: &InvariantConfig,
     workers: usize,
+    tel: &dyn Telemetry,
 ) -> Result<(InvariantResult, CellImages), VerifyError> {
     assert!(config.grid > 0, "grid must be positive");
     if controller.state_dim() != sys.state_dim() || controller.control_dim() != sys.control_dim() {
@@ -262,9 +267,21 @@ pub(crate) fn invariant_with_images(
     let start = Instant::now();
     let domain = sys.verification_domain();
     let grid = config.grid;
-    let cells = domain.subdivide(grid);
-    let total = cells.len();
-    let images = stripe_images(sys, controller, &cells, grid, workers);
+    let axes: Vec<Vec<Interval>> = domain
+        .intervals()
+        .iter()
+        .map(|iv| iv.subdivide(grid))
+        .collect();
+    let total = grid.pow(domain.dim() as u32);
+    assert!(
+        u32::try_from(total).is_ok_and(|t| t < u32::MAX),
+        "invariant grid of {total} cells exceeds the u32 index range"
+    );
+    let images = {
+        let _span = Span::enter(tel, "verify/invariant/images");
+        stripe_images(sys, controller, &axes, workers)
+    };
+    let _span = Span::enter(tel, "verify/invariant/fixpoint");
 
     let mut result = InvariantResult {
         domain: domain.clone(),
@@ -275,21 +292,24 @@ pub(crate) fn invariant_with_images(
         duration: Duration::ZERO,
     };
 
-    // image cell-ranges never change between sweeps; resolve them once,
-    // `n` per cell (`inside` is false where the image leaves X)
+    // image cell-ranges never change between sweeps; resolve each once
+    // into the summed-area offsets of its corners (`inside` is false
+    // where the image leaves X)
     let n = domain.dim();
-    let mut ranges = Vec::with_capacity(total * n);
+    let mut dead = DeadCells::new(grid, n);
+    let mut corners = Vec::with_capacity(total << n);
+    let mut ranges = Vec::with_capacity(n);
     let inside: Vec<bool> = images
         .iter()
         .map(|image| {
-            let before = ranges.len();
+            ranges.clear();
             let inside = result.cell_range(image, &mut ranges);
-            ranges.resize(before + n, (0, 0));
+            ranges.resize(n, (0, 0));
+            dead.push_corners(&ranges, &mut corners);
             inside
         })
         .collect();
 
-    let mut dead = DeadCells::new(grid, n);
     let mut keep = vec![false; total];
     for iteration in 1..=config.max_iterations {
         // Jacobi sweep: keep-decisions read only the previous sweep's
@@ -297,9 +317,12 @@ pub(crate) fn invariant_with_images(
         // certificate field, so a sweep must never see its own removals.
         dead.count(&result.alive);
         let mut removed = false;
-        for (i, keep) in keep.iter_mut().enumerate() {
-            let alive = result.alive[i];
-            *keep = alive && inside[i] && dead.none_in(&ranges[i * n..][..n]);
+        for ((keep, corners), (&alive, &inside)) in keep
+            .iter_mut()
+            .zip(corners.chunks_exact(1 << n))
+            .zip(result.alive.iter().zip(&inside))
+        {
+            *keep = alive && inside && dead.none_in(corners);
             removed |= alive && !*keep;
         }
         std::mem::swap(&mut result.alive, &mut keep);
@@ -310,18 +333,11 @@ pub(crate) fn invariant_with_images(
         }
     }
     result.duration = start.elapsed();
-    Ok((
-        result,
-        CellImages {
-            grid,
-            cells,
-            images,
-        },
-    ))
+    Ok((result, CellImages { grid, axes, images }))
 }
 
-/// The one-step images of `cells`, the `gridⁿ` cells of `sys`'s domain in
-/// flat order.
+/// The one-step images of the cells of the product grid over `axes` (the
+/// cells' intervals on each axis), in flat order.
 ///
 /// The slowest axis is cut into at most `workers` contiguous stripes. A
 /// stripe is a contiguous run of cells and a product grid itself, so each
@@ -333,33 +349,33 @@ pub(crate) fn invariant_with_images(
 fn stripe_images(
     sys: &dyn Dynamics,
     controller: &dyn ControlEnclosure,
-    cells: &[BoxRegion],
-    grid: usize,
+    axes: &[Vec<Interval>],
     workers: usize,
 ) -> Vec<BoxRegion> {
     let bounds = sys.control_bounds();
     let omega = disturbance(sys);
-    // `subdivide` builds a product grid: the cells' intervals on axis `i`
-    // are those of the cells `k·gridⁱ`
-    let mut stride = 1;
-    let axes: Vec<Vec<Interval>> = (0..cells[0].dim())
-        .map(|i| {
-            let axis = (0..grid).map(|k| cells[k * stride].interval(i)).collect();
-            stride *= grid;
-            axis
-        })
-        .collect();
-    let (slowest, row) = (axes.len() - 1, cells.len() / grid);
+    let slowest = axes.len() - 1;
+    let grid = axes[slowest].len();
     let stripes = workers.clamp(1, grid);
+    let m = controller.control_dim();
     let stripe = |s: usize| {
         let rows = s * grid / stripes..(s + 1) * grid / stripes;
         let mut view: Vec<&[Interval]> = axes.iter().map(Vec::as_slice).collect();
-        view[slowest] = &axes[slowest][rows.clone()];
+        view[slowest] = &axes[slowest][rows];
         let enclosures = controller.enclose_grid(&view);
-        cells[rows.start * row..rows.end * row]
-            .iter()
-            .zip(enclosures)
-            .map(|(cell, u)| step_image(sys, cell, u, &bounds, &omega))
+        let (mut cell, mut clamped) = (Vec::with_capacity(axes.len()), Vec::with_capacity(m));
+        enclosures
+            .chunks_exact(m)
+            .enumerate()
+            .map(|(mut flat, u)| {
+                cell.clear();
+                cell.extend(view.iter().map(|cells| {
+                    let iv = cells[flat % cells.len()];
+                    flat /= cells.len();
+                    iv
+                }));
+                step_image(sys, &cell, u, &bounds, &omega, &mut clamped)
+            })
             .collect::<Vec<_>>()
     };
     std::thread::scope(|scope| {
@@ -379,29 +395,43 @@ fn stripe_images(
 }
 
 /// A summed-area table of the dead cells of a `gridⁿ` bitmap, so that a
-/// sweep decides each cell with one `O(2ⁿ)` query instead of visiting
+/// sweep decides each cell with `2ⁿ` loads and adds instead of visiting
 /// every cell its image overlaps.
 struct DeadCells {
     grid: usize,
     dims: usize,
     /// At the flat index of `(k₀, …)`: how many cells `(j₀, …)` with
-    /// `jᵢ ≤ kᵢ` for every `i` are dead.
-    sums: Vec<usize>,
+    /// `jᵢ ≤ kᵢ` for every `i` are dead. One more slot, after the last
+    /// cell, holds 0: the corner that falls below index 0.
+    sums: Vec<u32>,
+    /// Per corner of a range, `1` or `−1` (wrapping) by the parity of its
+    /// lower ends (see [`Self::push_corners`]).
+    signs: Vec<u32>,
 }
 
 impl DeadCells {
     fn new(grid: usize, dims: usize) -> Self {
+        let signs = (0..1usize << dims)
+            .map(|corner| {
+                if (dims as u32 - corner.count_ones()).is_multiple_of(2) {
+                    1
+                } else {
+                    u32::MAX
+                }
+            })
+            .collect();
         Self {
             grid,
             dims,
             sums: Vec::new(),
+            signs,
         }
     }
 
     /// Rebuilds the table from `alive`, one prefix-sum pass per axis.
     fn count(&mut self, alive: &[bool]) {
         self.sums.clear();
-        self.sums.extend(alive.iter().map(|&a| usize::from(!a)));
+        self.sums.extend(alive.iter().map(|&a| u32::from(!a)));
         let mut stride = 1;
         for _ in 0..self.dims {
             // blocks of `grid` runs of `stride` cells along this axis
@@ -412,35 +442,47 @@ impl DeadCells {
             }
             stride *= self.grid;
         }
+        // the zero slot
+        self.sums.push(0);
     }
 
-    /// Whether no cell in the per-dimension index `ranges` is dead: the
-    /// inclusion–exclusion sum over the box's `2ⁿ` corners, where a corner
-    /// below index 0 contributes nothing.
-    fn none_in(&self, ranges: &[(usize, usize)]) -> bool {
-        let mut dead = 0usize;
-        'corners: for corner in 0..1usize << ranges.len() {
-            let (mut flat, mut stride, mut below) = (0, 1, 0);
+    /// Appends the `2ⁿ` table offsets of the inclusion–exclusion sum over
+    /// the per-dimension index `ranges`: corner `c` takes the range's upper
+    /// end on each axis whose bit is set in `c` and one below its lower
+    /// end on the others, and is the zero slot when one of those is below
+    /// index 0. Its sign is [`Self::signs`]`[c]`.
+    fn push_corners(&self, ranges: &[(usize, usize)], out: &mut Vec<u32>) {
+        let zero = self.grid.pow(self.dims as u32);
+        out.extend((0..1usize << ranges.len()).map(|corner| {
+            let (mut flat, mut stride) = (0, 1);
             for (i, &(lo, hi)) in ranges.iter().enumerate() {
                 let k = if corner >> i & 1 == 1 {
                     hi
                 } else if lo == 0 {
-                    continue 'corners;
+                    flat = zero;
+                    break;
                 } else {
-                    below += 1;
                     lo - 1
                 };
                 flat += k * stride;
                 stride *= self.grid;
             }
-            let sum = self.sums[flat];
-            dead = if below % 2 == 0 {
-                dead.wrapping_add(sum)
-            } else {
-                dead.wrapping_sub(sum)
-            };
-        }
-        dead == 0
+            // below `u32::MAX` cells, checked by the caller
+            flat as u32
+        }));
+    }
+
+    /// Whether no cell of the range whose corners [`Self::push_corners`]
+    /// gave is dead. The count is exact modulo 2³², and no count reaches
+    /// 2³², so it is 0 exactly when the range has no dead cell.
+    fn none_in(&self, corners: &[u32]) -> bool {
+        corners
+            .iter()
+            .zip(&self.signs)
+            .fold(0u32, |dead, (&at, &sign)| {
+                dead.wrapping_add(self.sums[at as usize].wrapping_mul(sign))
+            })
+            == 0
     }
 }
 
@@ -668,6 +710,60 @@ mod tests {
         }
     }
 
+    /// A 1-D plant on `[−1, 1]` that leaks 10% a step, with a cubic drift
+    /// that pushes large `|x|` out.
+    struct Leak1;
+
+    impl Dynamics for Leak1 {
+        fn name(&self) -> &str {
+            "leak-1"
+        }
+
+        fn state_dim(&self) -> usize {
+            1
+        }
+
+        fn control_dim(&self) -> usize {
+            1
+        }
+
+        fn disturbance_dim(&self) -> usize {
+            1
+        }
+
+        fn step(&self, s: &[f64], u: &[f64], w: &[f64]) -> Vec<f64> {
+            vec![0.9 * s[0] + 0.2 * s[0].powi(3) + 0.1 * u[0] + w[0]]
+        }
+
+        fn step_interval(&self, s: &[Interval], u: &[Interval], w: &[Interval]) -> Vec<Interval> {
+            vec![s[0] * 0.9 + s[0].powi(3) * 0.2 + u[0] * 0.1 + w[0]]
+        }
+
+        fn is_safe(&self, s: &[f64]) -> bool {
+            self.verification_domain().contains(s)
+        }
+
+        fn initial_set(&self) -> BoxRegion {
+            BoxRegion::cube(1, -0.2, 0.2)
+        }
+
+        fn verification_domain(&self) -> BoxRegion {
+            BoxRegion::cube(1, -1.0, 1.0)
+        }
+
+        fn control_bounds(&self) -> (Vec<f64>, Vec<f64>) {
+            (vec![-5.0], vec![5.0])
+        }
+
+        fn disturbance_amplitude(&self) -> Vec<f64> {
+            vec![0.01]
+        }
+
+        fn horizon(&self) -> usize {
+            20
+        }
+    }
+
     /// The fixpoint the summed-area table replaced: every sweep scans each
     /// alive cell's image range against the previous sweep's bitmap.
     /// Returns the bitmap, the sweep count and whether it converged.
@@ -692,7 +788,8 @@ mod tests {
         let ranges: Vec<Option<Vec<(usize, usize)>>> = cells
             .iter()
             .map(|cell| {
-                let image = crate::reach::one_step_image(sys, enc, cell, &bounds, &omega);
+                let image =
+                    crate::reach::one_step_image(sys, enc, cell, &bounds, &omega, &mut Vec::new());
                 let mut ranges = Vec::new();
                 probe.cell_range(&image, &mut ranges).then_some(ranges)
             })
@@ -723,7 +820,9 @@ mod tests {
         // (plant, grid, gain centre, spread): stable, marginal and
         // unstable feedback, each around a centre with seeded noise
         let vdp = VanDerPol::new();
-        let cases: [(&dyn Dynamics, usize, &[f64], f64); 6] = [
+        let cases: [(&dyn Dynamics, usize, &[f64], f64); 8] = [
+            (&Leak1, 40, &[0.5], 0.3),
+            (&Leak1, 25, &[-3.0], 0.5),
             (&vdp, 24, &[3.0, 4.0], 0.5),
             (&vdp, 20, &[0.6, 0.8], 0.2),
             (&vdp, 16, &[-10.0, -10.0], 1.0),
@@ -763,6 +862,56 @@ mod tests {
             }
         }
         assert!(not_converged >= 12, "{not_converged} capped runs");
+    }
+
+    #[test]
+    fn corner_offsets_match_a_scan_of_the_range() {
+        let mut rng = cocktail_math::rng::seeded(73);
+        let mut at_index_0 = 0;
+        for (dims, grid) in [(1usize, 17usize), (2, 9), (3, 6)] {
+            let total = grid.pow(dims as u32);
+            let mut dead = DeadCells::new(grid, dims);
+            let mut corners = Vec::new();
+            for share_dead in [0.0, 0.02, 0.3] {
+                for _ in 0..20 {
+                    let draws = cocktail_math::rng::uniform_in_box(
+                        &mut rng,
+                        &BoxRegion::cube(total, 0.0, 1.0),
+                    );
+                    let alive: Vec<bool> = draws.iter().map(|&d| d >= share_dead).collect();
+                    dead.count(&alive);
+                    for _ in 0..40 {
+                        // index ranges, half of them starting at index 0
+                        let ends = cocktail_math::rng::uniform_in_box(
+                            &mut rng,
+                            &BoxRegion::cube(3 * dims, 0.0, grid as f64),
+                        );
+                        let ranges: Vec<(usize, usize)> = ends
+                            .chunks_exact(3)
+                            .map(|e| {
+                                let (a, b) = (e[0] as usize, e[1] as usize);
+                                let lo = if e[2] < 0.5 * grid as f64 {
+                                    0
+                                } else {
+                                    a.min(b)
+                                };
+                                (lo, a.max(b))
+                            })
+                            .collect();
+                        at_index_0 += usize::from(ranges.iter().any(|r| r.0 == 0));
+                        corners.clear();
+                        dead.push_corners(&ranges, &mut corners);
+                        assert_eq!(corners.len(), 1 << dims);
+                        assert_eq!(
+                            dead.none_in(&corners),
+                            all_alive(&ranges, &alive, grid),
+                            "{dims}-D grid {grid}, {ranges:?}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(at_index_0 > 1000, "{at_index_0} ranges at index 0");
     }
 
     #[test]

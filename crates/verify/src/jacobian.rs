@@ -44,7 +44,7 @@ pub(crate) struct JacobianScratch {
     /// Per unit of the next layer, from [`affines`]: its pre-activation
     /// enclosure, then the enclosures of its `n` Jacobian column sums.
     enclosures: Vec<[f64; 2]>,
-    /// [`affines`]' running sums.
+    /// [`affines`]' running sums beyond four inputs.
     sums: Vec<[f64; 3]>,
     /// Every pre-activation's `lo` and `hi`, and the activation of each.
     endpoints: Vec<f64>,
@@ -70,7 +70,8 @@ fn mid_rad([lo, hi]: [f64; 2]) -> (f64, f64) {
 /// `out` (value first). `x` holds `weights.len()` groups of [`mid_rad`]
 /// pairs, each its input's value then Jacobian entries. Each enclosure is
 /// centre ± radius, padded by the rounding bound of its sums; `None` on a
-/// NaN. `sums` is working memory.
+/// NaN. For input dimensions 1–4 the running sums live in a fixed-size
+/// array ([`affines_fixed`]); wider inputs use `sums` as working memory.
 fn affines(
     weights: &[f64],
     x: &[(f64, f64)],
@@ -78,22 +79,55 @@ fn affines(
     sums: &mut Vec<[f64; 3]>,
     out: &mut Vec<[f64; 2]>,
 ) -> Option<()> {
-    let width = x.len() / weights.len();
-    // centre, radius and magnitude of each sum
-    sums.clear();
-    sums.push([bias, 0.0, bias.abs()]);
-    sums.resize(width, [0.0; 3]);
-    for (&w, group) in weights.iter().zip(x.chunks_exact(width)) {
-        let w_abs = w.abs();
-        for (sum, &(m, r)) in sums.iter_mut().zip(group) {
-            let term = w * m;
-            sum[0] += term;
-            sum[1] += w_abs * r;
-            sum[2] += term.abs();
+    match x.len() / weights.len() {
+        2 => affines_fixed::<2>(weights, x, bias, out),
+        3 => affines_fixed::<3>(weights, x, bias, out),
+        4 => affines_fixed::<4>(weights, x, bias, out),
+        5 => affines_fixed::<5>(weights, x, bias, out),
+        width => {
+            sums.clear();
+            sums.push([bias, 0.0, bias.abs()]);
+            sums.resize(width, [0.0; 3]);
+            for (&w, group) in weights.iter().zip(x.chunks_exact(width)) {
+                accumulate(sums, w, group);
+            }
+            push_enclosures(sums, weights.len(), out)
         }
     }
-    let unit_pad = (weights.len() + 4) as f64 * EPS;
-    for &[centre, radius, magnitude] in sums.iter() {
+}
+
+/// [`affines`] for groups of `W` pairs, the sums in registers.
+fn affines_fixed<const W: usize>(
+    weights: &[f64],
+    x: &[(f64, f64)],
+    bias: f64,
+    out: &mut Vec<[f64; 2]>,
+) -> Option<()> {
+    let mut sums = [[0.0; 3]; W];
+    sums[0] = [bias, 0.0, bias.abs()];
+    for (&w, group) in weights.iter().zip(x.chunks_exact(W)) {
+        accumulate(&mut sums, w, group);
+    }
+    push_enclosures(&sums, weights.len(), out)
+}
+
+/// Adds one input's terms, weight `w`, to the centre, radius and
+/// magnitude of each sum.
+#[inline(always)]
+fn accumulate(sums: &mut [[f64; 3]], w: f64, group: &[(f64, f64)]) {
+    let w_abs = w.abs();
+    for (sum, &(m, r)) in sums.iter_mut().zip(group) {
+        let term = w * m;
+        sum[0] += term;
+        sum[1] += w_abs * r;
+        sum[2] += term.abs();
+    }
+}
+
+/// Appends each sum's padded enclosure for a length-`terms` dot product.
+fn push_enclosures(sums: &[[f64; 3]], terms: usize, out: &mut Vec<[f64; 2]>) -> Option<()> {
+    let unit_pad = (terms + 4) as f64 * EPS;
+    for &[centre, radius, magnitude] in sums {
         out.push(checked(
             centre - radius,
             centre + radius,
@@ -461,7 +495,8 @@ mod tests {
         let mut scratch = JacobianScratch::default();
         let mut compared = 0;
         for (a, &act) in ALL.iter().enumerate() {
-            for n in [1usize, 2, 3, 4] {
+            // five inputs take `affines`' generic loop
+            for n in [1usize, 2, 3, 4, 5] {
                 let net = net(n, act, 200 + 10 * a as u64 + n as u64);
                 for max_width in [0.0, 1e-3, 0.05, 0.5, 2.0, 8.0] {
                     for _ in 0..6 {
@@ -488,13 +523,83 @@ mod tests {
                 }
             }
         }
-        assert_eq!(compared, ALL.len() * 4 * 6 * 6);
+        assert_eq!(compared, ALL.len() * 5 * 6 * 6);
         // a NaN weight: both give none
         let mut broken = net(2, Activation::Tanh, 5);
         broken.layers_mut()[0].weights_mut()[(3, 1)] = f64::NAN;
         let region = BoxRegion::cube(2, -1.0, 1.0);
         assert!(reference::interval_jacobian(&broken, &region).is_none());
         assert!(interval_jacobian(&broken, &region, &mut scratch).is_none());
+    }
+
+    /// [`affines`] as one loop over a vector of sums for every input
+    /// dimension: the body before dimensions 1–4 kept their sums in an
+    /// array.
+    fn affines_by_loop(weights: &[f64], x: &[(f64, f64)], bias: f64) -> Option<Vec<[f64; 2]>> {
+        let width = x.len() / weights.len();
+        let mut sums = vec![[0.0; 3]; width];
+        sums[0] = [bias, 0.0, bias.abs()];
+        for (&w, group) in weights.iter().zip(x.chunks_exact(width)) {
+            let w_abs = w.abs();
+            for (sum, &(m, r)) in sums.iter_mut().zip(group) {
+                let term = w * m;
+                sum[0] += term;
+                sum[1] += w_abs * r;
+                sum[2] += term.abs();
+            }
+        }
+        let unit_pad = (weights.len() + 4) as f64 * EPS;
+        sums.iter()
+            .map(|&[centre, radius, magnitude]| {
+                checked(
+                    centre - radius,
+                    centre + radius,
+                    unit_pad * (magnitude + radius),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn affines_match_one_loop_at_input_dimensions_one_to_five() {
+        let mut rng = cocktail_math::rng::seeded(46);
+        let mut draw = |len: usize, half_width: f64| {
+            cocktail_math::rng::uniform_symmetric(&mut rng, len, half_width)
+        };
+        let mut sums = Vec::new();
+        let mut compared = 0;
+        for n in 1..=5 {
+            for inputs in [1usize, 3, 24] {
+                for trial in 0..25 {
+                    let mut weights = draw(inputs, 2.0);
+                    let centres = draw(inputs * (n + 1), 3.0);
+                    let radii = draw(inputs * (n + 1), 1.0);
+                    let mut x: Vec<(f64, f64)> = centres
+                        .iter()
+                        .zip(&radii)
+                        .map(|(&m, &r)| (m, r.abs()))
+                        .collect();
+                    let mut bias = draw(1, 1.0)[0];
+                    // signed zeros, and a NaN that must give `None`
+                    match trial {
+                        0 => (weights[0], bias) = (-0.0, -0.0),
+                        1 => x[0] = (-0.0, 0.0),
+                        2 => x[inputs * (n + 1) - 1].0 = f64::NAN,
+                        _ => {}
+                    }
+                    let mut out = Vec::new();
+                    let got = affines(&weights, &x, bias, &mut sums, &mut out).map(|()| out);
+                    let want = affines_by_loop(&weights, &x, bias);
+                    assert_eq!(
+                        bits(got.as_deref()),
+                        bits(want.as_deref()),
+                        "n {n}, {inputs} inputs, trial {trial}"
+                    );
+                    compared += 1;
+                }
+            }
+        }
+        assert_eq!(compared, 5 * 3 * 25);
     }
 
     /// Every endpoint's bits, for exact comparison.

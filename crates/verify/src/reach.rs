@@ -14,12 +14,16 @@
 //! once per analysis: the first frame that occupies it computes its image,
 //! later frames reuse it. The images are merged in occupied-cell order
 //! exactly as if recomputed, so the frames, `verified_safe`, the step of a
-//! `fail_on_unsafe` error and `peak_boxes` are unchanged. The memo, keyed
-//! by flat cell index, lives only for one call and never holds more
-//! entries than the frames it returns. A frame is a sorted list of
-//! distinct flat indices: an image's cells are pushed, and the list is
-//! sorted and deduplicated at the end of the step (and whenever repeats
-//! have doubled it, so they cannot pile up).
+//! `fail_on_unsafe` error and `peak_boxes` are unchanged. The memo is a
+//! list sorted by flat cell index, read in one merge walk per step (a
+//! frame is sorted too), with every image's overlap ranges in one shared
+//! buffer; it lives only for one call and never holds more entries than
+//! the frames it returns, however many cells the paving has. A frame is a
+//! sorted list of distinct flat indices: an image's cells are pushed, and
+//! the list is sorted and deduplicated at the end of the step (and
+//! whenever repeats have doubled it, so they cannot pile up). Cells are
+//! built as [`BoxRegion`]s only for the frames returned and for the cells
+//! reach encloses itself.
 //!
 //! Inside [`crate::cert::certify_controller`] the invariant fixpoint has
 //! already computed the same [`one_step_image`] for every cell of its own
@@ -40,7 +44,6 @@ use crate::invariant::CellImages;
 use cocktail_env::Dynamics;
 use cocktail_math::{BoxRegion, Interval};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// How reachable sets are represented between steps.
@@ -121,7 +124,13 @@ impl ReachResult {
 
 /// The per-dimension index ranges of the cells a box overlaps, and whether
 /// the box pokes outside the domain.
+#[cfg(test)]
 type Overlap = (Vec<(usize, usize)>, bool);
+
+/// What the paving knows of an occupied cell's one-step image: where its
+/// overlap ranges start in the shared buffer and whether it pokes outside
+/// the domain, or `None` when it lies wholly outside.
+type Stepped = Option<(usize, bool)>;
 
 /// Uniform grid over a box.
 struct Grid {
@@ -139,48 +148,41 @@ impl Grid {
         Self { domain, counts }
     }
 
-    fn cell_box(&self, index: &[usize]) -> BoxRegion {
-        let dims = index
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| {
-                let iv = self.domain.interval(i);
-                let w = iv.width() / self.counts[i] as f64;
-                Interval::new(iv.lo() + k as f64 * w, iv.lo() + (k + 1) as f64 * w)
-            })
-            .collect();
+    /// Cell `k`'s interval on `axis`.
+    fn cell_interval(&self, axis: usize, k: usize) -> Interval {
+        let iv = self.domain.interval(axis);
+        let w = iv.width() / self.counts[axis] as f64;
+        Interval::new(iv.lo() + k as f64 * w, iv.lo() + (k + 1) as f64 * w)
+    }
+
+    /// Writes the intervals of the cell with flat index `flat` into `out`.
+    fn cell_into(&self, mut flat: usize, out: &mut Vec<Interval>) {
+        out.clear();
+        for (axis, &count) in self.counts.iter().enumerate() {
+            out.push(self.cell_interval(axis, flat % count));
+            flat /= count;
+        }
+    }
+
+    /// The cell with flat index `flat`.
+    fn cell_box(&self, flat: usize) -> BoxRegion {
+        let mut dims = Vec::with_capacity(self.counts.len());
+        self.cell_into(flat, &mut dims);
         BoxRegion::new(dims)
     }
 
-    fn flat(&self, index: &[usize]) -> usize {
-        let mut out = 0usize;
-        let mut stride = 1usize;
-        for (i, &k) in index.iter().enumerate() {
-            out += k * stride;
-            stride *= self.counts[i];
-        }
-        out
-    }
-
-    fn unflat(&self, mut flat: usize) -> Vec<usize> {
-        let mut out = Vec::with_capacity(self.counts.len());
-        for &c in &self.counts {
-            out.push(flat % c);
-            flat /= c;
-        }
-        out
-    }
-
-    /// Per-dimension index ranges of cells a box overlaps, or `None` when
-    /// the box lies entirely outside the domain in some dimension.
-    /// `clipped` is set when the box pokes outside the domain.
-    fn overlap_ranges(&self, b: &BoxRegion) -> Option<Overlap> {
-        let mut ranges = Vec::with_capacity(self.counts.len());
+    /// Appends to `ranges` the per-dimension index ranges of the cells a
+    /// box overlaps and returns whether the box pokes outside the domain,
+    /// or returns `None`, appending nothing, when the box lies entirely
+    /// outside the domain in some dimension.
+    fn overlap_into(&self, b: &BoxRegion, ranges: &mut Vec<(usize, usize)>) -> Option<bool> {
+        let start = ranges.len();
         let mut clipped = false;
         for i in 0..self.counts.len() {
             let dom = self.domain.interval(i);
             let cell = b.interval(i);
             if cell.hi() < dom.lo() || cell.lo() > dom.hi() {
+                ranges.truncate(start);
                 return None;
             }
             if cell.lo() < dom.lo() - 1e-12 || cell.hi() > dom.hi() + 1e-12 {
@@ -193,24 +195,47 @@ impl Grid {
             let hi = hi_raw.clamp(lo as isize, self.counts[i] as isize - 1) as usize;
             ranges.push((lo, hi));
         }
-        Some((ranges, clipped))
+        Some(clipped)
     }
 
-    /// Appends all cells in the given per-dimension ranges to `cells`.
-    fn mark(&self, ranges: &[(usize, usize)], cells: &mut Vec<usize>) {
-        let mut idx: Vec<usize> = ranges.iter().map(|r| r.0).collect();
+    /// [`Self::overlap_into`] into a list of its own.
+    #[cfg(test)]
+    fn overlap_ranges(&self, b: &BoxRegion) -> Option<Overlap> {
+        let mut ranges = Vec::with_capacity(self.counts.len());
+        self.overlap_into(b, &mut ranges)
+            .map(|clipped| (ranges, clipped))
+    }
+
+    /// Appends all cells in the given per-dimension ranges to `cells`,
+    /// dimension 0 fastest. `idx` is working memory.
+    fn mark(&self, ranges: &[(usize, usize)], cells: &mut Vec<usize>, idx: &mut Vec<usize>) {
+        idx.clear();
+        idx.extend(ranges.iter().map(|r| r.0));
+        // the flat index of the range's first cell
+        let mut flat = 0;
+        let mut stride = 1;
+        for (&(lo, _), &count) in ranges.iter().zip(&self.counts) {
+            flat += lo * stride;
+            stride *= count;
+        }
+        let (first_lo, first_hi) = ranges[0];
         loop {
-            cells.push(self.flat(&idx));
-            let mut d = 0;
+            // a run along dimension 0 is contiguous
+            cells.extend(flat..=flat + (first_hi - first_lo));
+            let mut d = 1;
+            let mut stride = self.counts[0];
             loop {
                 if d == idx.len() {
                     return;
                 }
-                idx[d] += 1;
-                if idx[d] <= ranges[d].1 {
+                if idx[d] < ranges[d].1 {
+                    idx[d] += 1;
+                    flat += stride;
                     break;
                 }
+                flat -= (idx[d] - ranges[d].0) * stride;
                 idx[d] = ranges[d].0;
+                stride *= self.counts[d];
                 d += 1;
             }
         }
@@ -288,16 +313,22 @@ pub(crate) fn reach_with_images(
     let known = known.filter(|k| grid.counts.iter().all(|&c| c == k.grid));
     let mut reused = 0;
 
-    // flat cell index → the overlap of its one-step image (`None`: the
-    // image lies wholly outside the domain)
-    let mut images: HashMap<usize, Option<Overlap>> = HashMap::new();
+    // the cells stepped so far, sorted by flat index, with their images;
+    // every image's overlap ranges, `n` per image, in `spans`
+    let mut memo: Vec<(usize, Stepped)> = Vec::new();
+    let (mut fresh, mut merged) = (Vec::new(), Vec::new());
+    let mut spans: Vec<(usize, usize)> = Vec::new();
+    let n = grid.counts.len();
+    let (mut cell, mut clamped, mut idx, mut bits) =
+        (Vec::with_capacity(n), Vec::new(), Vec::new(), Vec::new());
     // the occupied cells' flat indices, sorted and distinct
     let mut occupied = Vec::new();
-    let (init_ranges, init_clipped) = grid
-        .overlap_ranges(x0)
+    let init_clipped = grid
+        .overlap_into(x0, &mut spans)
         .ok_or(VerifyError::DomainEscape { step: 0 })?;
-    grid.mark(&init_ranges, &mut occupied);
-    settle(&mut occupied);
+    grid.mark(&spans, &mut occupied, &mut idx);
+    spans.clear();
+    settle(&mut occupied, &mut bits);
     let mut verified_safe = !init_clipped;
     let mut peak = occupied.len();
     let mut frames = vec![cells_to_boxes(&grid, &occupied)];
@@ -312,44 +343,66 @@ pub(crate) fn reach_with_images(
         let mut next = Vec::new();
         let mut settled = 0;
         let mut any_inside = false;
+        // both lists are sorted: one merge walk finds the stepped cells
+        let mut seen = memo.iter().peekable();
+        fresh.clear();
         for &flat in &occupied {
-            let overlap = images.entry(flat).or_insert_with(|| {
-                let cell = grid.cell_box(&grid.unflat(flat));
-                match known.and_then(|k| k.image_of(flat, &cell)) {
-                    Some(image) => {
-                        reused += 1;
-                        grid.overlap_ranges(image)
-                    }
-                    None => grid
-                        .overlap_ranges(&one_step_image(sys, controller, &cell, &bounds, &omega)),
+            while seen.next_if(|(f, _)| *f < flat).is_some() {}
+            let stepped = match seen.next_if(|(f, _)| *f == flat) {
+                Some(&(_, stepped)) => stepped,
+                None => {
+                    grid.cell_into(flat, &mut cell);
+                    let at = spans.len();
+                    let clipped = match known.and_then(|k| k.image_of(flat, &cell)) {
+                        Some(image) => {
+                            reused += 1;
+                            grid.overlap_into(image, &mut spans)
+                        }
+                        None => {
+                            let cell = BoxRegion::new(cell.clone());
+                            let image = one_step_image(
+                                sys,
+                                controller,
+                                &cell,
+                                &bounds,
+                                &omega,
+                                &mut clamped,
+                            );
+                            grid.overlap_into(&image, &mut spans)
+                        }
+                    };
+                    let stepped = clipped.map(|clipped| (at, clipped));
+                    fresh.push((flat, stepped));
+                    stepped
                 }
-            });
-            match overlap {
+            };
+            match stepped {
                 None => {
                     verified_safe = false;
                     if config.fail_on_unsafe {
                         return Err(VerifyError::Unsafe { step: step + 1 });
                     }
                 }
-                Some((ranges, clipped)) => {
+                Some((at, clipped)) => {
                     any_inside = true;
-                    if *clipped {
+                    if clipped {
                         verified_safe = false;
                         if config.fail_on_unsafe {
                             return Err(VerifyError::Unsafe { step: step + 1 });
                         }
                     }
-                    grid.mark(ranges, &mut next);
+                    grid.mark(&spans[at..at + n], &mut next, &mut idx);
                     // repeated marks never outgrow the distinct cells by
                     // much more than one image
                     if next.len() >= 2 * settled.max(4096) {
-                        settle(&mut next);
+                        settle(&mut next, &mut bits);
                         settled = next.len();
                     }
                 }
             }
         }
-        settle(&mut next);
+        merge_sorted(&mut memo, &fresh, &mut merged);
+        settle(&mut next, &mut bits);
         if !any_inside {
             return Err(VerifyError::DomainEscape { step: step + 1 });
         }
@@ -373,6 +426,29 @@ pub(crate) fn reach_with_images(
     Ok((result, reused))
 }
 
+/// Merges `fresh` into `memo`, both sorted by flat cell index and
+/// disjoint, through `scratch`.
+fn merge_sorted(
+    memo: &mut Vec<(usize, Stepped)>,
+    fresh: &[(usize, Stepped)],
+    scratch: &mut Vec<(usize, Stepped)>,
+) {
+    if fresh.is_empty() {
+        return;
+    }
+    scratch.clear();
+    let mut old = memo.iter().peekable();
+    for &entry in fresh {
+        while let Some(&&earlier) = old.peek().filter(|(f, _)| *f < entry.0) {
+            scratch.push(earlier);
+            old.next();
+        }
+        scratch.push(entry);
+    }
+    scratch.extend(old);
+    std::mem::swap(memo, scratch);
+}
+
 /// The disturbance set `Ω` of `sys`, one interval per disturbance input.
 pub(crate) fn disturbance(sys: &dyn Dynamics) -> Vec<Interval> {
     sys.disturbance_amplitude()
@@ -383,45 +459,77 @@ pub(crate) fn disturbance(sys: &dyn Dynamics) -> Vec<Interval> {
 
 /// A cell's one-step interval image: the controller's enclosure over the
 /// cell, clamped to the control `bounds`, through the interval dynamics
-/// with disturbance `omega`.
+/// with disturbance `omega`. `clamped` is working memory.
 pub(crate) fn one_step_image(
     sys: &dyn Dynamics,
     controller: &dyn ControlEnclosure,
     cell: &BoxRegion,
     bounds: &(Vec<f64>, Vec<f64>),
     omega: &[Interval],
+    clamped: &mut Vec<Interval>,
 ) -> BoxRegion {
-    step_image(sys, cell, controller.enclose(cell), bounds, omega)
+    step_image(
+        sys,
+        cell.intervals(),
+        &controller.enclose(cell),
+        bounds,
+        omega,
+        clamped,
+    )
 }
 
-/// [`one_step_image`] of `cell` from the controller's enclosure `u` over
-/// it.
+/// [`one_step_image`] of the cell with intervals `cell` from the
+/// controller's enclosure `u` over it. `clamped` is working memory for the
+/// clamped enclosure.
 pub(crate) fn step_image(
     sys: &dyn Dynamics,
-    cell: &BoxRegion,
-    u: Vec<Interval>,
+    cell: &[Interval],
+    u: &[Interval],
     (u_lo, u_hi): &(Vec<f64>, Vec<f64>),
     omega: &[Interval],
+    clamped: &mut Vec<Interval>,
 ) -> BoxRegion {
-    let u: Vec<Interval> = u
-        .into_iter()
-        .zip(u_lo.iter().zip(u_hi))
-        .map(|(iv, (&l, &h))| iv.clamp_to(l, h))
-        .collect();
-    BoxRegion::new(sys.step_interval(cell.intervals(), &u, omega))
+    clamped.clear();
+    clamped.extend(
+        u.iter()
+            .zip(u_lo.iter().zip(u_hi))
+            .map(|(iv, (&l, &h))| iv.clamp_to(l, h)),
+    );
+    BoxRegion::new(sys.step_interval(cell, clamped, omega))
 }
 
-/// Sorts `cells` and drops repeats.
-fn settle(cells: &mut Vec<usize>) {
-    cells.sort_unstable();
-    cells.dedup();
+/// Sorts `cells` and drops repeats. When the cells' indices span at most
+/// 64 per cell, they are set in a bitmap over that span (`bits`, working
+/// memory no larger than `cells`) and read back in order; otherwise they
+/// are sorted.
+fn settle(cells: &mut Vec<usize>, bits: &mut Vec<u64>) {
+    let (Some(&lo), Some(&hi)) = (cells.iter().min(), cells.iter().max()) else {
+        return;
+    };
+    let span = hi - lo + 1;
+    if span > 64 * cells.len() {
+        cells.sort_unstable();
+        cells.dedup();
+        return;
+    }
+    bits.clear();
+    bits.resize(span.div_ceil(64), 0);
+    for &cell in cells.iter() {
+        let at = cell - lo;
+        bits[at / 64] |= 1 << (at % 64);
+    }
+    cells.clear();
+    for (w, &word) in bits.iter().enumerate() {
+        let mut word = word;
+        while word != 0 {
+            cells.push(lo + w * 64 + word.trailing_zeros() as usize);
+            word &= word - 1;
+        }
+    }
 }
 
 fn cells_to_boxes(grid: &Grid, cells: &[usize]) -> Vec<BoxRegion> {
-    cells
-        .iter()
-        .map(|&f| grid.cell_box(&grid.unflat(f)))
-        .collect()
+    cells.iter().map(|&f| grid.cell_box(f)).collect()
 }
 
 /// [`ReachMode::Subdivision`] implementation: exact boxes, bisected to the
@@ -841,7 +949,7 @@ mod tests {
         // into a list
         let mark = |ranges: &[(usize, usize)], set: &mut BTreeSet<usize>| {
             let mut marked = Vec::new();
-            grid.mark(ranges, &mut marked);
+            grid.mark(ranges, &mut marked, &mut Vec::new());
             set.extend(marked);
         };
         let boxes =
@@ -858,7 +966,7 @@ mod tests {
             let mut next = BTreeSet::new();
             let mut any_inside = false;
             for &flat in &occupied {
-                let cell = grid.cell_box(&grid.unflat(flat));
+                let cell = grid.cell_box(flat);
                 let u: Vec<Interval> = controller
                     .enclose(&cell)
                     .into_iter()
@@ -957,6 +1065,109 @@ mod tests {
     }
 
     #[test]
+    fn memoized_paving_matches_every_cell_on_a_3d_plant() {
+        use crate::bernstein::{BernsteinCertificate, CertificateConfig, ErrorMargin};
+        let sys = Poly3d::new();
+        let linear = LinearEnclosure::new(Matrix::from_rows(vec![vec![2.0, 3.0, 3.0]]));
+        let net = cocktail_nn::MlpBuilder::new(3)
+            .hidden(8, cocktail_nn::Activation::Tanh)
+            .output(1, cocktail_nn::Activation::Tanh)
+            .seed(21)
+            .build();
+        let certificate = BernsteinCertificate::build(
+            &net,
+            &[7.0],
+            &sys.verification_domain(),
+            &CertificateConfig {
+                degree: 3,
+                tolerance: 1.0,
+                max_pieces: 4096,
+                error_samples_per_dim: 4,
+                margin: ErrorMargin::Lipschitz,
+            },
+        )
+        .expect("fits");
+        let enclosures: [&dyn ControlEnclosure; 2] = [&linear, &certificate];
+        let runs = [
+            // the Fig. 4 box on a 50³ paving: the first frames are a few
+            // cells far apart in flat index, later ones dense
+            (
+                BoxRegion::from_bounds(&[-0.11, 0.205, 0.1], &[-0.105, 0.21, 0.11]),
+                0.02,
+                15,
+            ),
+            (
+                BoxRegion::from_bounds(&[-0.3, -0.2, -0.1], &[0.1, 0.2, 0.3]),
+                0.1,
+                10,
+            ),
+            // the whole domain, on 3 × 3 × 3 cells
+            (sys.verification_domain(), 0.4, 6),
+        ];
+        let mut stepped = 0;
+        for (which, enclosure) in enclosures.into_iter().enumerate() {
+            for (x0, split_width, steps) in &runs {
+                let config = ReachConfig {
+                    steps: *steps,
+                    split_width: *split_width,
+                    ..Default::default()
+                };
+                let at = format!("enclosure {which}, {x0:?} at {split_width}");
+                let got = reach_analysis(&sys, enclosure, x0, &config);
+                let want = reach_every_cell(&sys, enclosure, x0, &config);
+                match (got, want) {
+                    (Ok(got), Ok(want)) => {
+                        assert_eq!(frame_bits(&got.frames), frame_bits(&want.frames), "{at}");
+                        assert_eq!(got.verified_safe, want.verified_safe, "{at}");
+                        assert_eq!(got.peak_boxes, want.peak_boxes, "{at}");
+                        stepped += 1;
+                    }
+                    (got, want) => assert_eq!(got.err(), want.err(), "{at}"),
+                }
+            }
+        }
+        assert!(stepped >= 4, "{stepped} runs reached their horizon");
+    }
+
+    #[test]
+    fn settling_by_bitmap_or_by_sort_matches_a_sort() {
+        let mut rng = cocktail_math::rng::seeded(19);
+        let mut bits = Vec::new();
+        let (mut dense, mut sparse) = (0, 0);
+        for (len, span) in [
+            (0usize, 1usize),
+            (1, 1),
+            (50, 40),
+            (300, 4000),
+            (64, 4096),
+            (20, 100_000),
+        ] {
+            for _ in 0..10 {
+                let draws = cocktail_math::rng::uniform_in_box(
+                    &mut rng,
+                    &BoxRegion::cube(len.max(1), 0.0, span as f64),
+                );
+                let mut cells: Vec<usize> = draws[..len].iter().map(|&d| 7 + d as usize).collect();
+                let mut want = cells.clone();
+                want.sort_unstable();
+                want.dedup();
+                let hi_minus_lo = want.last().zip(want.first()).map_or(0, |(h, l)| h - l);
+                if hi_minus_lo < 64 * len {
+                    dense += 1;
+                } else {
+                    sparse += 1;
+                }
+                settle(&mut cells, &mut bits);
+                assert_eq!(cells, want, "{len} cells over {span}");
+            }
+        }
+        assert!(
+            dense >= 30 && sparse >= 10,
+            "{dense} dense, {sparse} sparse"
+        );
+    }
+
+    #[test]
     fn fail_on_unsafe_stops_at_the_same_step_with_the_memo() {
         // a weak law that holds the tube for a while, then lets it drift
         // out, so cells recur before the failing step
@@ -1051,9 +1262,14 @@ mod tests {
         x0: &BoxRegion,
         keep: usize,
     ) -> [usize; 2] {
-        let (_, mut known) =
-            invariant_with_images(sys, enclosure, &params.invariant, 2).expect("dimensions agree");
-        known.cells.truncate(keep);
+        let (_, mut known) = invariant_with_images(
+            sys,
+            enclosure,
+            &params.invariant,
+            2,
+            &cocktail_obs::NullSink,
+        )
+        .expect("dimensions agree");
         known.images.truncate(keep);
         let (own, alone) = (Counting::new(enclosure), Counting::new(enclosure));
         let (got, reused) =
@@ -1122,10 +1338,10 @@ mod tests {
         assert!(!clipped);
         assert_eq!(ranges, vec![(1, 1), (2, 3)]);
         let mut set = Vec::new();
-        grid.mark(&ranges, &mut set);
+        grid.mark(&ranges, &mut set, &mut Vec::new());
         assert_eq!(set, vec![9, 13]);
         for &f in &set {
-            let cell = grid.cell_box(&grid.unflat(f));
+            let cell = grid.cell_box(f);
             assert!(cell.intersect(&b).is_some());
         }
     }
