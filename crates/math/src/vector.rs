@@ -26,6 +26,25 @@ pub fn norm_2(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
+/// Euclidean distance `‖a − b‖₂` without a difference vector: each
+/// difference squared and summed left to right as [`dot`] sums, so the
+/// bits are those of `norm_2(&sub(a, b))`.
+///
+/// # Panics
+///
+/// Panics if the lengths differ.
+pub fn distance(a: &[f64], b: &[f64]) -> f64 {
+    assert_eq!(a.len(), b.len(), "distance length mismatch");
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| {
+            let d = x - y;
+            d * d
+        })
+        .sum::<f64>()
+        .sqrt()
+}
+
 /// L1 norm `Σ |a_i|` — the paper's control-energy measure (Eq. 3 uses the
 /// 1-norm of the control input).
 pub fn norm_1(a: &[f64]) -> f64 {
@@ -151,6 +170,22 @@ pub fn lerp(a: &[f64], b: &[f64], t: f64) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn distance_has_the_bits_of_the_norm_of_the_difference() {
+        let mut rng = crate::rng::seeded(5);
+        for len in 0..9 {
+            let region = crate::interval::BoxRegion::cube(len.max(1), -3.0, 3.0);
+            let a = crate::rng::uniform_in_box(&mut rng, &region);
+            let b = crate::rng::uniform_in_box(&mut rng, &region);
+            let (a, b) = (&a[..len], &b[..len]);
+            assert_eq!(
+                distance(a, b).to_bits(),
+                norm_2(&sub(a, b)).to_bits(),
+                "{len}"
+            );
+        }
+    }
 
     #[test]
     fn dot_orthogonal_is_zero() {

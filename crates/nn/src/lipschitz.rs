@@ -9,7 +9,7 @@
 //! that the analytic bound is neither violated nor absurdly loose.
 
 use crate::mlp::{BatchCache, Mlp};
-use cocktail_math::{parallel, rng, BoxRegion, Matrix};
+use cocktail_math::{parallel, rng, vector, BoxRegion, Matrix};
 
 /// Which operator norm to use per layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,7 +73,7 @@ pub fn empirical_lower_bound(net: &Mlp, region: &BoxRegion, samples: usize, seed
 /// order) into one input block per contiguous run of pairs: the run's `a`
 /// endpoints, then its `b` endpoints. Each worker pushes a whole block
 /// through one batched forward pass into its own [`BatchCache`] and takes
-/// each pair's distances without allocating ([`distance`]). Each
+/// each pair's distances without allocating ([`vector::distance`]). Each
 /// output row is bit-identical to a per-sample `forward` call at any batch
 /// split, and the maximum of the non-negative ratios does not depend on
 /// the order it is taken in, so the result is the same for every
@@ -102,11 +102,11 @@ fn sweep(net: &Mlp, region: &BoxRegion, samples: usize, seed: u64, workers: usiz
             let y = cache.output();
             let mut best: f64 = 0.0;
             for i in 0..len {
-                let dx = distance(x.row(i), x.row(len + i));
+                let dx = vector::distance(x.row(i), x.row(len + i));
                 if dx < 1e-12 {
                     continue;
                 }
-                let dy = distance(y.row(i), y.row(len + i));
+                let dy = vector::distance(y.row(i), y.row(len + i));
                 best = best.max(dy / dx);
             }
             best
@@ -114,26 +114,11 @@ fn sweep(net: &Mlp, region: &BoxRegion, samples: usize, seed: u64, workers: usiz
     best_per_run.into_iter().fold(0.0, f64::max)
 }
 
-/// `‖a − b‖₂` without a difference vector: each difference squared and
-/// summed left to right as [`cocktail_math::vector::dot`] sums, so the
-/// bits are those of `vector::norm_2(&vector::sub(a, b))`.
-fn distance(a: &[f64], b: &[f64]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| {
-            let d = x - y;
-            d * d
-        })
-        .sum::<f64>()
-        .sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::activation::Activation;
     use crate::mlp::MlpBuilder;
-    use cocktail_math::vector;
 
     fn net() -> Mlp {
         MlpBuilder::new(2)

@@ -360,36 +360,24 @@ impl BernsteinApprox {
         let mid = |row: usize| &tables.mid_rows[row * pts..][..pts];
         let (b0, m0) = (basis(rows[0]), mid(rows[0]));
         let (mut lo, mut hi, mut centre) = (0.0, 0.0, 0.0);
-        if let [_, r1] = *rows {
-            // the factor of axis 1 is the same along a run
-            for ((run, b), &m) in self.coeffs.chunks_exact(pts).zip(basis(r1)).zip(mid(r1)) {
-                for ((&c, a), &ma) in run.iter().zip(b0).zip(m0) {
-                    let s = usize::from(c < 0.0);
-                    lo += c * a[s] * b[s];
-                    hi += c * a[1 - s] * b[1 - s];
-                    centre += c * ma * m;
+        // the basis index of every axis but the first
+        idx.clear();
+        idx.resize(rows.len() - 1, 0);
+        for run in self.coeffs.chunks_exact(pts) {
+            for ((&c, a), &ma) in run.iter().zip(b0).zip(m0) {
+                let s = usize::from(c < 0.0);
+                let (mut l, mut h, mut m) = (c * a[s], c * a[1 - s], c * ma);
+                for (&row, &k) in rows[1..].iter().zip(idx.iter()) {
+                    let b = tables.basis[row * pts + k];
+                    l *= b[s];
+                    h *= b[1 - s];
+                    m *= tables.mid_rows[row * pts + k];
                 }
+                lo += l;
+                hi += h;
+                centre += m;
             }
-        } else {
-            // the basis index of every axis but the first
-            idx.clear();
-            idx.resize(rows.len() - 1, 0);
-            for run in self.coeffs.chunks_exact(pts) {
-                for ((&c, a), &ma) in run.iter().zip(b0).zip(m0) {
-                    let s = usize::from(c < 0.0);
-                    let (mut l, mut h, mut m) = (c * a[s], c * a[1 - s], c * ma);
-                    for (&row, &k) in rows[1..].iter().zip(idx.iter()) {
-                        let b = tables.basis[row * pts + k];
-                        l *= b[s];
-                        h *= b[1 - s];
-                        m *= tables.mid_rows[row * pts + k];
-                    }
-                    lo += l;
-                    hi += h;
-                    centre += m;
-                }
-                advance(idx, pts);
-            }
+            advance(idx, pts);
         }
         (lo.is_finite() && hi.is_finite()).then(|| (Interval::new(lo, hi), centre))
     }

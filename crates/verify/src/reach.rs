@@ -319,8 +319,7 @@ pub(crate) fn reach_with_images(
     let (mut fresh, mut merged) = (Vec::new(), Vec::new());
     let mut spans: Vec<(usize, usize)> = Vec::new();
     let n = grid.counts.len();
-    let (mut cell, mut clamped, mut idx, mut bits) =
-        (Vec::with_capacity(n), Vec::new(), Vec::new(), Vec::new());
+    let (mut cell, mut clamped, mut idx) = (Vec::with_capacity(n), Vec::new(), Vec::new());
     // the occupied cells' flat indices, sorted and distinct
     let mut occupied = Vec::new();
     let init_clipped = grid
@@ -328,7 +327,7 @@ pub(crate) fn reach_with_images(
         .ok_or(VerifyError::DomainEscape { step: 0 })?;
     grid.mark(&spans, &mut occupied, &mut idx);
     spans.clear();
-    settle(&mut occupied, &mut bits);
+    settle(&mut occupied);
     let mut verified_safe = !init_clipped;
     let mut peak = occupied.len();
     let mut frames = vec![cells_to_boxes(&grid, &occupied)];
@@ -395,14 +394,14 @@ pub(crate) fn reach_with_images(
                     // repeated marks never outgrow the distinct cells by
                     // much more than one image
                     if next.len() >= 2 * settled.max(4096) {
-                        settle(&mut next, &mut bits);
+                        settle(&mut next);
                         settled = next.len();
                     }
                 }
             }
         }
         merge_sorted(&mut memo, &fresh, &mut merged);
-        settle(&mut next, &mut bits);
+        settle(&mut next);
         if !any_inside {
             return Err(VerifyError::DomainEscape { step: step + 1 });
         }
@@ -498,34 +497,10 @@ pub(crate) fn step_image(
     BoxRegion::new(sys.step_interval(cell, clamped, omega))
 }
 
-/// Sorts `cells` and drops repeats. When the cells' indices span at most
-/// 64 per cell, they are set in a bitmap over that span (`bits`, working
-/// memory no larger than `cells`) and read back in order; otherwise they
-/// are sorted.
-fn settle(cells: &mut Vec<usize>, bits: &mut Vec<u64>) {
-    let (Some(&lo), Some(&hi)) = (cells.iter().min(), cells.iter().max()) else {
-        return;
-    };
-    let span = hi - lo + 1;
-    if span > 64 * cells.len() {
-        cells.sort_unstable();
-        cells.dedup();
-        return;
-    }
-    bits.clear();
-    bits.resize(span.div_ceil(64), 0);
-    for &cell in cells.iter() {
-        let at = cell - lo;
-        bits[at / 64] |= 1 << (at % 64);
-    }
-    cells.clear();
-    for (w, &word) in bits.iter().enumerate() {
-        let mut word = word;
-        while word != 0 {
-            cells.push(lo + w * 64 + word.trailing_zeros() as usize);
-            word &= word - 1;
-        }
-    }
+/// Sorts `cells` and drops repeats.
+fn settle(cells: &mut Vec<usize>) {
+    cells.sort_unstable();
+    cells.dedup();
 }
 
 fn cells_to_boxes(grid: &Grid, cells: &[usize]) -> Vec<BoxRegion> {
@@ -1127,44 +1102,6 @@ mod tests {
             }
         }
         assert!(stepped >= 4, "{stepped} runs reached their horizon");
-    }
-
-    #[test]
-    fn settling_by_bitmap_or_by_sort_matches_a_sort() {
-        let mut rng = cocktail_math::rng::seeded(19);
-        let mut bits = Vec::new();
-        let (mut dense, mut sparse) = (0, 0);
-        for (len, span) in [
-            (0usize, 1usize),
-            (1, 1),
-            (50, 40),
-            (300, 4000),
-            (64, 4096),
-            (20, 100_000),
-        ] {
-            for _ in 0..10 {
-                let draws = cocktail_math::rng::uniform_in_box(
-                    &mut rng,
-                    &BoxRegion::cube(len.max(1), 0.0, span as f64),
-                );
-                let mut cells: Vec<usize> = draws[..len].iter().map(|&d| 7 + d as usize).collect();
-                let mut want = cells.clone();
-                want.sort_unstable();
-                want.dedup();
-                let hi_minus_lo = want.last().zip(want.first()).map_or(0, |(h, l)| h - l);
-                if hi_minus_lo < 64 * len {
-                    dense += 1;
-                } else {
-                    sparse += 1;
-                }
-                settle(&mut cells, &mut bits);
-                assert_eq!(cells, want, "{len} cells over {span}");
-            }
-        }
-        assert!(
-            dense >= 30 && sparse >= 10,
-            "{dense} dense, {sparse} sparse"
-        );
     }
 
     #[test]
