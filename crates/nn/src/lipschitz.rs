@@ -64,26 +64,40 @@ pub fn upper_bound(net: &Mlp, kind: NormKind) -> f64 {
 ///
 /// Panics if `region.dim() != net.input_dim()` or `samples == 0`.
 pub fn empirical_lower_bound(net: &Mlp, region: &BoxRegion, samples: usize, seed: u64) -> f64 {
-    sweep(net, region, samples, seed, parallel::default_workers())
+    empirical_lower_bound_with_workers(net, region, samples, seed, parallel::default_workers())
 }
+
+/// Sample pairs per forward pass of the sweep. A block of 128 pairs keeps
+/// a 24-wide layer's activations (256 rows) in cache: on the 2-core Xeon,
+/// one 2,000-pair block took 1.7–2.6x as long as 16 blocks for the
+/// admission sweep of the benchmark's κ* on one thread.
+const SWEEP_RUN: usize = 128;
 
 /// [`empirical_lower_bound`] on `workers` threads.
 ///
 /// All pairs are drawn up front (preserving the historical a-then-b stream
-/// order) into one input block per contiguous run of pairs: the run's `a`
-/// endpoints, then its `b` endpoints. Each worker pushes a whole block
-/// through one batched forward pass into its own [`BatchCache`] and takes
-/// each pair's distances without allocating ([`vector::distance`]). Each
-/// output row is bit-identical to a per-sample `forward` call at any batch
-/// split, and the maximum of the non-negative ratios does not depend on
-/// the order it is taken in, so the result is the same for every
-/// `workers >= 1`.
-fn sweep(net: &Mlp, region: &BoxRegion, samples: usize, seed: u64, workers: usize) -> f64 {
+/// order) into input blocks of 128 consecutive pairs: the run's
+/// `a` endpoints, then its `b` endpoints. The threads claim blocks one at
+/// a time; each pushes a whole block through one batched forward pass into
+/// its own [`BatchCache`] and takes each pair's distances without
+/// allocating ([`vector::distance`]). Each output row is bit-identical to
+/// a per-sample `forward` call at any batch split, and the maximum of the
+/// non-negative ratios does not depend on the order it is taken in, so the
+/// result is the same for every `workers >= 1`.
+///
+/// # Panics
+///
+/// As [`empirical_lower_bound`].
+pub fn empirical_lower_bound_with_workers(
+    net: &Mlp,
+    region: &BoxRegion,
+    samples: usize,
+    seed: u64,
+    workers: usize,
+) -> f64 {
     assert!(samples > 0, "need at least one sample pair");
     assert_eq!(region.dim(), net.input_dim(), "region dimension mismatch");
-    // two runs per worker: `map_range_with_scratch` only fans out from
-    // `2 · workers` items
-    let run = samples.div_ceil(2 * workers.max(1));
+    let run = SWEEP_RUN;
     let mut blocks: Vec<Matrix> = (0..samples.div_ceil(run))
         .map(|r| Matrix::zeros(2 * run.min(samples - r * run), region.dim()))
         .collect();
@@ -164,7 +178,7 @@ mod tests {
         }
         assert!(want > 0.0);
         for workers in [1, 2, 8] {
-            let got = sweep(&n, &region, samples, seed, workers);
+            let got = empirical_lower_bound_with_workers(&n, &region, samples, seed, workers);
             assert_eq!(got.to_bits(), want.to_bits(), "workers = {workers}");
         }
         assert_eq!(

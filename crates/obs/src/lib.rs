@@ -28,7 +28,7 @@ use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// What an [`Event`] is: a span boundary, a monotonic counter increment,
 /// a histogram observation, or a point-in-run structured fact.
@@ -292,6 +292,19 @@ impl<'a> Span<'a> {
             name: name.to_string(),
             fields,
             start: Instant::now(),
+        }
+    }
+
+    /// Records, from the calling thread, a region that took `elapsed`:
+    /// its start and its end, as a span around it would have. For work
+    /// another thread ran, so that a stream's events keep the order the
+    /// caller records them in.
+    pub fn record(tel: &dyn Telemetry, name: &str, elapsed: Duration) {
+        if tel.enabled() {
+            tel.record(Event::new(EventKind::SpanStart, name));
+            let mut end = Event::new(EventKind::SpanEnd, name);
+            end.duration_us = Some(u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX));
+            tel.record(end);
         }
     }
 }

@@ -16,11 +16,17 @@
 //! bundle that ships *no* safety certificate (a version-2 artifact, or a
 //! student whose certification exhausted its budget at export) is refused
 //! as uncertified unless the operator opts in.
+//!
+//! The sweep and the fast-tier derivation run beside the safety
+//! certificate's re-derivation; the checks are judged in the order above
+//! all the same, so a refusal names the same check whatever the
+//! schedule.
 
 use crate::bundle::{BundleError, ControllerBundle};
 use cocktail_analysis::{AnalysisConfig, AnalysisReport, Analyzer, PreflightMode};
+use cocktail_math::parallel;
 use cocktail_nn::lipschitz;
-use cocktail_obs::{Event, NullSink, Span, Telemetry};
+use cocktail_obs::{Event, InMemorySink, NullSink, Span, Telemetry};
 use cocktail_verify::{certify_controller, SafetyCert, SafetyVerdict};
 use std::fmt;
 
@@ -213,8 +219,25 @@ pub fn admit_with(
     config: &AdmissionConfig,
     tel: &dyn Telemetry,
 ) -> Result<Admitted, AdmissionError> {
+    admit_with_workers(bundle, config, parallel::default_workers(), tel)
+}
+
+/// [`admit_with`] with an explicit worker count for the sweep and the
+/// safety certificate. The verdict, the evidence and the telemetry (every
+/// event comes from the calling thread) are the same for every
+/// `workers >= 1`.
+///
+/// # Errors
+///
+/// See [`admit_with`].
+pub fn admit_with_workers(
+    bundle: ControllerBundle,
+    config: &AdmissionConfig,
+    workers: usize,
+    tel: &dyn Telemetry,
+) -> Result<Admitted, AdmissionError> {
     let _span = Span::enter(tel, "serve/admission");
-    let result = run_checks(bundle, config, tel);
+    let result = run_checks(bundle, config, workers, tel);
     if tel.enabled() {
         match &result {
             Ok(_) => tel.record(Event::counter("serve.admissions", 1)),
@@ -273,6 +296,7 @@ fn kind_of(e: &AdmissionError) -> &'static str {
 fn run_checks(
     bundle: ControllerBundle,
     config: &AdmissionConfig,
+    workers: usize,
     tel: &dyn Telemetry,
 ) -> Result<Admitted, AdmissionError> {
     bundle.validate()?;
@@ -342,7 +366,7 @@ fn run_checks(
         report
     };
 
-    // ---- Lipschitz certificate: recompute, then challenge with a sweep
+    // ---- Lipschitz certificate: recompute (the sweep challenges it below)
     let spec = &bundle.spec;
     let recomputed = cocktail_analysis::certified_bound(spec).ok_or_else(|| {
         AdmissionError::Unservable("controller has no product-form Lipschitz bound".into())
@@ -355,15 +379,58 @@ fn run_checks(
             recomputed,
         });
     }
+
+    // ---- the sweep, the fast-tier derivation and the safety certificate
+    // are pure functions of the shipped bundle, so the certificate runs on
+    // this thread beside the other two. It starts only under budgets that
+    // pass the ceilings (they are attacker-controlled), and its telemetry
+    // is held back until its check is reached: the checks are judged in
+    // the order below, so every refusal and every event stream is the one
+    // the checks give run one by one.
     let (net, scale) = bundle.network()?;
     let max_scale = scale.iter().copied().fold(0.0_f64, f64::max);
-    let sweep = max_scale
-        * lipschitz::empirical_lower_bound(
-            net,
-            &bundle.input_domain,
-            config.sweep_samples.max(1),
-            config.sweep_seed,
-        );
+    let within_ceilings = bundle.safety.as_ref().map(|claimed| {
+        claimed
+            .params
+            .budget_ceiling_violation(&bundle.input_domain)
+            .map_or(Ok(claimed), Err)
+    });
+    let held = InMemorySink::new();
+    let certify_tel: &dyn Telemetry = if tel.enabled() { &held } else { &NullSink };
+    let (certified, (sweep, rederived)) = parallel::join(
+        workers,
+        || {
+            within_ceilings.map(|checked| {
+                checked.map(|claimed| {
+                    let fresh = certify_controller(
+                        sys.as_ref(),
+                        net,
+                        scale,
+                        &claimed.params,
+                        workers,
+                        certify_tel,
+                    );
+                    (claimed, fresh)
+                })
+            })
+        },
+        || {
+            let sweep = max_scale
+                * lipschitz::empirical_lower_bound_with_workers(
+                    net,
+                    &bundle.input_domain,
+                    config.sweep_samples.max(1),
+                    config.sweep_seed,
+                    workers,
+                );
+            (
+                sweep,
+                cocktail_nn::certify_fast_tier(net, &bundle.input_domain),
+            )
+        },
+    );
+
+    // ---- Lipschitz claim against the sweep's observed slopes
     if sweep > bundle.lipschitz_claim * (1.0 + tol) {
         return Err(AdmissionError::ClaimViolated {
             claimed: bundle.lipschitz_claim,
@@ -371,10 +438,10 @@ fn run_checks(
         });
     }
 
-    // ---- fast-tier certificate: re-derive the reduced-precision error
-    // bounds from the shipped weights (the derivation is deterministic,
-    // so any disagreement means the claim or the weights were altered)
-    let rederived = cocktail_nn::certify_fast_tier(net, &bundle.input_domain);
+    // ---- fast-tier certificate: the reduced-precision error bounds
+    // re-derived from the shipped weights (the derivation is
+    // deterministic, so any disagreement means the claim or the weights
+    // were altered)
     match (&bundle.fast_tier, &rederived) {
         (Some(claimed), Some(fresh)) => {
             if !fresh.matches(claimed, tol.max(1e-9)) {
@@ -403,28 +470,24 @@ fn run_checks(
         (None, None) => {}
     }
 
-    // ---- safety certificate: re-derive the full formal loop (Bernstein
-    // enclosure, closed-loop reachability, control-invariant set) from the
-    // shipped weights, the plant spec and the *shipped* budgets, and
-    // compare field by field. The certificate is a pure function of those
-    // inputs and worker-count invariant, so any disagreement means the
-    // weights or the certificate were altered after export. The budgets
-    // are attacker-controlled, so they are checked against hard ceilings
-    // before any work is spent on them.
+    // ---- safety certificate: the full formal loop (Bernstein enclosure,
+    // closed-loop reachability, control-invariant set) re-derived from the
+    // shipped weights, the plant spec and the *shipped* budgets, compared
+    // field by field. The certificate is a pure function of those inputs
+    // and worker-count invariant, so any disagreement means the weights or
+    // the certificate were altered after export.
     let mut safety = None;
     let mut uncertified_reason = None;
-    match &bundle.safety {
-        Some(claimed) => {
-            if let Some(violation) = claimed
-                .params
-                .budget_ceiling_violation(&bundle.input_domain)
-            {
-                return Err(AdmissionError::SafetyMismatch {
+    match certified {
+        Some(certified) => {
+            let (claimed, fresh) =
+                certified.map_err(|violation| AdmissionError::SafetyMismatch {
                     detail: format!("shipped verification budgets exceed ceilings: {violation}"),
-                });
+                })?;
+            for event in held.take() {
+                tel.record(event);
             }
-            let workers = cocktail_math::parallel::default_workers();
-            match certify_controller(sys.as_ref(), net, scale, &claimed.params, workers, tel) {
+            match fresh {
                 Ok(fresh) => match claimed.diff(&fresh, tol.max(1e-9)) {
                     None => safety = Some(fresh),
                     Some(field) => {
@@ -656,6 +719,92 @@ mod tests {
             "{err}"
         );
         assert_eq!(tel.counter_total("serve.admission_refusals"), 1);
+    }
+
+    #[test]
+    fn a_failed_sweep_is_refused_before_a_tampered_safety_cert() {
+        // the certificate re-derives beside the sweep, but the refusal is
+        // the sweep's, and the held-back certification events never reach
+        // the stream
+        let mut b = healthy_bundle();
+        let config = AdmissionConfig {
+            claim_tolerance: b.lipschitz_claim,
+            ..AdmissionConfig::default()
+        };
+        // within the recomputation's (absolute, below 1) tolerance, far
+        // below any slope the sweep observes
+        b.lipschitz_claim = 1e-3;
+        b.safety
+            .as_mut()
+            .expect("fixture ships a cert")
+            .invariant_digest ^= 1;
+        for workers in [1, 2] {
+            let tel = InMemorySink::new();
+            let err = admit_with_workers(b.clone(), &config, workers, &tel).expect_err("refused");
+            assert!(
+                matches!(err, AdmissionError::ClaimViolated { .. }),
+                "workers = {workers}: {err}"
+            );
+            assert!(tel.events().iter().all(|e| !e.name.starts_with("verify")));
+        }
+    }
+
+    /// An [`InMemorySink`] that counts events recorded from any thread
+    /// other than the one that built it.
+    struct CallerOnlySink {
+        events: InMemorySink,
+        caller: std::thread::ThreadId,
+        foreign: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Telemetry for CallerOnlySink {
+        fn record(&self, event: Event) {
+            if std::thread::current().id() != self.caller {
+                self.foreign
+                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }
+            self.events.record(event);
+        }
+    }
+
+    #[test]
+    fn admission_telemetry_is_thread_confined_and_worker_count_invariant() {
+        let stream = |workers: usize| {
+            let tel = CallerOnlySink {
+                events: InMemorySink::new(),
+                caller: std::thread::current().id(),
+                foreign: Default::default(),
+            };
+            admit_with_workers(healthy_bundle(), &AdmissionConfig::default(), workers, &tel)
+                .expect("healthy bundle admitted");
+            assert_eq!(tel.foreign.into_inner(), 0, "workers = {workers}");
+            // durations and the verdict's `verify_ms` are wall-clock
+            let events: Vec<Event> = tel
+                .events
+                .take()
+                .into_iter()
+                .map(|e| {
+                    let mut e = e.without_duration();
+                    e.fields.retain(|(key, _)| key != "verify_ms");
+                    e
+                })
+                .collect();
+            events
+        };
+        let reference = stream(1);
+        for name in [
+            "verify/bernstein",
+            "verify/invariant/fixpoint",
+            "verify/reach",
+        ] {
+            assert!(
+                reference.iter().any(|e| e.name == name),
+                "stream must record {name}"
+            );
+        }
+        for workers in [2, 8] {
+            assert_eq!(stream(workers), reference, "workers = {workers}");
+        }
     }
 
     #[test]

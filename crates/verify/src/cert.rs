@@ -21,10 +21,10 @@
 use crate::bernstein::{BernsteinCertificate, CertificateConfig, ErrorMargin};
 use crate::enclosure::ControlEnclosure;
 use crate::error::VerifyError;
-use crate::invariant::{invariant_with_images, InvariantConfig, InvariantResult};
+use crate::invariant::{cell_images, fixpoint, InvariantConfig, InvariantResult};
 use crate::reach::{reach_with_images, ReachConfig, ReachMode, ReachResult};
 use cocktail_env::Dynamics;
-use cocktail_math::{BoxRegion, Interval};
+use cocktail_math::{parallel, BoxRegion, Interval};
 use cocktail_nn::Mlp;
 use cocktail_obs::{Event, Span, Telemetry};
 use serde::{Deserialize, Serialize};
@@ -457,8 +457,9 @@ fn invariant_digest(grid: usize, alive: &[bool]) -> u64 {
 /// Runs the full verification loop for the scaled network `scale ⊙ net` in
 /// closed loop with `sys` and condenses the outcome into a [`SafetyCert`].
 ///
-/// The invariant fixpoint runs before reachability, which reuses the
-/// invariant's cell images where the two grids coincide.
+/// The invariant's cell images come first. Its fixpoint and reachability,
+/// which reuses those images where the two grids coincide, then run side
+/// by side when `workers > 1`.
 ///
 /// Telemetry: `verify/bernstein`, `verify/invariant` and `verify/reach`
 /// spans meter the stage wall-clocks, a `verify.cells_refined` counter
@@ -561,14 +562,19 @@ pub fn certify_controller(
     Ok(out)
 }
 
-/// The closed-loop analyses of a certified `controller`: the invariant
-/// fixpoint, then reachability, which takes the one-step images of the
-/// invariant's cells wherever its paving steps the same cells (see
-/// [`crate::reach`]). Returns the reach result, the number of images it
-/// took from the invariant, and the invariant result.
+/// The closed-loop analyses of a certified `controller`: the invariant's
+/// cell images, then the invariant fixpoint on the calling thread beside
+/// reachability on a pool thread ([`parallel::join`]); reach takes the
+/// one-step images of the invariant's cells wherever its paving steps the
+/// same cells (see [`crate::reach`]), and the fixpoint needs nothing else.
+/// Returns the reach result, the number of images it took from the
+/// invariant, and the invariant result.
 ///
-/// A reach error is returned before an invariant error, and a dimension
-/// mismatch panics in reach, as when reach ran first.
+/// Every event goes to `tel` from the calling thread, in a fixed order:
+/// reach's `verify/reach` span is recorded after the `verify/invariant`
+/// span closes, with reach's own wall time. A reach error is returned
+/// before an invariant error, and a dimension mismatch panics in reach, as
+/// when reach ran first.
 fn closed_loop(
     sys: &dyn Dynamics,
     controller: &dyn ControlEnclosure,
@@ -576,17 +582,30 @@ fn closed_loop(
     workers: usize,
     tel: &dyn Telemetry,
 ) -> Result<(ReachResult, usize, InvariantResult), VerifyError> {
-    let inv = {
-        let _span = Span::enter(tel, "verify/invariant");
-        invariant_with_images(sys, controller, &params.invariant, workers, tel)
-    };
-    let (reach, reused) = {
-        let _span = Span::enter(tel, "verify/reach");
-        let known = inv.as_ref().ok().map(|(_, images)| images);
-        reach_with_images(sys, controller, &params.initial_set, &params.reach, known)?
-    };
-    let (inv, _) = inv?;
-    Ok((reach, reused, inv))
+    let start = Instant::now();
+    let span = Span::enter(tel, "verify/invariant");
+    let images = cell_images(sys, controller, &params.invariant, workers, tel);
+    let (inv, (reach, reach_time)) = parallel::join(
+        workers,
+        || {
+            let inv = images
+                .as_ref()
+                .map(|images| fixpoint(sys, images, &params.invariant, start, tel))
+                .map_err(VerifyError::clone);
+            drop(span);
+            inv
+        },
+        || {
+            let start = Instant::now();
+            let known = images.as_ref().ok();
+            let reach =
+                reach_with_images(sys, controller, &params.initial_set, &params.reach, known);
+            (reach, start.elapsed())
+        },
+    );
+    Span::record(tel, "verify/reach", reach_time);
+    let (reach, reused) = reach?;
+    Ok((reach, reused, inv?))
 }
 
 /// Counts budget exhaustions before handing the error back.

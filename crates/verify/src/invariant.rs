@@ -194,7 +194,7 @@ pub fn invariant_set(
 /// The per-cell one-step image precompute (the dominant cost) fans out over
 /// `workers` threads, so the result is bit-identical for every
 /// `workers >= 1`. The fixpoint then runs on the calling thread: a sweep
-/// only reads a bitmap, far too little work to pay for spawning threads.
+/// only reads a bitmap, far too little work to share out.
 ///
 /// # Errors
 ///
@@ -243,8 +243,7 @@ impl CellImages {
 }
 
 /// [`invariant_set_with_workers`], also returning the cells and images it
-/// computed. `verify/invariant/images` and `verify/invariant/fixpoint`
-/// spans on `tel` meter the two stages.
+/// computed: [`cell_images`], then [`fixpoint`].
 pub(crate) fn invariant_with_images(
     sys: &dyn Dynamics,
     controller: &dyn ControlEnclosure,
@@ -252,6 +251,30 @@ pub(crate) fn invariant_with_images(
     workers: usize,
     tel: &dyn Telemetry,
 ) -> Result<(InvariantResult, CellImages), VerifyError> {
+    let start = Instant::now();
+    let images = cell_images(sys, controller, config, workers, tel)?;
+    Ok((fixpoint(sys, &images, config, start, tel), images))
+}
+
+/// The invariant's grid cells and their one-step images, the work fanned
+/// out over `workers` threads (see [`stripe_images`]); a
+/// `verify/invariant/images` span on `tel` meters it.
+///
+/// # Errors
+///
+/// Returns [`VerifyError::DimensionMismatch`] when the enclosure and plant
+/// disagree on dimensions.
+///
+/// # Panics
+///
+/// See [`invariant_set`].
+pub(crate) fn cell_images(
+    sys: &dyn Dynamics,
+    controller: &dyn ControlEnclosure,
+    config: &InvariantConfig,
+    workers: usize,
+    tel: &dyn Telemetry,
+) -> Result<CellImages, VerifyError> {
     assert!(config.grid > 0, "grid must be positive");
     if controller.state_dim() != sys.state_dim() || controller.control_dim() != sys.control_dim() {
         return Err(VerifyError::DimensionMismatch {
@@ -264,27 +287,39 @@ pub(crate) fn invariant_with_images(
             ),
         });
     }
-    let start = Instant::now();
-    let domain = sys.verification_domain();
     let grid = config.grid;
-    let axes: Vec<Vec<Interval>> = domain
+    let axes: Vec<Vec<Interval>> = sys
+        .verification_domain()
         .intervals()
         .iter()
         .map(|iv| iv.subdivide(grid))
         .collect();
-    let total = grid.pow(domain.dim() as u32);
+    let total = grid.pow(axes.len() as u32);
     assert!(
         u32::try_from(total).is_ok_and(|t| t < u32::MAX),
         "invariant grid of {total} cells exceeds the u32 index range"
     );
-    let images = {
-        let _span = Span::enter(tel, "verify/invariant/images");
-        stripe_images(sys, controller, &axes, workers)
-    };
-    let _span = Span::enter(tel, "verify/invariant/fixpoint");
+    let _span = Span::enter(tel, "verify/invariant/images");
+    let images = stripe_images(sys, controller, &axes, workers);
+    Ok(CellImages { grid, axes, images })
+}
 
+/// The Jacobi fixpoint over `cells`, on the calling thread; a
+/// `verify/invariant/fixpoint` span on `tel` meters it. The result's
+/// `duration` counts from `start`.
+pub(crate) fn fixpoint(
+    sys: &dyn Dynamics,
+    cells: &CellImages,
+    config: &InvariantConfig,
+    start: Instant,
+    tel: &dyn Telemetry,
+) -> InvariantResult {
+    let _span = Span::enter(tel, "verify/invariant/fixpoint");
+    let domain = sys.verification_domain();
+    let grid = cells.grid;
+    let total = cells.images.len();
     let mut result = InvariantResult {
-        domain: domain.clone(),
+        domain,
         grid,
         alive: vec![true; total],
         iterations: 0,
@@ -295,11 +330,12 @@ pub(crate) fn invariant_with_images(
     // image cell-ranges never change between sweeps; resolve each once
     // into the summed-area offsets of its corners (`inside` is false
     // where the image leaves X)
-    let n = domain.dim();
+    let n = result.domain.dim();
     let mut dead = DeadCells::new(grid, n);
     let mut corners = Vec::with_capacity(total << n);
     let mut ranges = Vec::with_capacity(n);
-    let inside: Vec<bool> = images
+    let inside: Vec<bool> = cells
+        .images
         .iter()
         .map(|image| {
             ranges.clear();
@@ -333,15 +369,15 @@ pub(crate) fn invariant_with_images(
         }
     }
     result.duration = start.elapsed();
-    Ok((result, CellImages { grid, axes, images }))
+    result
 }
 
 /// The one-step images of the cells of the product grid over `axes` (the
 /// cells' intervals on each axis), in flat order.
 ///
-/// The slowest axis is cut into at most `workers` contiguous stripes. A
-/// stripe is a contiguous run of cells and a product grid itself, so each
-/// worker encloses its stripe with one
+/// The slowest axis is cut into at most `workers` balanced stripes of
+/// contiguous rows. A stripe is a contiguous run of cells and a product
+/// grid itself, so whichever thread claims it encloses it with one
 /// [`ControlEnclosure::enclose_grid`] call and steps its cells; the
 /// stripes are concatenated in order. Every image is
 /// [`crate::reach::one_step_image`] of its cell, bit for bit, for any
@@ -378,20 +414,10 @@ fn stripe_images(
             })
             .collect::<Vec<_>>()
     };
-    std::thread::scope(|scope| {
-        let rest: Vec<_> = (1..stripes)
-            .map(|s| scope.spawn(move || stripe(s)))
-            .collect();
-        let mut images = stripe(0);
-        for handle in rest {
-            images.extend(
-                handle
-                    .join()
-                    .unwrap_or_else(|e| std::panic::resume_unwind(e)),
-            );
-        }
-        images
-    })
+    cocktail_math::parallel::map_range_with_workers(stripes, workers, stripe)
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 /// A summed-area table of the dead cells of a `gridⁿ` bitmap, so that a
