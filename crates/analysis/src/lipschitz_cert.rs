@@ -165,7 +165,7 @@ mod tests {
     use crate::report::Severity;
     use cocktail_env::systems::VanDerPol;
     use cocktail_math::Matrix;
-    use cocktail_verify::{default_params, CertificateConfig};
+    use cocktail_verify::{default_params, BernsteinCertificate, CertificateConfig};
 
     #[test]
     fn linear_bound_is_gain_spectral_norm() {
@@ -281,8 +281,9 @@ mod tests {
                 cert.error_samples_per_dim,
             ));
             let predicted = predicted_pieces(floor, cert.tolerance, domain.dim());
-            let built = cocktail_verify::BernsteinCertificate::build(&net, &[20.0], &domain, cert)
-                .expect("fits the export budget");
+            let (built, _) =
+                BernsteinCertificate::build_with_workers(&net, &[20.0], &domain, cert, 2)
+                    .expect("fits the export budget");
             assert!(
                 predicted <= built.piece_count() as f64,
                 "seed {seed}: predicted {predicted}, built {}",
@@ -310,8 +311,9 @@ mod tests {
                 cert.error_samples_per_dim,
             ));
             let predicted = predicted_pieces(floor, cert.tolerance, domain.dim());
-            let built = cocktail_verify::BernsteinCertificate::build(&net, &[20.0], &domain, cert)
-                .expect("fits the export budget");
+            let (built, _) =
+                BernsteinCertificate::build_with_workers(&net, &[20.0], &domain, cert, 2)
+                    .expect("fits the export budget");
             assert!(
                 predicted >= built.piece_count() as f64,
                 "seed {seed}: predicted {predicted}, built {}",

@@ -23,8 +23,8 @@ use cocktail_obs::NullSink;
 use cocktail_verify::enclosure::LinearEnclosure;
 use cocktail_verify::reach::ReachMode;
 use cocktail_verify::{
-    certify_controller, default_params, invariant_set, reach_analysis, BernsteinCertificate,
-    CertificateConfig, ErrorMargin, InvariantConfig, ReachConfig,
+    certify_controller, default_params, invariant_set_with_workers, reach_analysis,
+    BernsteinCertificate, CertificateConfig, ErrorMargin, InvariantConfig, ReachConfig,
 };
 
 fn bench_fig2_trace(c: &mut Criterion) {
@@ -65,20 +65,27 @@ fn bench_fig3_machinery(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("bernstein_certificate_build", |b| {
         b.iter(|| {
-            BernsteinCertificate::build(black_box(&net), &[20.0], &domain, &cert_cfg)
-                .expect("fits budget")
+            BernsteinCertificate::build_with_workers(
+                black_box(&net),
+                &[20.0],
+                &domain,
+                &cert_cfg,
+                default_workers(),
+            )
+            .expect("fits budget")
         });
     });
     let enc = LinearEnclosure::new(Matrix::from_rows(vec![vec![3.0, 4.0]]));
     group.bench_function("invariant_grid24_linear", |b| {
         b.iter(|| {
-            invariant_set(
+            invariant_set_with_workers(
                 sys.as_ref(),
                 black_box(&enc),
                 &InvariantConfig {
                     grid: 24,
                     max_iterations: 200,
                 },
+                default_workers(),
             )
             .expect("dimensions agree")
         });
@@ -145,8 +152,14 @@ fn bench_verification_scaling(c: &mut Criterion) {
         let label = format!("weight_scale_{scale}");
         group.bench_function(&label, |b| {
             b.iter(|| {
-                BernsteinCertificate::build(black_box(&net), &[20.0], &domain, &cfg)
-                    .expect("budget suffices")
+                BernsteinCertificate::build_with_workers(
+                    black_box(&net),
+                    &[20.0],
+                    &domain,
+                    &cfg,
+                    default_workers(),
+                )
+                .expect("budget suffices")
             });
         });
     }

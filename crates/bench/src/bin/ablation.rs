@@ -26,10 +26,13 @@ use cocktail_core::metrics::{evaluate, EvalConfig};
 use cocktail_core::pipeline::{Cocktail, CocktailConfig, MixingAlgorithm};
 use cocktail_core::{Preset, SystemId};
 use cocktail_distill::{robust_distill, DistillConfig, TeacherDataset};
+use cocktail_math::parallel::default_workers;
+use cocktail_obs::NullSink;
 use cocktail_rl::DdpgConfig;
 use cocktail_verify::enclosure::IbpEnclosure;
 use cocktail_verify::{
-    invariant_set, BernsteinCertificate, CertificateConfig, ErrorMargin, InvariantConfig,
+    certify_controller, default_params, invariant_set_with_workers, CertificateConfig, ErrorMargin,
+    InvariantConfig, SafetyParams,
 };
 use serde::Serialize;
 use std::time::Instant;
@@ -193,32 +196,38 @@ fn main() {
             ..base
         },
     );
-    let inv_cfg = InvariantConfig {
-        grid: 60,
-        max_iterations: 1000,
-    };
-    let mut enclosure_rows = Vec::new();
-
-    let t0 = Instant::now();
-    let cert = BernsteinCertificate::build(
-        student.network(),
-        student.scale(),
-        &sys.verification_domain(),
-        &CertificateConfig {
+    let params = SafetyParams {
+        certificate: CertificateConfig {
             degree: 4,
             tolerance: 0.15,
             max_pieces: 1 << 18,
             error_samples_per_dim: 9,
             margin: ErrorMargin::Lipschitz,
         },
+        invariant: InvariantConfig {
+            grid: 60,
+            max_iterations: 1000,
+        },
+        ..default_params(sys.as_ref())
+    };
+    let mut enclosure_rows = Vec::new();
+
+    let t0 = Instant::now();
+    let run = certify_controller(
+        sys.as_ref(),
+        student.network(),
+        student.scale(),
+        &params,
+        default_workers(),
+        &NullSink,
     )
     .expect("budget suffices");
-    let inv = invariant_set(sys.as_ref(), &cert, &inv_cfg).expect("dims agree");
     let bern_secs = t0.elapsed().as_secs_f64();
+    let inv = &run.invariant;
     println!(
         "  bernstein: invariant {:5.1}%  ({} pieces, {:.2}s)",
         100.0 * inv.alive_fraction(),
-        cert.piece_count(),
+        run.cert.pieces,
         bern_secs
     );
     enclosure_rows.push(EnclosureRow {
@@ -229,7 +238,8 @@ fn main() {
 
     let t0 = Instant::now();
     let ibp = IbpEnclosure::new(student.network().clone(), student.scale().to_vec());
-    let inv = invariant_set(sys.as_ref(), &ibp, &inv_cfg).expect("dims agree");
+    let inv = invariant_set_with_workers(sys.as_ref(), &ibp, &params.invariant, default_workers())
+        .expect("dims agree");
     let ibp_secs = t0.elapsed().as_secs_f64();
     println!(
         "  ibp:       invariant {:5.1}%  (no certificate, {:.2}s)",

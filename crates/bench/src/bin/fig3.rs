@@ -8,6 +8,11 @@
 //! student needs a finer Bernstein partition, which makes its certificate
 //! construction and fixpoint more expensive (or exhausts the budget).
 //!
+//! Both students go through [`certify_controller`], the loop admission
+//! re-derives, under `default_params` with this figure's certificate and
+//! invariant budgets; the invariant set is read off the certification's
+//! evidence.
+//!
 //! ```text
 //! cargo run --release -p cocktail-bench --bin fig3
 //! ```
@@ -22,10 +27,12 @@ use cocktail_bench::save_artifact;
 use cocktail_control::{Controller, NnController};
 use cocktail_core::experiment::{build_controller_set, Preset};
 use cocktail_core::SystemId;
-use cocktail_env::{rollout, RolloutConfig};
+use cocktail_env::{rollout, Dynamics, RolloutConfig};
+use cocktail_math::parallel::default_workers;
+use cocktail_obs::NullSink;
 use cocktail_verify::{
-    invariant_set, BernsteinCertificate, CertificateConfig, ErrorMargin, InvariantConfig,
-    VerifyError,
+    certify_controller, default_params, CertificateConfig, ErrorMargin, InvariantConfig,
+    InvariantResult, SafetyParams,
 };
 use serde::Serialize;
 use std::time::Instant;
@@ -51,81 +58,42 @@ struct Fig3Artifact {
     sides: Vec<Fig3Side>,
 }
 
+/// Certifies `student` under `params` and reads the invariant set off the
+/// certification's evidence.
 fn analyze(
     label: &str,
     student: &NnController,
-    sys: &dyn cocktail_env::Dynamics,
-    cert_cfg: &CertificateConfig,
-    inv_cfg: &InvariantConfig,
-) -> (Fig3Side, Option<cocktail_verify::InvariantResult>) {
+    sys: &dyn Dynamics,
+    params: &SafetyParams,
+) -> (Fig3Side, Option<InvariantResult>) {
     let start = Instant::now();
-    let lipschitz = student.lipschitz_constant();
-    let cert = BernsteinCertificate::build(
+    let run = certify_controller(
+        sys,
         student.network(),
         student.scale(),
-        &sys.verification_domain(),
-        cert_cfg,
+        params,
+        default_workers(),
+        &NullSink,
     );
-    match cert {
-        Err(e) => (
-            Fig3Side {
-                controller: label.to_owned(),
-                lipschitz,
-                bernstein_pieces: None,
-                epsilon: None,
-                invariant_fraction: None,
-                verification_seconds: start.elapsed().as_secs_f64(),
-                failure: Some(e.to_string()),
-                cells: Vec::new(),
-            },
-            None,
-        ),
-        Ok(cert) => {
-            let result: Result<cocktail_verify::InvariantResult, VerifyError> =
-                invariant_set(sys, &cert, inv_cfg);
-            let elapsed = start.elapsed().as_secs_f64();
-            match result {
-                Ok(inv) => {
-                    let cells = inv
-                        .cells()
-                        .iter()
-                        .map(|c| {
-                            c.intervals()
-                                .iter()
-                                .map(|iv| (iv.lo(), iv.hi()))
-                                .collect::<Vec<_>>()
-                        })
-                        .collect();
-                    (
-                        Fig3Side {
-                            controller: label.to_owned(),
-                            lipschitz,
-                            bernstein_pieces: Some(cert.piece_count()),
-                            epsilon: Some(cert.epsilon()),
-                            invariant_fraction: Some(inv.alive_fraction()),
-                            verification_seconds: elapsed,
-                            failure: None,
-                            cells,
-                        },
-                        Some(inv),
-                    )
-                }
-                Err(e) => (
-                    Fig3Side {
-                        controller: label.to_owned(),
-                        lipschitz,
-                        bernstein_pieces: Some(cert.piece_count()),
-                        epsilon: Some(cert.epsilon()),
-                        invariant_fraction: None,
-                        verification_seconds: elapsed,
-                        failure: Some(e.to_string()),
-                        cells: Vec::new(),
-                    },
-                    None,
-                ),
-            }
-        }
-    }
+    let verification_seconds = start.elapsed().as_secs_f64();
+    let ok = run.as_ref().ok();
+    let side = Fig3Side {
+        controller: label.to_owned(),
+        lipschitz: student.lipschitz_constant(),
+        bernstein_pieces: ok.map(|run| run.cert.pieces),
+        epsilon: ok.map(|run| run.cert.epsilon),
+        invariant_fraction: ok.map(|run| run.invariant.alive_fraction()),
+        verification_seconds,
+        failure: run.as_ref().err().map(ToString::to_string),
+        cells: ok.map_or_else(Vec::new, |run| {
+            run.invariant
+                .cells()
+                .iter()
+                .map(|c| c.intervals().iter().map(|iv| (iv.lo(), iv.hi())).collect())
+                .collect()
+        }),
+    };
+    (side, run.ok().map(|run| run.invariant))
 }
 
 fn main() {
@@ -135,24 +103,32 @@ fn main() {
     println!("== Fig. 3: oscillator invariant sets (preset {preset:?}) ==");
     let set = build_controller_set(sys_id, preset, 0);
 
-    let cert_cfg = CertificateConfig {
-        degree: 4,
-        tolerance: 0.15,
-        max_pieces: 1 << 18,
-        error_samples_per_dim: 9,
-        margin: ErrorMargin::Lipschitz,
+    // the export budgets with the figure's own certificate (the
+    // first-order margin the figure is about) and iteration cap
+    let params = SafetyParams {
+        certificate: CertificateConfig {
+            degree: 4,
+            tolerance: 0.15,
+            max_pieces: 1 << 18,
+            error_samples_per_dim: 9,
+            margin: ErrorMargin::Lipschitz,
+        },
+        invariant: InvariantConfig {
+            grid: 60,
+            max_iterations: 1000,
+        },
+        ..default_params(sys.as_ref())
     };
-    let inv_cfg = InvariantConfig {
-        grid: 60,
-        max_iterations: 1000,
-    };
+    println!(
+        "params: default_params(oscillator) with certificate {:?} and invariant {:?}",
+        params.certificate, params.invariant
+    );
 
     let kappa_star = set.kappa_star.as_ref();
     let kappa_d = set.kappa_d.as_ref();
 
-    let (side_star, inv_star) =
-        analyze("kappa_star", kappa_star, sys.as_ref(), &cert_cfg, &inv_cfg);
-    let (side_d, _) = analyze("kappa_D", kappa_d, sys.as_ref(), &cert_cfg, &inv_cfg);
+    let (side_star, inv_star) = analyze("kappa_star", kappa_star, sys.as_ref(), &params);
+    let (side_d, _) = analyze("kappa_D", kappa_d, sys.as_ref(), &params);
 
     for side in [&side_star, &side_d] {
         println!(
@@ -208,7 +184,7 @@ fn main() {
     save_artifact(
         "fig3.json",
         &Fig3Artifact {
-            grid: inv_cfg.grid,
+            grid: params.invariant.grid,
             simulations,
             simulations_safe,
             sides: vec![side_star, side_d],

@@ -8,6 +8,11 @@
 //! blow-up surfaces as a `ResourceExhausted` error when the Bernstein
 //! certificate or the reachable-cell paving exceeds its budget.
 //!
+//! Both students go through [`certify_controller`], the loop admission
+//! re-derives, under `default_params` with this figure's certificate and
+//! reach budgets; the reachable tube is read off the certification's
+//! evidence.
+//!
 //! ```text
 //! cargo run --release -p cocktail-bench --bin fig4
 //! ```
@@ -22,10 +27,13 @@ use cocktail_bench::save_artifact;
 use cocktail_control::NnController;
 use cocktail_core::experiment::{build_controller_set, Preset};
 use cocktail_core::SystemId;
+use cocktail_env::Dynamics;
+use cocktail_math::parallel::default_workers;
 use cocktail_math::BoxRegion;
+use cocktail_obs::NullSink;
 use cocktail_verify::reach::ReachMode;
 use cocktail_verify::{
-    reach_analysis, BernsteinCertificate, CertificateConfig, ErrorMargin, ReachConfig,
+    certify_controller, default_params, CertificateConfig, ErrorMargin, ReachConfig, SafetyParams,
 };
 use serde::Serialize;
 use std::time::Instant;
@@ -43,73 +51,45 @@ struct Fig4Side {
     xy_hulls: Vec<((f64, f64), (f64, f64))>,
 }
 
+/// Certifies `student` under `params` and reads the reachable tube off the
+/// certification's evidence.
 fn analyze(
     label: &str,
     student: &NnController,
-    sys: &dyn cocktail_env::Dynamics,
-    x0: &BoxRegion,
-    cert_cfg: &CertificateConfig,
-    reach_cfg: &ReachConfig,
+    sys: &dyn Dynamics,
+    params: &SafetyParams,
 ) -> Fig4Side {
     let start = Instant::now();
-    let lipschitz = student.lipschitz_constant();
-    let cert = match BernsteinCertificate::build(
+    let run = certify_controller(
+        sys,
         student.network(),
         student.scale(),
-        &sys.verification_domain(),
-        cert_cfg,
-    ) {
-        Err(e) => {
-            return Fig4Side {
-                controller: label.to_owned(),
-                lipschitz,
-                bernstein_pieces: None,
-                verified_safe: None,
-                peak_cells: None,
-                verification_seconds: start.elapsed().as_secs_f64(),
-                failure: Some(e.to_string()),
-                xy_hulls: Vec::new(),
-            }
-        }
-        Ok(c) => c,
-    };
-    match reach_analysis(sys, &cert, x0, reach_cfg) {
-        Ok(result) => {
-            let xy_hulls = result
-                .frames
+        params,
+        default_workers(),
+        &NullSink,
+    );
+    let verification_seconds = start.elapsed().as_secs_f64();
+    let reach = run.as_ref().ok().map(|run| &run.reach);
+    Fig4Side {
+        controller: label.to_owned(),
+        lipschitz: student.lipschitz_constant(),
+        bernstein_pieces: run.as_ref().ok().map(|run| run.cert.pieces),
+        verified_safe: reach.map(|r| r.verified_safe),
+        peak_cells: reach.map(|r| r.peak_boxes),
+        verification_seconds,
+        failure: run.as_ref().err().map(ToString::to_string),
+        xy_hulls: reach.map_or_else(Vec::new, |r| {
+            r.frames
                 .iter()
                 .map(|frame| {
-                    let mut hull = frame[0].clone();
-                    for b in &frame[1..] {
-                        hull = hull.hull(b);
-                    }
+                    let hull = frame[1..].iter().fold(frame[0].clone(), |h, b| h.hull(b));
                     (
                         (hull.interval(0).lo(), hull.interval(0).hi()),
                         (hull.interval(1).lo(), hull.interval(1).hi()),
                     )
                 })
-                .collect();
-            Fig4Side {
-                controller: label.to_owned(),
-                lipschitz,
-                bernstein_pieces: Some(cert.piece_count()),
-                verified_safe: Some(result.verified_safe),
-                peak_cells: Some(result.peak_boxes),
-                verification_seconds: start.elapsed().as_secs_f64(),
-                failure: None,
-                xy_hulls,
-            }
-        }
-        Err(e) => Fig4Side {
-            controller: label.to_owned(),
-            lipschitz,
-            bernstein_pieces: Some(cert.piece_count()),
-            verified_safe: None,
-            peak_cells: None,
-            verification_seconds: start.elapsed().as_secs_f64(),
-            failure: Some(e.to_string()),
-            xy_hulls: Vec::new(),
-        },
+                .collect()
+        }),
     }
 }
 
@@ -120,41 +100,35 @@ fn main() {
     println!("== Fig. 4: 3D-system reachable set, 15 steps (preset {preset:?}) ==");
     let set = build_controller_set(sys_id, preset, 0);
 
-    // the paper's initial box
-    let x0 = BoxRegion::from_bounds(&[-0.11, 0.205, 0.1], &[-0.105, 0.21, 0.11]);
-    // the budget separates the two students: κ*'s low Lipschitz constant
-    // fits comfortably, κ_D's does not
-    let cert_cfg = CertificateConfig {
-        degree: 3,
-        tolerance: 0.06,
-        max_pieces: 60_000,
-        error_samples_per_dim: 7,
-        margin: ErrorMargin::Lipschitz,
+    // the export budgets with the figure's own certificate (first-order
+    // margin) and reach: the paper's box, tracked by subdivision for 15
+    // steps. The budget separates the two students: κ*'s low Lipschitz
+    // constant fits comfortably, κ_D's does not
+    let params = SafetyParams {
+        certificate: CertificateConfig {
+            degree: 3,
+            tolerance: 0.06,
+            max_pieces: 60_000,
+            error_samples_per_dim: 7,
+            margin: ErrorMargin::Lipschitz,
+        },
+        reach: ReachConfig {
+            steps: 15,
+            split_width: 0.01,
+            max_boxes: 100_000,
+            fail_on_unsafe: false,
+            mode: ReachMode::Subdivision,
+        },
+        initial_set: BoxRegion::from_bounds(&[-0.11, 0.205, 0.1], &[-0.105, 0.21, 0.11]),
+        ..default_params(sys.as_ref())
     };
-    let reach_cfg = ReachConfig {
-        steps: 15,
-        split_width: 0.01,
-        max_boxes: 100_000,
-        fail_on_unsafe: false,
-        mode: ReachMode::Subdivision,
-    };
+    println!(
+        "params: default_params(3d) with certificate {:?}, reach {:?} and initial set {}",
+        params.certificate, params.reach, params.initial_set
+    );
 
-    let side_star = analyze(
-        "kappa_star",
-        set.kappa_star.as_ref(),
-        sys.as_ref(),
-        &x0,
-        &cert_cfg,
-        &reach_cfg,
-    );
-    let side_d = analyze(
-        "kappa_D",
-        set.kappa_d.as_ref(),
-        sys.as_ref(),
-        &x0,
-        &cert_cfg,
-        &reach_cfg,
-    );
+    let side_star = analyze("kappa_star", set.kappa_star.as_ref(), sys.as_ref(), &params);
+    let side_d = analyze("kappa_D", set.kappa_d.as_ref(), sys.as_ref(), &params);
 
     for side in [&side_star, &side_d] {
         println!(

@@ -298,7 +298,8 @@ fn fast_params_certification_is_timed_with_a_verdict() {
     let certify_ms = duration(|| {
         let t = Instant::now();
         let cert = certify_controller(sys.as_ref(), &net, &[20.0], &params, workers, &NullSink)
-            .expect("fast_params budgets certify");
+            .expect("fast_params budgets certify")
+            .cert;
         let ms = t.elapsed().as_secs_f64() * 1e3;
         verdict = Some(cert.verdict);
         ms

@@ -52,6 +52,7 @@ pub fn certify_student(
         workers,
         tel,
     )
+    .map(|run| run.cert)
 }
 
 #[cfg(test)]
@@ -94,7 +95,8 @@ mod tests {
             2,
             &NullSink,
         )
-        .expect("certifies");
+        .expect("certifies")
+        .cert;
         assert!(cert.matches(&direct, 0.0), "stage must equal direct call");
     }
 

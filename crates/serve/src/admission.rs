@@ -409,7 +409,8 @@ fn run_checks(
                         &claimed.params,
                         workers,
                         certify_tel,
-                    );
+                    )
+                    .map(|run| run.cert);
                     (claimed, fresh)
                 })
             })

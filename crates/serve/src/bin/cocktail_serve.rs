@@ -369,7 +369,8 @@ fn cmd_verify(args: &Args) -> Result<ExitCode, String> {
         cocktail_math::parallel::default_workers(),
         &NullSink,
     )
-    .map_err(|e| format!("re-derivation under the shipped budgets failed: {e}"))?;
+    .map_err(|e| format!("re-derivation under the shipped budgets failed: {e}"))?
+    .cert;
     let row = |label: &str, c: &cocktail_verify::SafetyCert| {
         println!(
             "{label:>8}: verdict {} | pieces {} | epsilon {:.6e} | reach {} steps \

@@ -302,6 +302,7 @@ impl ControllerBundle {
                     tel,
                 )
                 .ok()
+                .map(|run| run.cert)
             }
             _ => None,
         };
@@ -799,7 +800,8 @@ mod tests {
             cocktail_math::parallel::default_workers(),
             &NullSink,
         )
-        .expect("re-derivation succeeds");
+        .expect("re-derivation succeeds")
+        .cert;
         assert!(
             cert.matches(&fresh, 0.0),
             "shipped and re-derived certs must agree exactly: {:?}",

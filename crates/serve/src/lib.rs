@@ -1,7 +1,7 @@
 //! `cocktail-serve`: a controller-serving runtime for distilled students.
 //!
 //! The pipeline crates end at a trained, verified student network. This
-//! crate is the deployment story for that artifact, in five layers:
+//! crate is the deployment story for that artifact, in six layers:
 //!
 //! 1. **Bundle** ([`bundle`]): a versioned, self-describing JSON artifact
 //!    packaging the student network with its operating envelope (input

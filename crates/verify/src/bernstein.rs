@@ -945,7 +945,7 @@ impl ErrorMargin {
     }
 }
 
-/// Configuration for [`BernsteinCertificate::build`].
+/// Configuration for [`BernsteinCertificate::build_with_workers`].
 ///
 /// `Deserialize` is hand-written: `margin` arrived after certificates were
 /// first shipped, and a file without the key was derived under
@@ -1071,36 +1071,7 @@ fn overlaps(a: &BoxRegion, b: &BoxRegion) -> bool {
 impl BernsteinCertificate {
     /// Builds a certificate for the scaled network `x ↦ scale ⊙ net(x)`
     /// over `domain`, refining the partition until every piece meets the
-    /// tolerance.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VerifyError::ResourceExhausted`] when more than
-    /// `config.max_pieces` pieces would be needed — high-Lipschitz networks
-    /// hit this budget, which is the paper's `κ_D` failure mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scale.len() != net.output_dim()`,
-    /// `domain.dim() != net.input_dim()` or `config.degree == 0`.
-    pub fn build(
-        net: &Mlp,
-        scale: &[f64],
-        domain: &BoxRegion,
-        config: &CertificateConfig,
-    ) -> Result<Self, VerifyError> {
-        Self::build_with_workers(
-            net,
-            scale,
-            domain,
-            config,
-            cocktail_math::parallel::default_workers(),
-        )
-        .map(|(cert, _)| cert)
-    }
-
-    /// [`Self::build`] with an explicit worker count, returning the
-    /// refinement statistics alongside the certificate.
+    /// tolerance, and returns it with the refinement statistics.
     ///
     /// Refinement is level-synchronous: every region of the current frontier
     /// is evaluated in parallel — the points of its coefficient grid that it
@@ -1117,11 +1088,14 @@ impl BernsteinCertificate {
     ///
     /// # Errors
     ///
-    /// See [`Self::build`].
+    /// Returns [`VerifyError::ResourceExhausted`] when more than
+    /// `config.max_pieces` pieces would be needed — high-Lipschitz networks
+    /// hit this budget, which is the paper's `κ_D` failure mode.
     ///
     /// # Panics
     ///
-    /// See [`Self::build`].
+    /// Panics if `scale.len() != net.output_dim()`,
+    /// `domain.dim() != net.input_dim()` or `config.degree == 0`.
     pub fn build_with_workers(
         net: &Mlp,
         scale: &[f64],
@@ -1527,11 +1501,24 @@ mod tests {
             .build()
     }
 
+    /// The certificate of `scale ⊙ net` over `domain`, refined on two
+    /// workers (the certificate is the same on any number).
+    fn certified(
+        net: &Mlp,
+        scale: &[f64],
+        domain: &BoxRegion,
+        cfg: &CertificateConfig,
+    ) -> BernsteinCertificate {
+        BernsteinCertificate::build_with_workers(net, scale, domain, cfg, 2)
+            .expect("fits the budget")
+            .0
+    }
+
     #[test]
     fn certificate_is_sound_on_samples() {
         let net = small_net(5);
         let domain = BoxRegion::cube(2, -1.0, 1.0);
-        let cert = BernsteinCertificate::build(
+        let cert = certified(
             &net,
             &[5.0],
             &domain,
@@ -1539,8 +1526,7 @@ mod tests {
                 tolerance: 0.4,
                 ..Default::default()
             },
-        )
-        .expect("budget suffices");
+        );
         let mut rng = cocktail_math::rng::seeded(3);
         for _ in 0..300 {
             let x = cocktail_math::rng::uniform_in_box(&mut rng, &domain);
@@ -1572,8 +1558,8 @@ mod tests {
             max_pieces: 1 << 14,
             ..Default::default()
         };
-        let big = BernsteinCertificate::build(&net, &[10.0], &domain, &cfg).expect("fits");
-        let small = BernsteinCertificate::build(&shrunk, &[10.0], &domain, &cfg).expect("fits");
+        let big = certified(&net, &[10.0], &domain, &cfg);
+        let small = certified(&shrunk, &[10.0], &domain, &cfg);
         assert!(
             small.piece_count() <= big.piece_count(),
             "small {} vs big {}",
@@ -1666,7 +1652,7 @@ mod tests {
             max_pieces: 1 << 14,
             ..Default::default()
         };
-        let cert = BernsteinCertificate::build(&net, &[5.0, 3.0], &domain, &cfg).expect("fits");
+        let cert = certified(&net, &[5.0, 3.0], &domain, &cfg);
         assert!(cert.piece_count() > 50, "{} pieces", cert.piece_count());
 
         let mut queries = Vec::new();
@@ -2211,13 +2197,12 @@ mod tests {
                 .expect("fixture parses");
         let params = default_params(&vdp);
         assert_eq!(params.certificate.margin, ErrorMargin::Residual);
-        let cert = BernsteinCertificate::build(
+        let cert = certified(
             &kappa_star,
             &[1.0],
             &vdp.verification_domain(),
             &params.certificate,
-        )
-        .expect("fits the budget");
+        );
         (kappa_star, cert)
     }
 
@@ -2425,8 +2410,7 @@ mod tests {
         use cocktail_env::Dynamics;
 
         let certify = |sys: &dyn Dynamics, net: &Mlp, scale: f64, cfg: &CertificateConfig| {
-            BernsteinCertificate::build(net, &[scale], &sys.verification_domain(), cfg)
-                .expect("fits the budget")
+            certified(net, &[scale], &sys.verification_domain(), cfg)
         };
         let student = |inputs: usize, seed: u64| {
             MlpBuilder::new(inputs)
@@ -2457,7 +2441,7 @@ mod tests {
         assert_grid_matches_each_cell(&fine, 32);
 
         // two outputs, each folded into its own hull
-        let two = BernsteinCertificate::build(
+        let two = certified(
             &two_output_net(9),
             &[5.0, 3.0],
             &vdp.verification_domain(),
@@ -2465,8 +2449,7 @@ mod tests {
                 tolerance: 0.5,
                 ..Default::default()
             },
-        )
-        .expect("fits");
+        );
         assert!(two.piece_count() > 20, "{} pieces", two.piece_count());
         assert_grid_matches_each_cell(&two, 24);
         // an axis listed in decreasing order takes the per-cell path
@@ -2559,7 +2542,7 @@ mod tests {
     fn residual_error_bounds_hold_at_dense_samples_of_every_piece() {
         for (net, scale, domain, cfg) in residual_cases() {
             let n = domain.dim();
-            let cert = BernsteinCertificate::build(&net, &scale, &domain, &cfg).expect("fits");
+            let cert = certified(&net, &scale, &domain, &cfg);
             assert!(cert.piece_count() > 1, "{n}-D: refinement must happen");
             // a grid that shares only the corners with the error samples
             let m = match n {
@@ -2608,15 +2591,8 @@ mod tests {
         // in hundreds of pieces (in 4-D it needs thousands)
         for ((net, scale, domain, _), tolerance) in residual_cases().into_iter().zip([0.2, 0.5]) {
             let n = domain.dim();
-            let build = |margin| {
-                BernsteinCertificate::build(
-                    &net,
-                    &scale,
-                    &domain,
-                    &margin_config(margin, tolerance),
-                )
-                .expect("fits")
-            };
+            let build =
+                |margin| certified(&net, &scale, &domain, &margin_config(margin, tolerance));
             let (first, residual) = (build(ErrorMargin::Lipschitz), build(ErrorMargin::Residual));
             // the margin is what makes refinement cheap
             assert!(
@@ -2707,7 +2683,7 @@ mod tests {
     fn budget_exhaustion_is_reported() {
         let net = small_net(7);
         let domain = BoxRegion::cube(2, -2.0, 2.0);
-        let err = BernsteinCertificate::build(
+        let err = BernsteinCertificate::build_with_workers(
             &net,
             &[100.0],
             &domain,
@@ -2716,6 +2692,7 @@ mod tests {
                 max_pieces: 8,
                 ..Default::default()
             },
+            2,
         )
         .expect_err("tiny budget must blow up");
         assert!(matches!(err, VerifyError::ResourceExhausted { .. }));
@@ -2725,9 +2702,7 @@ mod tests {
     fn eval_matches_network_within_epsilon() {
         let net = small_net(8);
         let domain = BoxRegion::cube(2, -1.0, 1.0);
-        let cert =
-            BernsteinCertificate::build(&net, &[1.0], &domain, &CertificateConfig::default())
-                .expect("fits");
+        let cert = certified(&net, &[1.0], &domain, &CertificateConfig::default());
         let x = [0.2, -0.4];
         let approx = cert.eval(&x)[0];
         let truth = net.forward(&x)[0];

@@ -7,7 +7,9 @@
 //! box, and condenses the outcome into a [`SafetyCert`]: verdict,
 //! refinement stats, reach horizon and final hull, a digest of the
 //! invariant bitmap, and the verification wall-clock (the paper's
-//! Property-3 metric).
+//! Property-3 metric). It hands back the analyses the certificate condenses
+//! next to it ([`Certification`]), so the figures read the invariant set and
+//! the reach frames of the very loop admission re-derives.
 //!
 //! The whole computation is a pure function of `(plant, weights, scale,
 //! params)` — the parallel maps and the Jacobi fixpoint are worker-count
@@ -155,12 +157,7 @@ impl SafetyParams {
 /// residual error margin ([`ErrorMargin::Residual`]).
 pub fn default_params(sys: &dyn Dynamics) -> SafetyParams {
     let domain = sys.verification_domain();
-    let (u_lo, u_hi) = sys.control_bounds();
-    let span = u_lo
-        .iter()
-        .zip(&u_hi)
-        .map(|(l, h)| h - l)
-        .fold(0.0_f64, f64::max);
+    let span = control_span(sys);
     // tolerance is the ε absorbed into the disturbance; 1% of the control
     // span keeps it far below the control authority (so stabilizing
     // students remain provable) while staying reachable within the piece
@@ -171,11 +168,6 @@ pub fn default_params(sys: &dyn Dynamics) -> SafetyParams {
         3 => (12, 12, 3, 4, 0.05),
         _ => (6, 5, 2, 3, 0.3),
     };
-    let max_width = domain
-        .intervals()
-        .iter()
-        .map(Interval::width)
-        .fold(0.0_f64, f64::max);
     SafetyParams {
         certificate: CertificateConfig {
             degree,
@@ -186,7 +178,7 @@ pub fn default_params(sys: &dyn Dynamics) -> SafetyParams {
         },
         reach: ReachConfig {
             steps: if domain.dim() <= 3 { 10 } else { 8 },
-            split_width: max_width / paving_per_dim as f64,
+            split_width: domain.max_width() / paving_per_dim as f64,
             max_boxes: 200_000,
             fail_on_unsafe: false,
             mode: ReachMode::GridPaving,
@@ -206,29 +198,17 @@ pub fn default_params(sys: &dyn Dynamics) -> SafetyParams {
 /// milliseconds even unoptimized.
 /// Export tooling should prefer [`default_params`].
 pub fn fast_params(sys: &dyn Dynamics) -> SafetyParams {
-    let domain = sys.verification_domain();
-    let (u_lo, u_hi) = sys.control_bounds();
-    let span = u_lo
-        .iter()
-        .zip(&u_hi)
-        .map(|(l, h)| h - l)
-        .fold(0.0_f64, f64::max);
-    let max_width = domain
-        .intervals()
-        .iter()
-        .map(Interval::width)
-        .fold(0.0_f64, f64::max);
     SafetyParams {
         certificate: CertificateConfig {
             degree: 3,
-            tolerance: (0.05 * span).max(1e-6),
+            tolerance: (0.05 * control_span(sys)).max(1e-6),
             max_pieces: 2048,
             error_samples_per_dim: 4,
             margin: ErrorMargin::Lipschitz,
         },
         reach: ReachConfig {
             steps: 5,
-            split_width: max_width / 8.0,
+            split_width: sys.verification_domain().max_width() / 8.0,
             max_boxes: 10_000,
             fail_on_unsafe: false,
             mode: ReachMode::GridPaving,
@@ -239,6 +219,16 @@ pub fn fast_params(sys: &dyn Dynamics) -> SafetyParams {
         },
         initial_set: shrink_toward_center(&sys.initial_set(), 0.1),
     }
+}
+
+/// The widest control range, `max(u_hi − u_lo)`: what the tolerances scale
+/// with.
+fn control_span(sys: &dyn Dynamics) -> f64 {
+    let (u_lo, u_hi) = sys.control_bounds();
+    u_lo.iter()
+        .zip(&u_hi)
+        .map(|(l, h)| h - l)
+        .fold(0.0_f64, f64::max)
 }
 
 /// Shrinks a box toward its center: each interval keeps `factor` of its
@@ -423,6 +413,19 @@ impl SafetyCert {
     }
 }
 
+/// A [`SafetyCert`] with the analyses it condenses.
+#[derive(Debug, Clone)]
+pub struct Certification {
+    /// The serializable certificate.
+    pub cert: SafetyCert,
+    /// The invariant fixpoint: its survival bitmap is the one
+    /// [`SafetyCert::invariant_digest`] fingerprints (a sound invariant set
+    /// only when it converged).
+    pub invariant: InvariantResult,
+    /// Reachability from [`SafetyParams::initial_set`].
+    pub reach: ReachResult,
+}
+
 /// Relative closeness with an absolute floor, the same contract as the
 /// fast-tier certificate comparison.
 fn close(a: f64, b: f64, tol: f64) -> bool {
@@ -455,7 +458,8 @@ fn invariant_digest(grid: usize, alive: &[bool]) -> u64 {
 }
 
 /// Runs the full verification loop for the scaled network `scale ⊙ net` in
-/// closed loop with `sys` and condenses the outcome into a [`SafetyCert`].
+/// closed loop with `sys`, condenses the outcome into a [`SafetyCert`] and
+/// returns it with the invariant and reach results it was condensed from.
 ///
 /// The invariant's cell images come first. Its fixpoint and reachability,
 /// which reuses those images where the two grids coincide, then run side
@@ -488,7 +492,7 @@ pub fn certify_controller(
     params: &SafetyParams,
     workers: usize,
     tel: &dyn Telemetry,
-) -> Result<SafetyCert, VerifyError> {
+) -> Result<Certification, VerifyError> {
     let start = Instant::now();
     let domain = sys.verification_domain();
 
@@ -496,7 +500,7 @@ pub fn certify_controller(
         let _span = Span::enter(tel, "verify/bernstein");
         BernsteinCertificate::build_with_workers(net, scale, &domain, &params.certificate, workers)
     };
-    let (cert, stats) = match built {
+    let (bernstein, stats) = match built {
         Ok(v) => v,
         Err(e) => return Err(note_exhaustion(tel, e)),
     };
@@ -513,7 +517,7 @@ pub fn certify_controller(
     }
 
     let (reach, reused, inv) =
-        closed_loop(sys, &cert, params, workers, tel).map_err(|e| note_exhaustion(tel, e))?;
+        closed_loop(sys, &bernstein, params, workers, tel).map_err(|e| note_exhaustion(tel, e))?;
     if tel.enabled() {
         tel.record(Event::counter("verify.reach_images_reused", reused as u64));
     }
@@ -529,12 +533,12 @@ pub fn certify_controller(
         SafetyVerdict::NotProven
     };
     let alive = inv.alive();
-    let out = SafetyCert {
+    let cert = SafetyCert {
         params: params.clone(),
         verdict,
-        lipschitz: cert.lipschitz(),
-        epsilon: cert.epsilon(),
-        pieces: cert.piece_count(),
+        lipschitz: bernstein.lipschitz(),
+        epsilon: bernstein.epsilon(),
+        pieces: bernstein.piece_count(),
         refinement_splits: stats.splits,
         refinement_depth: stats.depth,
         reach_steps: reach.frames.len().saturating_sub(1),
@@ -552,14 +556,18 @@ pub fn certify_controller(
     if tel.enabled() {
         tel.record(
             Event::point("verify.verdict")
-                .with("verdict", out.verdict.label())
-                .with("pieces", out.pieces)
-                .with("epsilon", out.epsilon)
-                .with("invariant_alive", out.invariant_alive)
-                .with("verify_ms", out.verify_ms),
+                .with("verdict", cert.verdict.label())
+                .with("pieces", cert.pieces)
+                .with("epsilon", cert.epsilon)
+                .with("invariant_alive", cert.invariant_alive)
+                .with("verify_ms", cert.verify_ms),
         );
     }
-    Ok(out)
+    Ok(Certification {
+        cert,
+        invariant: inv,
+        reach,
+    })
 }
 
 /// The closed-loop analyses of a certified `controller`: the invariant's
@@ -622,7 +630,8 @@ fn note_exhaustion(tel: &dyn Telemetry, e: VerifyError) -> VerifyError {
 mod tests {
     use super::*;
     use crate::enclosure::Counting;
-    use crate::reach::reach_analysis;
+    use crate::invariant::invariant_set_with_workers;
+    use crate::reach::{frame_bits, reach_analysis};
     use cocktail_env::systems::VanDerPol;
     use cocktail_nn::{Activation, Mlp, MlpBuilder};
     use cocktail_obs::{EventKind, InMemorySink, NullSink};
@@ -642,11 +651,13 @@ mod tests {
         for margin in [ErrorMargin::Lipschitz, ErrorMargin::Residual] {
             let mut params = fast_params(&sys);
             params.certificate.margin = margin;
-            let reference =
-                certify_controller(&sys, &net, &[20.0], &params, 1, &NullSink).expect("certifies");
+            let reference = certify_controller(&sys, &net, &[20.0], &params, 1, &NullSink)
+                .expect("certifies")
+                .cert;
             for workers in [2usize, 8] {
                 let got = certify_controller(&sys, &net, &[20.0], &params, workers, &NullSink)
-                    .expect("certifies");
+                    .expect("certifies")
+                    .cert;
                 assert!(
                     got.matches(&reference, 0.0),
                     "{margin:?}, workers = {workers}"
@@ -670,11 +681,13 @@ mod tests {
         let sys = VanDerPol::new();
         let net = student(3);
         let params = fast_params(&sys);
-        let silent =
-            certify_controller(&sys, &net, &[20.0], &params, 2, &NullSink).expect("certifies");
+        let silent = certify_controller(&sys, &net, &[20.0], &params, 2, &NullSink)
+            .expect("certifies")
+            .cert;
         let observed = InMemorySink::new();
-        let loud =
-            certify_controller(&sys, &net, &[20.0], &params, 2, &observed).expect("certifies");
+        let loud = certify_controller(&sys, &net, &[20.0], &params, 2, &observed)
+            .expect("certifies")
+            .cert;
         assert!(loud.matches(&silent, 0.0));
         let mut a = loud.clone();
         let mut b = silent.clone();
@@ -733,40 +746,64 @@ mod tests {
     #[test]
     fn reach_inside_certification_reuses_the_invariants_images() {
         // fast budgets pave the oscillator's domain 8 × 8, like its
-        // invariant grid
+        // invariant grid; reach by subdivision takes no image from it
         let sys = VanDerPol::new();
         let net = student(3);
-        let params = fast_params(&sys);
-        let tel = InMemorySink::new();
-        let cert = certify_controller(&sys, &net, &[20.0], &params, 2, &tel).expect("certifies");
+        let paving = fast_params(&sys);
+        let subdivision = SafetyParams {
+            reach: ReachConfig {
+                mode: ReachMode::Subdivision,
+                ..paving.reach.clone()
+            },
+            ..paving.clone()
+        };
         let (bernstein, _) = BernsteinCertificate::build_with_workers(
             &net,
             &[20.0],
             &sys.verification_domain(),
-            &params.certificate,
+            &paving.certificate,
             2,
         )
         .expect("certifies");
-        let alone = Counting::new(&bernstein);
-        let want =
-            reach_analysis(&sys, &alone, &params.initial_set, &params.reach).expect("reaches");
-        assert_eq!(cert.reach_steps, want.frames.len() - 1);
-        assert_eq!(cert.reach_safe, want.verified_safe);
-        assert_eq!(cert.reach_peak_boxes, want.peak_boxes);
-        assert_eq!(cert.reach_final_hull, want.final_hull());
-        assert_eq!(
-            tel.counter_total("verify.reach_images_reused") as usize,
-            alone.calls()
-        );
+        let inv = invariant_set_with_workers(&sys, &bernstein, &paving.invariant, 1)
+            .expect("dimensions agree");
+        for params in [&paving, &subdivision] {
+            let mode = params.reach.mode;
+            let alone = Counting::new(&bernstein);
+            let want =
+                reach_analysis(&sys, &alone, &params.initial_set, &params.reach).expect("reaches");
+            // on a counting enclosure the invariant encloses its cells and
+            // reach every cell it did not take from the invariant
+            let counted = Counting::new(&bernstein);
+            let (_, reused, _) =
+                closed_loop(&sys, &counted, params, 2, &NullSink).expect("analyses");
+            let own = counted.calls() - params.invariant.grid.pow(2);
+            let split = match mode {
+                ReachMode::GridPaving => [alone.calls(), 0],
+                ReachMode::Subdivision => [0, alone.calls()],
+            };
+            assert_eq!([reused, own], split, "{mode:?}");
 
-        // the same analyses on a counting enclosure: the invariant's
-        // cells are the only enclosures, and reach's frames are unchanged
-        let counted = Counting::new(&bernstein);
-        let (got, reused, _) =
-            closed_loop(&sys, &counted, &params, 2, &NullSink).expect("analyses");
-        assert_eq!(reused, alone.calls());
-        assert_eq!(counted.calls(), params.invariant.grid.pow(2));
-        assert_eq!(got.frames, want.frames);
+            for workers in [1usize, 2, 8] {
+                let at = format!("{mode:?}, workers = {workers}");
+                let tel = InMemorySink::new();
+                let got = certify_controller(&sys, &net, &[20.0], params, workers, &tel)
+                    .expect("certifies");
+                let cert = &got.cert;
+                assert_eq!(cert.reach_steps, want.frames.len() - 1, "{at}");
+                assert_eq!(cert.reach_safe, want.verified_safe, "{at}");
+                assert_eq!(cert.reach_peak_boxes, want.peak_boxes, "{at}");
+                assert_eq!(cert.reach_final_hull, want.final_hull(), "{at}");
+                let counted = tel.counter_total("verify.reach_images_reused");
+                assert_eq!(counted as usize, reused, "{at}");
+                // the evidence is what the certificate condenses
+                assert_eq!(got.invariant.alive(), inv.alive(), "{at}");
+                let digest = invariant_digest(got.invariant.grid(), got.invariant.alive());
+                assert_eq!(digest, cert.invariant_digest, "{at}");
+                let frames = frame_bits(&got.reach.frames);
+                assert_eq!(frames, frame_bits(&want.frames), "{at}");
+            }
+        }
     }
 
     #[test]
@@ -802,8 +839,9 @@ mod tests {
         let sys = VanDerPol::new();
         let net = student(11);
         let params = fast_params(&sys);
-        let cert =
-            certify_controller(&sys, &net, &[20.0], &params, 2, &NullSink).expect("certifies");
+        let cert = certify_controller(&sys, &net, &[20.0], &params, 2, &NullSink)
+            .expect("certifies")
+            .cert;
         let tol = 1e-9;
         assert!(cert.matches(&cert.clone(), tol));
 

@@ -31,7 +31,9 @@ use cocktail_obs::{NullSink, Span, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
-/// Configuration for [`invariant_set`].
+/// Budget of the invariant grid fixpoint, for [`invariant_set_with_workers`]
+/// and for the invariant stage of [`crate::cert::certify_controller`]
+/// ([`crate::cert::SafetyParams::invariant`]).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InvariantConfig {
     /// Grid resolution per dimension (`grid^n` cells).
@@ -68,11 +70,6 @@ impl InvariantResult {
     /// Grid resolution per dimension.
     pub fn grid(&self) -> usize {
         self.grid
-    }
-
-    /// The analysis domain (the safe region `X`).
-    pub fn domain(&self) -> &BoxRegion {
-        &self.domain
     }
 
     /// Fraction of the domain's cells proved invariant.
@@ -168,6 +165,11 @@ impl InvariantResult {
 /// Computes an under-approximated control invariant set of `sys` under the
 /// certified controller `controller` over the system's verification domain.
 ///
+/// The per-cell one-step image precompute (the dominant cost) fans out over
+/// `workers` threads, so the result is bit-identical for every
+/// `workers >= 1`. The fixpoint then runs on the calling thread: a sweep
+/// only reads a bitmap, far too little work to share out.
+///
 /// # Errors
 ///
 /// Returns [`VerifyError::DimensionMismatch`] when the enclosure and plant
@@ -176,46 +178,21 @@ impl InvariantResult {
 /// # Panics
 ///
 /// Panics if `config.grid == 0` or the grid has `u32::MAX` cells or more.
-pub fn invariant_set(
-    sys: &dyn Dynamics,
-    controller: &dyn ControlEnclosure,
-    config: &InvariantConfig,
-) -> Result<InvariantResult, VerifyError> {
-    invariant_set_with_workers(
-        sys,
-        controller,
-        config,
-        cocktail_math::parallel::default_workers(),
-    )
-}
-
-/// [`invariant_set`] with an explicit worker count.
-///
-/// The per-cell one-step image precompute (the dominant cost) fans out over
-/// `workers` threads, so the result is bit-identical for every
-/// `workers >= 1`. The fixpoint then runs on the calling thread: a sweep
-/// only reads a bitmap, far too little work to share out.
-///
-/// # Errors
-///
-/// See [`invariant_set`].
-///
-/// # Panics
-///
-/// See [`invariant_set`].
 pub fn invariant_set_with_workers(
     sys: &dyn Dynamics,
     controller: &dyn ControlEnclosure,
     config: &InvariantConfig,
     workers: usize,
 ) -> Result<InvariantResult, VerifyError> {
-    invariant_with_images(sys, controller, config, workers, &NullSink).map(|(result, _)| result)
+    let start = Instant::now();
+    let images = cell_images(sys, controller, config, workers, &NullSink)?;
+    Ok(fixpoint(sys, &images, config, start, &NullSink))
 }
 
 /// The invariant's grid cells and their one-step images, in flat cell
-/// order (dimension 0 fastest): what [`invariant_with_images`] computed
-/// the fixpoint from, kept for the reachability analysis of the same
-/// certificate (see [`crate::reach`]).
+/// order (dimension 0 fastest): what [`fixpoint`] decides the cells from,
+/// kept for the reachability analysis of the same certificate (see
+/// [`crate::reach`]).
 pub(crate) struct CellImages {
     /// Cells per dimension.
     pub grid: usize,
@@ -242,20 +219,6 @@ impl CellImages {
     }
 }
 
-/// [`invariant_set_with_workers`], also returning the cells and images it
-/// computed: [`cell_images`], then [`fixpoint`].
-pub(crate) fn invariant_with_images(
-    sys: &dyn Dynamics,
-    controller: &dyn ControlEnclosure,
-    config: &InvariantConfig,
-    workers: usize,
-    tel: &dyn Telemetry,
-) -> Result<(InvariantResult, CellImages), VerifyError> {
-    let start = Instant::now();
-    let images = cell_images(sys, controller, config, workers, tel)?;
-    Ok((fixpoint(sys, &images, config, start, tel), images))
-}
-
 /// The invariant's grid cells and their one-step images, the work fanned
 /// out over `workers` threads (see [`stripe_images`]); a
 /// `verify/invariant/images` span on `tel` meters it.
@@ -267,7 +230,7 @@ pub(crate) fn invariant_with_images(
 ///
 /// # Panics
 ///
-/// See [`invariant_set`].
+/// See [`invariant_set_with_workers`].
 pub(crate) fn cell_images(
     sys: &dyn Dynamics,
     controller: &dyn ControlEnclosure,
@@ -556,13 +519,14 @@ mod tests {
     fn stable_loop_has_nonempty_invariant_set() {
         let sys = VanDerPol::new();
         let enc = damped_enclosure();
-        let result = invariant_set(
+        let result = invariant_set_with_workers(
             &sys,
             &enc,
             &InvariantConfig {
                 grid: 24,
                 ..Default::default()
             },
+            2,
         )
         .expect("dimensions agree");
         assert!(
@@ -578,13 +542,14 @@ mod tests {
     fn invariant_cells_are_actually_invariant_under_simulation() {
         let sys = VanDerPol::new();
         let enc = damped_enclosure();
-        let result = invariant_set(
+        let result = invariant_set_with_workers(
             &sys,
             &enc,
             &InvariantConfig {
                 grid: 24,
                 ..Default::default()
             },
+            2,
         )
         .expect("dimensions agree");
         let controller = cocktail_control::LinearFeedbackController::new(Matrix::from_rows(vec![
@@ -599,7 +564,7 @@ mod tests {
             // simulate with worst-case-ish disturbance samples
             for step in 0..200 {
                 assert!(
-                    result.domain().contains(&s),
+                    sys.verification_domain().contains(&s),
                     "invariant trajectory escaped X at step {step}: {s:?}"
                 );
                 let u = sys.clip_control(&controller.control(&s));
@@ -632,13 +597,14 @@ mod tests {
         let sys = VanDerPol::new();
         // positive feedback pushes everything out
         let enc = LinearEnclosure::new(Matrix::from_rows(vec![vec![-10.0, -10.0]]));
-        let result = invariant_set(
+        let result = invariant_set_with_workers(
             &sys,
             &enc,
             &InvariantConfig {
                 grid: 16,
                 ..Default::default()
             },
+            2,
         )
         .expect("dimensions agree");
         assert!(
@@ -652,13 +618,14 @@ mod tests {
     fn contains_rejects_outside_domain() {
         let sys = VanDerPol::new();
         let enc = damped_enclosure();
-        let result = invariant_set(
+        let result = invariant_set_with_workers(
             &sys,
             &enc,
             &InvariantConfig {
                 grid: 8,
                 ..Default::default()
             },
+            2,
         )
         .expect("dimensions agree");
         assert!(!result.contains(&[5.0, 5.0]));
@@ -668,8 +635,8 @@ mod tests {
     fn dimension_mismatch_is_error() {
         let sys = VanDerPol::new();
         let enc = LinearEnclosure::new(Matrix::identity(3));
-        let err =
-            invariant_set(&sys, &enc, &InvariantConfig::default()).expect_err("3 != 2 must fail");
+        let err = invariant_set_with_workers(&sys, &enc, &InvariantConfig::default(), 2)
+            .expect_err("3 != 2 must fail");
         assert!(matches!(err, VerifyError::DimensionMismatch { .. }));
     }
 
@@ -944,22 +911,24 @@ mod tests {
     fn finer_grid_does_not_shrink_fraction_catastrophically() {
         let sys = VanDerPol::new();
         let enc = damped_enclosure();
-        let coarse = invariant_set(
+        let coarse = invariant_set_with_workers(
             &sys,
             &enc,
             &InvariantConfig {
                 grid: 12,
                 ..Default::default()
             },
+            2,
         )
         .expect("ok");
-        let fine = invariant_set(
+        let fine = invariant_set_with_workers(
             &sys,
             &enc,
             &InvariantConfig {
                 grid: 24,
                 ..Default::default()
             },
+            2,
         )
         .expect("ok");
         // finer grids reduce conservatism: the invariant fraction should not collapse

@@ -21,34 +21,36 @@
 //! * [`reach`] — finite-horizon box reachability with subdivision
 //!   ([`reach::reach_analysis`]), the Fig. 4 experiment;
 //! * [`invariant`] — grid-fixpoint control-invariant-set computation
-//!   ([`invariant::invariant_set`]), the Fig. 3 experiment;
-//! * [`cert`] — the full loop condensed into a serializable, deterministically
-//!   re-derivable [`cert::SafetyCert`] ([`cert::certify_controller`]): the
-//!   artifact the serving layer embeds in controller bundles and re-derives
-//!   at admission time.
+//!   ([`invariant::invariant_set_with_workers`]), the Fig. 3 experiment;
+//! * [`cert`] — the full loop in one call, [`cert::certify_controller`]: it
+//!   condenses the loop into a serializable, deterministically re-derivable
+//!   [`cert::SafetyCert`] (the artifact the serving layer embeds in
+//!   controller bundles and re-derives at admission time) and hands back
+//!   the invariant set and reach frames it was condensed from, which the
+//!   figures plot.
 //!
 //! Everything is deterministic and wall-clock metered, so "verifiability =
 //! verification time" (the paper's Property 3) is directly measurable.
 //!
 //! # Examples
 //!
-//! Certify a small network over a box and check the enclosure is sound:
+//! Certify a small controller on the oscillator and read the evidence next
+//! to the certificate:
 //!
 //! ```
-//! use cocktail_math::BoxRegion;
+//! use cocktail_env::systems::VanDerPol;
 //! use cocktail_nn::{Activation, MlpBuilder};
-//! use cocktail_verify::bernstein::{BernsteinCertificate, CertificateConfig};
-//! use cocktail_verify::enclosure::ControlEnclosure;
+//! use cocktail_obs::NullSink;
+//! use cocktail_verify::{certify_controller, fast_params};
 //!
+//! let sys = VanDerPol::new();
 //! let net = MlpBuilder::new(2).hidden(4, Activation::Tanh)
 //!     .output(1, Activation::Tanh).seed(0).build();
-//! let domain = BoxRegion::cube(2, -1.0, 1.0);
-//! let cert = BernsteinCertificate::build(&net, &[1.0], &domain,
-//!     &CertificateConfig::default())?;
-//! let cell = BoxRegion::cube(2, -0.1, 0.1);
-//! let bounds = cert.enclose(&cell);
-//! let y = net.forward(&[0.0, 0.0]);
-//! assert!(bounds[0].contains(y[0]));
+//! let params = fast_params(&sys);
+//! let run = certify_controller(&sys, &net, &[20.0], &params, 1, &NullSink)?;
+//! let alive = run.invariant.alive().iter().filter(|&&a| a).count();
+//! assert_eq!(alive, run.cert.invariant_alive);
+//! assert_eq!(run.reach.frames.len(), run.cert.reach_steps + 1);
 //! # Ok::<(), cocktail_verify::VerifyError>(())
 //! ```
 
@@ -58,19 +60,16 @@ pub mod enclosure;
 pub mod error;
 pub mod invariant;
 mod jacobian;
-pub mod lyapunov;
 pub mod reach;
 
 pub use bernstein::{
     BernsteinApprox, BernsteinCertificate, CertificateConfig, ErrorMargin, RefineStats,
 };
 pub use cert::{
-    certify_controller, default_params, fast_params, SafetyCert, SafetyParams, SafetyVerdict,
+    certify_controller, default_params, fast_params, Certification, SafetyCert, SafetyParams,
+    SafetyVerdict,
 };
 pub use enclosure::ControlEnclosure;
 pub use error::VerifyError;
-pub use invariant::{invariant_set, invariant_set_with_workers, InvariantConfig, InvariantResult};
-pub use lyapunov::{
-    solve_discrete_lyapunov, verify_ellipsoid_invariant, EllipsoidCheck, QuadraticForm,
-};
+pub use invariant::{invariant_set_with_workers, InvariantConfig, InvariantResult};
 pub use reach::{reach_analysis, ReachConfig, ReachMode, ReachResult};

@@ -615,12 +615,32 @@ fn coalesce(boxes: Vec<BoxRegion>, split_width: f64) -> Vec<BoxRegion> {
     buckets.into_values().collect()
 }
 
+/// Every interval end of every frame's boxes as bits, so that frames
+/// compare bit for bit (`-0.0 != 0.0`).
+#[cfg(test)]
+pub(crate) fn frame_bits(frames: &[Vec<BoxRegion>]) -> Vec<Vec<Vec<u64>>> {
+    frames
+        .iter()
+        .map(|frame| {
+            frame
+                .iter()
+                .map(|b| {
+                    b.intervals()
+                        .iter()
+                        .flat_map(|iv| [iv.lo().to_bits(), iv.hi().to_bits()])
+                        .collect()
+                })
+                .collect()
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cert::{default_params, fast_params, SafetyParams};
     use crate::enclosure::{Counting, LinearEnclosure};
-    use crate::invariant::invariant_with_images;
+    use crate::invariant::cell_images;
     use cocktail_env::systems::{CartPole, Poly3d, VanDerPol};
     use cocktail_math::Matrix;
     use std::collections::BTreeSet;
@@ -683,7 +703,7 @@ mod tests {
     fn certifies_a_stabilizing_student() {
         use crate::bernstein::{BernsteinCertificate, CertificateConfig, ErrorMargin};
         let sys = VanDerPol::new();
-        let student = BernsteinCertificate::build(
+        let (student, _) = BernsteinCertificate::build_with_workers(
             &stabilizing_student(),
             &[20.0],
             &sys.verification_domain(),
@@ -694,6 +714,7 @@ mod tests {
                 error_samples_per_dim: 7,
                 margin: ErrorMargin::Lipschitz,
             },
+            2,
         )
         .expect("student certifies");
         assert!(student.piece_count() > 0);
@@ -983,23 +1004,6 @@ mod tests {
         })
     }
 
-    fn frame_bits(frames: &[Vec<BoxRegion>]) -> Vec<Vec<Vec<u64>>> {
-        frames
-            .iter()
-            .map(|frame| {
-                frame
-                    .iter()
-                    .map(|b| {
-                        b.intervals()
-                            .iter()
-                            .flat_map(|iv| [iv.lo().to_bits(), iv.hi().to_bits()])
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
     #[test]
     fn each_distinct_cell_is_enclosed_once() {
         let sys = VanDerPol::new();
@@ -1009,11 +1013,12 @@ mod tests {
             .output(1, cocktail_nn::Activation::Tanh)
             .seed(5)
             .build();
-        let certificate = crate::bernstein::BernsteinCertificate::build(
+        let (certificate, _) = crate::bernstein::BernsteinCertificate::build_with_workers(
             &net,
             &[2.0],
             &sys.verification_domain(),
             &crate::bernstein::CertificateConfig::default(),
+            2,
         )
         .expect("fits");
         let x0 = BoxRegion::from_bounds(&[0.1, 0.1], &[0.3, 0.3]);
@@ -1049,7 +1054,7 @@ mod tests {
             .output(1, cocktail_nn::Activation::Tanh)
             .seed(21)
             .build();
-        let certificate = BernsteinCertificate::build(
+        let (certificate, _) = BernsteinCertificate::build_with_workers(
             &net,
             &[7.0],
             &sys.verification_domain(),
@@ -1060,6 +1065,7 @@ mod tests {
                 error_samples_per_dim: 4,
                 margin: ErrorMargin::Lipschitz,
             },
+            2,
         )
         .expect("fits");
         let enclosures: [&dyn ControlEnclosure; 2] = [&linear, &certificate];
@@ -1199,7 +1205,7 @@ mod tests {
         x0: &BoxRegion,
         keep: usize,
     ) -> [usize; 2] {
-        let (_, mut known) = invariant_with_images(
+        let mut known = cell_images(
             sys,
             enclosure,
             &params.invariant,

@@ -189,8 +189,9 @@ fn assert_golden_on(
     params: &SafetyParams,
     expected: &Golden,
 ) -> SafetyCert {
-    let cert =
-        certify_controller(sys, net, &[scale], params, 2, &NullSink).expect("budget suffices");
+    let cert = certify_controller(sys, net, &[scale], params, 2, &NullSink)
+        .expect("budget suffices")
+        .cert;
     let actual = Golden::of(&cert);
     println!("{actual:#x?}");
     assert_eq!(&actual, expected);

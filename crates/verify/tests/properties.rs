@@ -10,8 +10,8 @@ use cocktail_verify::bernstein::BernsteinApprox;
 use cocktail_verify::enclosure::{ControlEnclosure, IbpEnclosure, LinearEnclosure};
 use cocktail_verify::reach::ReachMode;
 use cocktail_verify::{
-    invariant_set, reach_analysis, BernsteinCertificate, CertificateConfig, ErrorMargin,
-    InvariantConfig, ReachConfig,
+    invariant_set_with_workers, reach_analysis, BernsteinCertificate, CertificateConfig,
+    ErrorMargin, InvariantConfig, ReachConfig,
 };
 use proptest::prelude::*;
 
@@ -28,7 +28,7 @@ proptest! {
             .seed(seed)
             .build();
         let domain = BoxRegion::cube(2, -1.0, 1.0);
-        let cert = BernsteinCertificate::build(
+        let (cert, _) = BernsteinCertificate::build_with_workers(
             &net,
             &[scale],
             &domain,
@@ -39,6 +39,7 @@ proptest! {
                 error_samples_per_dim: 5,
                 margin: ErrorMargin::Lipschitz,
             },
+            2,
         )
         .expect("budget suffices for tiny nets");
         let mut r = rng::seeded(seed.wrapping_add(7));
@@ -133,7 +134,7 @@ proptest! {
         let strong = weak + 2.0;
         let frac = |g: f64| {
             let enc = LinearEnclosure::new(Matrix::from_rows(vec![vec![g, g + 1.0]]));
-            invariant_set(&sys, &enc, &InvariantConfig { grid: 16, max_iterations: 200 })
+            invariant_set_with_workers(&sys, &enc, &InvariantConfig { grid: 16, max_iterations: 200 }, 2)
                 .expect("dims agree")
                 .alive_fraction()
         };

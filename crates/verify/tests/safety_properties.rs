@@ -11,8 +11,8 @@ use cocktail_nn::train::{fit_regression, TrainConfig};
 use cocktail_nn::{Activation, Mlp, MlpBuilder};
 use cocktail_verify::reach::ReachMode;
 use cocktail_verify::{
-    invariant_set, reach_analysis, BernsteinCertificate, CertificateConfig, ErrorMargin,
-    InvariantConfig, ReachConfig,
+    invariant_set_with_workers, reach_analysis, BernsteinCertificate, CertificateConfig,
+    ErrorMargin, InvariantConfig, ReachConfig,
 };
 use proptest::prelude::*;
 
@@ -42,7 +42,7 @@ proptest! {
             .output(1, Activation::Tanh)
             .seed(seed)
             .build();
-        let cert = BernsteinCertificate::build(
+        let (cert, _) = BernsteinCertificate::build_with_workers(
             &net,
             &[scale],
             &sys.verification_domain(),
@@ -53,6 +53,7 @@ proptest! {
                 error_samples_per_dim: 4,
                 margin: ErrorMargin::Lipschitz,
             },
+            2,
         ).expect("budget suffices for tiny nets");
         let x0 = BoxRegion::from_bounds(&[cx - 0.1, cy - 0.1], &[cx + 0.1, cy + 0.1]);
         let result = reach_analysis(
@@ -101,7 +102,7 @@ proptest! {
 fn invariant_points_stay_inside_for_one_step() {
     let sys = VanDerPol::new();
     let net = stabilizing_net();
-    let cert = BernsteinCertificate::build(
+    let (cert, _) = BernsteinCertificate::build_with_workers(
         &net,
         &[20.0],
         &sys.verification_domain(),
@@ -112,15 +113,17 @@ fn invariant_points_stay_inside_for_one_step() {
             error_samples_per_dim: 5,
             margin: ErrorMargin::Lipschitz,
         },
+        2,
     )
     .expect("stabilizing student certifies");
-    let result = invariant_set(
+    let result = invariant_set_with_workers(
         &sys,
         &cert,
         &InvariantConfig {
             grid: 24,
             max_iterations: 200,
         },
+        2,
     )
     .expect("dimensions agree");
     assert!(result.converged, "fixpoint must converge");

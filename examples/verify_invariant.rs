@@ -17,13 +17,14 @@ use cocktail_control::{Controller, LinearFeedbackController, NnController};
 use cocktail_core::SystemId;
 use cocktail_distill::TeacherDataset;
 use cocktail_env::Dynamics;
+use cocktail_math::parallel::default_workers;
 use cocktail_math::{BoxRegion, Matrix};
 use cocktail_nn::train::{fit_regression, TrainConfig};
 use cocktail_nn::{Activation, MlpBuilder};
+use cocktail_obs::NullSink;
 use cocktail_verify::reach::ReachMode;
 use cocktail_verify::{
-    invariant_set, reach_analysis, BernsteinCertificate, CertificateConfig, ErrorMargin,
-    InvariantConfig, ReachConfig,
+    certify_controller, CertificateConfig, ErrorMargin, InvariantConfig, ReachConfig, SafetyParams,
 };
 
 /// Clones `u = -(3 s1 + 4 s2)` into a small tanh network.
@@ -67,36 +68,50 @@ fn main() {
         controller.lipschitz_constant()
     );
 
+    // a fine certificate and invariant grid, and reachability from a
+    // corner of X0 by grid paving and by subdivision
+    let [paving, subdivision] = [ReachMode::GridPaving, ReachMode::Subdivision].map(|mode| {
+        let params = SafetyParams {
+            certificate: CertificateConfig {
+                degree: 4,
+                tolerance: 0.15,
+                max_pieces: 1 << 18,
+                error_samples_per_dim: 9,
+                margin: ErrorMargin::Lipschitz,
+            },
+            invariant: InvariantConfig {
+                grid: 60,
+                max_iterations: 1000,
+            },
+            reach: ReachConfig {
+                steps: 40,
+                split_width: 0.05,
+                mode,
+                ..Default::default()
+            },
+            initial_set: BoxRegion::from_bounds(&[1.0, 1.0], &[1.1, 1.1]),
+        };
+        certify_controller(
+            sys.as_ref(),
+            controller.network(),
+            controller.scale(),
+            &params,
+            default_workers(),
+            &NullSink,
+        )
+        .expect("certificate fits the budget and reach stays in the domain")
+    });
+
     // ---- 1. Bernstein certification
-    let cert = BernsteinCertificate::build(
-        controller.network(),
-        controller.scale(),
-        &sys.verification_domain(),
-        &CertificateConfig {
-            degree: 4,
-            tolerance: 0.15,
-            max_pieces: 1 << 18,
-            error_samples_per_dim: 9,
-            margin: ErrorMargin::Lipschitz,
-        },
-    )
-    .expect("certificate fits the budget");
     println!(
-        "certificate: {} pieces, eps = {:.3} (kappa(x) ∈ B_p(x) ± eps on every piece)",
-        cert.piece_count(),
-        cert.epsilon()
+        "certificate: {} pieces, eps = {:.3} (kappa(x) ∈ B_p(x) ± eps on every piece), verdict {}",
+        paving.cert.pieces,
+        paving.cert.epsilon,
+        paving.cert.verdict.label()
     );
 
     // ---- 2. control invariant set (Fig. 3 machinery)
-    let inv = invariant_set(
-        sys.as_ref(),
-        &cert,
-        &InvariantConfig {
-            grid: 60,
-            max_iterations: 1000,
-        },
-    )
-    .expect("dimensions agree");
+    let inv = &paving.invariant;
     println!(
         "invariant set: {:.1}% of X in {:.2?}; contains origin: {}",
         100.0 * inv.alive_fraction(),
@@ -105,23 +120,10 @@ fn main() {
     );
 
     // ---- 3. reachability from a corner of X0 (Fig. 4 machinery)
-    let x0 = BoxRegion::from_bounds(&[1.0, 1.0], &[1.1, 1.1]);
-    for (name, mode) in [
-        ("grid paving", ReachMode::GridPaving),
-        ("subdivision", ReachMode::Subdivision),
+    for (name, reach) in [
+        ("grid paving", &paving.reach),
+        ("subdivision", &subdivision.reach),
     ] {
-        let reach = reach_analysis(
-            sys.as_ref(),
-            &cert,
-            &x0,
-            &ReachConfig {
-                steps: 40,
-                split_width: 0.05,
-                mode,
-                ..Default::default()
-            },
-        )
-        .expect("verifies");
         let hull = reach.final_hull();
         println!(
             "reach ({name}): safe = {}, peak boxes = {}, final hull = {hull}, {:.2?}",

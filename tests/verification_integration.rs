@@ -9,13 +9,11 @@ use cocktail_core::experiment::{build_controller_set, ControllerSet, Preset};
 use cocktail_core::SystemId;
 use cocktail_env::{rollout, RolloutConfig};
 use cocktail_math::BoxRegion;
-use cocktail_verify::lyapunov::{
-    solve_discrete_lyapunov, verify_ellipsoid_invariant, QuadraticForm,
-};
+use cocktail_obs::NullSink;
 use cocktail_verify::reach::ReachMode;
 use cocktail_verify::{
-    invariant_set, reach_analysis, BernsteinCertificate, CertificateConfig, ControlEnclosure,
-    ErrorMargin, InvariantConfig, ReachConfig, VerifyError,
+    certify_controller, BernsteinCertificate, CertificateConfig, Certification, ControlEnclosure,
+    ErrorMargin, InvariantConfig, ReachConfig, SafetyParams, VerifyError,
 };
 use std::sync::OnceLock;
 
@@ -24,21 +22,59 @@ fn oscillator_set() -> &'static ControllerSet {
     CELL.get_or_init(|| build_controller_set(SystemId::Oscillator, Preset::Smoke, 0))
 }
 
+const CERTIFICATE: CertificateConfig = CertificateConfig {
+    degree: 4,
+    tolerance: 0.3,
+    max_pieces: 1 << 17,
+    error_samples_per_dim: 7,
+    margin: ErrorMargin::Lipschitz,
+};
+
 fn certificate(student: &cocktail_control::NnController) -> BernsteinCertificate {
     let sys = SystemId::Oscillator.dynamics();
-    BernsteinCertificate::build(
+    BernsteinCertificate::build_with_workers(
         student.network(),
         student.scale(),
         &sys.verification_domain(),
-        &CertificateConfig {
-            degree: 4,
-            tolerance: 0.3,
-            max_pieces: 1 << 17,
-            error_samples_per_dim: 7,
-            margin: ErrorMargin::Lipschitz,
-        },
+        &CERTIFICATE,
+        2,
     )
     .expect("smoke students fit the budget")
+    .0
+}
+
+/// κ*'s certification, shared by the invariant and reach tests:
+/// [`CERTIFICATE`], a 50-cell invariant grid, and 12 steps of reach by
+/// subdivision from `[0.2, 0.3]²`.
+fn kappa_star_certification() -> &'static Certification {
+    static CELL: OnceLock<Certification> = OnceLock::new();
+    CELL.get_or_init(|| {
+        let sys = SystemId::Oscillator.dynamics();
+        let student = &oscillator_set().kappa_star;
+        let params = SafetyParams {
+            certificate: CERTIFICATE,
+            invariant: InvariantConfig {
+                grid: 50,
+                max_iterations: 500,
+            },
+            reach: ReachConfig {
+                steps: 12,
+                split_width: 0.05,
+                mode: ReachMode::Subdivision,
+                ..Default::default()
+            },
+            initial_set: BoxRegion::from_bounds(&[0.2, 0.2], &[0.3, 0.3]),
+        };
+        certify_controller(
+            sys.as_ref(),
+            student.network(),
+            student.scale(),
+            &params,
+            2,
+            &NullSink,
+        )
+        .expect("the smoke κ* certifies and its tube stays in the domain")
+    })
 }
 
 #[test]
@@ -68,16 +104,7 @@ fn certificate_is_sound_for_pipeline_students() {
 fn certified_invariant_cells_are_safe_under_simulation() {
     let set = oscillator_set();
     let sys = SystemId::Oscillator.dynamics();
-    let cert = certificate(&set.kappa_star);
-    let inv = invariant_set(
-        sys.as_ref(),
-        &cert,
-        &InvariantConfig {
-            grid: 50,
-            max_iterations: 500,
-        },
-    )
-    .expect("dimensions agree");
+    let inv = &kappa_star_certification().invariant;
     // the smoke student may or may not admit a non-empty grid-invariant
     // set; when it does, every cell must be safe under long simulation
     let cells = inv.cells();
@@ -111,25 +138,13 @@ fn certified_invariant_cells_are_safe_under_simulation() {
 fn reach_frames_contain_simulated_student_trajectories() {
     let set = oscillator_set();
     let sys = SystemId::Oscillator.dynamics();
-    let cert = certificate(&set.kappa_star);
-    let x0 = BoxRegion::from_bounds(&[0.2, 0.2], &[0.3, 0.3]);
-    let result = reach_analysis(
-        sys.as_ref(),
-        &cert,
-        &x0,
-        &ReachConfig {
-            steps: 12,
-            split_width: 0.05,
-            mode: ReachMode::Subdivision,
-            ..Default::default()
-        },
-    )
-    .expect("verifies");
+    let run = kappa_star_certification();
+    let (x0, result) = (&run.cert.params.initial_set, &run.reach);
     // the reach analysis assumes worst-case disturbance; simulate with the
     // sampled disturbance and check frame membership
     let mut rng = cocktail_math::rng::seeded(5);
     for run in 0..10 {
-        let mut s = cocktail_math::rng::uniform_in_box(&mut rng, &x0);
+        let mut s = cocktail_math::rng::uniform_in_box(&mut rng, x0);
         let mut omega_rng = cocktail_math::rng::seeded(run);
         for frame in &result.frames {
             assert!(
@@ -147,7 +162,7 @@ fn reach_frames_contain_simulated_student_trajectories() {
 fn tighter_budgets_fail_gracefully_not_catastrophically() {
     let set = oscillator_set();
     let sys = SystemId::Oscillator.dynamics();
-    let result = BernsteinCertificate::build(
+    let result = BernsteinCertificate::build_with_workers(
         set.kappa_d.network(),
         set.kappa_d.scale(),
         &sys.verification_domain(),
@@ -158,70 +173,9 @@ fn tighter_budgets_fail_gracefully_not_catastrophically() {
             error_samples_per_dim: 5,
             margin: ErrorMargin::Lipschitz,
         },
+        2,
     );
     assert!(matches!(result, Err(VerifyError::ResourceExhausted { .. })));
-}
-
-/// Lyapunov path on a pipeline student: linearize the *neural* closed
-/// loop at the attractor numerically, solve the discrete Lyapunov
-/// equation, and soundly verify an ellipsoidal invariant set with the
-/// Bernstein enclosure.
-#[test]
-fn ellipsoid_certificate_for_pipeline_student() {
-    let set = oscillator_set();
-    let sys = SystemId::Oscillator.dynamics();
-    let student = &set.kappa_star;
-
-    // find the closed-loop equilibrium by long simulation from the origin
-    let mut s_eq = vec![0.0, 0.0];
-    for _ in 0..4000 {
-        let u = sys.clip_control(&student.control(&s_eq));
-        s_eq = sys.step(&s_eq, &u, &[0.0]);
-    }
-    // numeric Jacobian of the closed loop at the equilibrium
-    let h = 1e-6;
-    let mut a_cl = cocktail_math::Matrix::zeros(2, 2);
-    for j in 0..2 {
-        let mut sp = s_eq.clone();
-        sp[j] += h;
-        let mut sm = s_eq.clone();
-        sm[j] -= h;
-        let fp = sys.step(&sp, &sys.clip_control(&student.control(&sp)), &[0.0]);
-        let fm = sys.step(&sm, &sys.clip_control(&student.control(&sm)), &[0.0]);
-        for i in 0..2 {
-            a_cl[(i, j)] = (fp[i] - fm[i]) / (2.0 * h);
-        }
-    }
-    let p = match solve_discrete_lyapunov(&a_cl, &cocktail_math::Matrix::identity(2)) {
-        Ok(p) => p,
-        // a smoke-trained student may be only marginally contractive at
-        // its equilibrium; that refutes nothing about the machinery
-        Err(_) => return,
-    };
-    // symmetrize numeric asymmetry before constructing the form
-    let p_sym = cocktail_math::Matrix::from_fn(2, 2, |i, j| 0.5 * (p[(i, j)] + p[(j, i)]));
-    let form = QuadraticForm::new(p_sym);
-    let cert = certificate(student);
-    // probe a few levels; whichever verifies must report a sound ratio.
-    // note: the form is centred at the origin while the student's true
-    // equilibrium may be offset, so small levels can legitimately fail.
-    let p_inv = match cocktail_math::linalg::inverse(form.matrix()) {
-        Ok(m) => m,
-        Err(_) => return,
-    };
-    let max_diag = p_inv[(0, 0)].max(p_inv[(1, 1)]);
-    for radius in [1.0, 1.3, 1.6] {
-        let c = radius * radius / max_diag;
-        if let Ok(check) = verify_ellipsoid_invariant(sys.as_ref(), &cert, &form, c, 20) {
-            if check.invariant {
-                assert!(check.worst_ratio <= 1.0);
-                assert!(check.cells_checked > 0);
-                return;
-            }
-        }
-    }
-    // no level verifying is acceptable for a smoke-budget student; the
-    // machinery itself is covered by the unit tests
 }
 
 #[test]
