@@ -135,6 +135,9 @@ pub fn check(
 ///
 /// `Mlp`: `max(scale) · Π σ(Wᵢ)·lip(actᵢ)` — the same bound
 /// `NnController::lipschitz_constant` certifies. `Linear`: `σ(K)`.
+/// Every `σ(·)` is [`Matrix::spectral_norm`](cocktail_math::Matrix::spectral_norm),
+/// a power-iteration estimate that converges from below, so the result
+/// is an upper bound only to that iteration's accuracy.
 /// Mixed and switching controllers get `None`: their weight policies vary
 /// with the state, so no product bound applies.
 pub fn certified_bound(spec: &ControllerSpec) -> Option<f64> {

@@ -73,12 +73,6 @@ impl NnController {
         &self.net
     }
 
-    /// Mutable access to the underlying network (distillation trains it
-    /// in place).
-    pub fn network_mut(&mut self) -> &mut Mlp {
-        &mut self.net
-    }
-
     /// The per-output scale vector.
     pub fn scale(&self) -> &[f64] {
         &self.scale

@@ -106,16 +106,6 @@ impl Preset {
             Preset::Full => 500,
         }
     }
-
-    /// PPO configuration for the learned switching baseline, scaled to the
-    /// preset.
-    pub fn switching_ppo(self) -> PpoConfig {
-        let base = self.config().ppo;
-        PpoConfig {
-            iterations: base.iterations / 2 + 1,
-            ..base
-        }
-    }
 }
 
 /// The six controllers Table I compares on one system.

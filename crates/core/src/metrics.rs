@@ -185,7 +185,7 @@ pub fn evaluate_with_workers(
 ///
 /// The rollouts themselves run inside parallel workers, which must not
 /// touch the sink (the event stream would become scheduling-dependent);
-/// each sample instead reports a [`SampleOutcome`] and the counters are
+/// each sample instead reports a `SampleOutcome` and the counters are
 /// merged in sample order after the join, so the stream is bit-identical
 /// for every worker count.
 ///

@@ -102,9 +102,9 @@ pub fn render_table2_text(entries: &[Table2Entry]) -> String {
     out
 }
 
-/// Renders the degradation events of a monitored [`MixedController`]
-/// (`cocktail_control::MixedController`) as an aligned plain-text table,
-/// followed by a per-expert quarantine tally.
+/// Renders the degradation events of a monitored
+/// [`MixedController`](cocktail_control::MixedController) as an aligned
+/// plain-text table, followed by a per-expert quarantine tally.
 ///
 /// # Examples
 ///

@@ -45,14 +45,6 @@ pub enum FaultKind {
     },
 }
 
-impl FaultKind {
-    /// Whether this fault corrupts controller outputs (as opposed to the
-    /// observed state).
-    pub fn affects_output(&self) -> bool {
-        !matches!(self, FaultKind::SensorSpike { .. })
-    }
-}
-
 /// A half-open step window `[start, end)`; `end = None` means "forever".
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultWindow {

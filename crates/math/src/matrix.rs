@@ -411,13 +411,6 @@ impl Matrix {
         }
     }
 
-    /// Applies `f` to every entry in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f64) -> f64) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
     /// Adds `scale * other` to `self` in place.
     ///
     /// # Panics
@@ -459,8 +452,10 @@ impl Matrix {
     /// Spectral norm (largest singular value), estimated by power iteration
     /// on `AᵀA`.
     ///
-    /// The estimate converges from below; `iterations = 100` is far beyond
-    /// what the small Cocktail layers need for 1e-10 accuracy.
+    /// The estimate converges from below and stops after at most 100
+    /// steps, so it is a lower estimate, not a bound. Its shortfall grows
+    /// as the top two singular values approach each other; on layers whose
+    /// top singular value stands apart it converges to a few ulps.
     pub fn spectral_norm(&self) -> f64 {
         let n = self.cols;
         let mut v = vec![1.0 / (n as f64).sqrt(); n];

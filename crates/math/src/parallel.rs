@@ -114,17 +114,6 @@ where
     Pool::global().map(n, workers, init, f)
 }
 
-/// Applies `f(index, item)` to every item across [`default_workers`] threads,
-/// collecting results in item order.
-pub fn map_indexed<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    map_indexed_with_workers(items, default_workers(), f)
-}
-
 /// Applies `f(index, item)` to every item across at most `workers` threads,
 /// collecting results in item order. Same determinism contract as
 /// [`map_range_with_workers`].

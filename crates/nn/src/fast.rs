@@ -106,7 +106,7 @@ fn slopped(iv: Interval) -> Interval {
 ///
 /// where `E′(X)` is an interval enclosure of the error derivative
 /// `[P·Q + 2y(P′Q − P·Q′)]/Q² − (1 − tanh²x)` over the cell (sound interval
-/// `tanh`, algebraic ops inflated by [`CERT_REL_SLOP`]). Beyond the clamp
+/// `tanh`, algebraic ops inflated by `CERT_REL_SLOP`). Beyond the clamp
 /// the kernel is constant, so the tail error is bounded by
 /// `max(|F_C - tanh(C)|, |F_C - 1|)` with `F_C` an enclosure of the
 /// rational at the clamp point. The output clamp of [`fast_tanh`] only

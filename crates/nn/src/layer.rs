@@ -301,8 +301,11 @@ impl Dense {
             .collect()
     }
 
-    /// This layer's contribution to the network Lipschitz bound:
-    /// `factor(σ) · ‖W‖` where the norm is the spectral norm.
+    /// This layer's contribution to the network Lipschitz estimate:
+    /// `factor(σ) · ‖W‖` where `‖W‖` is [`Matrix::spectral_norm`]'s
+    /// power-iteration estimate of the spectral norm. That estimate
+    /// converges from below, so this is an upper bound on the layer's
+    /// Lipschitz constant only to the iteration's accuracy.
     pub fn lipschitz_bound(&self) -> f64 {
         self.activation.lipschitz_factor() * self.weights.spectral_norm()
     }

@@ -3,8 +3,10 @@
 //! The paper (footnote 1) bounds the network Lipschitz constant by the
 //! product of per-layer terms: `‖W‖` for ReLU/Tanh layers and `‖W‖/4` for
 //! Sigmoid layers. [`Mlp::lipschitz_constant`] uses the spectral norm; this
-//! module additionally exposes the 1-, ∞- and Frobenius-norm variants (all
-//! are valid upper bounds for the corresponding vector norms) and an
+//! module additionally exposes the 1-, ∞- and Frobenius-norm variants
+//! (computed exactly, so they are upper bounds for the corresponding vector
+//! norms up to rounding; the spectral norm is a power-iteration estimate
+//! that converges from below) and an
 //! empirical lower bound by pairwise sampling, which is handy for testing
 //! that the analytic bound is neither violated nor absurdly loose.
 
@@ -34,6 +36,10 @@ fn layer_norm(w: &Matrix, kind: NormKind) -> f64 {
 }
 
 /// Product-of-layer-norms Lipschitz upper bound with a chosen norm.
+///
+/// [`NormKind::Spectral`] takes [`Matrix::spectral_norm`], a power-iteration
+/// estimate that converges from below: with it the product is an upper
+/// bound only to the iteration's accuracy.
 ///
 /// # Examples
 ///

@@ -470,7 +470,9 @@ impl Mlp {
     }
 
     /// The paper's footnote-1 Lipschitz bound: the product of each layer's
-    /// `factor(σ) · ‖W‖` (spectral norm).
+    /// `factor(σ) · ‖W‖` (spectral norm). Each `‖W‖` is a power-iteration
+    /// estimate that converges from below ([`Dense::lipschitz_bound`]), so
+    /// the product bounds the network only to that iteration's accuracy.
     pub fn lipschitz_constant(&self) -> f64 {
         self.layers.iter().map(Dense::lipschitz_bound).product()
     }

@@ -57,7 +57,7 @@
 //! See [`crate::rollout`] for the state machine and budgets.
 
 use crate::admission::{self, AdmissionConfig, Admitted};
-use crate::bundle::{fnv1a_64, ControllerBundle};
+use crate::bundle::{fnv1a_64, BundleError, ControllerBundle};
 use crate::replay::encode_state_bits;
 use crate::rollout::{
     routes_to_canary, DriftConfig, DriftDetector, DriftReport, RolloutAction, RolloutBudget,
@@ -300,11 +300,28 @@ struct Request {
 /// One controller's servable parts: network plus its scale and clip
 /// envelope. Shared by [`Arc`] between the model set and shard workers —
 /// swapping controllers is a pointer swap, never a weight copy.
-struct ModelParams {
-    net: Mlp,
-    scale: Vec<f64>,
-    u_inf: Vec<f64>,
-    u_sup: Vec<f64>,
+pub(crate) struct ModelParams {
+    pub(crate) net: Mlp,
+    pub(crate) scale: Vec<f64>,
+    pub(crate) u_inf: Vec<f64>,
+    pub(crate) u_sup: Vec<f64>,
+}
+
+impl ModelParams {
+    /// The servable parts of a bundle.
+    ///
+    /// # Errors
+    ///
+    /// [`BundleError::Format`] when the bundle is not the `Mlp` family.
+    pub(crate) fn of_bundle(bundle: &ControllerBundle) -> Result<Self, BundleError> {
+        let (net, scale) = bundle.network()?;
+        Ok(Self {
+            net: net.clone(),
+            scale: scale.to_vec(),
+            u_inf: bundle.u_inf.clone(),
+            u_sup: bundle.u_sup.clone(),
+        })
+    }
 }
 
 /// A canary candidate plus its traffic split and auto-rollback budget.
@@ -371,26 +388,8 @@ impl Shared {
         }
     }
 
-    fn lock_models(&self) -> MutexGuard<'_, Arc<ModelSet>> {
-        #[allow(
-            clippy::expect_used,
-            reason = "a poisoned model mutex means a rollout panic; propagating is correct"
-        )]
-        let guard = self.models.lock().expect("model mutex poisoned");
-        guard
-    }
-
-    fn lock_rollout(&self) -> MutexGuard<'_, RolloutLog> {
-        #[allow(
-            clippy::expect_used,
-            reason = "a poisoned rollout mutex means a worker panic; propagating is correct"
-        )]
-        let guard = self.rollout.lock().expect("rollout mutex poisoned");
-        guard
-    }
-
     fn current_models(&self) -> Arc<ModelSet> {
-        self.lock_models().clone()
+        lock(&self.models).clone()
     }
 
     /// Appends to the structured trail and mirrors it as a
@@ -404,107 +403,89 @@ impl Shared {
                     .with("detail", detail),
             );
         }
-        self.lock_rollout().events.push(RolloutEvent {
+        lock(&self.rollout).events.push(RolloutEvent {
             epoch,
             action,
             detail: detail.to_string(),
         });
     }
 
-    /// Installs `params` as a canary at `cfg`'s split; the epoch bumps so
-    /// every shard observes the candidate at its next batch boundary.
-    fn install_candidate(
+    /// The one model-set transition. Under the model lock, `next` derives
+    /// the new incumbent and canary from the published set, or refuses;
+    /// the new set is published at the next epoch, the epoch is
+    /// Release-stored so every shard observes it at its next batch
+    /// boundary, and the trail event and `counter` follow.
+    fn transition(
         &self,
-        params: ModelParams,
-        cfg: &RolloutConfig,
+        action: RolloutAction,
+        detail: &str,
+        counter: &str,
+        next: impl FnOnce(&ModelSet) -> Result<(Arc<ModelParams>, Option<CanarySlot>), RolloutError>,
     ) -> Result<u64, RolloutError> {
-        let fraction = cfg.fraction_permille.min(1000);
-        let mut models = self.lock_models();
-        if models.canary.is_some() {
-            return Err(RolloutError::CanaryInFlight);
-        }
+        let mut models = lock(&self.models);
+        let (incumbent, canary) = next(&models)?;
         let epoch = models.epoch + 1;
-        *models = Arc::new(ModelSet {
-            epoch,
-            incumbent: models.incumbent.clone(),
-            canary: Some(CanarySlot {
-                params: Arc::new(params),
-                fraction_permille: fraction,
-                budget: cfg.budget,
-            }),
-        });
-        self.model_epoch.store(epoch, Ordering::Release);
-        drop(models);
-        self.lock_rollout().reset_canary_counters();
-        self.push_event(
-            epoch,
-            RolloutAction::Proposed,
-            &format!("canary at {fraction}/1000 of traffic"),
-        );
-        self.tel.counter("serve.proposals", 1);
-        Ok(epoch)
-    }
-
-    fn promote(&self) -> Result<u64, RolloutError> {
-        let mut models = self.lock_models();
-        let Some(slot) = models.canary.as_ref() else {
-            return Err(RolloutError::NoCandidate);
-        };
-        let epoch = models.epoch + 1;
-        let incumbent = slot.params.clone();
         *models = Arc::new(ModelSet {
             epoch,
             incumbent,
-            canary: None,
+            canary,
         });
         self.model_epoch.store(epoch, Ordering::Release);
         drop(models);
-        self.push_event(
-            epoch,
-            RolloutAction::Promoted,
-            "candidate promoted to incumbent",
-        );
-        self.tel.counter("serve.promotions", 1);
+        self.push_event(epoch, action, detail);
+        self.tel.counter(counter, 1);
         Ok(epoch)
     }
 
-    fn rollback(&self, detail: &str) -> Result<u64, RolloutError> {
-        let mut models = self.lock_models();
-        if models.canary.is_none() {
-            return Err(RolloutError::NoCandidate);
-        }
-        let epoch = models.epoch + 1;
-        *models = Arc::new(ModelSet {
-            epoch,
-            incumbent: models.incumbent.clone(),
-            canary: None,
-        });
-        self.model_epoch.store(epoch, Ordering::Release);
-        drop(models);
-        self.push_event(epoch, RolloutAction::RolledBack, detail);
-        self.tel.counter("serve.rollbacks", 1);
-        Ok(epoch)
+    /// Installs `params` as a canary at `cfg`'s split, with fresh canary
+    /// counters.
+    fn propose(&self, params: ModelParams, cfg: &RolloutConfig) -> Result<u64, RolloutError> {
+        let fraction = cfg.fraction_permille.min(1000);
+        let canary = CanarySlot {
+            params: Arc::new(params),
+            fraction_permille: fraction,
+            budget: cfg.budget,
+        };
+        let detail = format!("canary at {fraction}/1000 of traffic");
+        self.transition(RolloutAction::Proposed, &detail, "serve.proposals", |set| {
+            if set.canary.is_some() {
+                return Err(RolloutError::CanaryInFlight);
+            }
+            lock(&self.rollout).reset_canary_counters();
+            Ok((set.incumbent.clone(), Some(canary)))
+        })
     }
 
-    /// A guard trip from a shard worker. Epoch-checked under the model
-    /// lock: when several shards trip the same canary concurrently, only
-    /// the first transition happens and the rest are no-ops (their
+    /// Drops the canary. A guard trip passes the epoch its batch was
+    /// served at: when several shards trip the same canary concurrently,
+    /// only the first transition happens and the rest are refused (their
     /// batches are still answered from shadow outputs locally).
-    fn auto_rollback(&self, observed_epoch: u64, reason: &'static str) {
-        let mut models = self.lock_models();
-        if models.epoch != observed_epoch || models.canary.is_none() {
-            return;
-        }
-        let epoch = models.epoch + 1;
-        *models = Arc::new(ModelSet {
-            epoch,
-            incumbent: models.incumbent.clone(),
-            canary: None,
-        });
-        self.model_epoch.store(epoch, Ordering::Release);
-        drop(models);
-        self.push_event(epoch, RolloutAction::AutoRolledBack, reason);
-        self.tel.counter("serve.rollbacks", 1);
+    fn rollback(
+        &self,
+        action: RolloutAction,
+        detail: &str,
+        observed_epoch: Option<u64>,
+    ) -> Result<u64, RolloutError> {
+        self.transition(action, detail, "serve.rollbacks", |set| {
+            if set.canary.is_none() || observed_epoch.is_some_and(|e| e != set.epoch) {
+                return Err(RolloutError::NoCandidate);
+            }
+            Ok((set.incumbent.clone(), None))
+        })
+    }
+
+    /// Enqueues a request answered through a [`Ticket`]; `None` assigns
+    /// the next internal id.
+    fn submit_ticket(
+        &self,
+        shard: usize,
+        id: Option<u64>,
+        state: &[f64],
+    ) -> Result<Ticket, ServeError> {
+        let id = id.unwrap_or_else(|| self.next_req_id.fetch_add(1, Ordering::Relaxed));
+        let (tx, rx) = mpsc::sync_channel(1);
+        self.submit(shard, id, state, Reply::Channel(tx))?;
+        Ok(Ticket { rx })
     }
 
     fn submit(
@@ -525,11 +506,7 @@ impl Shared {
             return Err(ServeError::BadRequest("non-finite state component".into()));
         }
         let shard = &self.shards[shard_idx];
-        #[allow(
-            clippy::expect_used,
-            reason = "a poisoned engine mutex means a worker panic; propagating is correct"
-        )]
-        let mut guard = shard.state.lock().expect("engine mutex poisoned");
+        let mut guard = lock(&shard.state);
         if guard.shutdown {
             return Err(ServeError::Shutdown);
         }
@@ -636,7 +613,7 @@ impl EngineHandle {
     /// [`ServeError::Shutdown`] after shutdown.
     pub fn try_submit(&self, state: &[f64]) -> Result<Ticket, ServeError> {
         let shard = self.shared.rr.fetch_add(1, Ordering::Relaxed) % self.shared.shards.len();
-        submit_ticket(&self.shared, shard, state)
+        self.shared.submit_ticket(shard, None, state)
     }
 
     /// Submits and waits for the answer — the in-process client call.
@@ -671,7 +648,7 @@ impl PinnedHandle {
     ///
     /// See [`EngineHandle::try_submit`].
     pub fn try_submit(&self, state: &[f64]) -> Result<Ticket, ServeError> {
-        submit_ticket(&self.shared, self.shard, state)
+        self.shared.submit_ticket(self.shard, None, state)
     }
 
     /// Enqueues a request with an explicit request id — the id canary
@@ -682,10 +659,7 @@ impl PinnedHandle {
     ///
     /// See [`EngineHandle::try_submit`].
     pub fn try_submit_with_id(&self, id: u64, state: &[f64]) -> Result<Ticket, ServeError> {
-        let (tx, rx) = mpsc::sync_channel(1);
-        self.shared
-            .submit(self.shard, id, state, Reply::Channel(tx))?;
-        Ok(Ticket { rx })
+        self.shared.submit_ticket(self.shard, Some(id), state)
     }
 
     /// Submits and waits for the answer.
@@ -730,13 +704,6 @@ impl PinnedHandle {
     }
 }
 
-fn submit_ticket(shared: &Arc<Shared>, shard: usize, state: &[f64]) -> Result<Ticket, ServeError> {
-    let id = shared.next_req_id.fetch_add(1, Ordering::Relaxed);
-    let (tx, rx) = mpsc::sync_channel(1);
-    shared.submit(shard, id, state, Reply::Channel(tx))?;
-    Ok(Ticket { rx })
-}
-
 /// The engine: owns the shard worker threads. Dropping it shuts the
 /// workers down after draining every queue.
 pub struct Engine {
@@ -772,19 +739,14 @@ impl Engine {
         fallback: Option<Arc<dyn Controller>>,
         tel: Arc<dyn Telemetry>,
     ) -> Result<Self, ServeError> {
-        let (net, scale) = admitted
-            .bundle
-            .network()
+        let ModelParams {
+            net,
+            scale,
+            u_inf,
+            u_sup,
+        } = ModelParams::of_bundle(&admitted.bundle)
             .map_err(|e| ServeError::BadRequest(e.to_string()))?;
-        Self::from_parts(
-            net.clone(),
-            scale.to_vec(),
-            admitted.bundle.u_inf.clone(),
-            admitted.bundle.u_sup.clone(),
-            config,
-            fallback,
-            tel,
-        )
+        Self::from_parts(net, scale, u_inf, u_sup, config, fallback, tel)
     }
 
     /// Starts an engine from raw parts, bypassing admission. Exists for
@@ -797,7 +759,7 @@ impl Engine {
     /// [`ServeError::BadRequest`] on any dimension inconsistency.
     #[allow(
         clippy::needless_pass_by_value,
-        reason = "callers hand over ownership; the engine keeps the parts inside the shared model set"
+        reason = "callers hand over ownership; every shard worker keeps a clone of the fallback"
     )]
     pub fn from_parts(
         net: Mlp,
@@ -940,17 +902,14 @@ impl Engine {
         admitted: &Admitted,
         cfg: &RolloutConfig,
     ) -> Result<u64, RolloutError> {
-        let (net, scale) = admitted
-            .bundle
-            .network()
+        let ModelParams {
+            net,
+            scale,
+            u_inf,
+            u_sup,
+        } = ModelParams::of_bundle(&admitted.bundle)
             .map_err(|e| RolloutError::Incompatible(e.to_string()))?;
-        self.propose_parts(
-            net.clone(),
-            scale.to_vec(),
-            admitted.bundle.u_inf.clone(),
-            admitted.bundle.u_sup.clone(),
-            cfg,
-        )
+        self.propose_parts(net, scale, u_inf, u_sup, cfg)
     }
 
     /// Installs candidate parts as a canary, bypassing admission. Exists
@@ -963,10 +922,6 @@ impl Engine {
     /// [`RolloutError::Incompatible`] on a dimension mismatch,
     /// [`RolloutError::CanaryInFlight`] when a canary is already
     /// installed.
-    #[allow(
-        clippy::needless_pass_by_value,
-        reason = "the canary slot takes ownership of the parts"
-    )]
     pub fn propose_parts(
         &self,
         net: Mlp,
@@ -997,7 +952,7 @@ impl Engine {
             u_inf,
             u_sup,
         };
-        self.shared.install_candidate(params, cfg)
+        self.shared.propose(params, cfg)
     }
 
     /// Atomically makes the canary the incumbent on every shard (observed
@@ -1009,7 +964,15 @@ impl Engine {
     ///
     /// [`RolloutError::NoCandidate`] when no canary is in flight.
     pub fn promote(&self) -> Result<u64, RolloutError> {
-        self.shared.promote()
+        self.shared.transition(
+            RolloutAction::Promoted,
+            "candidate promoted to incumbent",
+            "serve.promotions",
+            |set| {
+                let slot = set.canary.as_ref().ok_or(RolloutError::NoCandidate)?;
+                Ok((slot.params.clone(), None))
+            },
+        )
     }
 
     /// Drops the canary and restores incumbent-only serving, recording
@@ -1020,7 +983,8 @@ impl Engine {
     ///
     /// [`RolloutError::NoCandidate`] when no canary is in flight.
     pub fn rollback(&self, detail: &str) -> Result<u64, RolloutError> {
-        self.shared.rollback(detail)
+        self.shared
+            .rollback(RolloutAction::RolledBack, detail, None)
     }
 
     /// Current model epoch (bumps on propose/promote/rollback).
@@ -1032,7 +996,7 @@ impl Engine {
     /// shadow-comparison counters/histogram.
     pub fn rollout_status(&self) -> RolloutStatus {
         let models = self.shared.current_models();
-        let log = self.shared.lock_rollout();
+        let log = lock(&self.shared.rollout);
         RolloutStatus {
             epoch: models.epoch,
             canary_active: models.canary.is_some(),
@@ -1041,33 +1005,28 @@ impl Engine {
                 .as_ref()
                 .map_or(0, |slot| slot.fraction_permille),
             canary_served: log.canary_served,
-            canary_shadowed: log.canary_shadowed,
-            nonfinite_canary_outputs: log.nonfinite_canary_outputs,
-            envelope_violations: log.envelope_violations,
-            divergence: log.divergence,
+            canary_shadowed: log.canary.divergence.count,
+            nonfinite_canary_outputs: log.canary.nonfinite,
+            envelope_violations: log.canary.envelope_violations,
+            divergence: log.canary.divergence,
         }
     }
 
     /// The structured rollout trail, oldest first.
     pub fn rollout_events(&self) -> Vec<RolloutEvent> {
-        self.shared.lock_rollout().events.clone()
+        lock(&self.shared.rollout).events.clone()
     }
 
     /// Every drift alarm raised so far, oldest first.
     pub fn drift_reports(&self) -> Vec<DriftReport> {
-        self.shared.lock_rollout().drift_reports.clone()
+        lock(&self.shared.rollout).drift_reports.clone()
     }
 
     /// Drops the drift detector's frozen baseline (call after an
     /// *intentional* behavior change, e.g. a promote). No-op when drift
     /// detection is off.
     pub fn rebaseline_drift(&self) {
-        #[allow(
-            clippy::expect_used,
-            reason = "a poisoned drift mutex means a worker panic; propagating is correct"
-        )]
-        let mut guard = self.shared.drift.lock().expect("drift mutex poisoned");
-        if let Some(det) = guard.as_mut() {
+        if let Some(det) = lock(&self.shared.drift).as_mut() {
             det.rebaseline();
         }
     }
@@ -1075,23 +1034,19 @@ impl Engine {
     /// Pauses every shard scheduler: requests keep queueing (and keep
     /// being rejected once a queue is full) but no batch runs.
     pub fn pause(&self) {
-        self.set_paused(true);
+        self.signal_shards(|state| state.paused = true);
     }
 
     /// Resumes a paused scheduler.
     pub fn resume(&self) {
-        self.set_paused(false);
+        self.signal_shards(|state| state.paused = false);
     }
 
-    fn set_paused(&self, paused: bool) {
+    /// Applies `f` to every shard's state under its lock, then wakes the
+    /// shard's worker.
+    fn signal_shards(&self, f: impl Fn(&mut ShardState)) {
         for shard in &self.shared.shards {
-            #[allow(
-                clippy::expect_used,
-                reason = "a poisoned engine mutex means a worker panic; propagating is correct"
-            )]
-            let mut guard = shard.state.lock().expect("engine mutex poisoned");
-            guard.paused = paused;
-            drop(guard);
+            f(&mut lock(&shard.state));
             shard.wake.notify_all();
         }
     }
@@ -1102,18 +1057,11 @@ impl Engine {
     }
 
     fn shutdown_inner(&mut self) {
-        for shard in &self.shared.shards {
-            #[allow(
-                clippy::expect_used,
-                reason = "a poisoned engine mutex means a worker panic; propagating is correct"
-            )]
-            let mut guard = shard.state.lock().expect("engine mutex poisoned");
-            guard.shutdown = true;
+        self.signal_shards(|state| {
+            state.shutdown = true;
             // a paused engine must still drain on shutdown
-            guard.paused = false;
-            drop(guard);
-            shard.wake.notify_all();
-        }
+            state.paused = false;
+        });
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -1126,6 +1074,15 @@ impl Drop for Engine {
     }
 }
 
+/// Locks an engine mutex.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    #[allow(
+        clippy::expect_used,
+        reason = "a poisoned engine mutex means a thread panicked under it; propagating is correct"
+    )]
+    mutex.lock().expect("engine mutex poisoned")
+}
+
 /// Immutable per-shard worker parameters (the models travel separately,
 /// through the epoch-versioned [`ModelSet`]).
 struct WorkerParams {
@@ -1134,72 +1091,90 @@ struct WorkerParams {
     fallback: Option<Arc<dyn Controller>>,
 }
 
-/// Where one batched request is served from.
+/// Where one batched request is served from: row `row` of the canary
+/// sub-batch, or of the incumbent's.
 #[derive(Clone, Copy)]
-enum Route {
-    /// Row index into the incumbent sub-batch.
-    Incumbent(usize),
-    /// Row index into the canary sub-batch.
-    Canary(usize),
+struct Route {
+    canary: bool,
+    row: usize,
 }
 
-/// Per-shard reusable scratch. `inputs[k]`/`caches[k]` are the staging
-/// matrix and forward cache for batch-size class `k`; each class is
-/// allocated on first use and reused forever after, so a steady-state
-/// batch touches no allocator no matter how batch sizes fluctuate. The
-/// canary path keeps its own size classes (`can_*`, plus the shadow
-/// caches the incumbent recomputes canary rows into).
+/// Per-shard reusable scratch. `inc[k]`, `can[k]` and `shadow[k]` hold
+/// the incumbent, canary and shadow forwards of a `k`-row sub-batch.
 struct ShardScratch {
     batch: Vec<Request>,
     spent: Vec<Vec<f64>>,
     route: Vec<Route>,
-    inputs: Vec<Option<Matrix>>,
-    caches: Vec<CacheSlot>,
-    can_inputs: Vec<Option<Matrix>>,
-    can_caches: Vec<CacheSlot>,
-    shadow_caches: Vec<CacheSlot>,
-    divs: Vec<f64>,
+    inc: Vec<SizeClass>,
+    can: Vec<SizeClass>,
+    shadow: Vec<SizeClass>,
     scaled: Vec<f64>,
 }
 
 impl ShardScratch {
     fn new(max_batch: usize, control_dim: usize, capacity: usize) -> Self {
+        let classes = || (0..=max_batch).map(|_| SizeClass::default()).collect();
         Self {
             batch: Vec::with_capacity(max_batch),
             spent: Vec::with_capacity(capacity + max_batch),
             route: Vec::with_capacity(max_batch),
-            inputs: (0..=max_batch).map(|_| None).collect(),
-            caches: (0..=max_batch).map(|_| CacheSlot::default()).collect(),
-            can_inputs: (0..=max_batch).map(|_| None).collect(),
-            can_caches: (0..=max_batch).map(|_| CacheSlot::default()).collect(),
-            shadow_caches: (0..=max_batch).map(|_| CacheSlot::default()).collect(),
-            divs: Vec::with_capacity(max_batch),
+            inc: classes(),
+            can: classes(),
+            shadow: classes(),
             scaled: vec![0.0; control_dim],
         }
     }
 }
 
-/// One batch-size class's forward cache, allocated on first use and
-/// reused forever after.
+/// One forward's scratch for one batch-size class: the staging matrix
+/// and the forward cache, allocated on first use and reused forever
+/// after, so a steady-state batch touches no allocator no matter how
+/// batch sizes fluctuate.
 #[derive(Default)]
-struct CacheSlot(Option<BatchCache>);
+struct SizeClass {
+    input: Option<Matrix>,
+    cache: Option<BatchCache>,
+    /// Whether the last forward finished: the network asserts its own
+    /// activations are finite and panics otherwise.
+    ok: bool,
+}
 
-impl CacheSlot {
-    /// Runs `params`' batched forward with `kernel` over `input` into this
-    /// slot, catching the network's internal finiteness panic; `false`
-    /// means the batch is poisoned and must degrade to the fallback
-    /// expert.
-    fn forward(&mut self, params: &ModelParams, kernel: ForwardKernel, input: &Matrix) -> bool {
-        let cache = self.0.get_or_insert_with(BatchCache::new);
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+impl SizeClass {
+    /// Stages the `n` requests of `batch` that `route` sends to the
+    /// canary (`canary`) or the incumbent and runs `params`' forward with
+    /// `kernel` over them, catching the network's finiteness panic so one
+    /// poisoned batch degrades to the fallback expert instead of killing
+    /// the shard worker.
+    fn forward(
+        &mut self,
+        n: usize,
+        batch: &[Request],
+        route: &[Route],
+        canary: bool,
+        params: &ModelParams,
+        kernel: ForwardKernel,
+    ) {
+        let input = self
+            .input
+            .get_or_insert_with(|| Matrix::zeros(n, params.net.input_dim()));
+        for (req, r) in batch.iter().zip(route) {
+            if r.canary == canary {
+                input.row_mut(r.row).copy_from_slice(&req.state);
+            }
+        }
+        let cache = self.cache.get_or_insert_with(BatchCache::new);
+        self.ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             params.net.forward_batch_cached_kernel(input, cache, kernel);
         }))
-        .is_ok()
+        .is_ok();
     }
 
-    /// Row `j` of the last forward's output, if one ran.
-    fn output_row(&self, j: usize) -> Option<&[f64]> {
-        self.0.as_ref().map(|c| c.output().row(j))
+    /// Row `j` of the last forward's output; `None` when it panicked.
+    fn row(&self, j: usize) -> Option<&[f64]> {
+        self.cache
+            .as_ref()
+            .filter(|_| self.ok)
+            .map(|c| c.output().row(j))
     }
 }
 
@@ -1210,11 +1185,7 @@ fn shard_worker(shared: &Shared, shard_idx: usize, params: &WorkerParams) {
     let mut scratch =
         ShardScratch::new(params.max_batch, shared.control_dim, shared.queue_capacity);
     loop {
-        #[allow(
-            clippy::expect_used,
-            reason = "a poisoned engine mutex means a submitter panicked mid-push; nothing to salvage"
-        )]
-        let mut guard = shard.state.lock().expect("engine mutex poisoned");
+        let mut guard = lock(&shard.state);
         // return the previous batch's state buffers to the submit pool
         while let Some(mut buf) = scratch.spent.pop() {
             if guard.free.len() < shared.queue_capacity + params.max_batch {
@@ -1320,6 +1291,10 @@ fn run_batch(
     };
 
     let inc = models.incumbent.as_ref();
+    let can = models
+        .canary
+        .as_ref()
+        .map_or(inc, |slot| slot.params.as_ref());
     let kernel = shared.tier.kernel();
 
     // ---- route each request: a pure function of its id, so the split is
@@ -1327,194 +1302,75 @@ fn run_batch(
     scratch.route.clear();
     let (mut n_inc, mut n_can) = (0usize, 0usize);
     for req in &scratch.batch {
-        let to_canary = models
+        let canary = models
             .canary
             .as_ref()
             .is_some_and(|slot| routes_to_canary(req.id, slot.fraction_permille));
-        if to_canary {
-            scratch.route.push(Route::Canary(n_can));
-            n_can += 1;
-        } else {
-            scratch.route.push(Route::Incumbent(n_inc));
-            n_inc += 1;
-        }
+        let n = if canary { &mut n_can } else { &mut n_inc };
+        scratch.route.push(Route { canary, row: *n });
+        *n += 1;
     }
 
-    // ---- incumbent sub-batch
-    let inc_ok = if n_inc > 0 {
-        let input =
-            scratch.inputs[n_inc].get_or_insert_with(|| Matrix::zeros(n_inc, inc.net.input_dim()));
-        for (req, route) in scratch.batch.iter().zip(&scratch.route) {
-            if let Route::Incumbent(j) = route {
-                input.row_mut(*j).copy_from_slice(&req.state);
-            }
-        }
-        // the network asserts its own activations are finite and panics
-        // otherwise; the slot catches that so one poisoned batch degrades
-        // to the fallback expert instead of killing the shard worker
-        scratch.caches[n_inc].forward(inc, kernel, input)
-    } else {
-        true
-    };
+    if n_inc > 0 {
+        scratch.inc[n_inc].forward(n_inc, &scratch.batch, &scratch.route, false, inc, kernel);
+    }
 
     // ---- canary sub-batch: candidate forward + incumbent shadow, then
     // ALL guards, before any canary reply leaves the shard
-    let (mut can_ok, mut shadow_ok) = (true, true);
-    let mut trip: Option<&'static str> = None;
+    let mut trip = None;
     if n_can > 0 {
         #[allow(
             clippy::expect_used,
             reason = "requests route to the canary only when a slot is installed"
         )]
         let slot = models.canary.as_ref().expect("canary routed without slot");
-        let can = slot.params.as_ref();
-        let input = scratch.can_inputs[n_can]
-            .get_or_insert_with(|| Matrix::zeros(n_can, can.net.input_dim()));
-        for (req, route) in scratch.batch.iter().zip(&scratch.route) {
-            if let Route::Canary(j) = route {
-                input.row_mut(*j).copy_from_slice(&req.state);
-            }
-        }
-        can_ok = scratch.can_caches[n_can].forward(can, kernel, input);
-        // shadow: the incumbent recomputes the very same staged rows with
-        // the very same tier; in the Exact tier batched ≡ per-sample, so
-        // the shadow is bit-identical to what the incumbent would have
-        // served (the fast-tanh tier stays within its certified bound)
-        shadow_ok = scratch.shadow_caches[n_can].forward(inc, kernel, input);
+        let (batch, route) = (&scratch.batch, &scratch.route);
+        scratch.can[n_can].forward(n_can, batch, route, true, can, kernel);
+        // shadow: the incumbent recomputes the same rows with the same
+        // tier; in the Exact tier batched ≡ per-sample, so the shadow is
+        // bit-identical to what the incumbent would have served (the
+        // fast-tanh tier stays within its certified bound)
+        scratch.shadow[n_can].forward(n_can, batch, route, true, inc, kernel);
 
-        // guard pass over the whole canary sub-batch
-        scratch.divs.clear();
-        let mut nonfinite = 0u64;
-        let mut env_rows = 0u64;
-        let mut max_finite_div = 0.0_f64;
+        // compare every row and judge the canary's whole record under the
+        // engine-wide log lock: the rule shadow replay reports against
+        let mut log = lock(&shared.rollout);
         for j in 0..n_can {
-            let can_row = if can_ok {
-                scratch.can_caches[n_can].output_row(j)
-            } else {
-                None
-            };
-            let Some(can_row) = can_row else {
-                nonfinite += 1;
-                scratch.divs.push(f64::NAN);
-                continue;
-            };
-            let shadow_row = if shadow_ok {
-                scratch.shadow_caches[n_can].output_row(j)
-            } else {
-                None
-            };
-            let mut row_finite = true;
-            let mut row_escaped = false;
-            let mut shadow_finite = shadow_row.is_some();
-            let mut d = 0.0_f64;
-            for (i, &y) in can_row.iter().enumerate() {
-                let c = y * can.scale[i];
-                if !c.is_finite() {
-                    row_finite = false;
-                }
-                if c < can.u_inf[i] || c > can.u_sup[i] {
-                    row_escaped = true;
-                }
-                let cc = c.clamp(can.u_inf[i], can.u_sup[i]);
-                if let Some(shadow_row) = shadow_row {
-                    let s = shadow_row[i] * inc.scale[i];
-                    if s.is_finite() {
-                        let sc = s.clamp(inc.u_inf[i], inc.u_sup[i]);
-                        // NaN-proof: f64::max ignores a NaN |cc - sc|
-                        d = d.max((cc - sc).abs());
-                    } else {
-                        shadow_finite = false;
-                    }
-                }
-            }
-            if !row_finite {
-                nonfinite += 1;
-                d = f64::NAN;
-            } else {
-                if row_escaped {
-                    env_rows += 1;
-                }
-                if !shadow_finite {
-                    d = f64::NAN; // incumbent broke, not the candidate
-                } else {
-                    max_finite_div = max_finite_div.max(d);
-                }
-            }
-            scratch.divs.push(d);
+            let (can_row, shadow_row) = (scratch.can[n_can].row(j), scratch.shadow[n_can].row(j));
+            log.canary.compare(can_row, can, shadow_row, inc);
         }
-
-        // account + evaluate the budgets under the engine-wide log lock
-        {
-            let mut log = shared.lock_rollout();
-            log.canary_shadowed += n_can as u64;
-            log.nonfinite_canary_outputs += nonfinite;
-            log.envelope_violations += env_rows;
-            for d in &scratch.divs {
-                log.divergence.record(*d);
-            }
-            if !can_ok || nonfinite > 0 {
-                trip = Some("non-finite canary output");
-            } else if max_finite_div > slot.budget.max_divergence {
-                trip = Some("canary divergence budget exceeded");
-            } else if log.envelope_violations > slot.budget.max_envelope_violations {
-                trip = Some("canary envelope-violation budget exceeded");
-            } else {
-                log.canary_served += n_can as u64;
-            }
+        trip = slot.budget.breach(
+            log.canary.nonfinite,
+            &log.canary.divergence,
+            log.canary.envelope_violations,
+        );
+        if trip.is_none() {
+            log.canary_served += n_can as u64;
         }
+        drop(log);
         if let Some(reason) = trip {
-            shared.auto_rollback(models.epoch, reason);
+            // refused when another shard's trip already rolled it back
+            let _ = shared.rollback(RolloutAction::AutoRolledBack, reason, Some(models.epoch));
         }
         tel.counter("serve.canary.requests", n_can as u64);
     }
 
-    let can_params = models.canary.as_ref().map(|slot| slot.params.as_ref());
-
     // drift: one lock per batch, only when a detector is configured
-    let mut drift_guard = if shared.drift_enabled {
-        #[allow(
-            clippy::expect_used,
-            reason = "a poisoned drift mutex means a worker panic; propagating is correct"
-        )]
-        let guard = shared.drift.lock().expect("drift mutex poisoned");
-        Some(guard)
-    } else {
-        None
-    };
+    let mut drift_guard = shared.drift_enabled.then(|| lock(&shared.drift));
     let mut drift_hits: Vec<DriftReport> = Vec::new();
 
     // ---- reply pass, in original batch order
     let mut fallbacks = 0u64;
     for (r, req) in scratch.batch.drain(..).enumerate() {
-        let (model, row): (&ModelParams, Option<&[f64]>) = match scratch.route[r] {
-            Route::Incumbent(j) => {
-                let row = if inc_ok {
-                    scratch.caches[n_inc].output_row(j)
-                } else {
-                    None
-                };
-                (inc, row)
-            }
-            Route::Canary(j) => {
-                if trip.is_some() {
-                    // a tripped batch is answered entirely from the
-                    // incumbent's shadow outputs: zero candidate
-                    // responses escape
-                    let row = if shadow_ok {
-                        scratch.shadow_caches[n_can].output_row(j)
-                    } else {
-                        None
-                    };
-                    (inc, row)
-                } else {
-                    let row = if can_ok {
-                        scratch.can_caches[n_can].output_row(j)
-                    } else {
-                        None
-                    };
-                    (can_params.unwrap_or(inc), row)
-                }
-            }
+        let Route { canary, row: j } = scratch.route[r];
+        let (model, row) = if !canary {
+            (inc, scratch.inc[n_inc].row(j))
+        } else if trip.is_some() {
+            // a tripped batch is answered entirely from the incumbent's
+            // shadow outputs: zero candidate responses escape
+            (inc, scratch.shadow[n_can].row(j))
+        } else {
+            (can, scratch.can[n_can].row(j))
         };
         // identical arithmetic to NnController::control followed by the
         // plant clip: y[i] * scale[i], then clamp — bit-for-bit what the
@@ -1597,7 +1453,7 @@ fn run_batch(
             );
         }
         tel.counter("serve.drift.alarms", 1);
-        let mut log = shared.lock_rollout();
+        let mut log = lock(&shared.rollout);
         log.events.push(RolloutEvent {
             epoch: models.epoch,
             action: RolloutAction::Drift,

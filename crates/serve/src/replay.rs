@@ -12,7 +12,8 @@
 //! production request touches the candidate.
 
 use crate::bundle::ControllerBundle;
-use crate::rollout::{DivergenceHistogram, RolloutBudget};
+use crate::engine::ModelParams;
+use crate::rollout::{CanaryTally, DivergenceHistogram, RolloutBudget};
 use cocktail_obs::{read_jsonl, Event, FieldValue};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -101,14 +102,18 @@ pub struct ReplayReport {
 
 impl ReplayReport {
     /// Whether a live canary with this `budget` would have survived the
-    /// replayed stream (the non-finite guard has no budget: any
+    /// replayed stream: the rule the engine's guard trips on, applied to
+    /// the whole stream (the non-finite guard has no budget: any
     /// occurrence fails).
     #[must_use]
     pub fn within(&self, budget: &RolloutBudget) -> bool {
-        self.nonfinite_candidate == 0
-            && self.envelope_violations <= budget.max_envelope_violations
-            && self.divergence.max.partial_cmp(&budget.max_divergence)
-                != Some(std::cmp::Ordering::Greater)
+        budget
+            .breach(
+                self.nonfinite_candidate,
+                &self.divergence,
+                self.envelope_violations,
+            )
+            .is_none()
     }
 
     /// Multi-line human-readable rendering for the CLI.
@@ -128,7 +133,8 @@ impl ReplayReport {
 
 /// Feeds `requests` through both bundles with the per-sample oracle the
 /// engine is bit-identical to (`clip(scale ⊙ net.forward(state))`) and
-/// reports the divergence a live canary at 100% traffic would have seen.
+/// records each row with the engine's own canary comparison, so the
+/// report is the divergence a live canary at 100% traffic would have seen.
 ///
 /// # Errors
 ///
@@ -139,8 +145,9 @@ pub fn shadow_replay(
     candidate: &ControllerBundle,
     requests: &[RecordedRequest],
 ) -> Result<ReplayReport, String> {
-    let (inc_net, inc_scale) = incumbent.network().map_err(|e| format!("incumbent: {e}"))?;
-    let (can_net, can_scale) = candidate.network().map_err(|e| format!("candidate: {e}"))?;
+    let inc = ModelParams::of_bundle(incumbent).map_err(|e| format!("incumbent: {e}"))?;
+    let can = ModelParams::of_bundle(candidate).map_err(|e| format!("candidate: {e}"))?;
+    let (inc_net, can_net) = (&inc.net, &can.net);
     if inc_net.input_dim() != can_net.input_dim() || inc_net.output_dim() != can_net.output_dim() {
         return Err(format!(
             "dimension mismatch: incumbent {} -> {}, candidate {} -> {}",
@@ -150,50 +157,24 @@ pub fn shadow_replay(
             can_net.output_dim()
         ));
     }
-    let mut report = ReplayReport {
-        requests: 0,
-        skipped: 0,
-        divergence: DivergenceHistogram::default(),
-        nonfinite_candidate: 0,
-        envelope_violations: 0,
-    };
+    let mut tally = CanaryTally::default();
+    let mut skipped = 0;
     for req in requests {
         if req.state.len() != can_net.input_dim() {
-            report.skipped += 1;
+            skipped += 1;
             continue;
         }
-        report.requests += 1;
         let can_y = can_net.forward(&req.state);
         let inc_y = inc_net.forward(&req.state);
-        let mut row_finite = true;
-        let mut row_escaped = false;
-        let mut d = 0.0_f64;
-        for i in 0..can_y.len() {
-            let c = can_y[i] * can_scale[i];
-            if !c.is_finite() {
-                row_finite = false;
-            }
-            if c < candidate.u_inf[i] || c > candidate.u_sup[i] {
-                row_escaped = true;
-            }
-            let cc = c.clamp(candidate.u_inf[i], candidate.u_sup[i]);
-            let s = inc_y[i] * inc_scale[i];
-            if s.is_finite() {
-                let sc = s.clamp(incumbent.u_inf[i], incumbent.u_sup[i]);
-                d = d.max((cc - sc).abs());
-            } else {
-                d = f64::NAN;
-            }
-        }
-        if !row_finite {
-            report.nonfinite_candidate += 1;
-            d = f64::NAN;
-        } else if row_escaped {
-            report.envelope_violations += 1;
-        }
-        report.divergence.record(d);
+        tally.compare(Some(&can_y), &can, Some(&inc_y), &inc);
     }
-    Ok(report)
+    Ok(ReplayReport {
+        requests: tally.divergence.count,
+        skipped,
+        divergence: tally.divergence,
+        nonfinite_candidate: tally.nonfinite,
+        envelope_violations: tally.envelope_violations,
+    })
 }
 
 #[cfg(test)]

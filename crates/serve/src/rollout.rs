@@ -30,6 +30,11 @@
 //! 3. cumulative pre-clip envelope excursions above
 //!    [`RolloutBudget::max_envelope_violations`].
 //!
+//! The engine's guard and [`crate::replay::shadow_replay`] share one row
+//! comparison (`CanaryTally::compare`) and one budget rule
+//! (`RolloutBudget::breach`), so a replay reports what a live canary at
+//! 100% traffic would have recorded and trips where it would have.
+//!
 //! Independently, a [`DriftDetector`] histograms every *served* output
 //! (whoever served it) against a frozen baseline window and raises
 //! `serve.drift` when the total-variation distance crosses a threshold —
@@ -38,6 +43,7 @@
 
 use crate::admission::AdmissionError;
 use crate::bundle::fnv1a_64;
+use crate::engine::ModelParams;
 use cocktail_core::supervisor::RetrainRequest;
 use std::fmt;
 
@@ -73,6 +79,31 @@ impl Default for RolloutBudget {
         Self {
             max_divergence: f64::INFINITY,
             max_envelope_violations: u64::MAX,
+        }
+    }
+}
+
+impl RolloutBudget {
+    /// The canary's budget rule over everything it has been compared on
+    /// so far; returns the guard that trips. Any non-finite candidate row
+    /// trips. A NaN divergence (the incumbent's shadow was non-finite, so
+    /// the incumbent broke, not the candidate) is exempt from
+    /// `max_divergence`: [`DivergenceHistogram::max`] ignores it.
+    #[must_use]
+    pub(crate) fn breach(
+        &self,
+        nonfinite: u64,
+        divergence: &DivergenceHistogram,
+        envelope_violations: u64,
+    ) -> Option<&'static str> {
+        if nonfinite > 0 {
+            Some("non-finite canary output")
+        } else if divergence.max > self.max_divergence {
+            Some("canary divergence budget exceeded")
+        } else if envelope_violations > self.max_envelope_violations {
+            Some("canary envelope-violation budget exceeded")
+        } else {
+            None
         }
     }
 }
@@ -211,7 +242,8 @@ pub struct DivergenceHistogram {
     pub count: u64,
     /// Sum of recorded divergences (NaN poisons the sum, by design).
     pub sum: f64,
-    /// Largest recorded divergence.
+    /// Largest recorded divergence that is not NaN (a NaN comparison
+    /// shows in the last bin and in `sum`); the divergence budget reads it.
     pub max: f64,
 }
 
@@ -226,9 +258,7 @@ impl DivergenceHistogram {
         self.bins[bin] += 1;
         self.count += 1;
         self.sum += d;
-        if d > self.max || d.is_nan() {
-            self.max = d;
-        }
+        self.max = self.max.max(d);
     }
 
     /// Merges another histogram into this one.
@@ -238,9 +268,7 @@ impl DivergenceHistogram {
         }
         self.count += other.count;
         self.sum += other.sum;
-        if other.max > self.max || other.max.is_nan() {
-            self.max = other.max;
-        }
+        self.max = self.max.max(other.max);
     }
 
     /// Mean recorded divergence (0 when empty).
@@ -473,17 +501,71 @@ pub fn total_variation(a: &[u64], b: &[u64]) -> f64 {
     half_l1 / 2.0
 }
 
+/// A canary's shadow-comparison record (`divergence.count` rows): the
+/// engine keeps one per canary, shadow replay one per replayed stream.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct CanaryTally {
+    /// Rows whose candidate output was non-finite (or whose forward
+    /// panicked).
+    pub(crate) nonfinite: u64,
+    /// Finite candidate rows whose pre-clip output left the candidate's
+    /// control envelope.
+    pub(crate) envelope_violations: u64,
+    /// Divergence of the clipped candidate outputs from the incumbent's.
+    pub(crate) divergence: DivergenceHistogram,
+}
+
+impl CanaryTally {
+    /// Compares one canary row with the incumbent's shadow row for the
+    /// same state and records it. `None` is a forward that panicked.
+    ///
+    /// Each output is scaled, tested for finiteness and against the
+    /// candidate's envelope, and clamped; the divergence is the max-abs
+    /// difference of the clamped outputs. It is NaN when the candidate
+    /// row is non-finite (counted in `nonfinite`, never as an envelope
+    /// violation) or when any output of the shadow row is non-finite.
+    pub(crate) fn compare(
+        &mut self,
+        candidate: Option<&[f64]>,
+        can: &ModelParams,
+        shadow: Option<&[f64]>,
+        inc: &ModelParams,
+    ) {
+        let (mut finite, mut escaped) = (candidate.is_some(), false);
+        let (mut d, mut shadow_finite) = (0.0_f64, shadow.is_some());
+        for (i, &y) in candidate.unwrap_or_default().iter().enumerate() {
+            let c = y * can.scale[i];
+            finite &= c.is_finite();
+            escaped |= c < can.u_inf[i] || c > can.u_sup[i];
+            let cc = c.clamp(can.u_inf[i], can.u_sup[i]);
+            if let Some(shadow) = shadow {
+                let s = shadow[i] * inc.scale[i];
+                if s.is_finite() {
+                    // NaN-proof: f64::max ignores a NaN |cc - sc|
+                    d = d.max((cc - s.clamp(inc.u_inf[i], inc.u_sup[i])).abs());
+                } else {
+                    shadow_finite = false;
+                }
+            }
+        }
+        if finite {
+            self.envelope_violations += u64::from(escaped);
+        } else {
+            self.nonfinite += 1;
+        }
+        self.divergence
+            .record(if finite && shadow_finite { d } else { f64::NAN });
+    }
+}
+
 /// The engine-internal rollout trail and canary counters (one per
 /// engine, shared across shards behind a mutex; updates are a few adds
-/// per batch, never per request).
+/// per canary row, never per incumbent request).
 #[derive(Debug, Default)]
 pub(crate) struct RolloutLog {
     pub(crate) events: Vec<RolloutEvent>,
     pub(crate) canary_served: u64,
-    pub(crate) canary_shadowed: u64,
-    pub(crate) nonfinite_canary_outputs: u64,
-    pub(crate) envelope_violations: u64,
-    pub(crate) divergence: DivergenceHistogram,
+    pub(crate) canary: CanaryTally,
     pub(crate) drift_reports: Vec<DriftReport>,
 }
 
@@ -492,10 +574,7 @@ impl RolloutLog {
     /// comparison; the event trail and drift reports persist).
     pub(crate) fn reset_canary_counters(&mut self) {
         self.canary_served = 0;
-        self.canary_shadowed = 0;
-        self.nonfinite_canary_outputs = 0;
-        self.envelope_violations = 0;
-        self.divergence = DivergenceHistogram::default();
+        self.canary = CanaryTally::default();
     }
 }
 

@@ -1,7 +1,8 @@
 //! Rollout drills: canary routing determinism across shard counts,
 //! promote bit-equivalence with a cold start, auto-rollback containment
-//! of poisoned candidates, and drift alarms reaching telemetry and the
-//! supervisor's retrain-request handoff.
+//! of poisoned candidates, drift alarms reaching telemetry and the
+//! supervisor's retrain-request handoff, and shadow replay reporting what
+//! the live canary guard saw.
 
 #![allow(
     clippy::unwrap_used,
@@ -9,13 +10,16 @@
     reason = "test code; panics are failures"
 )]
 
+use cocktail_analysis::ControllerSpec;
 use cocktail_core::supervisor::{load_retrain_request, save_retrain_request};
-use cocktail_math::vector;
+use cocktail_core::SystemId;
+use cocktail_math::{rng, vector, BoxRegion};
 use cocktail_nn::{Activation, Mlp, MlpBuilder};
-use cocktail_obs::{FieldValue, InMemorySink};
+use cocktail_obs::{FieldValue, InMemorySink, NullSink};
 use cocktail_serve::{
-    routes_to_canary, DriftConfig, Engine, EngineConfig, RolloutAction, RolloutBudget,
-    RolloutConfig, Ticket,
+    routes_to_canary, shadow_replay, ControllerBundle, DivergenceHistogram, DriftConfig, Engine,
+    EngineConfig, Provenance, RecordedRequest, RolloutAction, RolloutBudget, RolloutConfig, Ticket,
+    BUNDLE_VERSION,
 };
 use std::sync::Arc;
 
@@ -386,5 +390,223 @@ fn drift_alarms_reach_telemetry_and_the_retrain_handoff() {
         engine.drift_reports().len(),
         2,
         "rebaselined detector accepts the new distribution"
+    );
+}
+
+/// One side of a canary comparison: a network, its scale and the clip
+/// envelope it is served under.
+struct Served {
+    net: Mlp,
+    scale: Vec<f64>,
+    u_inf: Vec<f64>,
+    u_sup: Vec<f64>,
+}
+
+impl Served {
+    fn new(net: Mlp, scale: Vec<f64>, u_inf: f64, u_sup: f64) -> Self {
+        let dim = scale.len();
+        Self {
+            net,
+            scale,
+            u_inf: vec![u_inf; dim],
+            u_sup: vec![u_sup; dim],
+        }
+    }
+
+    /// A bundle carrying this controller; shadow replay reads only its
+    /// network, scale and envelope.
+    fn bundle(&self) -> ControllerBundle {
+        ControllerBundle {
+            version: BUNDLE_VERSION,
+            system: SystemId::Oscillator,
+            spec: ControllerSpec::Mlp {
+                net: self.net.clone(),
+                scale: self.scale.clone(),
+            },
+            input_domain: BoxRegion::cube(2, -2.0, 2.0),
+            u_inf: self.u_inf.clone(),
+            u_sup: self.u_sup.clone(),
+            lipschitz_claim: 0.0,
+            analysis: Vec::new(),
+            fast_tier: None,
+            safety: None,
+            provenance: Provenance {
+                seed: 0,
+                config_hash: 0,
+                crate_version: String::new(),
+            },
+        }
+    }
+}
+
+fn net(outputs: usize, seed: u64) -> Mlp {
+    MlpBuilder::new(2)
+        .hidden(6, Activation::Tanh)
+        .output(outputs, Activation::Identity)
+        .seed(seed)
+        .build()
+}
+
+fn seeded_states(n: usize, seed: u64) -> Vec<Vec<f64>> {
+    let mut rng = rng::seeded(seed);
+    let domain = BoxRegion::cube(2, -2.0, 2.0);
+    (0..n)
+        .map(|_| rng::uniform_in_box(&mut rng, &domain))
+        .collect()
+}
+
+fn same_bits(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+/// Feeds `states` to an engine serving `inc` with `can` canaried at
+/// 1000‰ under `budget` (one batch per request, then one batch for the
+/// whole stream) and to `shadow_replay`, and asserts both recorded the
+/// same canary: histogram, non-finite and envelope counts, and the live
+/// trip against `within`. Returns whether the guard tripped.
+fn live_and_replay_agree(
+    inc: &Served,
+    can: &Served,
+    states: &[Vec<f64>],
+    budget: RolloutBudget,
+) -> bool {
+    let recorded: Vec<RecordedRequest> = states
+        .iter()
+        .enumerate()
+        .map(|(i, s)| RecordedRequest {
+            id: i as u64,
+            state: s.clone(),
+        })
+        .collect();
+    let report = shadow_replay(&inc.bundle(), &can.bundle(), &recorded).expect("replays");
+    let mut trips = Vec::new();
+    for max_batch in [1, states.len()] {
+        let engine = Engine::from_parts(
+            inc.net.clone(),
+            inc.scale.clone(),
+            inc.u_inf.clone(),
+            inc.u_sup.clone(),
+            EngineConfig {
+                max_batch,
+                queue_capacity: states.len(),
+                start_paused: true,
+                ..EngineConfig::default()
+            },
+            None,
+            Arc::new(NullSink),
+        )
+        .expect("engine starts");
+        engine
+            .propose_parts(
+                can.net.clone(),
+                can.scale.clone(),
+                can.u_inf.clone(),
+                can.u_sup.clone(),
+                &RolloutConfig {
+                    fraction_permille: 1000,
+                    budget,
+                },
+            )
+            .expect("candidate installs");
+        let pinned = engine.handle().pinned(0);
+        let tickets: Vec<Ticket> = recorded
+            .iter()
+            .map(|r| pinned.try_submit_with_id(r.id, &r.state).expect("queued"))
+            .collect();
+        engine.resume();
+        for ticket in tickets {
+            // a tripped batch is answered from the incumbent, which may
+            // itself be non-finite here; only the canary record matters
+            let _ = ticket.wait();
+        }
+        let status = engine.rollout_status();
+        let tripped = engine
+            .rollout_events()
+            .iter()
+            .any(|e| e.action == RolloutAction::AutoRolledBack);
+        let (live, replayed): (&DivergenceHistogram, &DivergenceHistogram) =
+            (&status.divergence, &report.divergence);
+        let case = format!("max_batch {max_batch}: live {live:?}, replayed {replayed:?}");
+        assert_eq!(status.canary_shadowed, report.requests, "{case}");
+        assert_eq!(live.bins, replayed.bins, "{case}");
+        assert_eq!(live.count, replayed.count, "{case}");
+        assert!(same_bits(live.sum, replayed.sum), "{case}");
+        assert!(same_bits(live.max, replayed.max), "{case}");
+        assert_eq!(
+            status.nonfinite_canary_outputs, report.nonfinite_candidate,
+            "{case}"
+        );
+        assert_eq!(
+            status.envelope_violations, report.envelope_violations,
+            "{case}"
+        );
+        assert_eq!(tripped, !report.within(&budget), "{case}");
+        trips.push(tripped);
+    }
+    assert_eq!(
+        trips[0], trips[1],
+        "the verdict does not depend on batching"
+    );
+    trips[0]
+}
+
+#[test]
+fn live_canary_and_shadow_replay_record_the_same_stream() {
+    // one output: the candidate's larger scale pushes some rows out of
+    // the envelope, so every counter moves
+    let inc = Served::new(net(1, 5), vec![2.0], -5.0, 5.0);
+    let can = Served::new(net(1, 6), vec![8.0], -5.0, 5.0);
+    let stream = seeded_states(64, 0x5eed);
+    assert!(!live_and_replay_agree(
+        &inc,
+        &can,
+        &stream,
+        RolloutBudget::default()
+    ));
+
+    // two outputs: the incumbent's scale overflows output 0 wherever
+    // |y₀| > 1 and leaves output 1 finite, so those rows' divergence is
+    // NaN (the incumbent broke, not the candidate) and trips nothing
+    let inc2 = Served::new(net(2, 6), vec![f64::MAX, 1.0], -5.0, 5.0);
+    let can2 = Served::new(net(2, 8), vec![1.0, 1.0], -5.0, 5.0);
+    let stream2 = seeded_states(64, 0x5eee);
+    let overflows = |s: &Vec<f64>| !(inc2.net.forward(s)[0] * f64::MAX).is_finite();
+    assert!(
+        stream2.iter().any(overflows) && !stream2.iter().all(overflows),
+        "the stream mixes overflowing and finite incumbent rows"
+    );
+    assert!(!live_and_replay_agree(
+        &inc2,
+        &can2,
+        &stream2,
+        RolloutBudget::default()
+    ));
+
+    // a NaN divergence followed by an over-budget one: the NaN is exempt
+    // from the divergence budget and must not mask the finite breach
+    let inc3 = Served::new(net(1, 9), vec![f64::MAX], -5.0, 5.0);
+    let can3 = Served::new(net(1, 10), vec![1.0], -5.0, 5.0);
+    let overflows = |s: &Vec<f64>| !(inc3.net.forward(s)[0] * f64::MAX).is_finite();
+    let candidates = seeded_states(256, 0x5eef);
+    let mut stream3: Vec<Vec<f64>> = candidates
+        .iter()
+        .filter(|s| overflows(s))
+        .take(3)
+        .cloned()
+        .collect();
+    assert_eq!(stream3.len(), 3, "the incumbent overflows somewhere");
+    stream3.extend(candidates.iter().find(|s| !overflows(s)).cloned());
+    assert_eq!(stream3.len(), 4, "and stays finite somewhere");
+    assert!(
+        live_and_replay_agree(
+            &inc3,
+            &can3,
+            &stream3,
+            RolloutBudget {
+                max_divergence: 0.0,
+                max_envelope_violations: u64::MAX,
+            },
+        ),
+        "the finite over-budget row trips the guard"
     );
 }

@@ -26,7 +26,7 @@
 //! reach encloses itself.
 //!
 //! Inside [`crate::cert::certify_controller`] the invariant fixpoint has
-//! already computed the same [`one_step_image`] for every cell of its own
+//! already computed the same `one_step_image` for every cell of its own
 //! grid. When the paving has as many cells per dimension as that grid and
 //! a cell is, bit for bit, the invariant cell with the same flat index,
 //! reach takes that image instead of enclosing the cell again; any other
