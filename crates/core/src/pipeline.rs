@@ -10,12 +10,14 @@ use cocktail_analysis::{
     AnalysisConfig, AnalysisReport, Analyzer, ControllerSpec, Diagnostic, PreflightMode,
 };
 use cocktail_control::{Controller, MixedController, NnController, WeightPolicy};
-use cocktail_distill::{direct_distill, DistillConfig, RobustDistillSession, TeacherDataset};
+use cocktail_distill::{
+    direct_distill, DistillCheckpoint, DistillConfig, RobustDistillSession, TeacherDataset,
+};
 use cocktail_env::Dynamics;
 use cocktail_obs::{Event, NullSink, Span, Telemetry};
 use cocktail_rl::ddpg::{DdpgConfig, DdpgTrainer, EpisodeStats};
-use cocktail_rl::ppo::{IterationStats, PpoConfig, PpoSession};
-use cocktail_rl::{Mdp, MixingMdp, RewardConfig};
+use cocktail_rl::ppo::{IterationStats, PpoConfig};
+use cocktail_rl::{EpisodeFactory, Mdp, MixingMdp, PpoCheckpoint, PpoSession, RewardConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -167,116 +169,56 @@ impl Cocktail {
         )
     }
 
-    /// Executes both stages: PPO adaptive mixing, then direct and robust
-    /// distillation of the mixed teacher.
+    /// Executes Algorithm 1: RL adaptive mixing, then direct and robust
+    /// distillation of the mixed teacher. This is [`Self::try_run`] with
+    /// its error turned into a panic.
     ///
     /// # Panics
     ///
-    /// Panics if a [`PreflightMode::Deny`] gate finds error-level
-    /// diagnostics. Use [`Self::try_run`] for a typed error instead.
+    /// Panics with the [`PipelineError`] of [`Self::try_run`]: a
+    /// [`PreflightMode::Deny`] gate found error-level diagnostics, or a
+    /// stage still diverged after its last rewind.
     pub fn run(self) -> CocktailResult {
         self.try_run().unwrap_or_else(|err| panic!("{err}"))
     }
 
-    /// [`Self::run`] with typed errors: a [`PreflightMode::Deny`] gate
-    /// yields [`PipelineError::PreflightDenied`] instead of a panic.
+    /// [`Self::run`] with typed errors: [`Self::run_supervised`] under
+    /// [`SupervisorConfig::default()`]. Checkpoints stay in memory and no
+    /// file is written. A stage whose PPO mean return or distillation loss
+    /// goes non-finite is rewound to its last good unit and reseeded; a
+    /// healthy run never rewinds.
     ///
     /// # Errors
     ///
-    /// Returns [`PipelineError::PreflightDenied`] when a `Deny` gate finds
-    /// error-level diagnostics.
+    /// [`PipelineError::PreflightDenied`] when a `Deny` gate finds
+    /// error-level diagnostics, and [`PipelineError::Diverged`] when a
+    /// stage is still non-finite after
+    /// [`crate::supervisor::DivergenceConfig::max_retries`] rewinds.
     pub fn try_run(self) -> Result<CocktailResult, PipelineError> {
-        let sys = self.system.dynamics();
-        let cfg = &self.config;
-        let _pipeline = Span::enter_with(
-            &*self.tel,
-            "pipeline",
-            vec![
-                ("system".to_string(), sys.name().into()),
-                ("seed".to_string(), cfg.seed.into()),
-            ],
-        );
-
-        self.preflight_experts(sys.as_ref())?;
-
-        // ---- stage 1: RL-based adaptive mixing (Alg. 1 lines 2-10)
-        let mut ppo_history = Vec::new();
-        let mut ddpg_history = Vec::new();
-        let weight_policy: Arc<dyn WeightPolicy> = match &cfg.mixing {
-            MixingAlgorithm::Ppo => {
-                // episodes are collected in parallel: each worker gets a
-                // fresh MixingMdp seeded per episode, so the outcome does
-                // not depend on the worker count
-                let _stage = Span::enter(&*self.tel, "pipeline/ppo-mixing");
-                let factory = self.mixing_factory(&sys);
-                let mut session = PpoSession::new(&cfg.ppo, sys.state_dim(), self.experts.len())
-                    .with_telemetry(self.tel.clone());
-                let workers = self.worker_count();
-                while !session.is_complete() {
-                    session.step(&factory, workers);
-                }
-                let trained = session.finish();
-                ppo_history = trained.history;
-                Arc::new(PpoWeightPolicy::new(trained.policy, cfg.weight_bound))
-            }
-            MixingAlgorithm::Ddpg(ddpg) => {
-                let _stage = Span::enter(&*self.tel, "pipeline/ddpg-mixing");
-                let trained = self.train_ddpg(ddpg, &sys);
-                ddpg_history = trained.history;
-                Arc::new(DdpgWeightPolicy::new(trained.actor, cfg.weight_bound))
-            }
-        };
-        let mixed = self.build_mixed(&sys, weight_policy);
-
-        // ---- stage 2: distillation (Alg. 1 lines 11-14)
-        let data = self.build_dataset(&sys, mixed.as_ref());
-        let kappa_d = {
-            let _stage = Span::enter(&*self.tel, "pipeline/direct-distill");
-            Arc::new(direct_distill(&data, &cfg.distill))
-        };
-        let kappa_star = {
-            // same loop as `robust_distill`, with the session reporting
-            // per-epoch telemetry as it goes
-            let _stage = Span::enter(&*self.tel, "pipeline/robust-distill");
-            let mut session =
-                RobustDistillSession::new(&data, &cfg.distill).with_telemetry(self.tel.clone());
-            while !session.is_complete() {
-                session.step_epoch(&data);
-            }
-            Arc::new(session.finish())
-        };
-
-        // ---- post-distillation gate: lint the students before handing
-        // them to evaluation / verification
-        self.lint_students(&sys, &kappa_d, &kappa_star)?;
-
-        Ok(CocktailResult {
-            mixed,
-            kappa_d,
-            kappa_star,
-            ppo_history,
-            ddpg_history,
-        })
+        self.run_supervised(&SupervisorConfig::default())
     }
 
-    /// Fault-tolerant variant of [`Self::try_run`]: wraps the PPO-mixing
-    /// and robust-distillation stages with periodic checkpoints, divergence
-    /// detection and bounded rewind/reseed/retry (see
-    /// [`crate::supervisor`]).
+    /// The pipeline driver every run trains through. PPO mixing and robust
+    /// distillation run in one stage loop that keeps a checkpoint every
+    /// [`SupervisorConfig::checkpoint_every`] units, in memory and, with a
+    /// [`SupervisorConfig::checkpoint_dir`], on disk; a diverged unit
+    /// rewinds its stage to the last checkpoint and reseeds it (see
+    /// [`crate::supervisor`]). With no divergence, where and how often it
+    /// checkpoints changes no bit of the artifacts.
     ///
-    /// With an empty checkpoint directory (or none at all) and no
-    /// divergence, the result is **bit-identical** to [`Self::run`]. When
-    /// `sup.checkpoint_dir` already holds a checkpoint stamped with this
-    /// config's seed, the run resumes from it — kill-and-resume reproduces
-    /// the uninterrupted run's artifacts exactly. The DDPG mixing variant
-    /// is supervised at stage granularity only (no mid-training rewind).
+    /// When `sup.checkpoint_dir` already holds a checkpoint stamped with
+    /// this run's plant, seed and config digest, the run resumes from it:
+    /// kill-and-resume reproduces the uninterrupted run's artifacts exactly.
+    /// The DDPG mixing variant is supervised at stage granularity only (no
+    /// mid-training rewind).
     ///
     /// # Errors
     ///
     /// [`PipelineError::PreflightDenied`] from a `Deny` gate,
     /// [`PipelineError::Diverged`] when a stage exhausts its retry budget,
     /// [`PipelineError::Interrupted`] at the configured interruption point,
-    /// and [`PipelineError::Checkpoint`] for unusable checkpoint files.
+    /// and [`PipelineError::Checkpoint`] for an unusable checkpoint file or
+    /// one stamped by another run.
     pub fn run_supervised(self, sup: &SupervisorConfig) -> Result<CocktailResult, PipelineError> {
         let sys = self.system.dynamics();
         let cfg = &self.config;
@@ -286,79 +228,35 @@ impl Cocktail {
             vec![
                 ("system".to_string(), sys.name().into()),
                 ("seed".to_string(), cfg.seed.into()),
-                ("supervised".to_string(), true.into()),
             ],
         );
         self.preflight_experts(sys.as_ref())?;
 
         let loaded = match &sup.checkpoint_dir {
-            Some(dir) => load_checkpoint(dir, cfg.seed)?,
+            Some(dir) => load_checkpoint(dir, self.system, cfg)?,
             None => None,
         };
         let mut units: u64 = 0; // stage units executed in THIS invocation
 
-        // ---- stage 1: mixing (resumable mid-training under PPO)
-        let (mixing, robust_resume) = match loaded.map(|c| c.stage) {
+        // ---- stage 1: RL-based adaptive mixing (Alg. 1 lines 2-10). The
+        // checkpoint's stamp names this config, so a stored stage belongs
+        // to the configured mixing algorithm.
+        let (mixing, distill_resume) = match loaded.map(|c| c.stage) {
             Some(StageCheckpoint::Robust {
                 mixing,
                 kappa_d,
                 distill,
                 losses,
-            }) => {
-                let algorithm_matches = matches!(
-                    (&mixing, &cfg.mixing),
-                    (MixingArtifact::Ppo { .. }, MixingAlgorithm::Ppo)
-                        | (MixingArtifact::Ddpg { .. }, MixingAlgorithm::Ddpg(_))
-                );
-                if !algorithm_matches {
-                    return Err(self.checkpoint_mismatch(sup, "mixing algorithm"));
-                }
-                (mixing, Some((kappa_d, distill, losses)))
-            }
+            }) => (mixing, Some((kappa_d, distill, losses))),
             Some(StageCheckpoint::Mixing { ppo }) => {
-                if !matches!(cfg.mixing, MixingAlgorithm::Ppo) {
-                    return Err(self.checkpoint_mismatch(sup, "mixing algorithm"));
-                }
-                let trained =
-                    self.supervise_ppo(PpoSession::from_checkpoint(ppo), &sys, sup, &mut units)?;
-                (
-                    MixingArtifact::Ppo {
-                        policy: trained.policy,
-                        history: trained.history,
-                    },
-                    None,
-                )
+                (self.mix(&sys, Some(ppo), sup, &mut units)?, None)
             }
-            None => match &cfg.mixing {
-                MixingAlgorithm::Ppo => {
-                    let session = PpoSession::new(&cfg.ppo, sys.state_dim(), self.experts.len());
-                    let trained = self.supervise_ppo(session, &sys, sup, &mut units)?;
-                    (
-                        MixingArtifact::Ppo {
-                            policy: trained.policy,
-                            history: trained.history,
-                        },
-                        None,
-                    )
-                }
-                MixingAlgorithm::Ddpg(ddpg) => {
-                    let _stage = Span::enter(&*self.tel, "pipeline/ddpg-mixing");
-                    let trained = self.train_ddpg(ddpg, &sys);
-                    units += 1;
-                    (
-                        MixingArtifact::Ddpg {
-                            actor: trained.actor,
-                            history: trained.history,
-                        },
-                        None,
-                    )
-                }
-            },
+            None => (self.mix(&sys, None, sup, &mut units)?, None),
         };
 
-        // ---- stage 2: robust distillation (resumable mid-epoch). The
-        // dataset is a pure function of (mixed, seed) and is regenerated
-        // rather than checkpointed.
+        // ---- stage 2: distillation (Alg. 1 lines 11-14). The dataset is a
+        // pure function of (mixed, seed) and is regenerated rather than
+        // checkpointed.
         let weight_policy: Arc<dyn WeightPolicy> = match &mixing {
             MixingArtifact::Ppo { policy, .. } => {
                 Arc::new(PpoWeightPolicy::new(policy.clone(), cfg.weight_bound))
@@ -369,7 +267,7 @@ impl Cocktail {
         };
         let mixed = self.build_mixed(&sys, weight_policy);
         let data = self.build_dataset(&sys, mixed.as_ref());
-        let (kappa_d, session, losses) = match robust_resume {
+        let (kappa_d, session, losses) = match distill_resume {
             Some((kd_net, distill, losses)) => (
                 Arc::new(NnController::unscaled(kd_net, "kappa_D")),
                 RobustDistillSession::from_checkpoint(distill),
@@ -387,10 +285,23 @@ impl Cocktail {
                 )
             }
         };
-        let kappa_star = Arc::new(
-            self.supervise_distill(session, &data, &mixing, &kappa_d, losses, sup, &mut units)?,
-        );
+        let mut robust = DistillStage {
+            session: session.with_telemetry(self.tel.clone()),
+            data: &data,
+            losses,
+        };
+        self.supervise(&mut robust, sup, &mut units, |(distill, losses)| {
+            StageCheckpoint::Robust {
+                mixing: mixing.clone(),
+                kappa_d: kappa_d.network().clone(),
+                distill: distill.clone(),
+                losses: losses.clone(),
+            }
+        })?;
+        let kappa_star = Arc::new(robust.session.finish());
 
+        // ---- post-distillation gate: lint the students before handing
+        // them to evaluation / verification
         self.lint_students(&sys, &kappa_d, &kappa_star)?;
 
         let (ppo_history, ddpg_history) = match mixing {
@@ -406,190 +317,16 @@ impl Cocktail {
         })
     }
 
-    /// Supervises the PPO mixing stage: step, watch the mean return,
-    /// checkpoint on cadence, rewind/reseed on divergence.
-    fn supervise_ppo(
+    /// Learns the mixing weights, resuming PPO from `resume` when given.
+    fn mix(
         &self,
-        mut session: PpoSession,
         sys: &Arc<dyn Dynamics>,
+        resume: Option<PpoCheckpoint>,
         sup: &SupervisorConfig,
         units: &mut u64,
-    ) -> Result<cocktail_rl::TrainedPolicy, PipelineError> {
-        const STAGE: &str = "ppo-mixing";
+    ) -> Result<MixingArtifact, PipelineError> {
         let cfg = &self.config;
-        let _stage = Span::enter(&*self.tel, "pipeline/ppo-mixing");
-        session.set_telemetry(self.tel.clone());
-        let factory = self.mixing_factory(sys);
-        let workers = self.worker_count();
-        let mut monitor = DivergenceMonitor::new(sup.divergence.collapse_drop);
-        monitor.rewind_to(session.history().iter().map(|s| s.mean_return));
-        let mut last_good = session.checkpoint();
-        let mut retry: u32 = 0;
-
-        while !session.is_complete() {
-            let stats = session.step(&factory, workers);
-            *units += 1;
-            if let Some(reason) = monitor.observe(stats.mean_return) {
-                retry += 1;
-                if retry > sup.divergence.max_retries {
-                    return Err(PipelineError::Diverged {
-                        stage: STAGE.into(),
-                        attempts: retry,
-                        detail: reason,
-                    });
-                }
-                self.report_rewind(STAGE, retry, &reason);
-                session = PpoSession::from_checkpoint(last_good.clone());
-                session.set_telemetry(self.tel.clone());
-                session.reseed_for_retry(u64::from(retry));
-                monitor = DivergenceMonitor::new(sup.divergence.collapse_drop);
-                monitor.rewind_to(session.history().iter().map(|s| s.mean_return));
-                continue;
-            }
-            if session.iteration().is_multiple_of(sup.cadence()) || session.is_complete() {
-                last_good = session.checkpoint();
-                if let Some(dir) = &sup.checkpoint_dir {
-                    save_checkpoint(
-                        dir,
-                        &PipelineCheckpoint::new(
-                            cfg.seed,
-                            StageCheckpoint::Mixing {
-                                ppo: last_good.clone(),
-                            },
-                        ),
-                    )?;
-                    self.tel.counter("supervisor.checkpoints", 1);
-                }
-            }
-            if sup.interrupt_after.is_some_and(|n| *units >= n) && !session.is_complete() {
-                let checkpoint = match &sup.checkpoint_dir {
-                    Some(dir) => save_checkpoint(
-                        dir,
-                        &PipelineCheckpoint::new(
-                            cfg.seed,
-                            StageCheckpoint::Mixing {
-                                ppo: session.checkpoint(),
-                            },
-                        ),
-                    )?,
-                    None => PathBuf::new(),
-                };
-                return Err(PipelineError::Interrupted {
-                    stage: STAGE.into(),
-                    checkpoint,
-                });
-            }
-        }
-        Ok(session.finish())
-    }
-
-    /// Supervises the robust-distillation stage: step one epoch, watch the
-    /// training loss, checkpoint on cadence, rewind/reseed on divergence.
-    #[allow(
-        clippy::too_many_arguments,
-        reason = "internal stage driver threading pipeline state through; a \
-                  struct would only relabel the same seven values"
-    )]
-    fn supervise_distill(
-        &self,
-        mut session: RobustDistillSession,
-        data: &TeacherDataset,
-        mixing: &MixingArtifact,
-        kappa_d: &NnController,
-        mut losses: Vec<f64>,
-        sup: &SupervisorConfig,
-        units: &mut u64,
-    ) -> Result<NnController, PipelineError> {
-        const STAGE: &str = "robust-distill";
-        let cfg = &self.config;
-        let _stage = Span::enter(&*self.tel, "pipeline/robust-distill");
-        session.set_telemetry(self.tel.clone());
-        let robust_ckpt = |session: &RobustDistillSession, losses: &[f64]| {
-            PipelineCheckpoint::new(
-                cfg.seed,
-                StageCheckpoint::Robust {
-                    mixing: mixing.clone(),
-                    kappa_d: kappa_d.network().clone(),
-                    distill: session.checkpoint(),
-                    losses: losses.to_vec(),
-                },
-            )
-        };
-        // mark the stage transition on disk so a kill before the first
-        // epoch already resumes past mixing and κ_D
-        if let Some(dir) = &sup.checkpoint_dir {
-            save_checkpoint(dir, &robust_ckpt(&session, &losses))?;
-            self.tel.counter("supervisor.checkpoints", 1);
-        }
-        let mut monitor = DivergenceMonitor::new(sup.divergence.collapse_drop);
-        monitor.rewind_to(losses.iter().map(|l| -l));
-        let mut last_good = (session.checkpoint(), losses.clone());
-        let mut retry: u32 = 0;
-
-        while !session.is_complete() {
-            let loss = session.step_epoch(data);
-            *units += 1;
-            // negated: the monitor treats higher as better
-            if let Some(reason) = monitor.observe(-loss) {
-                retry += 1;
-                if retry > sup.divergence.max_retries {
-                    return Err(PipelineError::Diverged {
-                        stage: STAGE.into(),
-                        attempts: retry,
-                        detail: reason,
-                    });
-                }
-                self.report_rewind(STAGE, retry, &reason);
-                session = RobustDistillSession::from_checkpoint(last_good.0.clone());
-                session.set_telemetry(self.tel.clone());
-                session.reseed_for_retry(u64::from(retry));
-                losses.clone_from(&last_good.1);
-                monitor = DivergenceMonitor::new(sup.divergence.collapse_drop);
-                monitor.rewind_to(losses.iter().map(|l| -l));
-                continue;
-            }
-            losses.push(loss);
-            if session.epoch().is_multiple_of(sup.cadence()) || session.is_complete() {
-                last_good = (session.checkpoint(), losses.clone());
-                if let Some(dir) = &sup.checkpoint_dir {
-                    save_checkpoint(dir, &robust_ckpt(&session, &losses))?;
-                    self.tel.counter("supervisor.checkpoints", 1);
-                }
-            }
-            if sup.interrupt_after.is_some_and(|n| *units >= n) && !session.is_complete() {
-                let checkpoint = match &sup.checkpoint_dir {
-                    Some(dir) => save_checkpoint(dir, &robust_ckpt(&session, &losses))?,
-                    None => PathBuf::new(),
-                };
-                return Err(PipelineError::Interrupted {
-                    stage: STAGE.into(),
-                    checkpoint,
-                });
-            }
-        }
-        Ok(session.finish())
-    }
-
-    /// Reports a divergence-triggered rewind through telemetry.
-    fn report_rewind(&self, stage: &str, retry: u32, reason: &str) {
-        if self.tel.enabled() {
-            self.tel.counter("supervisor.rewinds", 1);
-            self.tel.record(
-                Event::point("supervisor.diverged")
-                    .with("stage", stage)
-                    .with("retry", u64::from(retry))
-                    .with("reason", reason),
-            );
-        }
-    }
-
-    /// The per-episode MDP factory of the PPO mixing stage.
-    fn mixing_factory<'a>(
-        &'a self,
-        sys: &'a Arc<dyn Dynamics>,
-    ) -> impl Fn(u64) -> Box<dyn Mdp> + 'a {
-        let cfg = &self.config;
-        move |seed: u64| -> Box<dyn Mdp> {
+        let mdp = |seed: u64| -> Box<dyn Mdp> {
             Box::new(MixingMdp::new(
                 sys.clone(),
                 self.experts.clone(),
@@ -597,25 +334,123 @@ impl Cocktail {
                 cfg.reward,
                 seed,
             ))
+        };
+        match &cfg.mixing {
+            MixingAlgorithm::Ppo => {
+                // episodes are collected in parallel: each worker gets a
+                // fresh MixingMdp seeded per episode, so the outcome does
+                // not depend on the worker count
+                let session = match resume {
+                    Some(ckpt) => PpoSession::from_checkpoint(ckpt),
+                    None => PpoSession::new(&cfg.ppo, sys.state_dim(), self.experts.len()),
+                };
+                let mut ppo = PpoStage {
+                    session: session.with_telemetry(self.tel.clone()),
+                    factory: &mdp,
+                    workers: self.worker_count(),
+                };
+                self.supervise(&mut ppo, sup, units, |ppo| StageCheckpoint::Mixing {
+                    ppo: ppo.clone(),
+                })?;
+                let trained = ppo.session.finish();
+                Ok(MixingArtifact::Ppo {
+                    policy: trained.policy,
+                    history: trained.history,
+                })
+            }
+            MixingAlgorithm::Ddpg(ddpg) => {
+                let _stage = Span::enter(&*self.tel, "pipeline/ddpg-mixing");
+                let trained = DdpgTrainer::new(ddpg, sys.state_dim(), self.experts.len())
+                    .train(mdp(cfg.seed).as_mut());
+                *units += 1;
+                Ok(MixingArtifact::Ddpg {
+                    actor: trained.actor,
+                    history: trained.history,
+                })
+            }
         }
     }
 
-    /// Runs the DDPG mixing variant to completion (Remark 1; supervised at
-    /// stage granularity only).
-    fn train_ddpg(
+    /// The stage loop: steps `stage` one unit at a time, rewinds and
+    /// reseeds it when the divergence monitor flags a unit, keeps a
+    /// checkpoint on entry and every [`SupervisorConfig::checkpoint_every`]
+    /// units (written to disk, stamped through `stamp`, when there is a
+    /// checkpoint directory), and stops at
+    /// [`SupervisorConfig::interrupt_after`].
+    fn supervise<S: Stage>(
         &self,
-        ddpg: &DdpgConfig,
-        sys: &Arc<dyn Dynamics>,
-    ) -> cocktail_rl::ddpg::TrainedActor {
-        let cfg = &self.config;
-        let mut mdp = MixingMdp::new(
-            sys.clone(),
-            self.experts.clone(),
-            cfg.weight_bound,
-            cfg.reward,
-            cfg.seed,
-        );
-        DdpgTrainer::new(ddpg, sys.state_dim(), self.experts.len()).train(&mut mdp)
+        stage: &mut S,
+        sup: &SupervisorConfig,
+        units: &mut u64,
+        stamp: impl Fn(&S::Snapshot) -> StageCheckpoint,
+    ) -> Result<(), PipelineError> {
+        let _span = Span::enter(&*self.tel, &format!("pipeline/{}", S::NAME));
+        let monitor_for = |stage: &S| {
+            let mut monitor = DivergenceMonitor::new(sup.divergence.collapse_drop);
+            monitor.rewind_to(stage.metrics());
+            monitor
+        };
+        let mut monitor = monitor_for(stage);
+        let mut last_good = stage.snapshot();
+        // a kill before the first unit already resumes at this stage
+        self.persist(sup, || stamp(&last_good))?;
+        let mut retry: u32 = 0;
+
+        while !stage.is_complete() {
+            let metric = stage.step();
+            *units += 1;
+            if let Some(reason) = monitor.observe(metric) {
+                retry += 1;
+                if retry > sup.divergence.max_retries {
+                    return Err(PipelineError::Diverged {
+                        stage: S::NAME.into(),
+                        attempts: retry,
+                        detail: reason,
+                    });
+                }
+                if self.tel.enabled() {
+                    self.tel.counter("supervisor.rewinds", 1);
+                    self.tel.record(
+                        Event::point("supervisor.diverged")
+                            .with("stage", S::NAME)
+                            .with("retry", u64::from(retry))
+                            .with("reason", reason),
+                    );
+                }
+                stage.rewind(last_good.clone(), retry, &self.tel);
+                monitor = monitor_for(stage);
+                continue;
+            }
+            let done = stage.is_complete();
+            if done || stage.units().is_multiple_of(sup.cadence()) {
+                last_good = stage.snapshot();
+                self.persist(sup, || stamp(&last_good))?;
+            }
+            if !done && sup.interrupt_after.is_some_and(|n| *units >= n) {
+                let checkpoint = self.persist(sup, || stamp(&stage.snapshot()))?;
+                return Err(PipelineError::Interrupted {
+                    stage: S::NAME.into(),
+                    checkpoint: checkpoint.unwrap_or_default(),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Writes the checkpoint of `stage()`, stamped with this run, when
+    /// there is a checkpoint directory.
+    fn persist(
+        &self,
+        sup: &SupervisorConfig,
+        stage: impl FnOnce() -> StageCheckpoint,
+    ) -> Result<Option<PathBuf>, PipelineError> {
+        let Some(dir) = &sup.checkpoint_dir else {
+            return Ok(None);
+        };
+        let ckpt = PipelineCheckpoint::new(self.system, &self.config, stage());
+        let path = save_checkpoint(dir, &ckpt)?;
+        self.tel.counter("supervisor.checkpoints", 1);
+        Ok(Some(path))
     }
 
     /// Assembles the mixed teacher `A_W` from the learned weight policy.
@@ -697,18 +532,6 @@ impl Cocktail {
         apply_gate(&*self.tel, cfg.preflight, "student", &report)
     }
 
-    fn checkpoint_mismatch(&self, sup: &SupervisorConfig, what: &str) -> PipelineError {
-        let path = sup
-            .checkpoint_dir
-            .as_deref()
-            .map(|d| d.join(crate::supervisor::CHECKPOINT_FILE))
-            .unwrap_or_default();
-        PipelineError::Checkpoint {
-            path,
-            detail: format!("{what} does not match the configured pipeline"),
-        }
-    }
-
     /// Shape checks the analyzer cannot do on opaque `dyn Controller`
     /// experts: every expert must read the plant's states and emit its
     /// controls, or the mixture `Σ aᵢκᵢ(s)` is undefined.
@@ -743,6 +566,110 @@ impl Cocktail {
             }
         }
         report
+    }
+}
+
+/// A training stage the stage loop drives one unit at a time: PPO mixing
+/// (a unit is an iteration) or robust distillation (a unit is an epoch).
+trait Stage {
+    /// The stage's name in spans, errors and telemetry.
+    const NAME: &'static str;
+    /// What a rewind restores and a checkpoint records.
+    type Snapshot: Clone;
+    fn snapshot(&self) -> Self::Snapshot;
+    /// Restores `snapshot` and reseeds the exploration streams for retry
+    /// `retry` (≥ 1), so the retried units are a pure function of it.
+    fn rewind(&mut self, snapshot: Self::Snapshot, retry: u32, tel: &Arc<dyn Telemetry>);
+    /// Units completed so far.
+    fn units(&self) -> usize;
+    fn is_complete(&self) -> bool;
+    /// Runs one unit and returns the metric the divergence monitor
+    /// watches (higher is better).
+    fn step(&mut self) -> f64;
+    /// The metrics of the units completed so far, oldest first.
+    fn metrics(&self) -> Vec<f64>;
+}
+
+/// PPO mixing under the stage loop; the unit metric is the mean return.
+struct PpoStage<'a> {
+    session: PpoSession,
+    factory: &'a dyn EpisodeFactory,
+    workers: usize,
+}
+
+impl Stage for PpoStage<'_> {
+    const NAME: &'static str = "ppo-mixing";
+    type Snapshot = PpoCheckpoint;
+
+    fn snapshot(&self) -> PpoCheckpoint {
+        self.session.checkpoint()
+    }
+
+    fn rewind(&mut self, snapshot: PpoCheckpoint, retry: u32, tel: &Arc<dyn Telemetry>) {
+        self.session = PpoSession::from_checkpoint(snapshot).with_telemetry(tel.clone());
+        self.session.reseed_for_retry(u64::from(retry));
+    }
+
+    fn units(&self) -> usize {
+        self.session.iteration()
+    }
+
+    fn is_complete(&self) -> bool {
+        self.session.is_complete()
+    }
+
+    fn step(&mut self) -> f64 {
+        self.session.step(self.factory, self.workers).mean_return
+    }
+
+    fn metrics(&self) -> Vec<f64> {
+        self.session
+            .history()
+            .iter()
+            .map(|s| s.mean_return)
+            .collect()
+    }
+}
+
+/// Robust distillation under the stage loop; the unit metric is the
+/// negated epoch loss, and the losses so far travel with the snapshot so a
+/// resumed monitor starts from the same best value.
+struct DistillStage<'a> {
+    session: RobustDistillSession,
+    data: &'a TeacherDataset,
+    losses: Vec<f64>,
+}
+
+impl Stage for DistillStage<'_> {
+    const NAME: &'static str = "robust-distill";
+    type Snapshot = (DistillCheckpoint, Vec<f64>);
+
+    fn snapshot(&self) -> Self::Snapshot {
+        (self.session.checkpoint(), self.losses.clone())
+    }
+
+    fn rewind(&mut self, (distill, losses): Self::Snapshot, retry: u32, tel: &Arc<dyn Telemetry>) {
+        self.session = RobustDistillSession::from_checkpoint(distill).with_telemetry(tel.clone());
+        self.session.reseed_for_retry(u64::from(retry));
+        self.losses = losses;
+    }
+
+    fn units(&self) -> usize {
+        self.session.epoch()
+    }
+
+    fn is_complete(&self) -> bool {
+        self.session.is_complete()
+    }
+
+    fn step(&mut self) -> f64 {
+        let loss = self.session.step_epoch(self.data);
+        self.losses.push(loss);
+        -loss
+    }
+
+    fn metrics(&self) -> Vec<f64> {
+        self.losses.iter().map(|l| -l).collect()
     }
 }
 
@@ -929,6 +856,52 @@ mod tests {
             2,
             "{report}"
         );
+    }
+
+    /// A smoke run that punishes an unsafe episode with −∞: every PPO
+    /// iteration that loses an episode has a non-finite mean return.
+    fn diverging_run() -> Cocktail {
+        let config = CocktailConfig {
+            reward: RewardConfig {
+                punish: f64::NEG_INFINITY,
+                ..RewardConfig::default()
+            },
+            ..Preset::Smoke.config()
+        };
+        Cocktail::new(SystemId::Oscillator, oscillator_experts().clone()).with_config(config)
+    }
+
+    #[test]
+    fn try_run_rewinds_a_non_finite_stage_until_its_retries_run_out() {
+        let sink = Arc::new(cocktail_obs::InMemorySink::new());
+        let Err(err) = diverging_run().with_telemetry(sink.clone()).try_run() else {
+            panic!("a −∞ mean return must not train through");
+        };
+        let retries = crate::supervisor::DivergenceConfig::default().max_retries;
+        assert_eq!(
+            err,
+            PipelineError::Diverged {
+                stage: "ppo-mixing".into(),
+                attempts: retries + 1,
+                detail: "non-finite unit metric -inf".into(),
+            }
+        );
+        let rewinds: Vec<_> = sink
+            .events()
+            .into_iter()
+            .filter(|e| e.name == "supervisor.diverged")
+            .collect();
+        assert_eq!(rewinds.len(), retries as usize, "one rewind per retry");
+        for (i, e) in rewinds.iter().enumerate() {
+            assert_eq!(e.field("stage"), Some(&"ppo-mixing".into()));
+            assert_eq!(e.field("retry"), Some(&(i as u64 + 1).into()));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ppo-mixing diverged after 4 attempt(s): non-finite unit metric")]
+    fn run_panics_with_the_divergence_error() {
+        diverging_run().run();
     }
 
     #[test]

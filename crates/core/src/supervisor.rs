@@ -1,16 +1,20 @@
 //! Fault-tolerant supervision of the training pipeline: typed errors,
 //! on-disk checkpoints, divergence detection and bounded rewind/retry.
 //!
-//! The supervised runner ([`crate::pipeline::Cocktail::run_supervised`])
-//! wraps the two resumable training stages — PPO mixing
+//! The pipeline driver ([`crate::pipeline::Cocktail::run_supervised`],
+//! which `run` and `try_run` call with [`SupervisorConfig::default()`])
+//! runs the two resumable training stages — PPO mixing
 //! ([`cocktail_rl::PpoSession`]) and robust distillation
-//! ([`cocktail_distill::RobustDistillSession`]) — with:
+//! ([`cocktail_distill::RobustDistillSession`]) — through one stage loop
+//! with:
 //!
 //! * **periodic checkpoints**: every [`SupervisorConfig::checkpoint_every`]
 //!   units (PPO iterations / distillation epochs) the complete training
 //!   state (networks, optimizer moments, RNG stream words, shuffled sample
-//!   order) is serialized to `<dir>/cocktail.ckpt.json` via a
-//!   write-to-temp-then-rename so a crash never leaves a torn file;
+//!   order) is kept in memory and, with a checkpoint directory, written to
+//!   `<dir>/cocktail.ckpt.json` via a write-to-temp-then-rename so a crash
+//!   never leaves a torn file. The file is stamped with the plant, the
+//!   seed and a digest of the config, and only the same run resumes it;
 //! * **divergence detection**: a non-finite mean return / training loss —
 //!   or, optionally, a collapse beyond
 //!   [`DivergenceConfig::collapse_drop`] below the best value seen — rolls
@@ -24,6 +28,8 @@
 //! from the checkpoint file reproduces the uninterrupted run's artifacts
 //! bit-for-bit (see `tests/fault_tolerance.rs`).
 
+use crate::pipeline::CocktailConfig;
+use crate::system::SystemId;
 use cocktail_distill::DistillCheckpoint;
 use cocktail_nn::Mlp;
 use cocktail_rl::ddpg::EpisodeStats;
@@ -33,7 +39,7 @@ use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
 /// On-disk checkpoint format version; bumped on breaking layout changes.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// File name of the pipeline checkpoint inside the checkpoint directory.
 pub const CHECKPOINT_FILE: &str = "cocktail.ckpt.json";
@@ -66,8 +72,8 @@ pub enum PipelineError {
         /// checkpoint directory was configured — nothing was persisted).
         checkpoint: PathBuf,
     },
-    /// Checkpoint I/O or validation failed (unreadable file, version or
-    /// seed mismatch, wrong mixing algorithm).
+    /// Checkpoint I/O or validation failed (unreadable file, or a
+    /// version, plant, seed or config digest other than the run's).
     Checkpoint {
         /// The offending file.
         path: PathBuf,
@@ -256,52 +262,66 @@ impl StageCheckpoint {
     }
 }
 
-/// The on-disk pipeline checkpoint: versioned, seed-stamped, one stage.
+/// The on-disk pipeline checkpoint: versioned, stamped with the run it
+/// belongs to, one stage.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PipelineCheckpoint {
     /// Format version ([`CHECKPOINT_VERSION`]).
     pub version: u32,
+    /// The plant the run trains on.
+    pub plant: SystemId,
     /// The pipeline master seed the checkpoint belongs to.
     pub seed: u64,
+    /// FNV-1a of the run's `CocktailConfig` in `Debug` form (the digest a
+    /// bundle's `Provenance::config_hash` records).
+    pub config_hash: u64,
     /// The resumable stage state.
     pub stage: StageCheckpoint,
 }
 
 impl PipelineCheckpoint {
-    /// Wraps a stage snapshot with the current version and seed stamp.
-    pub fn new(seed: u64, stage: StageCheckpoint) -> Self {
+    /// Wraps a stage snapshot with the current version and the stamp of the
+    /// run of `config` on `plant`.
+    pub fn new(plant: SystemId, config: &CocktailConfig, stage: StageCheckpoint) -> Self {
         Self {
             version: CHECKPOINT_VERSION,
-            seed,
+            plant,
+            seed: config.seed,
+            config_hash: config_hash(config),
             stage,
         }
     }
 }
 
-/// Atomically and *durably* persists `ckpt` as
-/// `<dir>/`[`CHECKPOINT_FILE`]. Creates `dir` if needed.
+/// 64-bit FNV-1a of `config`'s `Debug` form.
+fn config_hash(config: &CocktailConfig) -> u64 {
+    format!("{config:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// Atomically and *durably* writes `value` as JSON to `<dir>/<file>`,
+/// creating `dir` if needed.
 ///
 /// Write-to-temp-then-rename alone only protects against torn writes from
 /// the process crashing; on a power loss common filesystems may persist
 /// the rename before the temp file's *data*, surfacing an empty or
-/// truncated checkpoint. The temp file is therefore `fsync`ed before the
+/// truncated file. The temp file is therefore `fsync`ed before the
 /// rename, and the parent directory after it, so the on-disk file is
 /// always either the complete old version or the complete new one.
-///
-/// # Errors
-///
-/// Returns [`PipelineError::Checkpoint`] on any I/O failure.
-pub fn save_checkpoint(dir: &Path, ckpt: &PipelineCheckpoint) -> Result<PathBuf, PipelineError> {
+fn write_durably(dir: &Path, file: &str, value: &impl Serialize) -> Result<PathBuf, PipelineError> {
     use std::io::Write;
 
-    let path = dir.join(CHECKPOINT_FILE);
+    let path = dir.join(file);
     let failed = |detail: String| PipelineError::Checkpoint {
         path: path.clone(),
         detail,
     };
     std::fs::create_dir_all(dir).map_err(|e| failed(format!("create dir: {e}")))?;
-    let json = serde_json::to_string(ckpt).map_err(|e| failed(format!("serialize: {e}")))?;
-    let tmp = dir.join(format!("{CHECKPOINT_FILE}.tmp"));
+    let json = serde_json::to_string(value).map_err(|e| failed(format!("serialize: {e}")))?;
+    let tmp = dir.join(format!("{file}.tmp"));
     {
         let mut f =
             std::fs::File::create(&tmp).map_err(|e| failed(format!("create temp file: {e}")))?;
@@ -323,6 +343,34 @@ pub fn save_checkpoint(dir: &Path, ckpt: &PipelineCheckpoint) -> Result<PathBuf,
             .map_err(|e| failed(format!("fsync dir: {e}")))?;
     }
     Ok(path)
+}
+
+/// Reads `<dir>/<file>` as JSON if it exists.
+fn read_json<T: Deserialize>(
+    dir: &Path,
+    file: &str,
+) -> Result<Option<(PathBuf, T)>, PipelineError> {
+    let path = dir.join(file);
+    if !path.exists() {
+        return Ok(None);
+    }
+    let parsed = std::fs::read_to_string(&path)
+        .map_err(|e| format!("read: {e}"))
+        .and_then(|json| serde_json::from_str(&json).map_err(|e| format!("parse: {e}")));
+    match parsed {
+        Ok(value) => Ok(Some((path, value))),
+        Err(detail) => Err(PipelineError::Checkpoint { path, detail }),
+    }
+}
+
+/// Atomically and durably persists `ckpt` as `<dir>/`[`CHECKPOINT_FILE`]
+/// (write → fsync → rename → fsync the directory). Creates `dir` if needed.
+///
+/// # Errors
+///
+/// Returns [`PipelineError::Checkpoint`] on any I/O failure.
+pub fn save_checkpoint(dir: &Path, ckpt: &PipelineCheckpoint) -> Result<PathBuf, PipelineError> {
+    write_durably(dir, CHECKPOINT_FILE, ckpt)
 }
 
 /// File name of a serving-side retraining demand inside a quarantine
@@ -350,40 +398,15 @@ pub struct RetrainRequest {
 }
 
 /// Atomically and durably persists `req` as
-/// `<dir>/`[`RETRAIN_REQUEST_FILE`], using the same
-/// fsync-temp-then-rename discipline as [`save_checkpoint`], so a
-/// half-written demand can never be picked up.
+/// `<dir>/`[`RETRAIN_REQUEST_FILE`], through the same write → fsync →
+/// rename → fsync-dir helper as [`save_checkpoint`], so a half-written
+/// demand can never be picked up.
 ///
 /// # Errors
 ///
 /// Returns [`PipelineError::Checkpoint`] on any I/O failure.
 pub fn save_retrain_request(dir: &Path, req: &RetrainRequest) -> Result<PathBuf, PipelineError> {
-    use std::io::Write;
-
-    let path = dir.join(RETRAIN_REQUEST_FILE);
-    let failed = |detail: String| PipelineError::Checkpoint {
-        path: path.clone(),
-        detail,
-    };
-    std::fs::create_dir_all(dir).map_err(|e| failed(format!("create dir: {e}")))?;
-    let json = serde_json::to_string(req).map_err(|e| failed(format!("serialize: {e}")))?;
-    let tmp = dir.join(format!("{RETRAIN_REQUEST_FILE}.tmp"));
-    {
-        let mut f =
-            std::fs::File::create(&tmp).map_err(|e| failed(format!("create temp file: {e}")))?;
-        f.write_all(json.as_bytes())
-            .map_err(|e| failed(format!("write temp file: {e}")))?;
-        f.sync_all()
-            .map_err(|e| failed(format!("fsync temp file: {e}")))?;
-    }
-    std::fs::rename(&tmp, &path).map_err(|e| failed(format!("rename into place: {e}")))?;
-    #[cfg(unix)]
-    {
-        let d = std::fs::File::open(dir).map_err(|e| failed(format!("open dir: {e}")))?;
-        d.sync_all()
-            .map_err(|e| failed(format!("fsync dir: {e}")))?;
-    }
-    Ok(path)
+    write_durably(dir, RETRAIN_REQUEST_FILE, req)
 }
 
 /// Loads a pending retraining demand from `dir` if one exists.
@@ -393,56 +416,46 @@ pub fn save_retrain_request(dir: &Path, req: &RetrainRequest) -> Result<PathBuf,
 /// Returns [`PipelineError::Checkpoint`] when the file exists but cannot
 /// be read or parsed.
 pub fn load_retrain_request(dir: &Path) -> Result<Option<RetrainRequest>, PipelineError> {
-    let path = dir.join(RETRAIN_REQUEST_FILE);
-    if !path.exists() {
-        return Ok(None);
-    }
-    let failed = |detail: String| PipelineError::Checkpoint {
-        path: path.clone(),
-        detail,
-    };
-    let json = std::fs::read_to_string(&path).map_err(|e| failed(format!("read: {e}")))?;
-    let req: RetrainRequest =
-        serde_json::from_str(&json).map_err(|e| failed(format!("parse: {e}")))?;
-    Ok(Some(req))
+    Ok(read_json(dir, RETRAIN_REQUEST_FILE)?.map(|(_, req)| req))
 }
 
 /// Loads the checkpoint from `dir` if one exists, validating the format
-/// version and the seed stamp against `expected_seed`.
+/// version and the stamp against the run of `config` on `plant`.
 ///
 /// # Errors
 ///
 /// Returns [`PipelineError::Checkpoint`] when the file exists but cannot
-/// be parsed, has a different version, or was produced by a different
-/// pipeline seed.
+/// be parsed, has a different version, or was written by a run on
+/// another plant, with another seed or under another config.
 pub fn load_checkpoint(
     dir: &Path,
-    expected_seed: u64,
+    plant: SystemId,
+    config: &CocktailConfig,
 ) -> Result<Option<PipelineCheckpoint>, PipelineError> {
-    let path = dir.join(CHECKPOINT_FILE);
-    if !path.exists() {
+    let Some((path, ckpt)) = read_json::<PipelineCheckpoint>(dir, CHECKPOINT_FILE)? else {
         return Ok(None);
-    }
-    let failed = |detail: String| PipelineError::Checkpoint {
-        path: path.clone(),
-        detail,
     };
-    let json = std::fs::read_to_string(&path).map_err(|e| failed(format!("read: {e}")))?;
-    let ckpt: PipelineCheckpoint =
-        serde_json::from_str(&json).map_err(|e| failed(format!("parse: {e}")))?;
-    if ckpt.version != CHECKPOINT_VERSION {
-        return Err(failed(format!(
-            "version {} but this binary writes {CHECKPOINT_VERSION}",
-            ckpt.version
-        )));
+    let stamps = [
+        (
+            "version",
+            ckpt.version.to_string(),
+            CHECKPOINT_VERSION.to_string(),
+        ),
+        ("plant", ckpt.plant.to_string(), plant.to_string()),
+        ("seed", ckpt.seed.to_string(), config.seed.to_string()),
+        (
+            "config digest",
+            format!("{:016x}", ckpt.config_hash),
+            format!("{:016x}", config_hash(config)),
+        ),
+    ];
+    match stamps.into_iter().find(|(_, stored, run)| stored != run) {
+        Some((what, stored, run)) => Err(PipelineError::Checkpoint {
+            path,
+            detail: format!("stamped with {what} {stored} but this run has {run}"),
+        }),
+        None => Ok(Some(ckpt)),
     }
-    if ckpt.seed != expected_seed {
-        return Err(failed(format!(
-            "stamped with seed {} but the pipeline runs seed {expected_seed}",
-            ckpt.seed
-        )));
-    }
-    Ok(Some(ckpt))
 }
 
 #[cfg(test)]
@@ -534,26 +547,50 @@ mod tests {
             1,
             1,
         );
+        let config = CocktailConfig {
+            seed: 5,
+            ..CocktailConfig::default()
+        };
         let ckpt = PipelineCheckpoint::new(
-            5,
+            SystemId::Oscillator,
+            &config,
             StageCheckpoint::Mixing {
                 ppo: session.checkpoint(),
             },
         );
         let path = save_checkpoint(&dir, &ckpt).expect("save");
         assert!(path.ends_with(CHECKPOINT_FILE));
-        let back = load_checkpoint(&dir, 5).expect("load").expect("present");
+        let back = load_checkpoint(&dir, SystemId::Oscillator, &config)
+            .expect("load")
+            .expect("present");
         assert_eq!(back, ckpt);
         assert_eq!(back.stage.stage_name(), "ppo-mixing");
 
-        // wrong seed → typed error, not a silent wrong resume
-        let err = load_checkpoint(&dir, 6).expect_err("seed mismatch");
-        assert!(matches!(err, PipelineError::Checkpoint { .. }));
-        assert!(err.to_string().contains("seed"));
+        // another seed, plant or config → typed error naming what differs,
+        // not a silent wrong resume
+        let other_seed = CocktailConfig {
+            seed: 6,
+            ..config.clone()
+        };
+        let other_config = CocktailConfig {
+            dataset_uniform: config.dataset_uniform + 1,
+            ..config.clone()
+        };
+        for (plant, run, what) in [
+            (SystemId::Oscillator, &other_seed, "seed"),
+            (SystemId::CartPole, &config, "plant"),
+            (SystemId::Oscillator, &other_config, "config digest"),
+        ] {
+            let err = load_checkpoint(&dir, plant, run).expect_err(what);
+            assert!(matches!(err, PipelineError::Checkpoint { .. }));
+            assert!(err.to_string().contains(what), "{err}");
+        }
 
         // empty dir → clean None
         let empty = dir.join("nothing-here");
-        assert!(load_checkpoint(&empty, 5).expect("no file is ok").is_none());
+        assert!(load_checkpoint(&empty, SystemId::Oscillator, &config)
+            .expect("no file is ok")
+            .is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -582,7 +619,11 @@ mod tests {
                 1,
             );
             PipelineCheckpoint::new(
-                seed,
+                SystemId::Oscillator,
+                &CocktailConfig {
+                    seed,
+                    ..CocktailConfig::default()
+                },
                 StageCheckpoint::Mixing {
                     ppo: session.checkpoint(),
                 },
@@ -606,7 +647,16 @@ mod tests {
             .expect("plant stale temp");
         let ckpt = make(99);
         save_checkpoint(&dir, &ckpt).expect("save over stale temp");
-        let back = load_checkpoint(&dir, 99).expect("load").expect("present");
+        let back = load_checkpoint(
+            &dir,
+            SystemId::Oscillator,
+            &CocktailConfig {
+                seed: 99,
+                ..CocktailConfig::default()
+            },
+        )
+        .expect("load")
+        .expect("present");
         assert_eq!(back, ckpt);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -22,11 +22,32 @@ use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 /// let a = Matrix::from_fn(3, 3, |r, c| (r * 3 + c) as f64);
 /// assert_eq!(&id * &a, a);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
+}
+
+/// Refuses a matrix whose `data` does not hold exactly `rows × cols`
+/// values, so no index into a loaded matrix can fall outside it.
+impl Deserialize for Matrix {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        #[derive(Deserialize)]
+        struct MatrixFields {
+            rows: usize,
+            cols: usize,
+            data: Vec<f64>,
+        }
+        let MatrixFields { rows, cols, data } = MatrixFields::from_value(v)?;
+        if rows.checked_mul(cols) != Some(data.len()) {
+            return Err(serde::DeError::custom(format!(
+                "a {rows}x{cols} matrix cannot hold {} values",
+                data.len()
+            )));
+        }
+        Ok(Self { rows, cols, data })
+    }
 }
 
 impl Matrix {

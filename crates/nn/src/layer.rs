@@ -20,11 +20,40 @@ use serde::{Deserialize, Serialize};
 /// );
 /// assert_eq!(layer.forward(&[2.0, 1.0]).1, vec![1.5]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Dense {
     weights: Matrix,
     biases: Vec<f64>,
     activation: Activation,
+}
+
+/// Refuses a layer whose bias count differs from its output count.
+impl Deserialize for Dense {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        #[derive(Deserialize)]
+        struct DenseFields {
+            weights: Matrix,
+            biases: Vec<f64>,
+            activation: Activation,
+        }
+        let DenseFields {
+            weights,
+            biases,
+            activation,
+        } = DenseFields::from_value(v)?;
+        if biases.len() != weights.rows() {
+            return Err(serde::DeError::custom(format!(
+                "a layer of {} outputs cannot take {} biases",
+                weights.rows(),
+                biases.len()
+            )));
+        }
+        Ok(Self {
+            weights,
+            biases,
+            activation,
+        })
+    }
 }
 
 impl Dense {

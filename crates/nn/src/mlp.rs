@@ -30,9 +30,32 @@ use std::fmt;
 /// assert_eq!(net.output_dim(), 1);
 /// assert_eq!(net.forward(&[0.0, 0.0]).len(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Mlp {
     layers: Vec<Dense>,
+}
+
+/// Refuses a network whose layers do not chain: each layer must read as
+/// many inputs as the previous one emits.
+impl Deserialize for Mlp {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        #[derive(Deserialize)]
+        struct MlpFields {
+            layers: Vec<Dense>,
+        }
+        let MlpFields { layers } = MlpFields::from_value(v)?;
+        for (i, pair) in layers.windows(2).enumerate() {
+            if pair[1].input_dim() != pair[0].output_dim() {
+                return Err(serde::DeError::custom(format!(
+                    "layer {} reads {} inputs but layer {i} emits {}",
+                    i + 1,
+                    pair[1].input_dim(),
+                    pair[0].output_dim()
+                )));
+            }
+        }
+        Ok(Self { layers })
+    }
 }
 
 /// Cached per-layer values of a forward pass, consumed by [`Mlp::backward`].
@@ -866,6 +889,29 @@ mod tests {
         let json = n.to_json().expect("serialize");
         let back = Mlp::from_json(&json).expect("deserialize");
         assert_eq!(n, back);
+    }
+
+    #[test]
+    fn from_json_refuses_shapes_a_forward_would_index_past() {
+        let layer = |rows: usize, cols: usize, data: &str, biases: &str| {
+            format!(
+                r#"{{"weights":{{"rows":{rows},"cols":{cols},"data":[{data}]}},"biases":[{biases}],"activation":"Tanh"}}"#
+            )
+        };
+        let mlp = |layers: &[String]| format!(r#"{{"layers":[{}]}}"#, layers.join(","));
+        let healthy = mlp(&[layer(1, 2, "1,2", "0"), layer(1, 1, "3", "0")]);
+        assert_eq!(Mlp::from_json(&healthy).expect("chains").output_dim(), 1);
+        for (json, what) in [
+            (mlp(&[layer(2, 2, "1,2", "0,0")]), "cannot hold 2 values"),
+            (mlp(&[layer(1, 2, "1,2", "0,0")]), "cannot take 2 biases"),
+            (
+                mlp(&[layer(1, 2, "1,2", "0"), layer(1, 2, "3,4", "0")]),
+                "layer 1 reads 2 inputs but layer 0 emits 1",
+            ),
+        ] {
+            let err = Mlp::from_json(&json).expect_err(what);
+            assert!(err.to_string().contains(what), "{err}");
+        }
     }
 
     #[test]

@@ -348,18 +348,35 @@ fn checkpoints_from_a_different_seed_are_rejected() {
         Err(PipelineError::Interrupted { .. })
     ));
 
-    // the same directory, but a pipeline running a different master seed
-    let other_seed = Cocktail::new(SystemId::Oscillator, oscillator_experts().clone())
-        .with_config(CocktailConfig {
-            seed: 1,
-            ..tiny_config()
-        })
-        .run_supervised(&SupervisorConfig::to_dir(&dir));
-    match other_seed {
-        Err(PipelineError::Checkpoint { detail, .. }) => {
-            assert!(detail.contains("seed"), "{detail}");
+    // the same directory, but a pipeline running a different master seed,
+    // or the same seed under a config with more PPO iterations (the stored
+    // stage would finish under the old config)
+    let more_iterations = CocktailConfig {
+        ppo: PpoConfig {
+            iterations: 6,
+            ..tiny_config().ppo
+        },
+        ..tiny_config()
+    };
+    for (config, what) in [
+        (
+            CocktailConfig {
+                seed: 1,
+                ..tiny_config()
+            },
+            "seed",
+        ),
+        (more_iterations, "config digest"),
+    ] {
+        let other = Cocktail::new(SystemId::Oscillator, oscillator_experts().clone())
+            .with_config(config)
+            .run_supervised(&SupervisorConfig::to_dir(&dir));
+        match other {
+            Err(PipelineError::Checkpoint { detail, .. }) => {
+                assert!(detail.contains(what), "{detail}");
+            }
+            other => panic!("expected Checkpoint error, got {:?}", other.err()),
         }
-        other => panic!("expected Checkpoint error, got {:?}", other.err()),
     }
     std::fs::remove_dir_all(&dir).ok();
 }
