@@ -26,7 +26,7 @@ use crate::analyzer::AnalysisConfig;
 use crate::report::{AnalysisReport, Diagnostic};
 use crate::spec::ControllerSpec;
 use cocktail_env::Dynamics;
-use cocktail_nn::lipschitz::{self, NormKind};
+use cocktail_nn::lipschitz;
 use cocktail_verify::bernstein::{rigorous_error_bound, sample_margin};
 use cocktail_verify::ErrorMargin;
 
@@ -133,8 +133,9 @@ pub fn check(
 
 /// Product-form Lipschitz upper bound of a spec, when one exists.
 ///
-/// `Mlp`: `max(scale) · Π σ(Wᵢ)·lip(actᵢ)` — the same bound
-/// `NnController::lipschitz_constant` certifies. `Linear`: `σ(K)`.
+/// `Mlp`: [`lipschitz::scaled_upper_bound`], `max |scale| · Π σ(Wᵢ)·lip(actᵢ)`,
+/// the same bound `NnController::lipschitz_constant` certifies.
+/// `Linear`: `σ(K)`.
 /// Every `σ(·)` is [`Matrix::spectral_norm`](cocktail_math::Matrix::spectral_norm),
 /// a power-iteration estimate that converges from below, so the result
 /// is an upper bound only to that iteration's accuracy.
@@ -142,10 +143,7 @@ pub fn check(
 /// with the state, so no product bound applies.
 pub fn certified_bound(spec: &ControllerSpec) -> Option<f64> {
     match spec {
-        ControllerSpec::Mlp { net, scale } => {
-            let max_scale = scale.iter().copied().fold(0.0f64, f64::max);
-            Some(max_scale * lipschitz::upper_bound(net, NormKind::Spectral))
-        }
+        ControllerSpec::Mlp { net, scale } => Some(lipschitz::scaled_upper_bound(net, scale)),
         ControllerSpec::Linear { gain, .. } => Some(gain.spectral_norm()),
         ControllerSpec::Mixed { .. } | ControllerSpec::Switching { .. } => None,
     }
@@ -168,6 +166,7 @@ mod tests {
     use crate::report::Severity;
     use cocktail_env::systems::VanDerPol;
     use cocktail_math::Matrix;
+    use cocktail_nn::lipschitz::NormKind;
     use cocktail_verify::{default_params, BernsteinCertificate, CertificateConfig};
 
     #[test]
@@ -259,7 +258,7 @@ mod tests {
         for layer in net.layers_mut() {
             layer.weights_mut().scale_inplace(0.6);
         }
-        let l = 20.0 * lipschitz::upper_bound(&net, NormKind::Spectral);
+        let l = lipschitz::scaled_upper_bound(&net, &[20.0]);
         (net, l)
     }
 

@@ -18,6 +18,7 @@ use cocktail_core::SystemId;
 use cocktail_distill::AttackModel;
 use cocktail_math::parallel::default_workers;
 use cocktail_math::{BoxRegion, Matrix};
+use cocktail_nn::lipschitz::{upper_bound, NormKind};
 use cocktail_nn::{Activation, MlpBuilder};
 use cocktail_obs::NullSink;
 use cocktail_verify::enclosure::LinearEnclosure;
@@ -180,7 +181,8 @@ fn bench_certify_controller(c: &mut Criterion) {
         .output(1, Activation::Tanh)
         .seed(0)
         .build();
-    let per_layer = (18.7 / 20.0 / net.lipschitz_constant()).powf(1.0 / net.layers().len() as f64);
+    let per_layer =
+        (18.7 / 20.0 / upper_bound(&net, NormKind::Spectral)).powf(1.0 / net.layers().len() as f64);
     for layer in net.layers_mut() {
         layer.weights_mut().scale_inplace(per_layer);
     }

@@ -13,6 +13,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use cocktail_env::systems::{CartPole, Poly3d, VanDerPol};
 use cocktail_env::Dynamics;
 use cocktail_math::{BoxRegion, Interval, Matrix};
+use cocktail_nn::lipschitz::{upper_bound, NormKind};
 use cocktail_nn::{loss, Activation, BatchCache, GradStore, MlpBuilder};
 use cocktail_verify::bernstein::BernsteinApprox;
 
@@ -56,7 +57,7 @@ fn bench_network(c: &mut Criterion) {
         b.iter(|| black_box(&net).input_gradient(black_box(&x), &[1.0]));
     });
     c.bench_function("nn/lipschitz_constant", |b| {
-        b.iter(|| black_box(&net).lipschitz_constant());
+        b.iter(|| upper_bound(black_box(&net), NormKind::Spectral));
     });
     let region = BoxRegion::cube(4, -0.5, 0.5);
     c.bench_function("nn/ibp_bounds", |b| {

@@ -32,7 +32,7 @@ use cocktail_serve::{
 };
 use cocktail_verify::{certify_controller, fast_params, SafetyVerdict};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Interleaved trial pairs per ratio, after one untimed warm-up of each
 /// side.
@@ -167,8 +167,8 @@ fn admitted_student() -> Admitted {
 }
 
 /// One trial of `submitters` blocking, shard-pinned submitters sharing
-/// 800 requests over an engine with `shards` shards, zero batch deadline
-/// and a queue of 4 per submitter: requests/second. The engine lives as
+/// 800 requests over an engine with `shards` shards and a queue of 4 per
+/// submitter: requests/second. The engine lives as
 /// long as the returned closure.
 fn served_trial(admitted: &Admitted, submitters: usize, shards: usize) -> impl FnMut() -> f64 {
     let states = loadgen::generate_states(&admitted.bundle, 800, 0xBE7C);
@@ -176,7 +176,6 @@ fn served_trial(admitted: &Admitted, submitters: usize, shards: usize) -> impl F
         admitted,
         EngineConfig {
             max_batch: submitters,
-            batch_deadline: Duration::ZERO,
             queue_capacity: 4 * submitters,
             shards,
             ..EngineConfig::default()

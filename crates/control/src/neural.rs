@@ -2,7 +2,7 @@
 
 use crate::controller::Controller;
 use cocktail_math::{vector, BoxRegion};
-use cocktail_nn::Mlp;
+use cocktail_nn::{lipschitz, Mlp};
 use serde::{Deserialize, Serialize};
 
 /// A neural controller `u = scale ⊙ net(s)`.
@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// DDPG actors end in a `Tanh` output layer scaled to the control bound;
 /// distilled students end in an `Identity` output with `scale = 1`. The
 /// wrapper keeps the scaling explicit so the Lipschitz accounting stays
-/// exact: `L(κ) = max(scale) · L(net)`.
+/// exact: `L(κ) = max |scale| · L(net)`.
 ///
 /// # Examples
 ///
@@ -78,10 +78,10 @@ impl NnController {
         &self.scale
     }
 
-    /// The paper's footnote-1 Lipschitz constant of the scaled network.
+    /// The paper's footnote-1 Lipschitz constant of the scaled network
+    /// ([`lipschitz::scaled_upper_bound`]).
     pub fn lipschitz_constant(&self) -> f64 {
-        let max_scale = self.scale.iter().fold(0.0_f64, |m, &s| m.max(s));
-        max_scale * self.net.lipschitz_constant()
+        lipschitz::scaled_upper_bound(&self.net, &self.scale)
     }
 }
 
@@ -199,7 +199,7 @@ mod tests {
     #[test]
     fn lipschitz_includes_scale() {
         let k = controller();
-        let unscaled = k.network().lipschitz_constant();
+        let unscaled = lipschitz::upper_bound(k.network(), lipschitz::NormKind::Spectral);
         assert!((k.lipschitz_constant() - 20.0 * unscaled).abs() < 1e-9);
     }
 

@@ -3,8 +3,9 @@
 use crate::policy::PpoSelector;
 use crate::system::SystemId;
 use cocktail_control::{Controller, GreedySelector, SwitchingController};
+use cocktail_math::parallel;
 use cocktail_rl::ppo::{PpoConfig, PpoTrainer};
-use cocktail_rl::{RewardConfig, SwitchingMdp};
+use cocktail_rl::{Mdp, RewardConfig, SwitchingMdp};
 use std::sync::Arc;
 
 /// How the switching baseline picks its active expert.
@@ -20,7 +21,9 @@ pub enum SwitchingKind {
     },
 }
 
-/// Builds the switching baseline `A_S` over `experts`.
+/// Builds the switching baseline `A_S` over `experts`. A learned selector
+/// trains on one fresh [`SwitchingMdp`] per episode, seeded from `seed` and
+/// the episode's seed.
 ///
 /// # Panics
 ///
@@ -36,8 +39,16 @@ pub fn switching_baseline(
     let sys = sys_id.dynamics();
     match kind {
         SwitchingKind::Learned(ppo) => {
-            let mut mdp = SwitchingMdp::new(sys.clone(), experts.clone(), reward, seed);
-            let trained = PpoTrainer::new(&ppo, sys.state_dim(), experts.len()).train(&mut mdp);
+            let episode = |episode_seed: u64| -> Box<dyn Mdp> {
+                Box::new(SwitchingMdp::new(
+                    sys.clone(),
+                    experts.clone(),
+                    reward,
+                    parallel::task_seed(seed, episode_seed),
+                ))
+            };
+            let trained =
+                PpoTrainer::new(&ppo, sys.state_dim(), experts.len()).train_episodes(&episode);
             SwitchingController::new(experts, Arc::new(PpoSelector::new(trained.policy)))
         }
         SwitchingKind::Greedy { lookahead } => {

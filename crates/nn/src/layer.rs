@@ -329,15 +329,6 @@ impl Dense {
             .map(|(&c, &r)| self.activation.apply_interval(Interval::new(c - r, c + r)))
             .collect()
     }
-
-    /// This layer's contribution to the network Lipschitz estimate:
-    /// `factor(σ) · ‖W‖` where `‖W‖` is [`Matrix::spectral_norm`]'s
-    /// power-iteration estimate of the spectral norm. That estimate
-    /// converges from below, so this is an upper bound on the layer's
-    /// Lipschitz constant only to the iteration's accuracy.
-    pub fn lipschitz_bound(&self) -> f64 {
-        self.activation.lipschitz_factor() * self.weights.spectral_norm()
-    }
 }
 
 #[cfg(test)]
@@ -478,7 +469,8 @@ mod tests {
     #[test]
     fn lipschitz_bound_dominates_sampled_pairs() {
         let l = layer();
-        let lb = l.lipschitz_bound();
+        let one_layer = crate::mlp::Mlp::from_layers(vec![l.clone()]);
+        let lb = crate::lipschitz::upper_bound(&one_layer, crate::lipschitz::NormKind::Spectral);
         let pts = [[0.1, 0.2], [-0.3, 0.9], [0.7, -0.7], [0.0, 0.0]];
         for a in &pts {
             for b in &pts {

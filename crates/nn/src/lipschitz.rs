@@ -2,13 +2,16 @@
 //!
 //! The paper (footnote 1) bounds the network Lipschitz constant by the
 //! product of per-layer terms: `‖W‖` for ReLU/Tanh layers and `‖W‖/4` for
-//! Sigmoid layers. [`Mlp::lipschitz_constant`] uses the spectral norm; this
-//! module additionally exposes the 1-, ∞- and Frobenius-norm variants
-//! (computed exactly, so they are upper bounds for the corresponding vector
-//! norms up to rounding; the spectral norm is a power-iteration estimate
-//! that converges from below) and an
-//! empirical lower bound by pairwise sampling, which is handy for testing
-//! that the analytic bound is neither violated nor absurdly loose.
+//! Sigmoid layers. This module is the only code that turns weights (and an
+//! output scale) into that bound: [`upper_bound`] is the network product
+//! and [`scaled_upper_bound`] the scaled controller's, which the
+//! controller, the bundle claim, admission and the Bernstein certificate
+//! all take. Besides the spectral norm it exposes the 1-, ∞- and
+//! Frobenius-norm variants (computed exactly, so they are upper bounds for
+//! the corresponding vector norms up to rounding; the spectral norm is a
+//! power-iteration estimate that converges from below) and an empirical
+//! lower bound by pairwise sampling, which is handy for testing that the
+//! analytic bound is neither violated nor absurdly loose.
 
 use crate::mlp::{BatchCache, Mlp};
 use cocktail_math::{parallel, rng, vector, BoxRegion, Matrix};
@@ -58,6 +61,33 @@ pub fn upper_bound(net: &Mlp, kind: NormKind) -> f64 {
         .iter()
         .map(|l| l.activation().lipschitz_factor() * layer_norm(l.weights(), kind))
         .product()
+}
+
+/// The largest `|sᵢ|` of a per-output scale: the 2-norm gain of
+/// `y ↦ diag(s)·y`, so the factor a scale multiplies a network's Lipschitz
+/// constant (or an observed slope) by. `0` for an empty scale.
+pub fn scale_gain(scale: &[f64]) -> f64 {
+    scale.iter().fold(0.0_f64, |m, &s| m.max(s.abs()))
+}
+
+/// The paper's footnote-1 bound of the scaled controller `x ↦ diag(s)·f(x)`:
+/// `max |sᵢ| · upper_bound(net, Spectral)`. Every scaled Lipschitz number
+/// (the controller's, the bundle claim, admission's recompute, the
+/// Bernstein margins) is this function.
+///
+/// # Examples
+///
+/// ```
+/// use cocktail_nn::{Activation, MlpBuilder};
+/// use cocktail_nn::lipschitz::{scaled_upper_bound, upper_bound, NormKind};
+///
+/// let net = MlpBuilder::new(2).hidden(8, Activation::Tanh)
+///     .output(2, Activation::Tanh).seed(0).build();
+/// let l = upper_bound(&net, NormKind::Spectral);
+/// assert_eq!(scaled_upper_bound(&net, &[3.0, -5.0]), 5.0 * l);
+/// ```
+pub fn scaled_upper_bound(net: &Mlp, scale: &[f64]) -> f64 {
+    scale_gain(scale) * upper_bound(net, NormKind::Spectral)
 }
 
 /// Empirical Lipschitz lower bound: the largest observed
@@ -204,18 +234,52 @@ mod tests {
 
     #[test]
     fn bound_agrees_with_mlp_method() {
+        // the scaled bound at unit scale is the network product, bit for bit
         let n = net();
-        assert!((upper_bound(&n, NormKind::Spectral) - n.lipschitz_constant()).abs() < 1e-12);
+        assert_eq!(
+            scaled_upper_bound(&n, &[1.0]).to_bits(),
+            upper_bound(&n, NormKind::Spectral).to_bits()
+        );
+    }
+
+    #[test]
+    fn scaled_bound_matches_the_benchmark_probe_and_takes_magnitudes() {
+        // the benchmark's admission probe computes the claim itself as
+        // `max(s) · upper_bound`; on positive scales this must be that
+        // expression bit for bit, and a negative scale counts by `|s|`
+        let n = MlpBuilder::new(2)
+            .hidden(10, Activation::Tanh)
+            .output(3, Activation::Tanh)
+            .seed(5)
+            .build();
+        let l = upper_bound(&n, NormKind::Spectral);
+        for scale in [[20.0, 20.0, 20.0], [0.5, 7.25, 3.0], [1e-3, 2.0, 19.9]] {
+            let probe = scale.iter().copied().fold(0.0, f64::max) * l;
+            assert_eq!(scaled_upper_bound(&n, &scale).to_bits(), probe.to_bits());
+        }
+        for scale in [
+            [-20.0, -20.0, -20.0],
+            [0.5, -7.25, 3.0],
+            [-1e-3, 2.0, -19.9],
+        ] {
+            let magnitudes = scale.iter().map(|s: &f64| s.abs()).fold(0.0, f64::max) * l;
+            assert_eq!(
+                scaled_upper_bound(&n, &scale).to_bits(),
+                magnitudes.to_bits()
+            );
+            assert!(scaled_upper_bound(&n, &scale) > 0.0);
+        }
+        assert_eq!(scale_gain(&[]), 0.0);
     }
 
     #[test]
     fn scaling_weights_scales_bound() {
         let mut n = net();
-        let before = n.lipschitz_constant();
+        let before = upper_bound(&n, NormKind::Spectral);
         for l in n.layers_mut() {
             l.weights_mut().scale_inplace(0.5);
         }
-        let after = n.lipschitz_constant();
+        let after = upper_bound(&n, NormKind::Spectral);
         let layers = 3;
         assert!((after - before * 0.5_f64.powi(layers)).abs() < 1e-9 * before);
     }

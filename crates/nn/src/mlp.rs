@@ -492,14 +492,6 @@ impl Mlp {
         iv
     }
 
-    /// The paper's footnote-1 Lipschitz bound: the product of each layer's
-    /// `factor(σ) · ‖W‖` (spectral norm). Each `‖W‖` is a power-iteration
-    /// estimate that converges from below ([`Dense::lipschitz_bound`]), so
-    /// the product bounds the network only to that iteration's accuracy.
-    pub fn lipschitz_constant(&self) -> f64 {
-        self.layers.iter().map(Dense::lipschitz_bound).product()
-    }
-
     /// Sum of squared weights and biases — the `‖q‖²` regularizer of the
     /// robust-distillation objective.
     pub fn weight_norm_sq(&self) -> f64 {
@@ -868,7 +860,7 @@ mod tests {
     #[test]
     fn lipschitz_constant_dominates_sampled_slopes() {
         let n = net();
-        let lc = n.lipschitz_constant();
+        let lc = crate::lipschitz::upper_bound(&n, crate::lipschitz::NormKind::Spectral);
         let mut rng = cocktail_math::rng::seeded(9);
         let region = BoxRegion::cube(2, -2.0, 2.0);
         for _ in 0..100 {

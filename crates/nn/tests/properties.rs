@@ -31,7 +31,7 @@ proptest! {
         let net = random_net(seed, hidden, act);
         let region = BoxRegion::cube(2, -2.0, 2.0);
         let lower = empirical_lower_bound(&net, &region, 100, seed.wrapping_add(1));
-        let upper = net.lipschitz_constant();
+        let upper = upper_bound(&net, NormKind::Spectral);
         prop_assert!(lower <= upper * (1.0 + 1e-9) + 1e-12, "{lower} > {upper}");
     }
 

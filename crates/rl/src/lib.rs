@@ -43,9 +43,10 @@
 //!         (vec![self.x], -self.x * self.x, self.t >= 20)
 //!     }
 //! }
-//! let mut mdp = Toy { x: 0.0, t: 0 };
+//! // one fresh episode MDP per episode seed (the toy ignores the seed)
+//! let episode = |_seed: u64| -> Box<dyn Mdp> { Box::new(Toy { x: 0.0, t: 0 }) };
 //! let config = PpoConfig { iterations: 3, episodes_per_iteration: 4, ..PpoConfig::default() };
-//! let trained = PpoTrainer::new(&config, 1, 1).train(&mut mdp);
+//! let trained = PpoTrainer::new(&config, 1, 1).train_episodes(&episode);
 //! assert_eq!(trained.policy.mean_net().input_dim(), 1);
 //! ```
 

@@ -205,7 +205,8 @@ impl VecAdam {
 }
 
 /// PPO trainer. Construct with [`PpoTrainer::new`], then call
-/// [`PpoTrainer::train`] on any [`Mdp`].
+/// [`PpoTrainer::train_episodes`] with an [`EpisodeFactory`] that builds one
+/// fresh [`Mdp`] per episode.
 pub struct PpoTrainer {
     config: PpoConfig,
     policy: GaussianPolicy,
@@ -235,48 +236,10 @@ impl PpoTrainer {
         }
     }
 
-    /// Runs the full training loop, consuming the trainer.
-    pub fn train(mut self, mdp: &mut dyn Mdp) -> TrainedPolicy {
-        assert_eq!(
-            mdp.state_dim(),
-            self.policy.mean_net.input_dim(),
-            "state dim mismatch"
-        );
-        assert_eq!(
-            mdp.action_dim(),
-            self.policy.mean_net.output_dim(),
-            "action dim mismatch"
-        );
-        let mut rng = cocktail_math::rng::seeded(self.config.seed.wrapping_add(2));
-        let mut policy_opt = Adam::new(self.config.policy_lr);
-        let mut value_opt = Adam::new(self.config.value_lr);
-        let mut log_std_opt = VecAdam::new(self.config.policy_lr, mdp.action_dim());
-        let mut history = Vec::with_capacity(self.config.iterations);
-
-        for _ in 0..self.config.iterations {
-            let (samples, stats) = self.collect(mdp, &mut rng);
-            history.push(stats);
-            self.update(
-                &samples,
-                &mut policy_opt,
-                &mut value_opt,
-                &mut log_std_opt,
-                &mut rng,
-            );
-        }
-        TrainedPolicy {
-            policy: self.policy,
-            value: self.value,
-            history,
-        }
-    }
-
     /// Runs the full training loop with parallel episode collection, using
     /// [`cocktail_math::parallel::default_workers`] worker threads.
     ///
-    /// Unlike [`PpoTrainer::train`], which shares one RNG stream across a
-    /// single mutable MDP (and is therefore inherently sequential), this
-    /// path builds one fresh MDP and one fresh RNG per episode from
+    /// Every episode gets a fresh MDP and a fresh RNG derived from
     /// `(seed, episode_index)`, so the training trajectory is a pure
     /// function of the configuration — bit-identical for any worker count.
     ///
@@ -309,8 +272,7 @@ impl PpoTrainer {
 
     /// Rolls out one episode with the current stochastic policy. The RNG
     /// drives the initial-state draw and every action sample, in episode
-    /// order — both the sequential and the parallel collection paths funnel
-    /// through here, so they differ only in how RNGs are provisioned.
+    /// order.
     fn run_episode(&self, mdp: &mut dyn Mdp, rng: &mut rand::rngs::StdRng) -> EpisodeData {
         let bound = mdp.action_bound();
         let mut s = mdp.reset(rng);
@@ -399,24 +361,13 @@ impl PpoTrainer {
         (samples, stats)
     }
 
-    fn collect(
-        &self,
-        mdp: &mut dyn Mdp,
-        rng: &mut rand::rngs::StdRng,
-    ) -> (Vec<Sample>, IterationStats) {
-        let episodes = (0..self.config.episodes_per_iteration)
-            .map(|_| self.run_episode(mdp, rng))
-            .collect();
-        self.assemble(episodes)
-    }
-
     /// Collects one iteration's episodes in parallel: episode `e` of
     /// iteration `iteration` gets a fresh MDP and a fresh action RNG, both
     /// seeded from the global episode index, so the result is bit-identical
     /// for any `workers` count. `salt = 0` reproduces the historical seed
     /// schedule exactly; a non-zero salt (divergence retries) deterministically
     /// re-derives every episode seed.
-    fn collect_parallel(
+    fn collect(
         &self,
         factory: &dyn EpisodeFactory,
         iteration: usize,
@@ -753,7 +704,7 @@ impl PpoSession {
         );
         let (samples, stats) =
             self.trainer
-                .collect_parallel(factory, self.iteration, workers, self.collect_salt);
+                .collect(factory, self.iteration, workers, self.collect_salt);
         self.history.push(stats);
         self.trainer.update(
             &samples,
@@ -834,6 +785,11 @@ mod tests {
         }
     }
 
+    /// One fresh point-regulation episode (its start comes from the rng).
+    fn point_episode(_seed: u64) -> Box<dyn Mdp> {
+        Box::new(PointMdp { x: 0.0, t: 0 })
+    }
+
     use rand::SeedableRng;
 
     #[test]
@@ -845,8 +801,7 @@ mod tests {
             seed: 7,
             ..Default::default()
         };
-        let mut mdp = PointMdp { x: 0.0, t: 0 };
-        let trained = PpoTrainer::new(&config, 1, 1).train(&mut mdp);
+        let trained = PpoTrainer::new(&config, 1, 1).train_episodes(&point_episode);
         let early: f64 = trained.history[..5]
             .iter()
             .map(|s| s.mean_return)
@@ -899,10 +854,7 @@ mod tests {
             seed: 11,
             ..Default::default()
         };
-        let run = || {
-            let mut mdp = PointMdp { x: 0.0, t: 0 };
-            PpoTrainer::new(&config, 1, 1).train(&mut mdp)
-        };
+        let run = || PpoTrainer::new(&config, 1, 1).train_episodes(&point_episode);
         let a = run();
         let b = run();
         assert_eq!(a.policy, b.policy);
@@ -918,9 +870,8 @@ mod tests {
             seed: 5,
             ..Default::default()
         };
-        let factory = |_seed: u64| -> Box<dyn Mdp> { Box::new(PointMdp { x: 0.0, t: 0 }) };
         let run = |workers: usize| {
-            PpoTrainer::new(&config, 1, 1).train_episodes_with_workers(&factory, workers)
+            PpoTrainer::new(&config, 1, 1).train_episodes_with_workers(&point_episode, workers)
         };
         let reference = run(1);
         for workers in [2usize, 8] {
@@ -939,22 +890,21 @@ mod tests {
             seed: 13,
             ..Default::default()
         };
-        let factory = |_seed: u64| -> Box<dyn Mdp> { Box::new(PointMdp { x: 0.0, t: 0 }) };
-
-        let uninterrupted = PpoTrainer::new(&config, 1, 1).train_episodes_with_workers(&factory, 2);
+        let uninterrupted =
+            PpoTrainer::new(&config, 1, 1).train_episodes_with_workers(&point_episode, 2);
 
         // interrupt after 2 iterations, round-trip the checkpoint through
         // JSON (the on-disk format), resume in a fresh session
         let mut first = PpoSession::new(&config, 1, 1);
-        first.step(&factory, 2);
-        first.step(&factory, 2);
+        first.step(&point_episode, 2);
+        first.step(&point_episode, 2);
         let json = serde_json::to_string(&first.checkpoint()).expect("checkpoint json");
         drop(first);
         let restored: PpoCheckpoint = serde_json::from_str(&json).expect("checkpoint back");
         let mut resumed = PpoSession::from_checkpoint(restored);
         assert_eq!(resumed.iteration(), 2);
         while !resumed.is_complete() {
-            resumed.step(&factory, 2);
+            resumed.step(&point_episode, 2);
         }
         let resumed = resumed.finish();
 
@@ -972,12 +922,10 @@ mod tests {
             seed: 9,
             ..Default::default()
         };
-        let factory = |_seed: u64| -> Box<dyn Mdp> { Box::new(PointMdp { x: 0.0, t: 0 }) };
-
         let bare = {
             let mut s = PpoSession::new(&config, 1, 1);
             while !s.is_complete() {
-                s.step(&factory, 2);
+                s.step(&point_episode, 2);
             }
             s.finish()
         };
@@ -986,7 +934,7 @@ mod tests {
         let mut instrumented =
             PpoSession::new(&config, 1, 1).with_telemetry(sink.clone() as Arc<dyn Telemetry>);
         while !instrumented.is_complete() {
-            instrumented.step(&factory, 2);
+            instrumented.step(&point_episode, 2);
         }
         let instrumented = instrumented.finish();
 
@@ -1012,14 +960,13 @@ mod tests {
             seed: 21,
             ..Default::default()
         };
-        let factory = |_seed: u64| -> Box<dyn Mdp> { Box::new(PointMdp { x: 0.0, t: 0 }) };
         let run = |retry: Option<u64>| {
             let mut session = PpoSession::new(&config, 1, 1);
             if let Some(r) = retry {
                 session.reseed_for_retry(r);
             }
             while !session.is_complete() {
-                session.step(&factory, 1);
+                session.step(&point_episode, 1);
             }
             session.finish()
         };
@@ -1045,8 +992,7 @@ mod tests {
             seed: 3,
             ..Default::default()
         };
-        let mut mdp = PointMdp { x: 0.0, t: 0 };
-        let trained = PpoTrainer::new(&config, 1, 1).train(&mut mdp);
+        let trained = PpoTrainer::new(&config, 1, 1).train_episodes(&point_episode);
         assert_eq!(trained.history.len(), 4);
         assert!(trained.history.iter().all(|s| s.mean_length > 0.0));
     }

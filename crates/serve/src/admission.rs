@@ -251,34 +251,6 @@ pub fn admit_with_workers(
     result
 }
 
-/// Runs the full admission gate on a *rollout candidate*: everything
-/// [`admit_with`] checks, plus compatibility with the dimensions the
-/// running engine serves (a candidate may be plant-servable yet disagree
-/// with the incumbent it must shadow).
-///
-/// # Errors
-///
-/// As [`admit_with`], plus [`AdmissionError::Unservable`] on an
-/// engine-dimension mismatch.
-pub fn admit_candidate(
-    bundle: ControllerBundle,
-    state_dim: usize,
-    control_dim: usize,
-    config: &AdmissionConfig,
-    tel: &dyn Telemetry,
-) -> Result<Admitted, AdmissionError> {
-    let admitted = admit_with(bundle, config, tel)?;
-    let (net, _) = admitted.bundle.network()?;
-    if net.input_dim() != state_dim || net.output_dim() != control_dim {
-        return Err(AdmissionError::Unservable(format!(
-            "candidate dimensions ({} -> {}) != running engine ({state_dim} -> {control_dim})",
-            net.input_dim(),
-            net.output_dim()
-        )));
-    }
-    Ok(admitted)
-}
-
 fn kind_of(e: &AdmissionError) -> &'static str {
     match e {
         AdmissionError::Bundle(_) => "bundle",
@@ -388,7 +360,7 @@ fn run_checks(
     // the order below, so every refusal and every event stream is the one
     // the checks give run one by one.
     let (net, scale) = bundle.network()?;
-    let max_scale = scale.iter().copied().fold(0.0_f64, f64::max);
+    let scale_gain = lipschitz::scale_gain(scale);
     let within_ceilings = bundle.safety.as_ref().map(|claimed| {
         claimed
             .params
@@ -416,7 +388,7 @@ fn run_checks(
             })
         },
         || {
-            let sweep = max_scale
+            let sweep = scale_gain
                 * lipschitz::empirical_lower_bound_with_workers(
                     net,
                     &bundle.input_domain,
@@ -705,6 +677,41 @@ mod tests {
         };
         let err = admit_with(b, &cfg, &NullSink).expect_err("refused");
         assert!(matches!(err, AdmissionError::ClaimMismatch { .. }), "{err}");
+    }
+
+    #[test]
+    fn negative_scale_is_claimed_by_its_magnitude() {
+        // a claim of 0 once matched `max(s)` for scale [-20]; the bound
+        // takes `max |s|`, as the certificate does, so the claim is refused
+        let mut b = healthy_bundle();
+        if let ControllerSpec::Mlp { scale, .. } = &mut b.spec {
+            *scale = vec![-20.0];
+        }
+        b.lipschitz_claim = 0.0;
+        let cert = {
+            let params = &b.safety.as_ref().expect("fixture ships a cert").params;
+            let (net, scale) = b.network().expect("mlp bundle");
+            certify_controller(
+                b.system.dynamics().as_ref(),
+                net,
+                scale,
+                params,
+                1,
+                &NullSink,
+            )
+            .expect("certifies under the fixture budgets")
+            .cert
+        };
+        b.safety = Some(cert);
+        let cfg = AdmissionConfig {
+            mode: PreflightMode::Off,
+            ..AdmissionConfig::default()
+        };
+        let err = admit_with(b, &cfg, &NullSink).expect_err("refused");
+        assert!(
+            matches!(err, AdmissionError::ClaimMismatch { recomputed, .. } if recomputed > 0.0),
+            "{err}"
+        );
     }
 
     #[test]

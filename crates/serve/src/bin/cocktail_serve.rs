@@ -109,8 +109,8 @@ const COMMANDS: &[(&str, Command, &str)] = &[
     (
         "serve",
         cmd_serve,
-        "bundle addr allow-uncertified max-batch deadline-us capacity shards tier telemetry \
-         drift-window drift-threshold retrain-dir",
+        "bundle addr allow-uncertified max-batch capacity shards tier telemetry drift-window \
+         drift-threshold retrain-dir",
     ),
     (
         "loadgen",
@@ -120,8 +120,8 @@ const COMMANDS: &[(&str, Command, &str)] = &[
     (
         "smoke",
         cmd_smoke,
-        "bundle allow-uncertified requests connections seed telemetry max-batch deadline-us \
-         capacity shards tier drift-window drift-threshold",
+        "bundle allow-uncertified requests connections seed telemetry max-batch capacity \
+         shards tier drift-window drift-threshold",
     ),
     (
         "replay",
@@ -141,14 +141,14 @@ fn usage() -> String {
      check         --bundle <path> [--allow-uncertified]\n\
      verify        --bundle <path> [--allow-uncertified]\n\
      serve         --bundle <path> --addr <ip:port> [--allow-uncertified] [--max-batch N]\n\
-                   [--deadline-us N] [--capacity N] [--shards N] [--tier exact|fast-tanh]\n\
+                   [--capacity N] [--shards N] [--tier exact|fast-tanh]\n\
                    [--telemetry <jsonl>] [--drift-window N] [--drift-threshold X]\n\
                    [--retrain-dir <dir>]\n\
      loadgen       --bundle <path> --addr <ip:port> [--requests N] [--connections N]\n\
                    [--seed N]\n\
      smoke         --bundle <path> [--allow-uncertified] [--requests N] [--connections N]\n\
-                   [--seed N] [--telemetry <jsonl>] [--max-batch N] [--deadline-us N]\n\
-                   [--capacity N] [--shards N] [--tier exact|fast-tanh]\n\
+                   [--seed N] [--telemetry <jsonl>] [--max-batch N] [--capacity N]\n\
+                   [--shards N] [--tier exact|fast-tanh]\n\
                    [--drift-window N] [--drift-threshold X]\n\
      replay        --telemetry <jsonl> --incumbent <path> --candidate <path>\n\
                    [--max-divergence X] [--max-envelope-violations N]\n\
@@ -224,10 +224,6 @@ fn engine_config(args: &Args) -> Result<EngineConfig, String> {
     };
     Ok(EngineConfig {
         max_batch: args.parsed("max-batch", defaults.max_batch)?,
-        batch_deadline: Duration::from_micros(args.parsed(
-            "deadline-us",
-            u64::try_from(defaults.batch_deadline.as_micros()).unwrap_or(0),
-        )?),
         queue_capacity: args.parsed("capacity", defaults.queue_capacity)?,
         start_paused: false,
         shards: args.parsed("shards", defaults.shards)?,

@@ -19,13 +19,11 @@
 //! with a counting allocator — including across a mid-stream
 //! [`Engine::promote`].
 //!
-//! Batching policy: by default the worker serves *whatever is queued* the
-//! moment it is free (`batch_deadline` zero). Under concurrent load,
-//! batches form naturally while the previous batch is being computed —
-//! deadline-waiting for a fuller batch only ever adds latency when the
-//! submitters are blocking on their replies (this inversion is exactly
-//! what the PR-5 baseline measured). A nonzero deadline remains available
-//! for sparse open-loop traffic.
+//! Batching policy: the worker serves *whatever is queued* (up to
+//! `max_batch`) the moment it is free. Under concurrent load, batches form
+//! naturally while the previous batch is being computed — waiting for a
+//! fuller batch only ever adds latency when the submitters are blocking on
+//! their replies, as closed-loop measurements of a batch window showed.
 //!
 //! Two runtime guardrails, unchanged from the single-queue engine:
 //!
@@ -112,11 +110,6 @@ impl ServeTier {
 pub struct EngineConfig {
     /// Largest number of requests folded into one batched forward.
     pub max_batch: usize,
-    /// How long a shard worker holds an open batch for more requests.
-    /// Zero (the default) means "serve whatever is queued immediately";
-    /// under load batches still form naturally while the previous batch
-    /// computes.
-    pub batch_deadline: Duration,
     /// Bounded queue capacity **per shard**; submits beyond it are
     /// rejected.
     pub queue_capacity: usize,
@@ -139,7 +132,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             max_batch: 16,
-            batch_deadline: Duration::ZERO,
             queue_capacity: 256,
             start_paused: false,
             shards: 1,
@@ -833,7 +825,6 @@ impl Engine {
             tel,
         });
         let max_batch = config.max_batch.max(1);
-        let deadline = config.batch_deadline;
         let mut workers = Vec::with_capacity(n_shards);
         for shard_idx in 0..n_shards {
             let worker_shared = shared.clone();
@@ -846,7 +837,6 @@ impl Engine {
                         shard_idx,
                         &WorkerParams {
                             max_batch,
-                            deadline,
                             fallback,
                         },
                     );
@@ -864,9 +854,10 @@ impl Engine {
         }
     }
 
-    /// Proposes `bundle` as a canary: the full admission gate runs here,
-    /// off the hot path, then the candidate installs at `cfg`'s traffic
-    /// split. Returns the new model epoch.
+    /// Proposes `bundle` as a canary: the full admission gate
+    /// ([`admission::admit_with`]) runs here, off the hot path, then the
+    /// candidate installs through [`Self::propose_parts`] at `cfg`'s
+    /// traffic split. Returns the new model epoch.
     ///
     /// # Errors
     ///
@@ -879,29 +870,12 @@ impl Engine {
         bundle: ControllerBundle,
         cfg: &RolloutConfig,
     ) -> Result<u64, RolloutError> {
-        let admitted = admission::admit_candidate(
+        let admitted = admission::admit_with(
             bundle,
-            self.shared.state_dim,
-            self.shared.control_dim,
             &AdmissionConfig::default(),
             self.shared.tel.as_ref(),
         )
         .map_err(RolloutError::Refused)?;
-        self.propose_admitted(&admitted, cfg)
-    }
-
-    /// Installs an already-admitted candidate as a canary (callers that
-    /// ran [`crate::admission::admit_with`] themselves). Returns the new
-    /// model epoch.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::propose`] (minus [`RolloutError::Refused`]).
-    pub fn propose_admitted(
-        &self,
-        admitted: &Admitted,
-        cfg: &RolloutConfig,
-    ) -> Result<u64, RolloutError> {
         let ModelParams {
             net,
             scale,
@@ -1087,7 +1061,6 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// through the epoch-versioned [`ModelSet`]).
 struct WorkerParams {
     max_batch: usize,
-    deadline: Duration,
     fallback: Option<Arc<dyn Controller>>,
 }
 
@@ -1209,31 +1182,6 @@ fn shard_worker(shared: &Shared, shard_idx: usize, params: &WorkerParams) {
             } else {
                 break;
             }
-        }
-        // optional batch window: hold for up to `deadline` or `max_batch`
-        if !params.deadline.is_zero() {
-            let window_end = Instant::now() + params.deadline;
-            while guard.queue.len() < params.max_batch && !guard.shutdown && !guard.paused {
-                let now = Instant::now();
-                if now >= window_end {
-                    break;
-                }
-                #[allow(
-                    clippy::expect_used,
-                    reason = "condvar wait fails only on a poisoned mutex"
-                )]
-                let (g, timeout) = shard
-                    .wake
-                    .wait_timeout(guard, window_end - now)
-                    .expect("engine mutex poisoned");
-                guard = g;
-                if timeout.timed_out() {
-                    break;
-                }
-            }
-        }
-        if guard.paused && !guard.shutdown {
-            continue; // drop the guard, go back to waiting
         }
         let depth = guard.queue.len();
         let take = depth.min(params.max_batch);
@@ -1790,6 +1738,32 @@ mod tests {
                 &RolloutConfig::default(),
             )
             .expect_err("3-input candidate on a 2-input engine");
+        assert!(matches!(err, RolloutError::Incompatible(_)), "{err}");
+    }
+
+    #[test]
+    fn propose_returns_incompatible_for_an_admitted_bundle_of_other_dimensions() {
+        let wide = MlpBuilder::new(3)
+            .hidden(4, Activation::Tanh)
+            .output(1, Activation::Identity)
+            .seed(9)
+            .build();
+        let engine = Engine::from_parts(
+            wide,
+            vec![1.0],
+            vec![-5.0],
+            vec![5.0],
+            EngineConfig::default(),
+            None,
+            Arc::new(NullSink),
+        )
+        .expect("engine starts");
+        let err = engine
+            .propose(
+                crate::bundle::tests_support::healthy_bundle(),
+                &RolloutConfig::default(),
+            )
+            .expect_err("2-D bundle on a 3-input engine");
         assert!(matches!(err, RolloutError::Incompatible(_)), "{err}");
     }
 

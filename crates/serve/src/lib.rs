@@ -50,8 +50,7 @@ pub mod transport;
 pub mod wire;
 
 pub use admission::{
-    admit, admit_candidate, admit_with, admit_with_workers, AdmissionConfig, AdmissionError,
-    Admitted,
+    admit, admit_with, admit_with_workers, AdmissionConfig, AdmissionError, Admitted,
 };
 pub use bundle::{
     BundleError, ControllerBundle, Provenance, BUNDLE_VERSION, OLDEST_READABLE_VERSION,

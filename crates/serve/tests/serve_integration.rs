@@ -20,7 +20,6 @@ use cocktail_serve::{
 };
 use rand::Rng;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn student() -> Mlp {
     MlpBuilder::new(2)
@@ -77,7 +76,6 @@ fn batched_outputs_are_bit_identical_across_schedules() {
             &admitted,
             EngineConfig {
                 max_batch,
-                batch_deadline: Duration::from_micros(100),
                 queue_capacity: 256,
                 start_paused: true,
                 shards: 1,

@@ -64,7 +64,7 @@ use crate::enclosure::{enclose_each_cell, ControlEnclosure};
 use crate::error::VerifyError;
 use crate::jacobian::{interval_jacobian, JacobianScratch};
 use cocktail_math::{BoxRegion, Interval, Matrix};
-use cocktail_nn::{BatchCache, Mlp};
+use cocktail_nn::{lipschitz, BatchCache, Mlp};
 use serde::{Deserialize, Serialize};
 
 /// Binomial coefficient `C(n, k)` as `f64` (degrees here are ≤ ~10).
@@ -1106,8 +1106,7 @@ impl BernsteinCertificate {
         assert_eq!(scale.len(), net.output_dim(), "scale length mismatch");
         assert_eq!(domain.dim(), net.input_dim(), "domain dimension mismatch");
         assert!(config.degree > 0, "degree must be positive");
-        let max_scale = scale.iter().fold(0.0_f64, |m, &s| m.max(s.abs()));
-        let lipschitz = max_scale * net.lipschitz_constant();
+        let lipschitz = lipschitz::scaled_upper_bound(net, scale);
 
         // each frontier region with the index of its parent in `parents`
         let mut frontier: Vec<(BoxRegion, Option<usize>)> = vec![(domain.clone(), None)];
@@ -1742,7 +1741,7 @@ mod tests {
     fn batched_region_matches_per_point_evaluation() {
         let net = two_output_net(4);
         let scale = [5.0, 3.0];
-        let lipschitz = 5.0 * net.lipschitz_constant();
+        let lipschitz = lipschitz::scaled_upper_bound(&net, &scale);
         let region = BoxRegion::from_bounds(&[-0.75, 0.125], &[0.5, 1.0]);
         // shared grid (5 samples at degree 4), and separate grids
         for (degree, samples) in [(4, 5), (4, 7), (3, 6), (2, 2)] {
@@ -1873,8 +1872,7 @@ mod tests {
         domain: &BoxRegion,
         config: &CertificateConfig,
     ) -> (BernsteinCertificate, [usize; 2]) {
-        let max_scale = scale.iter().fold(0.0_f64, |m, &s| m.max(s.abs()));
-        let lipschitz = max_scale * net.lipschitz_constant();
+        let lipschitz = lipschitz::scaled_upper_bound(net, scale);
         let mut scratch = RefineScratch::default();
         let (mut pieces, mut tree) = (Vec::new(), Vec::new());
         let [mut splits, mut depth] = [0, 0];
