@@ -8,7 +8,7 @@ use cocktail_verify::{default_params, CertificateConfig};
 use std::sync::Arc;
 
 /// Tuning knobs of the analyzer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AnalysisConfig {
     /// Distillation Lipschitz target `L`; `None` disables the budget
     /// comparison (the bound itself is still reported).
@@ -18,27 +18,6 @@ pub struct AnalysisConfig {
     /// certification cost. [`AnalysisConfig::for_plant`] sets the budget a
     /// controller is actually certified under.
     pub certificate: CertificateConfig,
-    /// Per-layer spectral-norm limit above which a layer counts as
-    /// exploding.
-    pub spectral_norm_limit: f64,
-    /// Pre-activation magnitude beyond which a tanh unit counts as
-    /// saturated (sigmoid uses twice this).
-    pub saturation_margin: f64,
-    /// Absolute slack when comparing certified output ranges against
-    /// actuator limits (absorbs rounding in the interval arithmetic).
-    pub range_tolerance: f64,
-}
-
-impl Default for AnalysisConfig {
-    fn default() -> Self {
-        Self {
-            lipschitz_target: None,
-            certificate: CertificateConfig::default(),
-            spectral_norm_limit: 1e3,
-            saturation_margin: 4.0,
-            range_tolerance: 1e-9,
-        }
-    }
 }
 
 impl AnalysisConfig {
@@ -72,8 +51,9 @@ pub enum PreflightMode {
 ///
 /// Runs four passes in dependency order:
 ///
-/// 1. **composition** — structural validation; shapes must be consistent
-///    before any value-level pass may index into them.
+/// 1. **composition** — the output scale's arity and sign, and the spec's
+///    dimensions against the plant; they must fit before any value-level
+///    pass may propagate the plant's domain through the network.
 /// 2. **hygiene** — value-level weight checks; everything must be finite
 ///    before interval arithmetic is sound (`Interval::new` rejects NaN).
 /// 3. **range** — interval propagation of the verification domain.
@@ -129,7 +109,7 @@ impl Analyzer {
             return report;
         }
 
-        hygiene::check(spec, &self.config, &mut report);
+        hygiene::check(spec, &mut report);
         if report.has_errors() {
             report.push(skipped(
                 "non-finite values above make interval arithmetic unsound",
@@ -137,7 +117,7 @@ impl Analyzer {
             return report;
         }
 
-        range::check(spec, self.sys.as_ref(), &self.config, &mut report);
+        range::check(spec, self.sys.as_ref(), &mut report);
         lipschitz_cert::check(spec, self.sys.as_ref(), &self.config, &mut report);
         report
     }

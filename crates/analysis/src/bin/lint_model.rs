@@ -108,16 +108,12 @@ fn load_spec(text: &str) -> Result<ControllerSpec, String> {
         Ok(spec) => Ok(spec),
         Err(spec_err) => match serde_json::from_str::<Mlp>(text) {
             Ok(net) => {
-                let outputs = net
-                    .layers()
-                    .last()
-                    .map_or(0, cocktail_nn::Dense::output_dim);
-                Ok(ControllerSpec::Mlp {
-                    net,
-                    scale: vec![1.0; outputs],
-                })
+                let outputs = net.output_dim();
+                Ok(ControllerSpec::from_network(net, vec![1.0; outputs]))
             }
-            Err(_) => Err(format!("not a ControllerSpec or Mlp JSON file: {spec_err}")),
+            Err(mlp_err) => Err(format!(
+                "neither a ControllerSpec ({spec_err}) nor a bare Mlp ({mlp_err})"
+            )),
         },
     }
 }
@@ -157,9 +153,8 @@ fn main() -> ExitCode {
 
     let failed = report.has_errors() || (args.deny_warnings && report.has_warnings());
     println!(
-        "{}: {} controller — {} ({})",
+        "{}: neural controller — {} ({})",
         args.model_path,
-        spec.kind(),
         if failed { "FAILED" } else { "PASSED" },
         report.summary()
     );

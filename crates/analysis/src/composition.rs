@@ -1,286 +1,64 @@
 //! Composition pass: structural validation.
 //!
-//! Everything the runtime constructors would panic on — and a few things
-//! they cannot see — expressed as diagnostics instead: matrix storage vs
-//! declared shape, bias arity, consecutive-layer dimensions, output-scale
-//! arity and positivity, expert dimension agreement in ensembles,
-//! mixing-weight arity, actuator-box sanity, and finally the spec's
-//! dimensions against the plant it is supposed to drive.
-//!
-//! This pass runs first and must never index into possibly-inconsistent
-//! storage: every element access is preceded by a length check.
+//! The shapes inside the network are the loader's business: `Mlp`'s
+//! `Deserialize` refuses an empty network, a matrix whose storage does not
+//! match its shape, a bias count that differs from a layer's width and
+//! layers that do not chain. What a loaded spec can still get wrong is
+//! checked here instead of panicking deep inside a run: the output scale's
+//! arity and positivity, and the spec's dimensions against the plant it is
+//! supposed to drive.
 
 use crate::report::{AnalysisReport, Diagnostic};
-use crate::spec::{ControllerSpec, WeightSpec};
+use crate::spec::ControllerSpec;
 use cocktail_env::Dynamics;
-use cocktail_math::Matrix;
-use cocktail_nn::Mlp;
 
 pub(crate) const PASS: &str = "composition";
 
 /// Runs the pass: structural checks of `spec` plus its fit to `sys`.
 pub fn check(spec: &ControllerSpec, sys: &dyn Dynamics, report: &mut AnalysisReport) {
-    check_spec(spec, "controller", report);
-
-    // Fit to the plant (skipped when the spec has no determinable dims;
-    // the structural checks above already explain why).
-    if let Some(n) = spec.state_dim() {
-        if n != sys.state_dim() {
-            report.push(Diagnostic::error(
-                PASS,
-                "dim-mismatch",
-                format!(
-                    "controller reads {n}-dimensional states but plant `{}` has {} state dims",
-                    sys.name(),
-                    sys.state_dim()
-                ),
-            ));
-        }
-    }
-    if let Some(m) = spec.control_dim() {
-        if m != sys.control_dim() {
-            report.push(Diagnostic::error(
-                PASS,
-                "dim-mismatch",
-                format!(
-                    "controller emits {m}-dimensional controls but plant `{}` takes {} control dims",
-                    sys.name(),
-                    sys.control_dim()
-                ),
-            ));
-        }
-    }
-}
-
-fn check_spec(spec: &ControllerSpec, path: &str, report: &mut AnalysisReport) {
-    match spec {
-        ControllerSpec::Mlp { net, scale } => check_net(path, net, Some(scale), report),
-        ControllerSpec::Linear { gain, bias } => {
-            check_matrix_storage(&format!("{path} gain"), gain, report);
-            if !bias.is_empty() && bias.len() != gain.rows() {
-                report.push(Diagnostic::error(
-                    PASS,
-                    "bias-arity",
-                    format!(
-                        "{path}: bias has {} entries but the gain emits {} outputs",
-                        bias.len(),
-                        gain.rows()
-                    ),
-                ));
-            }
-        }
-        ControllerSpec::Mixed {
-            experts,
-            weights,
-            u_inf,
-            u_sup,
-        } => {
-            check_ensemble(experts, path, report);
-            match weights {
-                WeightSpec::Constant { weights } => {
-                    if weights.len() != experts.len() {
-                        report.push(Diagnostic::error(
-                            PASS,
-                            "weight-arity",
-                            format!(
-                                "{path}: {} mixing weights for {} experts",
-                                weights.len(),
-                                experts.len()
-                            ),
-                        ));
-                    }
-                }
-                WeightSpec::TanhNet { net, bound } => {
-                    check_net(&format!("{path}.weight-policy"), net, None, report);
-                    if let Some(outputs) = net.layers().last().map(cocktail_nn::Dense::output_dim) {
-                        if outputs != experts.len() {
-                            report.push(Diagnostic::error(
-                                PASS,
-                                "weight-arity",
-                                format!(
-                                    "{path}: weight policy emits {outputs} weights for {} experts",
-                                    experts.len()
-                                ),
-                            ));
-                        }
-                    }
-                    if let (Some(inputs), Some(n)) = (
-                        net.layers().first().map(cocktail_nn::Dense::input_dim),
-                        experts.first().and_then(ControllerSpec::state_dim),
-                    ) {
-                        if inputs != n {
-                            report.push(Diagnostic::error(
-                                PASS,
-                                "dim-mismatch",
-                                format!(
-                                    "{path}: weight policy reads {inputs}-dimensional states \
-                                     but the experts read {n}"
-                                ),
-                            ));
-                        }
-                    }
-                    if bound.is_nan() || *bound < 1.0 {
-                        report.push(Diagnostic::error(
-                            PASS,
-                            "weight-bound",
-                            format!(
-                                "{path}: weight bound {bound} violates the paper's W >= 1 \
-                                 requirement"
-                            ),
-                        ));
-                    }
-                }
-            }
-            if let Some(m) = experts.first().and_then(ControllerSpec::control_dim) {
-                for (name, v) in [("u_inf", u_inf), ("u_sup", u_sup)] {
-                    if v.len() != m {
-                        report.push(Diagnostic::error(
-                            PASS,
-                            "bound-arity",
-                            format!(
-                                "{path}: {name} has {} entries for {m} control dims",
-                                v.len()
-                            ),
-                        ));
-                    }
-                    if let Some(bad) = v.iter().position(|x| !x.is_finite()) {
-                        report.push(Diagnostic::error(
-                            PASS,
-                            "nonfinite-bound",
-                            format!("{path}: {name}[{bad}] is {}", v[bad]),
-                        ));
-                    }
-                }
-                for (j, (lo, hi)) in u_inf.iter().zip(u_sup).enumerate() {
-                    if lo > hi {
-                        report.push(Diagnostic::error(
-                            PASS,
-                            "empty-control-box",
-                            format!("{path}: u_inf[{j}] = {lo} exceeds u_sup[{j}] = {hi}"),
-                        ));
-                    }
-                }
-            }
-        }
-        ControllerSpec::Switching { experts } => check_ensemble(experts, path, report),
-    }
-}
-
-fn check_ensemble(experts: &[ControllerSpec], path: &str, report: &mut AnalysisReport) {
-    if experts.is_empty() {
+    let ControllerSpec::Mlp { net, scale } = spec;
+    let outputs = net.output_dim();
+    if scale.len() != outputs {
         report.push(Diagnostic::error(
             PASS,
-            "empty-ensemble",
-            format!("{path}: an ensemble needs at least one expert"),
-        ));
-        return;
-    }
-    for (i, e) in experts.iter().enumerate() {
-        check_spec(e, &format!("{path}.experts[{i}]"), report);
-    }
-    for dims in [
-        ControllerSpec::state_dim as fn(&ControllerSpec) -> Option<usize>,
-        ControllerSpec::control_dim,
-    ] {
-        let first = dims(&experts[0]);
-        for (i, e) in experts.iter().enumerate().skip(1) {
-            let d = dims(e);
-            if d.is_some() && first.is_some() && d != first {
-                report.push(Diagnostic::error(
-                    PASS,
-                    "dim-mismatch",
-                    format!(
-                        "{path}: expert {i} has dimensions ({:?} -> {:?}) but expert 0 has \
-                         ({:?} -> {:?}) — the mixture Σ aᵢκᵢ(s) is undefined",
-                        e.state_dim(),
-                        e.control_dim(),
-                        experts[0].state_dim(),
-                        experts[0].control_dim()
-                    ),
-                ));
-                break;
-            }
-        }
-    }
-}
-
-fn check_net(path: &str, net: &Mlp, scale: Option<&[f64]>, report: &mut AnalysisReport) {
-    if net.layers().is_empty() {
-        report.push(Diagnostic::error(
-            PASS,
-            "empty-network",
-            format!("{path}: network has no layers"),
-        ));
-        return;
-    }
-    for (li, layer) in net.layers().iter().enumerate() {
-        check_matrix_storage(
-            &format!("{path} layer {li} weights"),
-            layer.weights(),
-            report,
-        );
-        if layer.biases().len() != layer.weights().rows() {
-            report.push(Diagnostic::error(
-                PASS,
-                "bias-arity",
-                format!(
-                    "{path} layer {li}: {} biases for {} units",
-                    layer.biases().len(),
-                    layer.weights().rows()
-                ),
-            ));
-        }
-    }
-    for (li, pair) in net.layers().windows(2).enumerate() {
-        let (out, inp) = (pair[0].weights().rows(), pair[1].weights().cols());
-        if out != inp {
-            report.push(Diagnostic::error(
-                PASS,
-                "layer-dim-mismatch",
-                format!(
-                    "{path}: layer {li} emits {out} activations but layer {} reads {inp}",
-                    li + 1
-                ),
-            ));
-        }
-    }
-    if let Some(scale) = scale {
-        let outputs = net
-            .layers()
-            .last()
-            .map_or(0, cocktail_nn::Dense::output_dim);
-        if scale.len() != outputs {
-            report.push(Diagnostic::error(
-                PASS,
-                "scale-arity",
-                format!(
-                    "{path}: {} scale entries for {outputs} outputs",
-                    scale.len()
-                ),
-            ));
-        }
-        for (j, k) in scale.iter().enumerate() {
-            if !(*k > 0.0 && k.is_finite()) {
-                report.push(Diagnostic::error(
-                    PASS,
-                    "scale-domain",
-                    format!("{path}: scale[{j}] = {k} must be positive and finite"),
-                ));
-            }
-        }
-    }
-}
-
-fn check_matrix_storage(what: &str, m: &Matrix, report: &mut AnalysisReport) {
-    if m.as_slice().len() != m.rows() * m.cols() {
-        report.push(Diagnostic::error(
-            PASS,
-            "matrix-shape",
+            "scale-arity",
             format!(
-                "{what}: stores {} entries but declares {}x{}",
-                m.as_slice().len(),
-                m.rows(),
-                m.cols()
+                "controller: {} scale entries for {outputs} outputs",
+                scale.len()
+            ),
+        ));
+    }
+    for (j, k) in scale.iter().enumerate() {
+        if !(*k > 0.0 && k.is_finite()) {
+            report.push(Diagnostic::error(
+                PASS,
+                "scale-domain",
+                format!("controller: scale[{j}] = {k} must be positive and finite"),
+            ));
+        }
+    }
+
+    let n = spec.state_dim();
+    if n != sys.state_dim() {
+        report.push(Diagnostic::error(
+            PASS,
+            "dim-mismatch",
+            format!(
+                "controller reads {n}-dimensional states but plant `{}` has {} state dims",
+                sys.name(),
+                sys.state_dim()
+            ),
+        ));
+    }
+    let m = spec.control_dim();
+    if m != sys.control_dim() {
+        report.push(Diagnostic::error(
+            PASS,
+            "dim-mismatch",
+            format!(
+                "controller emits {m}-dimensional controls but plant `{}` takes {} control dims",
+                sys.name(),
+                sys.control_dim()
             ),
         ));
     }

@@ -1,51 +1,42 @@
 //! Weight-hygiene pass.
 //!
-//! Value-level checks on every network and gain matrix in a spec:
+//! Value-level checks on the network and output scale of a spec:
 //! non-finite weights or biases (error — the controller would emit NaN),
 //! degenerate all-zero layers (warning — the layer contributes nothing and
 //! usually signals a failed initialization or a truncated file), exploding
-//! layers whose spectral norm exceeds a configured limit (warning — the
-//! Lipschitz product and any verification budget blow up), and per-layer
-//! spectral-norm notes that make the Lipschitz certification below
-//! auditable layer by layer.
-//!
-//! The pass assumes the composition pass already validated shapes: it
-//! reads matrix entries only through `as_slice`, never by index.
+//! layers whose spectral norm exceeds `SPECTRAL_NORM_LIMIT` (warning —
+//! the Lipschitz product and any verification budget blow up), and
+//! per-layer spectral-norm notes that make the Lipschitz certification
+//! below auditable layer by layer.
 
-use crate::analyzer::AnalysisConfig;
 use crate::report::{AnalysisReport, Diagnostic};
-use crate::spec::{Component, ControllerSpec};
+use crate::spec::ControllerSpec;
 use cocktail_math::Matrix;
 
 pub(crate) const PASS: &str = "hygiene";
 
-/// Runs the pass over every component of `spec`.
-pub fn check(spec: &ControllerSpec, config: &AnalysisConfig, report: &mut AnalysisReport) {
-    for component in spec.components() {
-        match component {
-            Component::Net { path, net, scale } => {
-                for (li, layer) in net.layers().iter().enumerate() {
-                    check_matrix(
-                        &format!("{path} layer {li} weights"),
-                        layer.weights(),
-                        config,
-                        report,
-                    );
-                    check_vector(&format!("{path} layer {li} biases"), layer.biases(), report);
-                }
-                if let Some(scale) = scale {
-                    check_vector(&format!("{path} output scale"), scale, report);
-                }
-            }
-            Component::Gain { path, gain, bias } => {
-                check_matrix(&format!("{path} gain"), gain, config, report);
-                check_vector(&format!("{path} bias"), bias, report);
-            }
-        }
+/// Per-layer spectral norm above which a layer counts as exploding.
+const SPECTRAL_NORM_LIMIT: f64 = 1e3;
+
+/// Runs the pass over the network and scale of `spec`.
+pub fn check(spec: &ControllerSpec, report: &mut AnalysisReport) {
+    let ControllerSpec::Mlp { net, scale } = spec;
+    for (li, layer) in net.layers().iter().enumerate() {
+        check_matrix(
+            &format!("controller layer {li} weights"),
+            layer.weights(),
+            report,
+        );
+        check_vector(
+            &format!("controller layer {li} biases"),
+            layer.biases(),
+            report,
+        );
     }
+    check_vector("controller output scale", scale, report);
 }
 
-fn check_matrix(what: &str, m: &Matrix, config: &AnalysisConfig, report: &mut AnalysisReport) {
+fn check_matrix(what: &str, m: &Matrix, report: &mut AnalysisReport) {
     let entries = m.as_slice();
     if let Some(bad) = entries.iter().position(|v| !v.is_finite()) {
         report.push(Diagnostic::error(
@@ -72,14 +63,14 @@ fn check_matrix(what: &str, m: &Matrix, config: &AnalysisConfig, report: &mut An
         return;
     }
     let sigma = m.spectral_norm();
-    if sigma > config.spectral_norm_limit {
+    if sigma > SPECTRAL_NORM_LIMIT {
         report.push(Diagnostic::warn(
             PASS,
             "exploding-layer",
             format!(
                 "{what}: spectral norm {sigma:.3e} exceeds the limit {:.1e} — \
                  Lipschitz products and verification budgets blow up",
-                config.spectral_norm_limit
+                SPECTRAL_NORM_LIMIT
             ),
         ));
     } else {

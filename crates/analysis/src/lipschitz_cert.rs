@@ -1,8 +1,9 @@
 //! Lipschitz certification pass.
 //!
 //! Computes the product-of-spectral-norms Lipschitz bound of the
-//! controller (the bound the paper's robust-distillation loss controls
-//! and its Bernstein verification consumes), compares it against an
+//! controller, `lipschitz::scaled_upper_bound` (the bound the paper's
+//! robust-distillation loss controls, its Bernstein verification consumes
+//! and a bundle claims), compares it against an
 //! optional distillation target, and predicts what the bound costs at
 //! verification time: the Bernstein remainder `ε = 1.5·L·Σwᵢ/√d` of
 //! `cocktail-verify` and the number of domain partitions needed to push
@@ -41,19 +42,8 @@ pub fn check(
     config: &AnalysisConfig,
     report: &mut AnalysisReport,
 ) {
-    let Some(l) = certified_bound(spec) else {
-        report.push(Diagnostic::info(
-            PASS,
-            "no-certified-bound",
-            format!(
-                "no product-form Lipschitz bound for a {} controller (state-dependent \
-                 weights / hard switching are not globally Lipschitz-certifiable); \
-                 Bernstein cost prediction skipped",
-                spec.kind()
-            ),
-        ));
-        return;
-    };
+    let ControllerSpec::Mlp { net, scale } = spec;
+    let l = lipschitz::scaled_upper_bound(net, scale);
 
     report.push(Diagnostic::info(
         PASS,
@@ -131,24 +121,6 @@ pub fn check(
     }
 }
 
-/// Product-form Lipschitz upper bound of a spec, when one exists.
-///
-/// `Mlp`: [`lipschitz::scaled_upper_bound`], `max |scale| · Π σ(Wᵢ)·lip(actᵢ)`,
-/// the same bound `NnController::lipschitz_constant` certifies.
-/// `Linear`: `σ(K)`.
-/// Every `σ(·)` is [`Matrix::spectral_norm`](cocktail_math::Matrix::spectral_norm),
-/// a power-iteration estimate that converges from below, so the result
-/// is an upper bound only to that iteration's accuracy.
-/// Mixed and switching controllers get `None`: their weight policies vary
-/// with the state, so no product bound applies.
-pub fn certified_bound(spec: &ControllerSpec) -> Option<f64> {
-    match spec {
-        ControllerSpec::Mlp { net, scale } => Some(lipschitz::scaled_upper_bound(net, scale)),
-        ControllerSpec::Linear { gain, .. } => Some(gain.spectral_norm()),
-        ControllerSpec::Mixed { .. } | ControllerSpec::Switching { .. } => None,
-    }
-}
-
 /// Minimum partition count to reach tolerance `tau` from an initial
 /// remainder `epsilon` over an `n`-dimensional domain.
 fn predicted_pieces(epsilon: f64, tau: f64, n: usize) -> f64 {
@@ -165,33 +137,8 @@ mod tests {
     use super::*;
     use crate::report::Severity;
     use cocktail_env::systems::VanDerPol;
-    use cocktail_math::Matrix;
     use cocktail_nn::lipschitz::NormKind;
     use cocktail_verify::{default_params, BernsteinCertificate, CertificateConfig};
-
-    #[test]
-    fn linear_bound_is_gain_spectral_norm() {
-        let spec = ControllerSpec::Linear {
-            gain: Matrix::from_rows(vec![vec![3.0, 4.0]]),
-            bias: vec![],
-        };
-        let l = certified_bound(&spec).expect("linear is certifiable");
-        assert!((l - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mixed_has_no_certified_bound() {
-        let spec = ControllerSpec::Mixed {
-            experts: vec![ControllerSpec::Linear {
-                gain: Matrix::from_rows(vec![vec![1.0]]),
-                bias: vec![],
-            }],
-            weights: crate::spec::WeightSpec::Constant { weights: vec![1.0] },
-            u_inf: vec![-1.0],
-            u_sup: vec![1.0],
-        };
-        assert!(certified_bound(&spec).is_none());
-    }
 
     fn oscillator_student(seed: u64) -> cocktail_nn::Mlp {
         cocktail_nn::MlpBuilder::new(2)
@@ -228,7 +175,8 @@ mod tests {
             net,
             scale: vec![20.0],
         };
-        let l = certified_bound(&spec).expect("mlp");
+        let ControllerSpec::Mlp { net, scale } = &spec;
+        let l = lipschitz::scaled_upper_bound(net, scale);
         assert!((l - 18.7).abs() < 0.1, "L = {l}");
         let sys = VanDerPol::new();
 

@@ -10,40 +10,37 @@
 //! * **Actuator overflow** — output dimensions whose certified range
 //!   exceeds the plant's control box `[U_inf, U_sup]`; the plant will
 //!   clip, so the effective policy is not the trained one.
-//! * **Clipped mixtures** — the raw mixture `Σ aᵢ κᵢ(s)` of a mixed
-//!   controller escaping its own actuator box, i.e. the paper's Eq. (4)
-//!   projection is load-bearing rather than a formality.
 //!
-//! The per-layer propagation mirrors `Dense::forward_interval`'s
-//! centre/radius form: `z ∈ [Wc + b − |W|r, Wc + b + |W|r]`, which is the
-//! tightest interval extension of an affine map over a box. It is
-//! re-implemented here (rather than calling `Mlp::bounds`) because the
-//! pass needs the *pre-activation* interval of every layer for saturation
-//! detection, which the network API does not expose.
+//! The propagation is the network's own: each layer's pre-activation box
+//! is `Dense::affine_interval` (read here for saturation), and its output
+//! box the activation's interval extension of it, exactly the two halves
+//! of `Dense::forward_interval`, so the output range is `Mlp::bounds`
+//! scaled, bit for bit.
 
-use crate::analyzer::AnalysisConfig;
 use crate::report::{AnalysisReport, Diagnostic};
-use crate::spec::{ControllerSpec, WeightSpec};
+use crate::spec::ControllerSpec;
 use cocktail_env::Dynamics;
 use cocktail_math::{BoxRegion, Interval};
-use cocktail_nn::{Activation, Dense, Mlp};
+use cocktail_nn::{Activation, Dense};
 
 pub(crate) const PASS: &str = "range";
+
+/// Pre-activation magnitude beyond which a tanh unit counts as saturated
+/// (sigmoid uses twice this).
+const SATURATION_MARGIN: f64 = 4.0;
+
+/// Absolute slack when comparing certified output ranges against actuator
+/// limits (absorbs rounding in the interval arithmetic).
+const RANGE_TOLERANCE: f64 = 1e-9;
 
 /// Runs the pass: propagates `sys.verification_domain()` through the spec
 /// and reports saturation and actuator-overflow findings.
 ///
-/// Assumes the composition and hygiene passes ran clean (shapes are
-/// consistent and every value is finite).
-pub fn check(
-    spec: &ControllerSpec,
-    sys: &dyn Dynamics,
-    config: &AnalysisConfig,
-    report: &mut AnalysisReport,
-) {
+/// Assumes the composition and hygiene passes ran clean (the spec fits
+/// the plant and every value is finite).
+pub fn check(spec: &ControllerSpec, sys: &dyn Dynamics, report: &mut AnalysisReport) {
     let domain = sys.verification_domain();
-    let Some(out) = spec_interval(spec, "controller", domain.intervals(), config, Some(report))
-    else {
+    let Some(out) = spec_interval(spec, domain.intervals(), Some(report)) else {
         return;
     };
 
@@ -59,7 +56,7 @@ pub fn check(
     let (u_lo, u_hi) = sys.control_bounds();
     for (j, iv) in out.iter().enumerate() {
         let (lo, hi) = (u_lo[j], u_hi[j]);
-        if iv.lo() < lo - config.range_tolerance || iv.hi() > hi + config.range_tolerance {
+        if iv.lo() < lo - RANGE_TOLERANCE || iv.hi() > hi + RANGE_TOLERANCE {
             report.push(Diagnostic::warn(
                 PASS,
                 "actuator-overflow",
@@ -77,211 +74,42 @@ pub fn check(
 }
 
 /// Certified output box of a controller spec over a state-domain box, or
-/// `None` when the spec is malformed or is a `Switching` ensemble with a
-/// malformed expert.
+/// `None` when the domain's dimension is not the spec's state dimension
+/// or the scale does not have one entry per output.
 ///
-/// This is the side-effect-free entry point used by tests and the CLI;
-/// the pass itself goes through the same propagation with a report
-/// attached for saturation findings.
+/// This is the side-effect-free entry point used by tests; the pass
+/// itself goes through the same propagation with a report attached for
+/// saturation findings.
 pub fn output_range(spec: &ControllerSpec, domain: &BoxRegion) -> Option<Vec<Interval>> {
-    if spec.state_dim()? != domain.dim() {
+    if spec.state_dim() != domain.dim() {
         return None;
     }
-    let config = AnalysisConfig::default();
-    spec_interval(spec, "controller", domain.intervals(), &config, None)
+    spec_interval(spec, domain.intervals(), None)
 }
 
+/// Interval-propagates the network over `input` and scales the result,
+/// reporting saturated layers when a report is attached.
 fn spec_interval(
     spec: &ControllerSpec,
-    path: &str,
     input: &[Interval],
-    config: &AnalysisConfig,
     mut report: Option<&mut AnalysisReport>,
 ) -> Option<Vec<Interval>> {
-    match spec {
-        ControllerSpec::Mlp { net, scale } => {
-            let raw = net_interval(net, path, input, config, report.as_deref_mut())?;
-            if raw.len() != scale.len() {
-                return None;
-            }
-            Some(raw.iter().zip(scale).map(|(iv, &k)| *iv * k).collect())
-        }
-        ControllerSpec::Linear { gain, bias } => {
-            if gain.as_slice().len() != gain.rows() * gain.cols()
-                || gain.cols() != input.len()
-                || (!bias.is_empty() && bias.len() != gain.rows())
-            {
-                return None;
-            }
-            Some(
-                (0..gain.rows())
-                    .map(|r| {
-                        let mut acc = Interval::point(bias.get(r).copied().unwrap_or(0.0));
-                        for (c, x) in input.iter().enumerate() {
-                            // u = -K s + b
-                            acc = acc + *x * -gain[(r, c)];
-                        }
-                        acc
-                    })
-                    .collect(),
-            )
-        }
-        ControllerSpec::Mixed {
-            experts,
-            weights,
-            u_inf,
-            u_sup,
-        } => {
-            let m = spec.control_dim()?;
-            if u_inf.len() != m || u_sup.len() != m {
-                return None;
-            }
-            let expert_ranges: Vec<Vec<Interval>> = experts
-                .iter()
-                .enumerate()
-                .map(|(i, e)| {
-                    spec_interval(
-                        e,
-                        &format!("{path}.experts[{i}]"),
-                        input,
-                        config,
-                        report.as_deref_mut(),
-                    )
-                })
-                .collect::<Option<_>>()?;
-            if expert_ranges.iter().any(|r| r.len() != m) {
-                return None;
-            }
-            let weight_ranges: Vec<Interval> = match weights {
-                WeightSpec::Constant { weights } => {
-                    if weights.len() != experts.len() {
-                        return None;
-                    }
-                    weights.iter().map(|&w| Interval::point(w)).collect()
-                }
-                WeightSpec::TanhNet { net, bound } => {
-                    let logits = net_interval(
-                        net,
-                        &format!("{path}.weight-policy"),
-                        input,
-                        config,
-                        report.as_deref_mut(),
-                    )?;
-                    if logits.len() != experts.len() {
-                        return None;
-                    }
-                    logits.iter().map(|z| z.tanh() * *bound).collect()
-                }
-            };
-            let raw: Vec<Interval> = (0..m)
-                .map(|j| {
-                    let mut acc = Interval::point(0.0);
-                    for (w, e) in weight_ranges.iter().zip(&expert_ranges) {
-                        acc = acc + *w * e[j];
-                    }
-                    acc
-                })
-                .collect();
-            if let Some(report) = report.as_deref_mut() {
-                let escapes: Vec<usize> = (0..m)
-                    .filter(|&j| raw[j].lo() < u_inf[j] || raw[j].hi() > u_sup[j])
-                    .collect();
-                if !escapes.is_empty() {
-                    report.push(Diagnostic::warn(
-                        PASS,
-                        "clipped-mixture",
-                        format!(
-                            "{path}: the raw mixture Σ aᵢκᵢ(s) can escape the actuator box on \
-                             output dims {escapes:?} (raw range {}) — the Eq. (4) clip is \
-                             load-bearing there",
-                            render_box(&raw)
-                        ),
-                    ));
-                }
-            }
-            Some(
-                raw.iter()
-                    .enumerate()
-                    .map(|(j, iv)| iv.clamp_to(u_inf[j], u_sup[j]))
-                    .collect(),
-            )
-        }
-        ControllerSpec::Switching { experts } => {
-            // any expert may be active: the reachable set is the union,
-            // over-approximated by the per-dimension hull
-            let m = spec.control_dim()?;
-            let mut hull: Option<Vec<Interval>> = None;
-            for (i, e) in experts.iter().enumerate() {
-                let r = spec_interval(
-                    e,
-                    &format!("{path}.experts[{i}]"),
-                    input,
-                    config,
-                    report.as_deref_mut(),
-                )?;
-                if r.len() != m {
-                    return None;
-                }
-                hull = Some(match hull {
-                    None => r,
-                    Some(h) => h.iter().zip(&r).map(|(a, b)| a.hull(b)).collect(),
-                });
-            }
-            hull
-        }
-    }
-}
-
-/// Interval-propagates one network, reporting saturated layers.
-fn net_interval(
-    net: &Mlp,
-    path: &str,
-    input: &[Interval],
-    config: &AnalysisConfig,
-    mut report: Option<&mut AnalysisReport>,
-) -> Option<Vec<Interval>> {
-    if net.layers().is_empty() || net.layers()[0].input_dim() != input.len() {
+    let ControllerSpec::Mlp { net, scale } = spec;
+    if net.output_dim() != scale.len() {
         return None;
     }
     let mut iv = input.to_vec();
     for (li, layer) in net.layers().iter().enumerate() {
-        let z = pre_activation_interval(layer, &iv)?;
+        let z = layer.affine_interval(&iv);
         if let Some(report) = report.as_deref_mut() {
-            report_saturation(path, li, layer, &z, config, report);
+            report_saturation("controller", li, layer, &z, report);
         }
         iv = z
-            .iter()
-            .map(|&zi| layer.activation().apply_interval(zi))
+            .into_iter()
+            .map(|zi| layer.activation().apply_interval(zi))
             .collect();
     }
-    Some(iv)
-}
-
-/// Tightest interval extension of `W x + b` over a box, in centre/radius
-/// form (mirrors `Dense::forward_interval`).
-fn pre_activation_interval(layer: &Dense, input: &[Interval]) -> Option<Vec<Interval>> {
-    let w = layer.weights();
-    if w.cols() != input.len()
-        || w.as_slice().len() != w.rows() * w.cols()
-        || layer.biases().len() != w.rows()
-    {
-        return None;
-    }
-    let centre: Vec<f64> = input.iter().map(Interval::mid).collect();
-    let radius: Vec<f64> = input.iter().map(Interval::radius).collect();
-    Some(
-        (0..w.rows())
-            .map(|r| {
-                let mut zc = layer.biases()[r];
-                let mut zr = 0.0;
-                for c in 0..w.cols() {
-                    zc += w[(r, c)] * centre[c];
-                    zr += w[(r, c)].abs() * radius[c];
-                }
-                Interval::new(zc - zr, zc + zr)
-            })
-            .collect(),
-    )
+    Some(iv.iter().zip(scale).map(|(iv, &k)| *iv * k).collect())
 }
 
 /// Is the activation provably flat (constant output) on the whole
@@ -305,12 +133,11 @@ fn report_saturation(
     li: usize,
     layer: &Dense,
     z: &[Interval],
-    config: &AnalysisConfig,
     report: &mut AnalysisReport,
 ) {
     let saturated = z
         .iter()
-        .filter(|&&zi| unit_saturated(layer.activation(), zi, config.saturation_margin))
+        .filter(|&&zi| unit_saturated(layer.activation(), zi, SATURATION_MARGIN))
         .count();
     if saturated == 0 {
         return;
@@ -360,18 +187,18 @@ mod tests {
             .seed(3)
             .build();
         let domain = BoxRegion::cube(2, -1.5, 1.5);
-        // the whole-network propagation must agree with the existing IBP
-        let ours = net_interval(
-            &net,
-            "t",
-            domain.intervals(),
-            &AnalysisConfig::default(),
-            None,
-        )
-        .expect("well-formed");
+        // the pass reads pre-activations, yet its output range must be the
+        // network's own interval propagation, bit for bit
+        let spec = ControllerSpec::Mlp {
+            net: net.clone(),
+            scale: vec![1.0],
+        };
+        let ours = output_range(&spec, &domain).expect("well-formed");
         let theirs = net.bounds(&domain);
+        assert_eq!(ours.len(), theirs.len());
         for (a, b) in ours.iter().zip(&theirs) {
-            assert!((a.lo() - b.lo()).abs() < 1e-12 && (a.hi() - b.hi()).abs() < 1e-12);
+            assert_eq!(a.lo().to_bits(), b.lo().to_bits());
+            assert_eq!(a.hi().to_bits(), b.hi().to_bits());
         }
     }
 
@@ -384,9 +211,8 @@ mod tests {
             vec![-10.0],
             Activation::Relu,
         );
-        let z = pre_activation_interval(&layer, BoxRegion::cube(2, -1.0, 1.0).intervals())
-            .expect("well-formed");
-        report_saturation("t", 0, &layer, &z, &AnalysisConfig::default(), &mut report);
+        let z = layer.affine_interval(BoxRegion::cube(2, -1.0, 1.0).intervals());
+        report_saturation("t", 0, &layer, &z, &mut report);
         assert!(report.has_code("saturated-layer"), "{report}");
     }
 

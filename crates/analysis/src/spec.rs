@@ -1,24 +1,21 @@
-//! Serializable controller specifications.
+//! The serializable controller specification.
 //!
-//! The runtime controller types deliberately validate their invariants in
-//! their constructors (`Mlp::new`, `MixedController::new`, … panic on
-//! malformed input), which is the right behaviour *inside* a pipeline but
-//! useless for a linter: a model file with a NaN weight or mismatched
-//! dimensions must be loadable so the analyzer can explain what is wrong
-//! instead of aborting. [`ControllerSpec`] is that pre-construction form —
-//! a plain data mirror of the controller families in `cocktail-control`
-//! that derives `Serialize`/`Deserialize` field-wise and therefore accepts
-//! arbitrary (including broken) content.
+//! [`ControllerSpec`] is the artifact the pipeline lints, certifies and
+//! ships: the distilled student `u = scale ⊙ net(s)` (the runtime
+//! `NnController`). Its JSON shape, `{"Mlp": {"net": …, "scale": […]}}`,
+//! is what a bundle's `spec` field and a `lint-model` model file hold.
+//!
+//! The network loads through `Mlp`'s checked `Deserialize`, which refuses
+//! an empty layer list and shapes a forward pass would index past, so a
+//! spec that parses has consistent shapes. Its values are taken as they
+//! come: a NaN weight, a wrong-arity or non-positive scale and a wrong
+//! plant all load, so the analyzer can explain what is wrong instead of
+//! the pipeline panicking on it.
 
-use cocktail_math::Matrix;
 use cocktail_nn::Mlp;
 use serde::{Deserialize, Serialize};
 
-/// Pre-construction description of a controller.
-///
-/// Mirrors the controller families of `cocktail-control`:
-/// `Mlp` ↔ `NnController`, `Linear` ↔ `LinearFeedbackController`,
-/// `Mixed` ↔ `MixedController`, `Switching` ↔ `SwitchingController`.
+/// A neural controller `u = scale ⊙ net(s)`, the runtime `NnController`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ControllerSpec {
     /// A neural controller `u = scale ⊙ net(s)`.
@@ -28,228 +25,39 @@ pub enum ControllerSpec {
         /// Per-output scaling (element-wise, all entries positive).
         scale: Vec<f64>,
     },
-    /// An affine state-feedback law `u = -K s + b`.
-    Linear {
-        /// The gain matrix `K` (`control_dim` × `state_dim`).
-        gain: Matrix,
-        /// Constant offset `b`; empty means zero.
-        bias: Vec<f64>,
-    },
-    /// The paper's adaptive mixture `A_W`: `u = clip(Σᵢ aᵢ(s) κᵢ(s))`.
-    Mixed {
-        /// The expert controllers being mixed.
-        experts: Vec<ControllerSpec>,
-        /// The mixing-weight policy producing `a(s)`.
-        weights: WeightSpec,
-        /// Lower actuator limits `U_inf` (one per control dimension).
-        u_inf: Vec<f64>,
-        /// Upper actuator limits `U_sup` (one per control dimension).
-        u_sup: Vec<f64>,
-    },
-    /// A hard-switching ensemble: one expert active at a time.
-    Switching {
-        /// The candidate experts.
-        experts: Vec<ControllerSpec>,
-    },
-}
-
-/// Pre-construction description of a mixing-weight policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum WeightSpec {
-    /// State-independent weights `a(s) = w`.
-    Constant {
-        /// One weight per expert.
-        weights: Vec<f64>,
-    },
-    /// The paper's bounded policy `a(s) = bound · tanh(net(s))`.
-    TanhNet {
-        /// The weight network (state → one logit per expert).
-        net: Mlp,
-        /// Weight bound `W ≥ 1`.
-        bound: f64,
-    },
-}
-
-/// One analyzable sub-component of a spec, discovered by
-/// [`ControllerSpec::components`]. The `path` locates the component for
-/// diagnostics (e.g. `controller.experts[1]`).
-#[derive(Debug)]
-pub enum Component<'a> {
-    /// A neural network, optionally with an output scale vector.
-    Net {
-        /// Dotted path from the root spec.
-        path: String,
-        /// The network itself.
-        net: &'a Mlp,
-        /// The output scale, when the owner is an `Mlp` spec.
-        scale: Option<&'a [f64]>,
-    },
-    /// An affine gain matrix with its bias.
-    Gain {
-        /// Dotted path from the root spec.
-        path: String,
-        /// The gain matrix.
-        gain: &'a Matrix,
-        /// The bias vector (possibly empty).
-        bias: &'a [f64],
-    },
 }
 
 impl ControllerSpec {
-    /// Short human label for the spec family.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            ControllerSpec::Mlp { .. } => "neural",
-            ControllerSpec::Linear { .. } => "linear",
-            ControllerSpec::Mixed { .. } => "mixed",
-            ControllerSpec::Switching { .. } => "switching",
-        }
+    /// Input (state) dimension: the network's.
+    pub fn state_dim(&self) -> usize {
+        let ControllerSpec::Mlp { net, .. } = self;
+        net.input_dim()
     }
 
-    /// Input (state) dimension, or `None` when the spec is too malformed
-    /// to have one (empty network, empty ensemble).
-    pub fn state_dim(&self) -> Option<usize> {
-        match self {
-            ControllerSpec::Mlp { net, .. } => {
-                net.layers().first().map(cocktail_nn::Dense::input_dim)
-            }
-            ControllerSpec::Linear { gain, .. } => Some(gain.cols()),
-            ControllerSpec::Mixed { experts, .. } | ControllerSpec::Switching { experts } => {
-                experts.first().and_then(ControllerSpec::state_dim)
-            }
-        }
+    /// Output (control) dimension: the network's.
+    pub fn control_dim(&self) -> usize {
+        let ControllerSpec::Mlp { net, .. } = self;
+        net.output_dim()
     }
 
-    /// Output (control) dimension, or `None` when undeterminable.
-    pub fn control_dim(&self) -> Option<usize> {
-        match self {
-            ControllerSpec::Mlp { net, .. } => {
-                net.layers().last().map(cocktail_nn::Dense::output_dim)
-            }
-            ControllerSpec::Linear { gain, .. } => Some(gain.rows()),
-            ControllerSpec::Mixed { experts, .. } | ControllerSpec::Switching { experts } => {
-                experts.first().and_then(ControllerSpec::control_dim)
-            }
-        }
-    }
-
-    /// Flat list of every network / gain component with its diagnostic
-    /// path, depth-first from the root.
-    pub fn components(&self) -> Vec<Component<'_>> {
-        let mut out = Vec::new();
-        self.collect_components("controller", &mut out);
-        out
-    }
-
-    fn collect_components<'a>(&'a self, path: &str, out: &mut Vec<Component<'a>>) {
-        match self {
-            ControllerSpec::Mlp { net, scale } => {
-                out.push(Component::Net {
-                    path: path.to_string(),
-                    net,
-                    scale: Some(scale),
-                });
-            }
-            ControllerSpec::Linear { gain, bias } => {
-                out.push(Component::Gain {
-                    path: path.to_string(),
-                    gain,
-                    bias,
-                });
-            }
-            ControllerSpec::Mixed {
-                experts, weights, ..
-            } => {
-                for (i, e) in experts.iter().enumerate() {
-                    e.collect_components(&format!("{path}.experts[{i}]"), out);
-                }
-                if let WeightSpec::TanhNet { net, .. } = weights {
-                    out.push(Component::Net {
-                        path: format!("{path}.weight-policy"),
-                        net,
-                        scale: None,
-                    });
-                }
-            }
-            ControllerSpec::Switching { experts } => {
-                for (i, e) in experts.iter().enumerate() {
-                    e.collect_components(&format!("{path}.experts[{i}]"), out);
-                }
-            }
-        }
-    }
-
-    /// Concrete evaluation at a state, mirroring the runtime controllers.
+    /// Concrete evaluation at a state, as the runtime controller computes
+    /// it.
     ///
-    /// Returns `None` for malformed specs (dimension mismatches, empty
-    /// ensembles) and for `Switching`, whose output depends on a selector
-    /// the spec does not carry. Used by tests to compare interval bounds
-    /// against sampled outputs.
+    /// Returns `None` when `s` has the wrong dimension or the scale does
+    /// not have one entry per output. Used by tests to compare interval
+    /// bounds against sampled outputs.
     pub fn eval(&self, s: &[f64]) -> Option<Vec<f64>> {
-        if self.state_dim()? != s.len() {
+        let ControllerSpec::Mlp { net, scale } = self;
+        if net.input_dim() != s.len() || net.output_dim() != scale.len() {
             return None;
         }
-        match self {
-            ControllerSpec::Mlp { net, scale } => {
-                let y = net.forward(s);
-                if y.len() != scale.len() {
-                    return None;
-                }
-                Some(y.iter().zip(scale).map(|(v, k)| v * k).collect())
-            }
-            ControllerSpec::Linear { gain, bias } => {
-                if gain.as_slice().len() != gain.rows() * gain.cols()
-                    || (!bias.is_empty() && bias.len() != gain.rows())
-                {
-                    return None;
-                }
-                Some(
-                    (0..gain.rows())
-                        .map(|r| {
-                            let row: f64 = (0..gain.cols()).map(|c| gain[(r, c)] * s[c]).sum();
-                            bias.get(r).copied().unwrap_or(0.0) - row
-                        })
-                        .collect(),
-                )
-            }
-            ControllerSpec::Mixed {
-                experts,
-                weights,
-                u_inf,
-                u_sup,
-            } => {
-                let m = self.control_dim()?;
-                if u_inf.len() != m || u_sup.len() != m {
-                    return None;
-                }
-                let w = match weights {
-                    WeightSpec::Constant { weights } => weights.clone(),
-                    WeightSpec::TanhNet { net, bound } => {
-                        net.forward(s).iter().map(|z| bound * z.tanh()).collect()
-                    }
-                };
-                if w.len() != experts.len() {
-                    return None;
-                }
-                let mut u = vec![0.0; m];
-                for (wi, e) in w.iter().zip(experts) {
-                    let ue = e.eval(s)?;
-                    if ue.len() != m {
-                        return None;
-                    }
-                    for (acc, v) in u.iter_mut().zip(&ue) {
-                        *acc += wi * v;
-                    }
-                }
-                Some(
-                    u.iter()
-                        .zip(u_inf.iter().zip(u_sup))
-                        .map(|(&v, (&lo, &hi))| v.clamp(lo, hi))
-                        .collect(),
-                )
-            }
-            ControllerSpec::Switching { .. } => None,
-        }
+        Some(
+            net.forward(s)
+                .iter()
+                .zip(scale)
+                .map(|(v, k)| v * k)
+                .collect(),
+        )
     }
 
     /// Builds the spec of an `NnController`-shaped pair.
@@ -299,105 +107,19 @@ mod tests {
             net: net(3, 2),
             scale: vec![1.0, 1.0],
         };
-        assert_eq!(mlp.state_dim(), Some(3));
-        assert_eq!(mlp.control_dim(), Some(2));
-
-        let lin = ControllerSpec::Linear {
-            gain: Matrix::from_rows(vec![vec![1.0, 0.0]]),
-            bias: vec![],
-        };
-        assert_eq!(lin.state_dim(), Some(2));
-        assert_eq!(lin.control_dim(), Some(1));
-
-        let mixed = ControllerSpec::Mixed {
-            experts: vec![mlp.clone(), mlp],
-            weights: WeightSpec::Constant {
-                weights: vec![0.5, 0.5],
-            },
-            u_inf: vec![-1.0, -1.0],
-            u_sup: vec![1.0, 1.0],
-        };
-        assert_eq!(mixed.state_dim(), Some(3));
-        assert_eq!(mixed.control_dim(), Some(2));
-
-        let empty = ControllerSpec::Switching { experts: vec![] };
-        assert_eq!(empty.state_dim(), None);
-    }
-
-    #[test]
-    fn component_paths_cover_nested_networks() {
-        let mixed = ControllerSpec::Mixed {
-            experts: vec![
-                ControllerSpec::Mlp {
-                    net: net(2, 1),
-                    scale: vec![1.0],
-                },
-                ControllerSpec::Linear {
-                    gain: Matrix::from_rows(vec![vec![1.0, 2.0]]),
-                    bias: vec![],
-                },
-            ],
-            weights: WeightSpec::TanhNet {
-                net: net(2, 2),
-                bound: 1.0,
-            },
-            u_inf: vec![-1.0],
-            u_sup: vec![1.0],
-        };
-        let paths: Vec<String> = mixed
-            .components()
-            .iter()
-            .map(|c| match c {
-                Component::Net { path, .. } | Component::Gain { path, .. } => path.clone(),
-            })
-            .collect();
-        assert_eq!(
-            paths,
-            vec![
-                "controller.experts[0]",
-                "controller.experts[1]",
-                "controller.weight-policy"
-            ]
-        );
-    }
-
-    #[test]
-    fn eval_matches_manual_linear_feedback() {
-        let spec = ControllerSpec::Linear {
-            gain: Matrix::from_rows(vec![vec![2.0, -1.0]]),
-            bias: vec![0.5],
-        };
-        // u = b - K s
-        let u = spec.eval(&[1.0, 3.0]).expect("well-formed");
-        assert!((u[0] - (0.5 - (2.0 - 3.0))).abs() < 1e-12);
-    }
-
-    #[test]
-    fn eval_clips_mixture_to_actuator_box() {
-        let spec = ControllerSpec::Mixed {
-            experts: vec![ControllerSpec::Linear {
-                gain: Matrix::from_rows(vec![vec![-100.0]]),
-                bias: vec![],
-            }],
-            weights: WeightSpec::Constant { weights: vec![1.0] },
-            u_inf: vec![-2.0],
-            u_sup: vec![2.0],
-        };
-        assert_eq!(spec.eval(&[1.0]), Some(vec![2.0]));
+        assert_eq!(mlp.state_dim(), 3);
+        assert_eq!(mlp.control_dim(), 2);
     }
 
     #[test]
     fn json_round_trip() {
-        let spec = ControllerSpec::Mixed {
-            experts: vec![ControllerSpec::Mlp {
-                net: net(2, 1),
-                scale: vec![20.0],
-            }],
-            weights: WeightSpec::Constant { weights: vec![1.0] },
-            u_inf: vec![-20.0],
-            u_sup: vec![20.0],
+        let spec = ControllerSpec::Mlp {
+            net: net(2, 1),
+            scale: vec![20.0],
         };
-        let back = ControllerSpec::from_json(&spec.to_json()).expect("round trip");
+        let text = spec.to_json();
+        assert!(text.trim_start().starts_with("{\n  \"Mlp\""), "{text}");
+        let back = ControllerSpec::from_json(&text).expect("round trip");
         assert_eq!(back, spec);
     }
 

@@ -37,14 +37,16 @@ fn nan_weight_model_fails_the_lint() {
 }
 
 #[test]
-fn dim_mismatched_mixture_fails_the_lint() {
+fn a_spec_of_another_family_is_a_load_error() {
     let out = lint(&[
-        fixture("dim_mismatch.json").to_str().unwrap(),
+        fixture("linear_spec.json").to_str().unwrap(),
         "--system",
         "oscillator",
     ]);
-    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
-    assert!(stdout(&out).contains("dim-mismatch"), "{}", stdout(&out));
+    assert_eq!(out.status.code(), Some(2), "{}", stdout(&out));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("cannot parse"), "{stderr}");
+    assert!(stdout(&out).is_empty(), "{}", stdout(&out));
 }
 
 #[test]
@@ -120,6 +122,28 @@ fn garbage_json_exits_2() {
     std::fs::write(&path, "{ not json").expect("write garbage");
     let out = lint(&[path.to_str().unwrap(), "--system", "oscillator"]);
     assert_eq!(out.status.code(), Some(2));
+
+    // a bare Mlp whose layers do not chain: the loader's reason is the
+    // whole explanation, so it must reach the user
+    let layer = |cols: usize| {
+        format!(
+            r#"{{"weights":{{"rows":1,"cols":{cols},"data":[{}]}},"biases":[0],"activation":"Tanh"}}"#,
+            vec!["0.5"; cols].join(",")
+        )
+    };
+    let path = dir.join("unchained.json");
+    std::fs::write(
+        &path,
+        format!(r#"{{"layers":[{},{}]}}"#, layer(2), layer(2)),
+    )
+    .expect("write model");
+    let out = lint(&[path.to_str().unwrap(), "--system", "oscillator"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("layer 1 reads 2 inputs but layer 0 emits 1"),
+        "{stderr}"
+    );
 }
 
 #[test]

@@ -1,9 +1,8 @@
 //! One fixture per diagnostic kind: each broken model must surface its
 //! specific code, and a healthy model must come back error-free.
 
-use cocktail_analysis::{AnalysisConfig, Analyzer, ControllerSpec, Severity, WeightSpec};
+use cocktail_analysis::{AnalysisConfig, Analyzer, ControllerSpec, Severity};
 use cocktail_env::systems::{CartPole, VanDerPol};
-use cocktail_math::Matrix;
 use cocktail_nn::{Activation, MlpBuilder};
 use std::sync::Arc;
 
@@ -27,11 +26,11 @@ fn nan_weight_is_an_error() {
 }
 
 #[test]
-fn dim_mismatched_experts_are_an_error() {
-    let spec = ControllerSpec::from_json(&fixture("dim_mismatch.json")).expect("loadable");
-    let report = analyzer().analyze(&spec);
-    assert!(report.has_errors(), "{report}");
-    assert!(report.has_code("dim-mismatch"), "{report}");
+fn a_spec_of_another_family_does_not_load() {
+    // the spec is one controller family: a file naming another one is a
+    // parse error, not a finding
+    let err = ControllerSpec::from_json(&fixture("linear_spec.json")).expect_err("not an Mlp");
+    assert!(err.contains("unknown variant `Linear`"), "{err}");
 }
 
 #[test]
@@ -116,38 +115,6 @@ fn wrong_plant_is_a_dim_mismatch() {
     let report = Analyzer::new(Arc::new(CartPole::new())).analyze(&spec);
     assert!(report.has_errors(), "{report}");
     assert!(report.has_code("dim-mismatch"), "{report}");
-}
-
-#[test]
-fn weight_arity_mismatch_is_an_error() {
-    let expert = ControllerSpec::Linear {
-        gain: Matrix::from_rows(vec![vec![1.0, 0.0]]),
-        bias: vec![],
-    };
-    let spec = ControllerSpec::Mixed {
-        experts: vec![expert.clone(), expert],
-        weights: WeightSpec::Constant { weights: vec![1.0] }, // 1 weight, 2 experts
-        u_inf: vec![-20.0],
-        u_sup: vec![20.0],
-    };
-    let report = analyzer().analyze(&spec);
-    assert!(report.has_code("weight-arity"), "{report}");
-    assert!(report.has_errors());
-}
-
-#[test]
-fn inverted_actuator_box_is_an_error() {
-    let spec = ControllerSpec::Mixed {
-        experts: vec![ControllerSpec::Linear {
-            gain: Matrix::from_rows(vec![vec![1.0, 0.0]]),
-            bias: vec![],
-        }],
-        weights: WeightSpec::Constant { weights: vec![1.0] },
-        u_inf: vec![20.0],
-        u_sup: vec![-20.0],
-    };
-    let report = analyzer().analyze(&spec);
-    assert!(report.has_code("empty-control-box"), "{report}");
 }
 
 #[test]

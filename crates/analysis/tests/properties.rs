@@ -9,7 +9,7 @@
 
 #![allow(clippy::expect_used, clippy::unwrap_used)] // test helpers panic on setup failure by design
 
-use cocktail_analysis::{output_range, ControllerSpec, WeightSpec};
+use cocktail_analysis::{output_range, ControllerSpec};
 use cocktail_env::systems::{CartPole, Poly3d, VanDerPol};
 use cocktail_env::Dynamics;
 use cocktail_math::BoxRegion;
@@ -74,71 +74,6 @@ proptest! {
             for s in sample_states(&domain, t) {
                 assert_enclosed(&spec, &domain, &s)?;
             }
-        }
-    }
-
-    #[test]
-    fn mixed_range_encloses_samples_on_all_systems(
-        seed in 0u64..1000,
-        t in 0.0..=1.0f64,
-        w0 in -1.5..1.5f64,
-        w1 in -1.5..1.5f64,
-    ) {
-        for sys in systems() {
-            let (u_lo, u_hi) = sys.control_bounds();
-            let experts = vec![
-                ControllerSpec::Mlp {
-                    net: policy_net(sys.state_dim(), sys.control_dim(), seed),
-                    scale: u_hi.clone(),
-                },
-                ControllerSpec::Mlp {
-                    net: policy_net(sys.state_dim(), sys.control_dim(), seed.wrapping_add(1)),
-                    scale: u_hi.clone(),
-                },
-            ];
-            let spec = ControllerSpec::Mixed {
-                experts,
-                weights: WeightSpec::Constant { weights: vec![w0, w1] },
-                u_inf: u_lo,
-                u_sup: u_hi,
-            };
-            let domain = sys.verification_domain();
-            for s in sample_states(&domain, t) {
-                assert_enclosed(&spec, &domain, &s)?;
-            }
-        }
-    }
-
-    #[test]
-    fn tanh_weight_policy_range_encloses_samples(seed in 0u64..500, t in 0.0..=1.0f64) {
-        // the paper's A_W shape: tanh-bounded state-dependent weights
-        let sys = VanDerPol::new();
-        let (u_lo, u_hi) = sys.control_bounds();
-        let spec = ControllerSpec::Mixed {
-            experts: vec![
-                ControllerSpec::Mlp {
-                    net: policy_net(2, 1, seed),
-                    scale: u_hi.clone(),
-                },
-                ControllerSpec::Mlp {
-                    net: policy_net(2, 1, seed.wrapping_add(7)),
-                    scale: u_hi.clone(),
-                },
-            ],
-            weights: WeightSpec::TanhNet {
-                net: MlpBuilder::new(2)
-                    .hidden(6, Activation::Tanh)
-                    .output(2, Activation::Identity)
-                    .seed(seed.wrapping_add(13))
-                    .build(),
-                bound: 1.5,
-            },
-            u_inf: u_lo,
-            u_sup: u_hi,
-        };
-        let domain = sys.verification_domain();
-        for s in sample_states(&domain, t) {
-            assert_enclosed(&spec, &domain, &s)?;
         }
     }
 }

@@ -303,15 +303,17 @@ impl Dense {
         (grad_w, delta, grad_x)
     }
 
-    /// Sound interval propagation through the layer.
+    /// Sound interval enclosure of the pre-activation `z = W x + b` over
+    /// the box `x`.
     ///
-    /// Uses the centre/radius form: for `z = W x + b` with `x ∈ [c − r, c + r]`,
-    /// `z ∈ [W c + b − |W| r, W c + b + |W| r]`.
+    /// Uses the centre/radius form: for `x ∈ [c − r, c + r]`,
+    /// `z ∈ [W c + b − |W| r, W c + b + |W| r]`, the tightest interval
+    /// extension of an affine map over a box.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != self.input_dim()`.
-    pub fn forward_interval(&self, x: &[Interval]) -> Vec<Interval> {
+    pub fn affine_interval(&self, x: &[Interval]) -> Vec<Interval> {
         assert_eq!(x.len(), self.input_dim(), "input dimension mismatch");
         let centre: Vec<f64> = x.iter().map(Interval::mid).collect();
         let radius: Vec<f64> = x.iter().map(Interval::radius).collect();
@@ -326,7 +328,20 @@ impl Dense {
         let zr = abs_w.matvec(&radius);
         zc.iter()
             .zip(&zr)
-            .map(|(&c, &r)| self.activation.apply_interval(Interval::new(c - r, c + r)))
+            .map(|(&c, &r)| Interval::new(c - r, c + r))
+            .collect()
+    }
+
+    /// Sound interval propagation through the layer: the activation's
+    /// interval extension applied to [`Self::affine_interval`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != self.input_dim()`.
+    pub fn forward_interval(&self, x: &[Interval]) -> Vec<Interval> {
+        self.affine_interval(x)
+            .into_iter()
+            .map(|z| self.activation.apply_interval(z))
             .collect()
     }
 }

@@ -35,8 +35,8 @@ pub struct Mlp {
     layers: Vec<Dense>,
 }
 
-/// Refuses a network whose layers do not chain: each layer must read as
-/// many inputs as the previous one emits.
+/// Refuses a network without layers, and one whose layers do not chain:
+/// each layer must read as many inputs as the previous one emits.
 impl Deserialize for Mlp {
     fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
         #[derive(Deserialize)]
@@ -44,6 +44,9 @@ impl Deserialize for Mlp {
             layers: Vec<Dense>,
         }
         let MlpFields { layers } = MlpFields::from_value(v)?;
+        if layers.is_empty() {
+            return Err(serde::DeError::custom("a network needs at least one layer"));
+        }
         for (i, pair) in layers.windows(2).enumerate() {
             if pair[1].input_dim() != pair[0].output_dim() {
                 return Err(serde::DeError::custom(format!(
@@ -894,6 +897,7 @@ mod tests {
         let healthy = mlp(&[layer(1, 2, "1,2", "0"), layer(1, 1, "3", "0")]);
         assert_eq!(Mlp::from_json(&healthy).expect("chains").output_dim(), 1);
         for (json, what) in [
+            (mlp(&[]), "needs at least one layer"),
             (mlp(&[layer(2, 2, "1,2", "0,0")]), "cannot hold 2 values"),
             (mlp(&[layer(1, 2, "1,2", "0,0")]), "cannot take 2 biases"),
             (

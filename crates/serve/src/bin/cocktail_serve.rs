@@ -292,9 +292,8 @@ fn cmd_check(args: &Args) -> Result<ExitCode, String> {
     match admit_with(bundle.clone(), &admission_config(args)?, &NullSink) {
         Ok(admitted) => {
             println!(
-                "ADMITTED: {} controller for {} (claim {:.6}, recomputed {:.6}, \
+                "ADMITTED: neural controller for {} (claim {:.6}, recomputed {:.6}, \
                  sweep lower bound {:.6}, {} findings)",
-                bundle.spec.kind(),
                 bundle.system.label(),
                 bundle.lipschitz_claim,
                 admitted.recomputed_bound,
@@ -637,9 +636,8 @@ fn cmd_rollout_drill(args: &Args) -> Result<ExitCode, String> {
     // 5. corrupted v3: refused by admission, then forced past it to prove
     // the serving-side guard
     let mut v3 = v2.clone();
-    if let cocktail_analysis::ControllerSpec::Mlp { net, .. } = &mut v3.spec {
-        net.layers_mut()[0].weights_mut()[(0, 0)] = f64::NAN;
-    }
+    let cocktail_analysis::ControllerSpec::Mlp { net: v3_net, .. } = &mut v3.spec;
+    v3_net.layers_mut()[0].weights_mut()[(0, 0)] = f64::NAN;
     match engine.propose(v3, &RolloutConfig::default()) {
         Err(RolloutError::Refused(e)) => {
             println!("rollout-drill: corrupted candidate refused by admission ({e})");

@@ -16,7 +16,7 @@
 use cocktail_analysis::{AnalysisConfig, AnalysisReport, Analyzer, ControllerSpec, Severity};
 use cocktail_core::SystemId;
 use cocktail_math::BoxRegion;
-use cocktail_nn::{FastTierCert, Mlp};
+use cocktail_nn::{lipschitz, FastTierCert, Mlp};
 use cocktail_obs::{NullSink, Telemetry};
 use cocktail_verify::{certify_controller, default_params, ErrorMargin, SafetyCert, SafetyParams};
 use serde::{Deserialize, Serialize};
@@ -136,8 +136,8 @@ pub struct ControllerBundle {
     pub version: u32,
     /// The plant the controller was trained and certified for.
     pub system: SystemId,
-    /// The controller itself (the serving engine requires the `Mlp`
-    /// family; other families are rejected at admission).
+    /// The controller itself, the network and output scale the engine
+    /// serves.
     pub spec: ControllerSpec,
     /// The input box the Lipschitz claim was measured over (normally the
     /// plant's verification domain).
@@ -147,8 +147,8 @@ pub struct ControllerBundle {
     /// Upper actuator limits `U_sup`, one per control dimension.
     pub u_sup: Vec<f64>,
     /// The certified Lipschitz bound measured at export
-    /// ([`cocktail_analysis::certified_bound`]); admission re-derives it
-    /// and refuses on mismatch.
+    /// ([`lipschitz::scaled_upper_bound`]); admission re-derives it and
+    /// refuses on mismatch.
     pub lipschitz_claim: f64,
     /// Analyzer findings at export time (informational; admission re-runs
     /// the analyzer rather than trusting these).
@@ -233,16 +233,16 @@ impl ControllerBundle {
     /// Packages a trained student `u = scale ⊙ net(s)` for `system`.
     ///
     /// Runs the static analyzer and the Lipschitz certification once at
-    /// export: a student the linter rejects at error level, or one without
-    /// a product-form Lipschitz bound, is refused here — shipping an
-    /// artifact that admission is guaranteed to bounce helps nobody. Then
-    /// runs the full formal safety loop (Bernstein certificate, closed-loop
-    /// reachability, control-invariant set) under `safety_params` (the
-    /// plant's [`default_params`] when `None`) and embeds the resulting
-    /// [`SafetyCert`]. A student whose certification exhausts its budget —
-    /// the paper's `κ_D` failure mode — still packages, but without a
-    /// certificate: admission will refuse it as uncertified unless the
-    /// operator explicitly allows uncertified bundles.
+    /// export: a student the linter rejects at error level is refused
+    /// here — shipping an artifact that admission is guaranteed to bounce
+    /// helps nobody. Then runs the full formal safety loop (Bernstein
+    /// certificate, closed-loop reachability, control-invariant set) under
+    /// `safety_params` (the plant's [`default_params`] when `None`) and
+    /// embeds the resulting [`SafetyCert`]. A student whose certification
+    /// exhausts its budget — the paper's `κ_D` failure mode — still
+    /// packages, but without a certificate: admission will refuse it as
+    /// uncertified unless the operator explicitly allows uncertified
+    /// bundles.
     ///
     /// # Errors
     ///
@@ -268,44 +268,31 @@ impl ControllerBundle {
                 report.render()
             )));
         }
-        let claim = cocktail_analysis::certified_bound(&spec).ok_or_else(|| {
-            BundleError::Format(format!(
-                "no product-form Lipschitz bound for a {} controller; only \
-                 certifiable students are servable",
-                spec.kind()
-            ))
-        })?;
+        let ControllerSpec::Mlp { net, scale } = &spec;
+        let claim = lipschitz::scaled_upper_bound(net, scale);
         let (u_inf, u_sup) = sys.control_bounds();
         let input_domain = sys.verification_domain();
-        let fast_tier = match &spec {
-            ControllerSpec::Mlp { net, .. } => cocktail_nn::certify_fast_tier(net, &input_domain),
-            _ => None,
-        };
-        let safety = match &spec {
-            ControllerSpec::Mlp { net, scale } => {
-                let defaults;
-                let params = match safety_params {
-                    Some(p) => p,
-                    None => {
-                        defaults = default_params(sys.as_ref());
-                        &defaults
-                    }
-                };
-                // a budget blow-up is not an export error: the bundle ships
-                // uncertified and the admission gate decides its fate
-                certify_controller(
-                    sys.as_ref(),
-                    net,
-                    scale,
-                    params,
-                    cocktail_math::parallel::default_workers(),
-                    tel,
-                )
-                .ok()
-                .map(|run| run.cert)
+        let fast_tier = cocktail_nn::certify_fast_tier(net, &input_domain);
+        let defaults;
+        let params = match safety_params {
+            Some(p) => p,
+            None => {
+                defaults = default_params(sys.as_ref());
+                &defaults
             }
-            _ => None,
         };
+        // a budget blow-up is not an export error: the bundle ships
+        // uncertified and the admission gate decides its fate
+        let safety = certify_controller(
+            sys.as_ref(),
+            net,
+            scale,
+            params,
+            cocktail_math::parallel::default_workers(),
+            tel,
+        )
+        .ok()
+        .map(|run| run.cert);
         let bundle = Self {
             version: BUNDLE_VERSION,
             system,
@@ -354,14 +341,8 @@ impl ControllerBundle {
                 )));
             }
         }
-        let state_dim = self
-            .spec
-            .state_dim()
-            .ok_or_else(|| BundleError::Format("controller has no state dimension".into()))?;
-        let control_dim = self
-            .spec
-            .control_dim()
-            .ok_or_else(|| BundleError::Format("controller has no control dimension".into()))?;
+        let state_dim = self.spec.state_dim();
+        let control_dim = self.spec.control_dim();
         if self.input_domain.dim() != state_dim {
             return Err(BundleError::Format(format!(
                 "input domain dimension {} != controller state dimension {state_dim}",
@@ -425,19 +406,15 @@ impl ControllerBundle {
         self.version < 3
     }
 
-    /// The network and scale of a servable (`Mlp` family) bundle.
+    /// The network and scale of the bundle's controller.
     ///
     /// # Errors
     ///
-    /// Returns [`BundleError::Format`] for non-neural controller specs.
+    /// None: every spec that loads is a network with its scale. The
+    /// `Result` keeps the accessor's signature stable for its callers.
     pub fn network(&self) -> Result<(&Mlp, &[f64]), BundleError> {
-        match &self.spec {
-            ControllerSpec::Mlp { net, scale } => Ok((net, scale)),
-            other => Err(BundleError::Format(format!(
-                "the serving engine batches Mlp controllers only, got a {} spec",
-                other.kind()
-            ))),
-        }
+        let ControllerSpec::Mlp { net, scale } = &self.spec;
+        Ok((net, scale))
     }
 
     /// Error-level findings recorded at export time.
@@ -571,35 +548,21 @@ fn validate_safety_cert(cert: &SafetyCert, state_dim: usize) -> Result<(), Bundl
     Ok(())
 }
 
-/// Rejects non-finite parameters anywhere in a spec tree. The vendored
-/// JSON parser accepts bare `NaN` / `Infinity` literals, so "the file
-/// parsed" is not the same as "the file is strict JSON" — this is the
-/// strictness half the parser does not give us.
+/// Rejects non-finite parameters anywhere in a spec. The vendored JSON
+/// parser accepts bare `NaN` / `Infinity` literals, so "the file parsed"
+/// is not the same as "the file is strict JSON" — this is the strictness
+/// half the parser does not give us.
 fn spec_params_finite(spec: &ControllerSpec) -> Result<(), BundleError> {
-    for component in spec.components() {
-        match component {
-            cocktail_analysis::Component::Net { path, net, scale } => {
-                for (i, layer) in net.layers().iter().enumerate() {
-                    let finite = layer.weights().as_slice().iter().all(|v| v.is_finite())
-                        && layer.biases().iter().all(|v| v.is_finite());
-                    if !finite {
-                        return Err(BundleError::NonFinite(format!("{path}: layer {i}")));
-                    }
-                }
-                if let Some(scale) = scale {
-                    if !scale.iter().all(|v| v.is_finite()) {
-                        return Err(BundleError::NonFinite(format!("{path}: scale")));
-                    }
-                }
-            }
-            cocktail_analysis::Component::Gain { path, gain, bias } => {
-                let finite = gain.as_slice().iter().all(|v| v.is_finite())
-                    && bias.iter().all(|v| v.is_finite());
-                if !finite {
-                    return Err(BundleError::NonFinite(path));
-                }
-            }
+    let ControllerSpec::Mlp { net, scale } = spec;
+    for (i, layer) in net.layers().iter().enumerate() {
+        let finite = layer.weights().as_slice().iter().all(|v| v.is_finite())
+            && layer.biases().iter().all(|v| v.is_finite());
+        if !finite {
+            return Err(BundleError::NonFinite(format!("controller: layer {i}")));
         }
+    }
+    if !scale.iter().all(|v| v.is_finite()) {
+        return Err(BundleError::NonFinite("controller: scale".into()));
     }
     Ok(())
 }
@@ -745,9 +708,8 @@ mod tests {
     #[test]
     fn save_refuses_in_memory_corruption() {
         let mut b = bundle();
-        if let ControllerSpec::Mlp { net, .. } = &mut b.spec {
-            net.layers_mut()[0].weights_mut()[(0, 0)] = f64::INFINITY;
-        }
+        let ControllerSpec::Mlp { net, .. } = &mut b.spec;
+        net.layers_mut()[0].weights_mut()[(0, 0)] = f64::INFINITY;
         let err = b.save(&temp_path("corrupt")).expect_err("corrupt refused");
         assert!(matches!(err, BundleError::NonFinite(_)), "{err}");
     }
@@ -783,6 +745,23 @@ mod tests {
         std::fs::write(&path, poisoned).expect("writable");
         let err = ControllerBundle::load(&path).expect_err("NaN literal refused");
         assert!(matches!(err, BundleError::NonFinite(_)), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn load_refuses_a_spec_of_another_controller_family() {
+        let path = temp_path("linear-spec");
+        bundle().save(&path).expect("save succeeds");
+        let text = std::fs::read_to_string(&path).expect("readable");
+        let start = text.find("\"spec\": ").expect("spec key") + "\"spec\": ".len();
+        let end = start + text[start..].find("\n  },").expect("spec closes") + "\n  }".len();
+        let linear =
+            r#"{"Linear": {"gain": {"rows": 1, "cols": 2, "data": [1.0, 0.5]}, "bias": []}}"#;
+        std::fs::write(&path, format!("{}{linear}{}", &text[..start], &text[end..]))
+            .expect("writable");
+        let err = ControllerBundle::load(&path).expect_err("only the Mlp family loads");
+        assert!(matches!(err, BundleError::Format(_)), "{err}");
+        assert!(err.to_string().contains("Linear"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

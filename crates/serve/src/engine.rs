@@ -55,13 +55,14 @@
 //! See [`crate::rollout`] for the state machine and budgets.
 
 use crate::admission::{self, AdmissionConfig, Admitted};
-use crate::bundle::{fnv1a_64, BundleError, ControllerBundle};
+use crate::bundle::{fnv1a_64, ControllerBundle};
 use crate::replay::encode_state_bits;
 use crate::rollout::{
     routes_to_canary, DriftConfig, DriftDetector, DriftReport, RolloutAction, RolloutBudget,
     RolloutConfig, RolloutError, RolloutEvent, RolloutLog, RolloutStatus,
 };
 use crate::wire::{self, ResponseRec, MAX_WIRE_CONTROL_DIM};
+use cocktail_analysis::ControllerSpec;
 use cocktail_control::Controller;
 use cocktail_math::Matrix;
 use cocktail_nn::{BatchCache, ForwardKernel, Mlp};
@@ -301,18 +302,14 @@ pub(crate) struct ModelParams {
 
 impl ModelParams {
     /// The servable parts of a bundle.
-    ///
-    /// # Errors
-    ///
-    /// [`BundleError::Format`] when the bundle is not the `Mlp` family.
-    pub(crate) fn of_bundle(bundle: &ControllerBundle) -> Result<Self, BundleError> {
-        let (net, scale) = bundle.network()?;
-        Ok(Self {
+    pub(crate) fn of_bundle(bundle: &ControllerBundle) -> Self {
+        let ControllerSpec::Mlp { net, scale } = &bundle.spec;
+        Self {
             net: net.clone(),
-            scale: scale.to_vec(),
+            scale: scale.clone(),
             u_inf: bundle.u_inf.clone(),
             u_sup: bundle.u_sup.clone(),
-        })
+        }
     }
 }
 
@@ -709,9 +706,9 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns the [`crate::bundle::BundleError`] message when the
-    /// admitted spec is not servable (cannot happen for bundles that went
-    /// through [`crate::admission::admit`]).
+    /// [`ServeError::BadRequest`] when the bundle's scale or clip range
+    /// does not match its network's outputs (cannot happen for bundles
+    /// that went through [`crate::admission::admit`]).
     pub fn start(admitted: &Admitted, config: EngineConfig) -> Result<Self, ServeError> {
         Self::start_with(admitted, config, None, Arc::new(NullSink))
     }
@@ -723,8 +720,9 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// [`ServeError::BadRequest`] when the spec is not the `Mlp` family or
-    /// the fallback dimensions disagree with the bundle.
+    /// [`ServeError::BadRequest`] when the bundle's scale or clip range
+    /// does not match its network's outputs, or the fallback dimensions
+    /// disagree with the bundle.
     pub fn start_with(
         admitted: &Admitted,
         config: EngineConfig,
@@ -736,8 +734,7 @@ impl Engine {
             scale,
             u_inf,
             u_sup,
-        } = ModelParams::of_bundle(&admitted.bundle)
-            .map_err(|e| ServeError::BadRequest(e.to_string()))?;
+        } = ModelParams::of_bundle(&admitted.bundle);
         Self::from_parts(net, scale, u_inf, u_sup, config, fallback, tel)
     }
 
@@ -881,8 +878,7 @@ impl Engine {
             scale,
             u_inf,
             u_sup,
-        } = ModelParams::of_bundle(&admitted.bundle)
-            .map_err(|e| RolloutError::Incompatible(e.to_string()))?;
+        } = ModelParams::of_bundle(&admitted.bundle);
         self.propose_parts(net, scale, u_inf, u_sup, cfg)
     }
 

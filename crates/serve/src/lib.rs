@@ -71,4 +71,4 @@ pub use rollout::{
     DriftReport, RolloutAction, RolloutBudget, RolloutConfig, RolloutError, RolloutEvent,
     RolloutStatus,
 };
-pub use transport::{BinaryTcpClient, ClientConfig};
+pub use transport::BinaryTcpClient;

@@ -92,7 +92,8 @@ pub fn generate_states(bundle: &ControllerBundle, requests: usize, seed: u64) ->
 ///
 /// # Errors
 ///
-/// [`BundleError`] when the bundle does not hold an `Mlp`-family spec.
+/// None: [`ControllerBundle::network`] cannot fail; the `Result` keeps
+/// the signature its callers use.
 pub fn expected_control(bundle: &ControllerBundle, state: &[f64]) -> Result<Vec<f64>, BundleError> {
     let (net, scale) = bundle.network()?;
     let raw = net.forward(state);
@@ -104,7 +105,7 @@ pub fn expected_control(bundle: &ControllerBundle, state: &[f64]) -> Result<Vec<
 ///
 /// # Errors
 ///
-/// [`BundleError`] when the bundle is not `Mlp`-family; individual
+/// Those of [`expected_control`], which has none; individual
 /// connect/request failures are counted in the report, not returned.
 pub fn run_tcp(
     bundle: &ControllerBundle,

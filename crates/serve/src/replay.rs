@@ -138,15 +138,14 @@ impl ReplayReport {
 ///
 /// # Errors
 ///
-/// Returns a message when either bundle's network cannot be materialized
-/// or their dimensions disagree.
+/// Returns a message when the two bundles' dimensions disagree.
 pub fn shadow_replay(
     incumbent: &ControllerBundle,
     candidate: &ControllerBundle,
     requests: &[RecordedRequest],
 ) -> Result<ReplayReport, String> {
-    let inc = ModelParams::of_bundle(incumbent).map_err(|e| format!("incumbent: {e}"))?;
-    let can = ModelParams::of_bundle(candidate).map_err(|e| format!("candidate: {e}"))?;
+    let inc = ModelParams::of_bundle(incumbent);
+    let can = ModelParams::of_bundle(candidate);
     let (inc_net, can_net) = (&inc.net, &can.net);
     if inc_net.input_dim() != can_net.input_dim() || inc_net.output_dim() != can_net.output_dim() {
         return Err(format!(

@@ -15,57 +15,37 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-/// Client-side robustness knobs.
-///
-/// Requests are pure functions of the state vector, so a
-/// reconnect-and-resend after a dropped connection is always safe; the
-/// backoff jitter is a deterministic function of `seed` and the attempt
-/// number, keeping retry timing reproducible in tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClientConfig {
-    /// Give up a connect attempt after this long (`None`: OS default).
-    pub connect_timeout: Option<Duration>,
-    /// Give up a blocking response read after this long (`None`: wait
-    /// forever).
-    pub read_timeout: Option<Duration>,
-    /// How many reconnect-and-resend attempts one request gets after a
-    /// transport error (0 restores fail-fast).
-    pub max_reconnects: u32,
-    /// First backoff delay; doubles per attempt up to `backoff_cap`.
-    pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_cap: Duration,
-    /// Seed of the deterministic backoff jitter.
-    pub seed: u64,
-}
+// Client-side robustness. Requests are pure functions of the state
+// vector, so a reconnect-and-resend after a dropped connection is always
+// safe; the backoff jitter is a deterministic function of
+// `BACKOFF_SEED` and the attempt number, keeping retry timing
+// reproducible in tests.
 
-impl Default for ClientConfig {
-    fn default() -> Self {
-        Self {
-            connect_timeout: Some(Duration::from_secs(5)),
-            read_timeout: Some(Duration::from_secs(10)),
-            max_reconnects: 2,
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(200),
-            seed: 0xc0c7,
-        }
-    }
-}
+/// Give up a connect attempt after this long.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+/// Give up a blocking response read after this long.
+const READ_TIMEOUT: Duration = Duration::from_secs(10);
+/// Reconnect-and-resend attempts one request gets after a transport
+/// error.
+const MAX_RECONNECTS: u32 = 2;
+/// First backoff delay in milliseconds; doubles per attempt up to
+/// `BACKOFF_CAP_MS`.
+const BACKOFF_BASE_MS: u64 = 10;
+/// Backoff ceiling in milliseconds.
+const BACKOFF_CAP_MS: u64 = 200;
+/// Seed of the deterministic backoff jitter.
+const BACKOFF_SEED: u64 = 0xc0c7;
 
 /// Deterministic truncated exponential backoff with FNV-derived jitter:
 /// `min(cap, base * 2^attempt) + fnv(seed, attempt) % base`.
-fn backoff_delay(config: &ClientConfig, attempt: u32) -> Duration {
-    let base_ms = u64::try_from(config.backoff_base.as_millis())
-        .unwrap_or(u64::MAX)
-        .max(1);
-    let cap_ms = u64::try_from(config.backoff_cap.as_millis())
-        .unwrap_or(u64::MAX)
-        .max(base_ms);
-    let exp = base_ms.saturating_mul(1u64 << attempt.min(20)).min(cap_ms);
+fn backoff_delay(attempt: u32) -> Duration {
+    let exp = BACKOFF_BASE_MS
+        .saturating_mul(1u64 << attempt.min(20))
+        .min(BACKOFF_CAP_MS);
     let mut key = [0u8; 12];
-    key[..8].copy_from_slice(&config.seed.to_le_bytes());
+    key[..8].copy_from_slice(&BACKOFF_SEED.to_le_bytes());
     key[8..].copy_from_slice(&attempt.to_le_bytes());
-    Duration::from_millis(exp + fnv1a_64(&key) % base_ms)
+    Duration::from_millis(exp + fnv1a_64(&key) % BACKOFF_BASE_MS)
 }
 
 fn resolve<A: ToSocketAddrs>(addr: A) -> io::Result<SocketAddr> {
@@ -74,13 +54,10 @@ fn resolve<A: ToSocketAddrs>(addr: A) -> io::Result<SocketAddr> {
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "address resolved to nothing"))
 }
 
-fn open_stream(addr: SocketAddr, config: &ClientConfig) -> io::Result<TcpStream> {
-    let stream = match config.connect_timeout {
-        Some(t) => TcpStream::connect_timeout(&addr, t)?,
-        None => TcpStream::connect(addr)?,
-    };
+fn open_stream(addr: SocketAddr) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
     stream.set_nodelay(true)?;
-    stream.set_read_timeout(config.read_timeout)?;
+    stream.set_read_timeout(Some(READ_TIMEOUT))?;
     Ok(stream)
 }
 
@@ -105,13 +82,12 @@ fn transport_error(e: &io::Error) -> ServeError {
 /// A blocking client speaking the binary wire protocol (hello byte, then
 /// fixed-layout frames). Its buffers are reused across requests, so a
 /// steady-state request performs no client-side allocation either.
-/// Transport errors trigger a bounded reconnect-and-resend
-/// ([`ClientConfig`]); a reconnect replays the hello byte and discards
+/// Transport errors trigger a bounded reconnect-and-resend with a
+/// deterministic backoff; a reconnect replays the hello byte and discards
 /// any half-read response bytes.
 pub struct BinaryTcpClient {
     stream: TcpStream,
     addr: SocketAddr,
-    config: ClientConfig,
     next_id: u64,
     reconnects: u64,
     rbuf: Vec<u8>,
@@ -120,29 +96,18 @@ pub struct BinaryTcpClient {
 }
 
 impl BinaryTcpClient {
-    /// Connects and sends the protocol hello byte, with
-    /// [`ClientConfig::default`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates connect/write failures.
-    pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<Self> {
-        Self::connect_with(addr, ClientConfig::default())
-    }
-
-    /// Connects with explicit robustness knobs.
+    /// Connects and sends the protocol hello byte.
     ///
     /// # Errors
     ///
     /// Propagates resolve/connect/write failures.
-    pub fn connect_with<A: ToSocketAddrs>(addr: A, config: ClientConfig) -> io::Result<Self> {
+    pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<Self> {
         let addr = resolve(addr)?;
-        let mut stream = open_stream(addr, &config)?;
+        let mut stream = open_stream(addr)?;
         stream.write_all(&[WIRE_HELLO])?;
         Ok(Self {
             stream,
             addr,
-            config,
             next_id: 1,
             reconnects: 0,
             rbuf: vec![0u8; 4096],
@@ -169,12 +134,12 @@ impl BinaryTcpClient {
             match self.try_once(id) {
                 Ok(result) => return result,
                 Err(e) => {
-                    if attempt >= self.config.max_reconnects {
+                    if attempt >= MAX_RECONNECTS {
                         return Err(transport_error(&e));
                     }
-                    std::thread::sleep(backoff_delay(&self.config, attempt));
+                    std::thread::sleep(backoff_delay(attempt));
                     attempt += 1;
-                    if let Ok(mut stream) = open_stream(self.addr, &self.config) {
+                    if let Ok(mut stream) = open_stream(self.addr) {
                         if stream.write_all(&[WIRE_HELLO]).is_ok() {
                             self.stream = stream;
                             self.filled = 0; // stale half-frames are gone
@@ -259,19 +224,21 @@ mod tests {
 
     #[test]
     fn backoff_is_deterministic_and_bounded() {
-        let cfg = ClientConfig {
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(80),
-            seed: 42,
-            ..ClientConfig::default()
-        };
-        let first: Vec<Duration> = (0..6).map(|i| backoff_delay(&cfg, i)).collect();
-        let second: Vec<Duration> = (0..6).map(|i| backoff_delay(&cfg, i)).collect();
+        let first: Vec<Duration> = (0..8).map(backoff_delay).collect();
+        let second: Vec<Duration> = (0..8).map(backoff_delay).collect();
         assert_eq!(first, second, "same seed must give identical delays");
         for d in &first {
             assert!(*d >= Duration::from_millis(10), "at least the base");
-            assert!(*d < Duration::from_millis(90), "cap plus jitter bound");
+            assert!(*d < Duration::from_millis(210), "cap plus jitter bound");
         }
+        // the exponential part doubles until the cap: 10, 20, 40, 80, 160,
+        // then 200 from the sixth attempt on
+        let floors: Vec<u64> = first
+            .iter()
+            .map(|d| u64::try_from(d.as_millis()).expect("small") / 10 * 10)
+            .collect();
+        assert_eq!(floors[..5], [10, 20, 40, 80, 160]);
+        assert!(floors[5..].iter().all(|&f| f == 200), "{floors:?}");
     }
 
     #[cfg(target_os = "linux")]
@@ -352,14 +319,7 @@ mod tests {
     fn binary_client_reconnects_after_a_severed_connection() {
         let engine = test_engine(1);
         let server = serve(&engine);
-        let fast_retry = ClientConfig {
-            max_reconnects: 3,
-            backoff_base: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(4),
-            ..ClientConfig::default()
-        };
-        let mut client =
-            BinaryTcpClient::connect_with(server.local_addr(), fast_retry).expect("connect");
+        let mut client = BinaryTcpClient::connect(server.local_addr()).expect("connect");
         let s = [0.1, -0.2];
         let before = client.control(&s).expect("served");
         client.sever();

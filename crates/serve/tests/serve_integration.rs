@@ -157,9 +157,8 @@ fn backpressure_is_deterministic_under_a_seeded_burst() {
 fn corrupted_bundles_never_serve() {
     // NaN smuggled into the weights: refused by strict validation
     let mut nan = bundle();
-    if let cocktail_analysis::ControllerSpec::Mlp { net, .. } = &mut nan.spec {
-        net.layers_mut()[0].weights_mut()[(0, 0)] = f64::NAN;
-    }
+    let cocktail_analysis::ControllerSpec::Mlp { net, .. } = &mut nan.spec;
+    net.layers_mut()[0].weights_mut()[(0, 0)] = f64::NAN;
     assert!(matches!(
         admit(nan).expect_err("NaN refused"),
         AdmissionError::Bundle(BundleError::NonFinite(_))
