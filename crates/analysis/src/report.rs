@@ -136,11 +136,6 @@ impl AnalysisReport {
             .count()
     }
 
-    /// The worst severity present, or `None` on an empty report.
-    pub fn max_severity(&self) -> Option<Severity> {
-        self.diagnostics.iter().map(|d| d.severity).max()
-    }
-
     /// `true` when a finding with the given code exists.
     pub fn has_code(&self, code: &str) -> bool {
         self.diagnostics.iter().any(|d| d.code == code)
@@ -206,7 +201,6 @@ mod tests {
         assert!(r.has_errors());
         assert!(r.has_warnings());
         assert_eq!(r.count(Severity::Info), 1);
-        assert_eq!(r.max_severity(), Some(Severity::Error));
         assert!(r.has_code("dim-mismatch"));
         assert!(!r.has_code("nonfinite-weight"));
     }

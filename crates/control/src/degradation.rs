@@ -159,15 +159,6 @@ impl DegradationMonitor {
         std::mem::take(&mut self.lock().events)
     }
 
-    /// Clears quarantines, the event log and the call clock (start of a
-    /// fresh evaluation with the same controller).
-    pub(crate) fn reset(&self) {
-        let mut st = self.lock();
-        st.calls = 0;
-        st.events.clear();
-        st.until.iter_mut().for_each(|u| *u = None);
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, QuarantineState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -191,17 +182,6 @@ mod tests {
         assert!(m.is_quarantined(0, 2));
         assert!(!m.is_quarantined(0, 3)); // probed again after the cooldown
         assert_eq!(m.events().len(), 1);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let m = DegradationMonitor::new(DegradationConfig::default(), 2);
-        assert_eq!(m.next_call(), 0);
-        m.quarantine(0, 1, "e", DegradationReason::NonFinite);
-        m.reset();
-        assert_eq!(m.next_call(), 0);
-        assert!(!m.is_quarantined(1, 0));
-        assert!(m.events().is_empty());
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub use faulty::FaultyExpert;
 pub use linear::LinearFeedbackController;
 pub use lqr::{dlqr, linearize, lqr_controller, Linearization, SynthesizeLqrError};
 pub use mixed::ConstantWeights;
-pub use mixed::{MixedController, TanhWeightPolicy, WeightPolicy};
+pub use mixed::{MixedController, WeightPolicy};
 pub use mpc::{MpcConfig, MpcController};
 pub use neural::NnController;
 pub use polynomial::PolynomialController;

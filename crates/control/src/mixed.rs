@@ -6,15 +6,14 @@ use crate::degradation::{
     DegradationConfig, DegradationEvent, DegradationMonitor, DegradationReason,
 };
 use cocktail_math::{vector, BoxRegion};
-use cocktail_nn::Mlp;
 use cocktail_obs::{Event, NullSink, Telemetry};
 use std::sync::Arc;
 
 /// Produces the per-expert weight vector `a(s) ∈ [-A_B, A_B]ⁿ` for a state.
 ///
-/// The paper learns this mapping with PPO; `cocktail-rl` trains an [`Mlp`]
-/// policy and wraps it in [`TanhWeightPolicy`]. Constant and hand-written
-/// policies are useful for tests and ablations.
+/// The paper learns this mapping with PPO: `cocktail-rl` trains the policy
+/// and `cocktail_core::policy::PpoWeightPolicy` deploys it. Constant and
+/// hand-written policies are useful for tests and ablations.
 pub trait WeightPolicy: Send + Sync {
     /// Weight vector for the observed state (one entry per expert).
     fn weights(&self, s: &[f64]) -> Vec<f64>;
@@ -35,52 +34,6 @@ impl WeightPolicy for ConstantWeights {
 
     fn expert_count(&self) -> usize {
         self.0.len()
-    }
-}
-
-/// A neural weight policy `a(s) = A_B · tanh-net(s)`: the network's `Tanh`
-/// output layer keeps each weight inside `[-A_B, A_B]` by construction,
-/// matching the paper's bounded action space (`A_B ≥ 1`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TanhWeightPolicy {
-    net: Mlp,
-    bound: f64,
-}
-
-impl TanhWeightPolicy {
-    /// Wraps a policy network whose outputs lie in `[-1, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound < 1.0` (the paper requires `A_B ≥ 1` so that any
-    /// single expert is representable).
-    pub fn new(net: Mlp, bound: f64) -> Self {
-        assert!(bound >= 1.0, "weight bound must be at least 1");
-        Self { net, bound }
-    }
-
-    /// The policy network.
-    pub fn network(&self) -> &Mlp {
-        &self.net
-    }
-
-    /// The weight bound `A_B`.
-    pub fn bound(&self) -> f64 {
-        self.bound
-    }
-}
-
-impl WeightPolicy for TanhWeightPolicy {
-    fn weights(&self, s: &[f64]) -> Vec<f64> {
-        self.net
-            .forward(s)
-            .iter()
-            .map(|a| self.bound * a.tanh())
-            .collect()
-    }
-
-    fn expert_count(&self) -> usize {
-        self.net.output_dim()
     }
 }
 
@@ -224,14 +177,6 @@ impl MixedController {
             .unwrap_or_default()
     }
 
-    /// Lifts all quarantines and clears the event log and call clock
-    /// (start of a fresh evaluation run).
-    pub fn reset_quarantine(&self) {
-        if let Some(m) = &self.monitor {
-            m.reset();
-        }
-    }
-
     /// The guarded mixture: probe each non-quarantined expert, quarantine
     /// offenders, renormalize the surviving weights so the total absolute
     /// weight is preserved, then mix and clip.
@@ -362,7 +307,6 @@ mod tests {
     use super::*;
     use crate::linear::LinearFeedbackController;
     use cocktail_math::Matrix;
-    use cocktail_nn::{Activation, MlpBuilder};
 
     fn experts() -> Vec<Arc<dyn Controller>> {
         vec![
@@ -409,29 +353,6 @@ mod tests {
         );
         assert_eq!(mixed.control(&[-1.0, -1.0]), vec![20.0]);
         assert_eq!(mixed.raw_control(&[-1.0, -1.0]), vec![200.0]);
-    }
-
-    #[test]
-    fn tanh_policy_bounds_weights() {
-        let net = MlpBuilder::new(2)
-            .hidden(8, Activation::Tanh)
-            .output(2, Activation::Identity)
-            .seed(0)
-            .build();
-        let policy = TanhWeightPolicy::new(net, 2.0);
-        for s in [[0.0, 0.0], [100.0, -100.0], [3.0, 1.0]] {
-            let w = policy.weights(&s);
-            assert_eq!(w.len(), 2);
-            assert!(w.iter().all(|a| a.abs() <= 2.0));
-        }
-        assert_eq!(policy.bound(), 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn sub_unit_bound_panics() {
-        let net = MlpBuilder::new(2).output(2, Activation::Identity).build();
-        TanhWeightPolicy::new(net, 0.5);
     }
 
     #[test]
@@ -512,8 +433,6 @@ mod tests {
         }
         // calls 0, 2, 4 probe the permanently-broken expert again
         assert_eq!(mixed.degradation_events().len(), 3);
-        mixed.reset_quarantine();
-        assert!(mixed.degradation_events().is_empty());
     }
 
     #[test]

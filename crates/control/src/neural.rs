@@ -1,7 +1,7 @@
 //! Neural-network controllers.
 
 use crate::controller::Controller;
-use cocktail_math::{vector, BoxRegion};
+use cocktail_math::BoxRegion;
 use cocktail_nn::{lipschitz, Mlp};
 use serde::{Deserialize, Serialize};
 
@@ -127,52 +127,6 @@ impl Controller for NnController {
     }
 }
 
-/// Sound output bounds of a scaled network over a box — convenience used
-/// by the verification crate.
-///
-/// # Panics
-///
-/// Panics if `domain.dim() != controller.state_dim()`.
-pub fn output_bounds(
-    controller: &NnController,
-    domain: &BoxRegion,
-) -> Vec<cocktail_math::Interval> {
-    controller
-        .net
-        .bounds(domain)
-        .into_iter()
-        .zip(&controller.scale)
-        .map(|(iv, &s)| iv * s)
-        .collect()
-}
-
-/// Maximum deviation `‖κ(a) − κ(b)‖₂ / ‖a − b‖₂` over sampled pairs —
-/// testing helper mirroring `cocktail_nn::lipschitz::empirical_lower_bound`
-/// but including the output scaling.
-pub fn empirical_slope(
-    controller: &NnController,
-    domain: &BoxRegion,
-    samples: usize,
-    seed: u64,
-) -> f64 {
-    let mut rng = cocktail_math::rng::seeded(seed);
-    let mut best: f64 = 0.0;
-    for _ in 0..samples {
-        let a = cocktail_math::rng::uniform_in_box(&mut rng, domain);
-        let b = cocktail_math::rng::uniform_in_box(&mut rng, domain);
-        let dx = vector::norm_2(&vector::sub(&a, &b));
-        if dx < 1e-12 {
-            continue;
-        }
-        let dy = vector::norm_2(&vector::sub(
-            &controller.control(&a),
-            &controller.control(&b),
-        ));
-        best = best.max(dy / dx);
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,21 +161,24 @@ mod tests {
     fn empirical_slope_below_bound() {
         let k = controller();
         let domain = BoxRegion::cube(2, -2.0, 2.0);
-        let emp = empirical_slope(&k, &domain, 300, 1);
+        // one scale entry, so the controller's slope is |scale| times the net's
+        let gain = k.scale()[0].abs();
+        let emp = gain * lipschitz::empirical_lower_bound(k.network(), &domain, 300, 1);
         assert!(emp <= k.lipschitz_constant() * (1.0 + 1e-9));
         assert!(emp > 0.0);
     }
 
     #[test]
     fn output_bounds_contain_samples() {
+        // the network's interval bounds, scaled, enclose every control
         let k = controller();
         let domain = BoxRegion::cube(2, -1.0, 1.0);
-        let bounds = output_bounds(&k, &domain);
+        let bound = k.network().bounds(&domain)[0] * k.scale()[0];
         let mut rng = cocktail_math::rng::seeded(2);
         for _ in 0..100 {
             let s = cocktail_math::rng::uniform_in_box(&mut rng, &domain);
             let u = k.control(&s);
-            assert!(bounds[0].inflate(1e-9).contains(u[0]));
+            assert!(bound.inflate(1e-9).contains(u[0]));
         }
     }
 

@@ -175,4 +175,28 @@ mod tests {
         let w = p.weights(&[0.3, 0.3]);
         assert!((w[0] - 2.0 * raw[0]).abs() < 1e-12);
     }
+
+    #[test]
+    fn ddpg_weight_policy_bounds_an_unbounded_actor() {
+        use cocktail_nn::{Activation, MlpBuilder};
+        let actor = MlpBuilder::new(2)
+            .hidden(8, Activation::Tanh)
+            .output(2, Activation::Identity)
+            .seed(0)
+            .build();
+        let p = DdpgWeightPolicy::new(actor, 2.0);
+        for s in [[0.0, 0.0], [100.0, -100.0], [3.0, 1.0]] {
+            let w = p.weights(&s);
+            assert_eq!(w.len(), 2);
+            assert!(w.iter().all(|a| a.abs() <= 2.0));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 1")]
+    fn ddpg_sub_unit_bound_panics() {
+        use cocktail_nn::{Activation, MlpBuilder};
+        let actor = MlpBuilder::new(2).output(2, Activation::Identity).build();
+        DdpgWeightPolicy::new(actor, 0.5);
+    }
 }

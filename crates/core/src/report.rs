@@ -1,4 +1,4 @@
-//! Rendering experiment results as aligned text and Markdown tables.
+//! Rendering experiment results as aligned text tables.
 //!
 //! The bench binaries print through these helpers so the formatting is
 //! tested library code rather than ad-hoc `println!` strings, and so
@@ -54,24 +54,6 @@ pub fn render_table1_text(rows: &[Table1Row]) -> String {
         let _ = writeln!(
             out,
             "{:<12} {:>8.1} {:>10} {:>8}",
-            row.controller,
-            row.safe_rate_percent,
-            fmt_energy(row.energy),
-            fmt_lipschitz(row.lipschitz),
-        );
-    }
-    out
-}
-
-/// Renders Table I rows as a GitHub-flavoured Markdown table.
-pub fn render_table1_markdown(system: &str, rows: &[Table1Row]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "| {system} | S_r (%) | e | L |");
-    let _ = writeln!(out, "|---|---|---|---|");
-    for row in rows {
-        let _ = writeln!(
-            out,
-            "| {} | {:.1} | {} | {} |",
             row.controller,
             row.safe_rate_percent,
             fmt_energy(row.energy),
@@ -254,16 +236,6 @@ mod tests {
         assert_eq!(lines.len(), 3);
         assert!(lines[1].trim_end().ends_with('-'));
         assert!(lines[2].contains("7.6"));
-    }
-
-    #[test]
-    fn markdown_table_is_well_formed() {
-        let out = render_table1_markdown("Oscillator", &rows());
-        let lines: Vec<&str> = out.lines().collect();
-        assert!(lines[0].starts_with("| Oscillator |"));
-        assert_eq!(lines[1], "|---|---|---|---|");
-        assert_eq!(lines.len(), 4);
-        assert!(lines.iter().all(|l| l.matches('|').count() == 5));
     }
 
     #[test]

@@ -252,16 +252,6 @@ pub enum StageCheckpoint {
     },
 }
 
-impl StageCheckpoint {
-    /// Human-readable stage name (matches [`PipelineError`] stages).
-    pub fn stage_name(&self) -> &'static str {
-        match self {
-            Self::Mixing { .. } => "ppo-mixing",
-            Self::Robust { .. } => "robust-distill",
-        }
-    }
-}
-
 /// The on-disk pipeline checkpoint: versioned, stamped with the run it
 /// belongs to, one stage.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -564,7 +554,6 @@ mod tests {
             .expect("load")
             .expect("present");
         assert_eq!(back, ckpt);
-        assert_eq!(back.stage.stage_name(), "ppo-mixing");
 
         // another seed, plant or config → typed error naming what differs,
         // not a silent wrong resume

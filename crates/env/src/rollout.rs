@@ -43,17 +43,6 @@ impl Trajectory {
     pub fn is_empty(&self) -> bool {
         self.controls.is_empty()
     }
-
-    /// The final state.
-    #[allow(
-        clippy::expect_used,
-        reason = "a trajectory always holds at least the initial state"
-    )]
-    pub fn last_state(&self) -> &[f64] {
-        self.states
-            .last()
-            .expect("trajectory always holds the initial state")
-    }
 }
 
 /// Structured failure of a closed-loop simulation. Always-on: unlike a
@@ -347,7 +336,7 @@ mod tests {
         let mut p = zero_perturbation;
         let traj = rollout(&sys, &mut c, &mut p, &[1.5, 1.5], &RolloutConfig::default());
         assert!(traj.is_safe());
-        let last = traj.last_state();
+        let last = traj.states.last().expect("initial state");
         assert!(cocktail_math::vector::norm_2(last) < 0.5, "final {last:?}");
     }
 

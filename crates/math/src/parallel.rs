@@ -29,7 +29,8 @@
 //! ```
 //! use cocktail_math::parallel;
 //!
-//! let squares = parallel::map_range(8, |i| (i * i) as f64);
+//! let workers = parallel::default_workers();
+//! let squares = parallel::map_range_with_workers(8, workers, |i| (i * i) as f64);
 //! assert_eq!(squares[3], 9.0);
 //! let same = parallel::map_range_with_workers(8, 1, |i| (i * i) as f64);
 //! assert_eq!(squares, same);
@@ -44,7 +45,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 
-/// Worker count used by the `map_*` entry points without an explicit count.
+/// The worker count a caller passes when it has no count of its own.
 ///
 /// Reads `COCKTAIL_WORKERS` (a positive integer) if set, otherwise the
 /// machine's available parallelism. Always at least 1.
@@ -70,16 +71,6 @@ pub fn task_seed(base: u64, index: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Applies `f(index)` for `0..n` across [`default_workers`] threads and
-/// collects the results in index order.
-pub fn map_range<R, F>(n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    map_range_with_workers(n, default_workers(), f)
 }
 
 /// Applies `f(index)` for `0..n` across at most `workers` threads and

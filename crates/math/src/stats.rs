@@ -1,9 +1,7 @@
-//! Summary statistics and running (Welford) accumulators.
+//! Summary statistics over slices.
 //!
 //! The RL crate normalizes advantages per batch and the experiment harness
 //! reports means over 500-sample evaluations; both use the helpers here.
-
-use serde::{Deserialize, Serialize};
 
 /// Arithmetic mean; 0 for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -52,65 +50,6 @@ pub fn min(xs: &[f64]) -> Option<f64> {
 /// Maximum of a slice; `None` when empty.
 pub fn max(xs: &[f64]) -> Option<f64> {
     xs.iter().copied().reduce(f64::max)
-}
-
-/// Numerically stable running mean/variance accumulator (Welford).
-///
-/// # Examples
-///
-/// ```
-/// use cocktail_math::stats::Running;
-///
-/// let mut acc = Running::new();
-/// for x in [1.0, 2.0, 3.0] {
-///     acc.push(x);
-/// }
-/// assert_eq!(acc.mean(), 2.0);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct Running {
-    count: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Running {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean so far; 0 before any observation.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance so far.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation so far.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -165,25 +104,5 @@ mod tests {
         assert_eq!(min(&xs), Some(-1.0));
         assert_eq!(max(&xs), Some(3.0));
         assert_eq!(min(&[]), None);
-    }
-
-    #[test]
-    fn running_matches_batch() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut acc = Running::new();
-        for &x in &xs {
-            acc.push(x);
-        }
-        assert_eq!(acc.count(), 8);
-        assert!((acc.mean() - mean(&xs)).abs() < 1e-12);
-        assert!((acc.variance() - variance(&xs)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn running_single_observation() {
-        let mut acc = Running::new();
-        acc.push(42.0);
-        assert_eq!(acc.mean(), 42.0);
-        assert_eq!(acc.variance(), 0.0);
     }
 }

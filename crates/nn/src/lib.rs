@@ -8,8 +8,8 @@
 //!   Sigmoid / Identity activations, a cached forward pass, full
 //!   backpropagation for parameter gradients **and input gradients** (the
 //!   FGSM step of Algorithm 1 needs `∇_s ℓ(κ*(s), u)`);
-//! * [`optimizer::Adam`] and [`optimizer::Sgd`] — the update rules used for
-//!   expert cloning, PPO/DDPG and distillation;
+//! * [`optimizer::Adam`] — the update rule used for expert cloning,
+//!   PPO/DDPG and distillation;
 //! * [`loss`] — mean-squared-error regression loss with gradients;
 //! * [`lipschitz`] — the paper's footnote-1 Lipschitz bound (product of
 //!   per-layer operator norms, with the Sigmoid ¼ factor);
@@ -52,4 +52,4 @@ pub use fast::{fast_tanh, ForwardKernel, FAST_TANH_EPS};
 pub use fast_tier::{certify_fast_tier, FastTierCert};
 pub use layer::Dense;
 pub use mlp::{BatchCache, Mlp, MlpBuilder};
-pub use optimizer::{Adam, GradStore, Optimizer, Sgd};
+pub use optimizer::{Adam, GradStore, Optimizer};

@@ -39,55 +39,6 @@ pub fn mse_gradient(prediction: &[f64], target: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// Huber (smooth-L1) loss with threshold `delta`, summed over components.
-/// Used by the DDPG critic for robustness to reward outliers.
-///
-/// # Panics
-///
-/// Panics if slices differ in length or `delta <= 0`.
-pub fn huber(prediction: &[f64], target: &[f64], delta: f64) -> f64 {
-    assert_eq!(prediction.len(), target.len(), "huber length mismatch");
-    assert!(delta > 0.0, "huber delta must be positive");
-    prediction
-        .iter()
-        .zip(target)
-        .map(|(p, t)| {
-            let e = (p - t).abs();
-            if e <= delta {
-                0.5 * e * e
-            } else {
-                delta * (e - 0.5 * delta)
-            }
-        })
-        .sum()
-}
-
-/// Gradient of [`huber`] with respect to `prediction`.
-///
-/// # Panics
-///
-/// Panics if slices differ in length or `delta <= 0`.
-pub fn huber_gradient(prediction: &[f64], target: &[f64], delta: f64) -> Vec<f64> {
-    assert_eq!(
-        prediction.len(),
-        target.len(),
-        "huber gradient length mismatch"
-    );
-    assert!(delta > 0.0, "huber delta must be positive");
-    prediction
-        .iter()
-        .zip(target)
-        .map(|(p, t)| {
-            let e = p - t;
-            if e.abs() <= delta {
-                e
-            } else {
-                delta * e.signum()
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,35 +62,5 @@ mod tests {
             let fd = (mse(&pp, &t) - mse(&pm, &t)) / (2.0 * h);
             assert!((fd - g[i]).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn huber_is_quadratic_near_zero_linear_far() {
-        let d = 1.0;
-        assert!((huber(&[0.5], &[0.0], d) - 0.125).abs() < 1e-12);
-        assert!((huber(&[3.0], &[0.0], d) - (3.0 - 0.5)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn huber_gradient_matches_finite_differences() {
-        let p = [0.3, -2.5];
-        let t = [0.0, 0.0];
-        let g = huber_gradient(&p, &t, 1.0);
-        let h = 1e-6;
-        for i in 0..2 {
-            let mut pp = p;
-            pp[i] += h;
-            let mut pm = p;
-            pm[i] -= h;
-            let fd = (huber(&pp, &t, 1.0) - huber(&pm, &t, 1.0)) / (2.0 * h);
-            assert!((fd - g[i]).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn huber_below_mse_for_large_errors() {
-        let p = [10.0];
-        let t = [0.0];
-        assert!(huber(&p, &t, 1.0) < mse(&p, &t));
     }
 }

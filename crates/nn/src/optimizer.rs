@@ -167,83 +167,6 @@ pub trait Optimizer {
     fn set_learning_rate(&mut self, lr: f64);
 }
 
-/// Stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f64,
-    momentum: f64,
-    velocity: Option<GradStore>,
-}
-
-impl Sgd {
-    /// Creates plain SGD.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr <= 0`.
-    pub fn new(lr: f64) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        Self {
-            lr,
-            momentum: 0.0,
-            velocity: None,
-        }
-    }
-
-    /// Creates SGD with momentum `mu ∈ [0, 1)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr <= 0` or `mu` is outside `[0, 1)`.
-    pub fn with_momentum(lr: f64, mu: f64) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&mu), "momentum must be in [0, 1)");
-        Self {
-            lr,
-            momentum: mu,
-            velocity: None,
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, net: &mut Mlp, grads: &GradStore) {
-        assert!(grads.matches(net), "gradient store shape mismatch");
-        if self.momentum == 0.0 {
-            for (i, layer) in net.layers_mut().iter_mut().enumerate() {
-                layer.weights_mut().axpy(-self.lr, grads.weight(i));
-                cocktail_math::vector::axpy_inplace(layer.biases_mut(), -self.lr, grads.bias(i));
-            }
-            return;
-        }
-        let velocity = self.velocity.get_or_insert_with(|| {
-            let mut v = grads.clone();
-            v.reset();
-            v
-        });
-        for i in 0..net.layers().len() {
-            velocity.weights[i].scale_inplace(self.momentum);
-            velocity.weights[i].axpy(1.0, grads.weight(i));
-            for (v, g) in velocity.biases[i].iter_mut().zip(grads.bias(i)) {
-                *v = self.momentum * *v + g;
-            }
-        }
-        for (i, layer) in net.layers_mut().iter_mut().enumerate() {
-            layer.weights_mut().axpy(-self.lr, &velocity.weights[i]);
-            cocktail_math::vector::axpy_inplace(layer.biases_mut(), -self.lr, &velocity.biases[i]);
-        }
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
-}
-
 /// Adam optimizer (Kingma & Ba) with bias correction.
 ///
 /// Serializable so a training checkpoint can capture the exact optimizer
@@ -364,30 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_reduces_loss() {
-        let mut net = tiny_net(1);
-        let mut opt = Sgd::new(0.1);
-        let first = train_step(&mut net, &mut opt, &[0.5], &[1.0]);
-        let mut last = first;
-        for _ in 0..100 {
-            last = train_step(&mut net, &mut opt, &[0.5], &[1.0]);
-        }
-        assert!(last < first * 0.01, "loss {first} -> {last}");
-    }
-
-    #[test]
-    fn momentum_sgd_reduces_loss() {
-        let mut net = tiny_net(2);
-        let mut opt = Sgd::with_momentum(0.05, 0.9);
-        let first = train_step(&mut net, &mut opt, &[0.2], &[-1.0]);
-        let mut last = first;
-        for _ in 0..100 {
-            last = train_step(&mut net, &mut opt, &[0.2], &[-1.0]);
-        }
-        assert!(last < first * 0.05, "loss {first} -> {last}");
-    }
-
-    #[test]
     fn adam_reduces_loss() {
         let mut net = tiny_net(3);
         let mut opt = Adam::new(0.02);
@@ -453,7 +352,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn non_positive_lr_panics() {
-        Sgd::new(0.0);
+        Adam::new(0.0);
     }
 
     #[test]

@@ -232,33 +232,6 @@ pub fn fit_regression_with_report(
     }
 }
 
-/// Mean MSE of `net` over a dataset (validation helper).
-///
-/// # Panics
-///
-/// Panics if the dataset is empty or lengths mismatch.
-pub fn evaluate_mse(net: &Mlp, inputs: &[Vec<f64>], targets: &[Vec<f64>]) -> f64 {
-    assert!(!inputs.is_empty(), "evaluation set is empty");
-    assert_eq!(
-        inputs.len(),
-        targets.len(),
-        "inputs/targets length mismatch"
-    );
-    let mut cache = BatchCache::new();
-    let mut x = Matrix::zeros(1, 1);
-    let mut total = 0.0;
-    let idx: Vec<usize> = (0..inputs.len()).collect();
-    for chunk in idx.chunks(256) {
-        fill_rows(&mut x, inputs, chunk, net.input_dim());
-        net.forward_batch_cached(&x, &mut cache);
-        let out = cache.output();
-        for (r, &i) in chunk.iter().enumerate() {
-            total += loss::mse(out.row(r), &targets[i]);
-        }
-    }
-    total / inputs.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,7 +264,6 @@ mod tests {
             },
         );
         assert!(l < 1e-2, "final loss {l}");
-        assert!(evaluate_mse(&net, &xs, &ys) < 1e-2);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Experience replay (Algorithm 1 line 1: "Initialize replay memory D").
 
-use rand::seq::SliceRandom;
 use rand::Rng;
 use std::collections::VecDeque;
 
@@ -87,19 +86,6 @@ impl ReplayBuffer {
             .collect()
     }
 
-    /// Uniformly samples `min(n, len)` distinct transitions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer is empty.
-    pub fn sample_distinct<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<&Transition> {
-        assert!(!self.data.is_empty(), "cannot sample from an empty buffer");
-        let mut idx: Vec<usize> = (0..self.data.len()).collect();
-        idx.shuffle(rng);
-        idx.truncate(n.min(self.data.len()));
-        idx.into_iter().map(|i| &self.data[i]).collect()
-    }
-
     /// Drops all stored transitions.
     pub fn clear(&mut self) {
         self.data.clear();
@@ -133,28 +119,6 @@ mod tests {
             sampled.iter().all(|tr| tr.reward >= 2.0),
             "old entries evicted"
         );
-    }
-
-    #[test]
-    fn sample_distinct_has_no_duplicates() {
-        let mut b = ReplayBuffer::new(10);
-        for i in 0..10 {
-            b.push(t(i as f64));
-        }
-        let mut rng = cocktail_math::rng::seeded(1);
-        let sampled = b.sample_distinct(&mut rng, 10);
-        let mut rewards: Vec<f64> = sampled.iter().map(|tr| tr.reward).collect();
-        rewards.sort_by(f64::total_cmp);
-        rewards.dedup();
-        assert_eq!(rewards.len(), 10);
-    }
-
-    #[test]
-    fn sample_distinct_caps_at_len() {
-        let mut b = ReplayBuffer::new(10);
-        b.push(t(1.0));
-        let mut rng = cocktail_math::rng::seeded(2);
-        assert_eq!(b.sample_distinct(&mut rng, 100).len(), 1);
     }
 
     #[test]

@@ -163,11 +163,6 @@ impl DirectControlMdp {
     pub fn dynamics(&self) -> &Arc<dyn Dynamics> {
         &self.episode.sys
     }
-
-    /// The per-component action-to-control scale.
-    pub fn control_scale(&self) -> &[f64] {
-        &self.u_scale
-    }
 }
 
 impl Mdp for DirectControlMdp {
@@ -377,7 +372,7 @@ mod tests {
     fn direct_mdp_scales_action_to_control_bound() {
         let (sys, _) = vdp_experts();
         let mdp = DirectControlMdp::new(sys, RewardConfig::default(), 0);
-        assert_eq!(mdp.control_scale(), &[20.0]);
+        assert_eq!(mdp.u_scale, [20.0]);
     }
 
     #[test]

@@ -102,7 +102,7 @@ impl Args {
 
 type Command = fn(&Args) -> Result<ExitCode, String>;
 
-/// Every command with the flags it accepts; `usage` lists the same sets.
+/// Every command with the flags it accepts; [`USAGE`] lists the same sets.
 const COMMANDS: &[(&str, Command, &str)] = &[
     ("check", cmd_check, "bundle allow-uncertified"),
     ("verify", cmd_verify, "bundle allow-uncertified"),
@@ -121,7 +121,7 @@ const COMMANDS: &[(&str, Command, &str)] = &[
         "smoke",
         cmd_smoke,
         "bundle allow-uncertified requests connections seed telemetry max-batch capacity \
-         shards tier drift-window drift-threshold",
+         shards drift-window drift-threshold",
     ),
     (
         "replay",
@@ -135,29 +135,28 @@ const COMMANDS: &[(&str, Command, &str)] = &[
     ),
 ];
 
-fn usage() -> String {
-    "usage: cocktail-serve <check|verify|serve|loadgen|smoke|replay|rollout-drill> [options]\n\
-     \n\
-     check         --bundle <path> [--allow-uncertified]\n\
-     verify        --bundle <path> [--allow-uncertified]\n\
-     serve         --bundle <path> --addr <ip:port> [--allow-uncertified] [--max-batch N]\n\
-                   [--capacity N] [--shards N] [--tier exact|fast-tanh]\n\
-                   [--telemetry <jsonl>] [--drift-window N] [--drift-threshold X]\n\
-                   [--retrain-dir <dir>]\n\
-     loadgen       --bundle <path> --addr <ip:port> [--requests N] [--connections N]\n\
-                   [--seed N]\n\
-     smoke         --bundle <path> [--allow-uncertified] [--requests N] [--connections N]\n\
-                   [--seed N] [--telemetry <jsonl>] [--max-batch N] [--capacity N]\n\
-                   [--shards N] [--tier exact|fast-tanh]\n\
-                   [--drift-window N] [--drift-threshold X]\n\
-     replay        --telemetry <jsonl> --incumbent <path> --candidate <path>\n\
-                   [--max-divergence X] [--max-envelope-violations N]\n\
-     rollout-drill --bundle <path> [--allow-uncertified] [--telemetry <jsonl>]\n\
-                   [--retrain-dir <dir>] [--shards N]\n\
-     \n\
-     serve, smoke and rollout-drill run the epoll reactor and require Linux."
-        .to_string()
-}
+/// The usage text: one entry per command in [`COMMANDS`], naming exactly
+/// the flags that command accepts.
+const USAGE: &str = "\
+usage: cocktail-serve <check|verify|serve|loadgen|smoke|replay|rollout-drill> [options]
+
+check         --bundle <path> [--allow-uncertified]
+verify        --bundle <path> [--allow-uncertified]
+serve         --bundle <path> --addr <ip:port> [--allow-uncertified] [--max-batch N]
+              [--capacity N] [--shards N] [--tier exact|fast-tanh]
+              [--telemetry <jsonl>] [--drift-window N] [--drift-threshold X]
+              [--retrain-dir <dir>]
+loadgen       --bundle <path> --addr <ip:port> [--requests N] [--connections N]
+              [--seed N]
+smoke         --bundle <path> [--allow-uncertified] [--requests N] [--connections N]
+              [--seed N] [--telemetry <jsonl>] [--max-batch N] [--capacity N]
+              [--shards N] [--drift-window N] [--drift-threshold X]
+replay        --telemetry <jsonl> --incumbent <path> --candidate <path>
+              [--max-divergence X] [--max-envelope-violations N]
+rollout-drill --bundle <path> [--allow-uncertified] [--telemetry <jsonl>]
+              [--retrain-dir <dir>] [--shards N]
+
+serve, smoke and rollout-drill run the epoll reactor and require Linux.";
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -171,7 +170,7 @@ fn main() -> ExitCode {
     let (command, args) = match parsed {
         Ok(p) => p,
         Err(e) => {
-            eprintln!("cocktail-serve: {e}\n{}", usage());
+            eprintln!("cocktail-serve: {e}\n{USAGE}");
             return ExitCode::from(2);
         }
     };
@@ -225,7 +224,6 @@ fn engine_config(args: &Args) -> Result<EngineConfig, String> {
     Ok(EngineConfig {
         max_batch: args.parsed("max-batch", defaults.max_batch)?,
         queue_capacity: args.parsed("capacity", defaults.queue_capacity)?,
-        start_paused: false,
         shards: args.parsed("shards", defaults.shards)?,
         drift,
         tier,
@@ -442,8 +440,7 @@ fn cmd_loadgen(args: &Args) -> Result<ExitCode, String> {
         .required("addr")?
         .parse()
         .map_err(|e| format!("--addr: {e}"))?;
-    let report =
-        loadgen::run_tcp(&bundle, addr, &loadgen_config(args)?).map_err(|e| e.to_string())?;
+    let report = loadgen::run_tcp(&bundle, addr, &loadgen_config(args)?);
     print_report(&report);
     Ok(if report.is_clean() {
         ExitCode::SUCCESS
@@ -532,11 +529,10 @@ fn cmd_rollout_drill(args: &Args) -> Result<ExitCode, String> {
                 seed,
             },
         )
-        .map_err(|e| e.to_string())
     };
 
     // 1. incumbent serves clean
-    let r1 = drill(&v1, 0xD1)?;
+    let r1 = drill(&v1, 0xD1);
     print_report(&r1);
     if !r1.is_clean() {
         return fail(format!("v1 drill not clean: {r1:?}"));
@@ -584,7 +580,7 @@ fn cmd_rollout_drill(args: &Args) -> Result<ExitCode, String> {
         .map_err(|e| format!("propose v2: {e}"))?;
     // canary-routed responses come from v2, so mismatches against the v1
     // oracle ARE the measured divergence; fallbacks/errors must stay zero
-    let r2 = drill(&v1, 0xD2)?;
+    let r2 = drill(&v1, 0xD2);
     print_report(&r2);
     if r2.fallbacks != 0 || r2.errors != 0 || r2.rejected != 0 || r2.completed != r2.sent {
         return fail(format!("canary drill degraded: {r2:?}"));
@@ -599,7 +595,7 @@ fn cmd_rollout_drill(args: &Args) -> Result<ExitCode, String> {
         status.canary_shadowed, status.divergence.max
     );
     let promoted_epoch = engine.promote().map_err(|e| format!("promote: {e}"))?;
-    let r3 = drill(&v2, 0xD3)?;
+    let r3 = drill(&v2, 0xD3);
     print_report(&r3);
     if !r3.is_clean() {
         return fail(format!("post-promote drill not clean: {r3:?}"));
@@ -661,7 +657,7 @@ fn cmd_rollout_drill(args: &Args) -> Result<ExitCode, String> {
         .map_err(|e| format!("force-install v3: {e}"))?;
     // every canary-routed row must be answered from the incumbent shadow:
     // the drill stays bit-identical to the v2 oracle, zero escapes
-    let r4 = drill(&v2, 0xD4)?;
+    let r4 = drill(&v2, 0xD4);
     print_report(&r4);
     if !r4.is_clean() {
         return fail(format!(
@@ -697,8 +693,7 @@ fn cmd_smoke(args: &Args) -> Result<ExitCode, String> {
     let config = engine_config(args)?;
     let engine = Engine::start_with(&admitted, config, None, tel).map_err(|e| e.to_string())?;
     let server = bind_server("127.0.0.1:0", engine.handle())?;
-    let report = loadgen::run_tcp(&bundle, server.local_addr(), &loadgen_config(args)?)
-        .map_err(|e| e.to_string())?;
+    let report = loadgen::run_tcp(&bundle, server.local_addr(), &loadgen_config(args)?);
     server.shutdown();
     engine.shutdown();
     print_report(&report);
@@ -736,5 +731,51 @@ mod tests {
         let args = parse("serve", "--shards 4 --allow-uncertified").expect("known flags");
         assert_eq!(args.get("shards"), Some("4"));
         assert_eq!(args.get("allow-uncertified"), Some("true"));
+    }
+
+    #[test]
+    fn smoke_refuses_the_fast_tier() {
+        // smoke's oracle is bit-exact, so a fast-tier smoke could never
+        // pass; the tier is a `serve` option only
+        assert!(parse("smoke", "--bundle b.json --tier fast-tanh").is_err());
+        assert!(parse("serve", "--bundle b.json --tier fast-tanh").is_ok());
+    }
+
+    #[test]
+    fn usage_names_exactly_each_commands_flags() {
+        let mut documented: Vec<(&str, Vec<&str>)> = Vec::new();
+        for line in USAGE.lines() {
+            let first = line.split_whitespace().next().unwrap_or("");
+            if COMMANDS.iter().any(|(n, _, _)| *n == first) {
+                documented.push((first, Vec::new()));
+            } else if !line.starts_with(' ') {
+                continue;
+            }
+            let Some((_, flags)) = documented.last_mut() else {
+                continue;
+            };
+            for (i, _) in line.match_indices("--") {
+                let rest = &line[i + 2..];
+                let end = rest
+                    .find(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+                    .unwrap_or(rest.len());
+                flags.push(&rest[..end]);
+            }
+        }
+        assert_eq!(
+            documented.len(),
+            COMMANDS.len(),
+            "one usage entry per command"
+        );
+        for (name, _, accepted) in COMMANDS {
+            let mut want: Vec<&str> = accepted.split_whitespace().collect();
+            let (_, got) = documented
+                .iter_mut()
+                .find(|(n, _)| n == name)
+                .expect("documented command");
+            want.sort_unstable();
+            got.sort_unstable();
+            assert_eq!(*got, want, "usage of `{name}`");
+        }
     }
 }

@@ -13,7 +13,7 @@
 //! the same atomic fsync'd temp-file-then-rename protocol as the pipeline
 //! checkpoints, so a crash mid-export never leaves a torn bundle.
 
-use cocktail_analysis::{AnalysisConfig, AnalysisReport, Analyzer, ControllerSpec, Severity};
+use cocktail_analysis::{AnalysisConfig, AnalysisReport, Analyzer, ControllerSpec};
 use cocktail_core::SystemId;
 use cocktail_math::BoxRegion;
 use cocktail_nn::{lipschitz, FastTierCert, Mlp};
@@ -417,14 +417,6 @@ impl ControllerBundle {
         Ok((net, scale))
     }
 
-    /// Error-level findings recorded at export time.
-    pub fn recorded_errors(&self) -> usize {
-        self.analysis
-            .iter()
-            .filter(|f| f.severity == Severity::Error.to_string())
-            .count()
-    }
-
     /// Atomically and durably writes the bundle as pretty-printed JSON.
     ///
     /// Same protocol as the pipeline checkpoints: write a temp file in the
@@ -651,7 +643,8 @@ mod tests {
         let b = bundle();
         assert_eq!(b.version, BUNDLE_VERSION);
         assert!(b.lipschitz_claim > 0.0);
-        assert_eq!(b.recorded_errors(), 0);
+        let error = cocktail_analysis::Severity::Error.to_string();
+        assert!(b.analysis.iter().all(|f| f.severity != error));
         let sys = SystemId::Oscillator.dynamics();
         assert_eq!((b.u_inf.clone(), b.u_sup.clone()), sys.control_bounds());
         assert_eq!(b.input_domain, sys.verification_domain());

@@ -114,9 +114,6 @@ pub struct EngineConfig {
     /// Bounded queue capacity **per shard**; submits beyond it are
     /// rejected.
     pub queue_capacity: usize,
-    /// Start with the scheduler paused (deterministic batch composition
-    /// for tests: queue requests, then [`Engine::resume`]).
-    pub start_paused: bool,
     /// Engine shards: independent queue + worker + scratch, ideally one
     /// per core. Connection ids hash onto shards deterministically.
     pub shards: usize,
@@ -134,7 +131,6 @@ impl Default for EngineConfig {
         Self {
             max_batch: 16,
             queue_capacity: 256,
-            start_paused: false,
             shards: 1,
             drift: None,
             tier: ServeTier::Exact,
@@ -577,11 +573,6 @@ impl EngineHandle {
         self.shared.control_dim
     }
 
-    /// Number of engine shards.
-    pub fn shard_count(&self) -> usize {
-        self.shared.shards.len()
-    }
-
     /// The handle pinned to the shard `conn_id` hashes to
     /// (FNV-1a(`conn_id`) mod shards — deterministic, evenly spread for
     /// sequential ids).
@@ -787,7 +778,7 @@ impl Engine {
                 state: Mutex::new(ShardState {
                     queue: VecDeque::with_capacity(queue_capacity),
                     free: Vec::with_capacity(queue_capacity),
-                    paused: config.start_paused,
+                    paused: false,
                     shutdown: false,
                 }),
                 wake: Condvar::new(),
@@ -1480,7 +1471,7 @@ mod tests {
                 ..EngineConfig::default()
             });
             let h = engine.handle();
-            assert_eq!(h.shard_count(), shards);
+            assert_eq!(h.shared.shards.len(), shards);
             for conn in 0..16u64 {
                 let pinned = h.pinned(conn);
                 assert!(pinned.shard() < shards);
@@ -1575,9 +1566,9 @@ mod tests {
     fn paused_engine_rejects_above_capacity_deterministically() {
         let engine = engine_with(EngineConfig {
             queue_capacity: 3,
-            start_paused: true,
             ..EngineConfig::default()
         });
+        engine.pause();
         let h = engine.handle();
         let tickets: Vec<Ticket> = (0..3)
             .map(|i| h.try_submit(&[0.1 * f64::from(i), 0.0]).expect("queued"))
@@ -1687,10 +1678,10 @@ mod tests {
     #[test]
     fn shutdown_drains_queued_requests_on_every_shard() {
         let engine = engine_with(EngineConfig {
-            start_paused: true,
             shards: 3,
             ..EngineConfig::default()
         });
+        engine.pause();
         let h = engine.handle();
         let tickets: Vec<Ticket> = (0..12u32)
             .map(|i| {

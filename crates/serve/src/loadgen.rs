@@ -13,6 +13,7 @@
 use crate::bundle::{BundleError, ControllerBundle};
 use crate::engine::ServeError;
 use crate::transport::BinaryTcpClient;
+use cocktail_analysis::ControllerSpec;
 use cocktail_math::{rng, vector};
 use std::net::SocketAddr;
 use std::time::Instant;
@@ -92,31 +93,28 @@ pub fn generate_states(bundle: &ControllerBundle, requests: usize, seed: u64) ->
 ///
 /// # Errors
 ///
-/// None: [`ControllerBundle::network`] cannot fail; the `Result` keeps
-/// the signature its callers use.
+/// None: every bundle that loads is a network with its scale; the
+/// `Result` keeps the signature its callers use.
 pub fn expected_control(bundle: &ControllerBundle, state: &[f64]) -> Result<Vec<f64>, BundleError> {
-    let (net, scale) = bundle.network()?;
+    Ok(reference_control(bundle, state))
+}
+
+/// [`expected_control`] without the `Result` it cannot fail with.
+fn reference_control(bundle: &ControllerBundle, state: &[f64]) -> Vec<f64> {
+    let ControllerSpec::Mlp { net, scale } = &bundle.spec;
     let raw = net.forward(state);
     let scaled: Vec<f64> = raw.iter().zip(scale).map(|(y, sc)| y * sc).collect();
-    Ok(vector::clip(&scaled, &bundle.u_inf, &bundle.u_sup))
+    vector::clip(&scaled, &bundle.u_inf, &bundle.u_sup)
 }
 
 /// Runs the drill over TCP with one binary-wire connection per thread.
-///
-/// # Errors
-///
-/// Those of [`expected_control`], which has none; individual
-/// connect/request failures are counted in the report, not returned.
-pub fn run_tcp(
-    bundle: &ControllerBundle,
-    addr: SocketAddr,
-    cfg: &LoadGenConfig,
-) -> Result<LoadReport, BundleError> {
+/// Connect and request failures are counted in the report.
+pub fn run_tcp(bundle: &ControllerBundle, addr: SocketAddr, cfg: &LoadGenConfig) -> LoadReport {
     let states = generate_states(bundle, cfg.requests, cfg.seed);
     let expected: Vec<Vec<f64>> = states
         .iter()
-        .map(|s| expected_control(bundle, s))
-        .collect::<Result<_, _>>()?;
+        .map(|s| reference_control(bundle, s))
+        .collect();
     let connections = cfg.connections.max(1);
 
     struct Tally {
@@ -197,7 +195,7 @@ pub fn run_tcp(
         .collect();
     latencies.sort_by(f64::total_cmp);
     let completed: usize = tallies.iter().map(|t| t.completed).sum();
-    Ok(LoadReport {
+    LoadReport {
         sent: states.len(),
         completed,
         rejected: tallies.iter().map(|t| t.rejected).sum(),
@@ -217,7 +215,7 @@ pub fn run_tcp(
         } else {
             0.0
         },
-    })
+    }
 }
 
 /// Nearest-rank percentile over an ascending-sorted sample (0 when

@@ -156,12 +156,6 @@ impl BinaryTcpClient {
         self.reconnects
     }
 
-    /// Test hook: tears the TCP connection down without telling the
-    /// client, as a mid-flight network failure would.
-    pub fn sever(&self) {
-        let _ = self.stream.shutdown(std::net::Shutdown::Both);
-    }
-
     /// One send-and-receive over the current connection; `self.frame`
     /// already holds the encoded request. `Err` is a transport failure
     /// (retryable by reconnecting); the inner result is final.
@@ -322,7 +316,9 @@ mod tests {
         let mut client = BinaryTcpClient::connect(server.local_addr()).expect("connect");
         let s = [0.1, -0.2];
         let before = client.control(&s).expect("served");
-        client.sever();
+        // tear the connection down without telling the client, as a
+        // mid-flight network failure would
+        let _ = client.stream.shutdown(std::net::Shutdown::Both);
         let after = client.control(&s).expect("served after reconnect");
         assert_eq!(before, after, "resent request answers identically");
         assert_eq!(client.reconnects(), 1);

@@ -103,12 +103,12 @@ fn canary_split_is_bit_reproducible_across_shard_counts() {
             EngineConfig {
                 max_batch: 8,
                 queue_capacity: 1024,
-                start_paused: true,
                 shards,
                 ..EngineConfig::default()
             },
             Arc::new(InMemorySink::new()),
         );
+        engine.pause();
         propose(&engine, cand.clone(), &cfg);
         let h = engine.handle();
         // explicit request ids: canary routing hashes the id and nothing
@@ -208,11 +208,11 @@ fn nan_candidate_auto_rolls_back_with_zero_escapes() {
         EngineConfig {
             max_batch: 8,
             queue_capacity: 1024,
-            start_paused: true,
             ..EngineConfig::default()
         },
         tel.clone(),
     );
+    engine.pause();
     // half of all traffic routes to a candidate whose first forward pass
     // is NaN — admission would refuse this net, so inject it raw
     propose(
@@ -274,12 +274,12 @@ fn nan_candidate_auto_rolls_back_with_zero_escapes() {
 fn divergence_budget_trips_and_restores_the_incumbent() {
     let engine = engine_with(
         EngineConfig {
-            start_paused: true,
             queue_capacity: 1024,
             ..EngineConfig::default()
         },
         Arc::new(InMemorySink::new()),
     );
+    engine.pause();
     // every request canaries, and no candidate output may differ from
     // the incumbent by more than 1e-15 — the nudged weight guarantees a
     // larger gap on the first compared batch
@@ -489,13 +489,13 @@ fn live_and_replay_agree(
             EngineConfig {
                 max_batch,
                 queue_capacity: states.len(),
-                start_paused: true,
                 ..EngineConfig::default()
             },
             None,
             Arc::new(NullSink),
         )
         .expect("engine starts");
+        engine.pause();
         engine
             .propose_parts(
                 can.net.clone(),

@@ -77,7 +77,6 @@ fn batched_outputs_are_bit_identical_across_schedules() {
             EngineConfig {
                 max_batch,
                 queue_capacity: 256,
-                start_paused: true,
                 shards: 1,
                 ..EngineConfig::default()
             },
@@ -85,6 +84,7 @@ fn batched_outputs_are_bit_identical_across_schedules() {
             Arc::new(NullSink),
         )
         .expect("engine starts");
+        engine.pause();
         let h = engine.handle();
         // queue everything while paused so the worker has full batches to
         // form, then release: batch composition is now deterministic
@@ -119,13 +119,13 @@ fn backpressure_is_deterministic_under_a_seeded_burst() {
             &admitted,
             EngineConfig {
                 queue_capacity: capacity,
-                start_paused: true,
                 ..EngineConfig::default()
             },
             None,
             Arc::new(NullSink),
         )
         .expect("engine starts");
+        engine.pause();
         let h = engine.handle();
         let mut accepted = Vec::new();
         let mut pattern = Vec::new();
@@ -208,8 +208,7 @@ fn tcp_smoke_serves_the_reference_bit_for_bit() {
             connections: 4,
             seed: 0x57E4,
         },
-    )
-    .expect("drill runs");
+    );
     server.shutdown();
     assert!(report.is_clean(), "smoke must be clean: {report:?}");
     assert_eq!(report.completed, 96);
@@ -233,7 +232,6 @@ fn shard_counts_are_invariant_under_randomized_batch_schedules() {
             &admitted,
             EngineConfig {
                 max_batch: 8,
-                start_paused: true,
                 shards,
                 ..EngineConfig::default()
             },
@@ -241,6 +239,7 @@ fn shard_counts_are_invariant_under_randomized_batch_schedules() {
             Arc::new(NullSink),
         )
         .expect("engine starts");
+        engine.pause();
         let h = engine.handle();
         // randomized schedule: requests arrive on random connections (so
         // random shards) in random pause/resume bursts — batch
@@ -299,8 +298,7 @@ fn reactor_smoke_serves_the_reference_at_every_shard_count() {
                 connections,
                 seed: 0xEAC7,
             },
-        )
-        .expect("drill runs");
+        );
         assert!(
             report.is_clean(),
             "reactor shards={shards} connections={connections} must be clean: {report:?}"

@@ -82,7 +82,6 @@ fn steady_state_batch_loop_is_allocation_free_on_the_outbox_path() {
         EngineConfig {
             max_batch: MAX_BATCH,
             queue_capacity: 256,
-            start_paused: true,
             shards: 1,
             ..EngineConfig::default()
         },
@@ -90,6 +89,7 @@ fn steady_state_batch_loop_is_allocation_free_on_the_outbox_path() {
         Arc::new(NullSink),
     )
     .expect("engine starts");
+    engine.pause();
     let pinned = engine.handle().pinned(0);
     let outbox = Arc::new(Outbox::new());
     let states: Vec<[f64; 2]> = (0..WARM_REQUESTS)
