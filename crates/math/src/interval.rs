@@ -15,8 +15,8 @@
 //! outward by a small, documented ulp budget and then intersected with the
 //! function's true codomain. Any point image therefore lies inside the
 //! returned interval — the property the certification code downstream
-//! (activation bounds, the analysis range pass, `crates/verify`, the serve
-//! fast-tier error certificates) relies on.
+//! (activation bounds, the analysis range pass, `crates/verify`, the
+//! fast-tanh kernel's error certificate in `crates/nn`) relies on.
 //!
 //! The *algebraic* ops (`+`, `-`, `*`, `/`, [`Interval::square`],
 //! [`Interval::powi`]) remain round-to-nearest: their endpoint arithmetic

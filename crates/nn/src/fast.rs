@@ -12,10 +12,12 @@
 //! outwardly-rounded interval arithmetic of `cocktail-math`: a centered
 //! form per subdivision cell (`|err(x)| ≤ |err(c)| + r · sup|err′|`, with
 //! the derivative enclosed by interval evaluation) plus a closed-form tail
-//! bound beyond the clamp point. Training, admission re-derivation and the
-//! default serving tier stay on exact `tanh`; the fast kernel is opt-in
-//! via [`ForwardKernel`] and its error budget is folded into the
-//! `ControllerBundle` fast-tier certificate checked at admission.
+//! bound beyond the clamp point. Training, verification, admission and
+//! serving all run exact `tanh`: the serving engine serves only the exact
+//! network its safety certificate proves. The fast kernel is reachable
+//! only through [`ForwardKernel`] and its error budget only through
+//! [`crate::certify_fast_tier`]; the perf gate and the benchmark's
+//! admission probe are their remaining callers.
 
 use cocktail_math::Interval;
 
@@ -220,7 +222,7 @@ mod tests {
 
     #[test]
     fn fast_tanh_is_monotone_on_a_grid() {
-        // not required for the error certificate, but the serving tier
+        // not required for the error certificate, but a batched forward
         // relies on the kernel being sane: non-decreasing on a dense grid
         let mut prev = -2.0;
         for i in 0..=100_000 {

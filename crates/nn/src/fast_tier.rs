@@ -1,18 +1,17 @@
-//! The fast-tanh serving tier's error certificate.
+//! The error certificate of the fast-tanh forward kernel.
 //!
-//! Networks train, verify and serve in `f64`; the serving engine may opt
-//! into the fast-tanh tier, which swaps libm `tanh` for the bounded-error
-//! [`crate::fast::fast_tanh`] kernel in the batched forward. The
-//! substitution is only admissible because it ships with a
-//! **certificate** ([`FastTierCert`], computed by [`certify_fast_tier`]):
-//! a sound per-output-dimension bound on `|fast-tanh output − exact
-//! output|` over the bundle's input domain, derived by a layer-wise error
-//! recursion whose ingredients — activation magnitude bounds from interval
+//! Networks train, verify and serve in `f64` with exact `tanh`. The
+//! [`crate::ForwardKernel::FastTanh`] batched forward swaps libm `tanh`
+//! for the bounded-error [`crate::fast::fast_tanh`] kernel, and this
+//! module bounds what that costs with a **certificate** ([`FastTierCert`],
+//! computed by [`certify_fast_tier`]): a sound per-output-dimension bound
+//! on `|fast-tanh output − exact output|` over an input region, derived
+//! by a layer-wise error recursion whose ingredients — activation magnitude bounds from interval
 //! bound propagation, `f64` dot-product rounding (`γ_n` factors), and the
 //! certified fast-tanh epsilon — are all either outwardly rounded or
-//! explicitly inflated. The admission gate re-derives the certificate from
-//! the shipped weights and refuses a bundle whose embedded claim does not
-//! match.
+//! explicitly inflated. Neither the serving engine nor the controller
+//! bundle uses the kernel or its certificate; the benchmark times the
+//! derivation as a set-up probe.
 
 use crate::activation::Activation;
 use crate::fast::FAST_TANH_EPS;
@@ -29,13 +28,12 @@ const U64: f64 = 1.110_223_024_625_156_5e-16; // 2^-53
 /// margin. Documented in DESIGN.md §16.
 const CERT_REL_SLOP: f64 = 1e-9;
 
-/// The fast-tier error certificate embedded in a `ControllerBundle` and
-/// re-derived by the admission gate.
+/// The fast-tanh kernel's error certificate over an input region.
 ///
 /// The bound is a sup-norm error **in network-output units** against the
-/// exact-`f64` forward, valid for every input inside the bundle's input
-/// domain; the serving control error is at most `|scale_j| ×` it (the
-/// clip to the control envelope is 1-Lipschitz and can only shrink it).
+/// exact-`f64` forward, valid for every input inside the region; a scaled
+/// and clipped control's error is at most `|scale_j| ×` it (the clip to a
+/// control envelope is 1-Lipschitz and can only shrink it).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FastTierCert {
     /// Certified per-unit error of the fast-tanh kernel
@@ -90,8 +88,8 @@ fn gamma(n: usize, u: f64) -> f64 {
 ///
 /// Every bound is finally inflated by a relative `1e-9` to absorb the
 /// round-to-nearest arithmetic of the bound computation itself. The
-/// recursion is deterministic, so admission re-derives bit-equal values
-/// from an untampered bundle.
+/// recursion is deterministic: the same weights and region give bit-equal
+/// values.
 pub fn certify_fast_tier(net: &Mlp, region: &BoxRegion) -> Option<FastTierCert> {
     assert_eq!(region.dim(), net.input_dim(), "region dimension mismatch");
     if !net.layers().iter().all(|layer| {

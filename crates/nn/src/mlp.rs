@@ -351,10 +351,10 @@ impl Mlp {
     /// [`Mlp::forward_batch_cached`] with an explicit activation kernel.
     ///
     /// [`ForwardKernel::Exact`] is the default contract (bit-identical to
-    /// per-sample [`Mlp::forward`]); [`ForwardKernel::FastTanh`] serves the
-    /// fast tier: same GEMM, [`crate::fast::fast_tanh`] in place of `tanh`,
-    /// every output within the bundle's certified fast-tier error of the
-    /// exact result. Training and admission re-derivation must stay on
+    /// per-sample [`Mlp::forward`]); [`ForwardKernel::FastTanh`] runs the
+    /// same GEMM with [`crate::fast::fast_tanh`] in place of `tanh`, every
+    /// output within [`crate::certify_fast_tier`]'s bound of the exact
+    /// result. Training, verification, admission and serving stay on
     /// `Exact`.
     ///
     /// # Panics

@@ -6,9 +6,7 @@
 //! bound is recomputed from the shipped weights and compared against the
 //! bundle's claim, a fresh seeded empirical sweep over the bundle's
 //! input domain checks that the claim actually dominates observed slopes,
-//! the fast-tier (reduced-precision kernel) error certificate is
-//! re-derived from the shipped weights and compared field by field, and
-//! the formal safety certificate — Bernstein enclosure, closed-loop
+//! and the formal safety certificate — Bernstein enclosure, closed-loop
 //! reachability, control-invariant set — is re-derived from the shipped
 //! weights, the plant spec and the embedded verification budgets, then
 //! compared field by field (wall-clock excluded: it is a metric, not a
@@ -17,10 +15,9 @@
 //! student whose certification exhausted its budget at export) is refused
 //! as uncertified unless the operator opts in.
 //!
-//! The sweep and the fast-tier derivation run beside the safety
-//! certificate's re-derivation; the checks are judged in the order above
-//! all the same, so a refusal names the same check whatever the
-//! schedule.
+//! The sweep runs beside the safety certificate's re-derivation; the
+//! checks are judged in the order above all the same, so a refusal names
+//! the same check whatever the schedule.
 
 use crate::bundle::{BundleError, ControllerBundle};
 use cocktail_analysis::{AnalysisConfig, AnalysisReport, Analyzer, PreflightMode};
@@ -94,13 +91,6 @@ pub enum AdmissionError {
         /// Largest observed slope.
         observed: f64,
     },
-    /// The shipped fast-tier certificate disagrees with the one admission
-    /// re-derives from the shipped weights — the claimed reduced-precision
-    /// error bounds cannot be trusted, so no fast kernel may serve.
-    FastTierMismatch {
-        /// What disagreed.
-        detail: String,
-    },
     /// The shipped safety certificate disagrees with the one admission
     /// re-derives from the shipped weights, plant spec and embedded
     /// budgets — or its budgets exceed the admission ceilings, or the
@@ -151,9 +141,6 @@ impl fmt::Display for AdmissionError {
                 "Lipschitz claim violated: fresh sweep observed slope {observed} \
                  above the claimed bound {claimed}"
             ),
-            AdmissionError::FastTierMismatch { detail } => {
-                write!(f, "fast-tier certificate mismatch: {detail}")
-            }
             AdmissionError::SafetyMismatch { detail } => {
                 write!(f, "safety certificate mismatch: {detail}")
             }
@@ -257,7 +244,6 @@ fn kind_of(e: &AdmissionError) -> &'static str {
         AdmissionError::LintDenied { .. } => "lint-denied",
         AdmissionError::ClaimMismatch { .. } => "claim-mismatch",
         AdmissionError::ClaimViolated { .. } => "claim-violated",
-        AdmissionError::FastTierMismatch { .. } => "fast-tier-mismatch",
         AdmissionError::SafetyMismatch { .. } => "safety-mismatch",
         AdmissionError::SafetyViolated { .. } => "safety-violated",
         AdmissionError::Uncertified { .. } => "uncertified",
@@ -349,9 +335,9 @@ fn run_checks(
         });
     }
 
-    // ---- the sweep, the fast-tier derivation and the safety certificate
-    // are pure functions of the shipped bundle, so the certificate runs on
-    // this thread beside the other two. It starts only under budgets that
+    // ---- the sweep and the safety certificate are pure functions of the
+    // shipped bundle, so the certificate runs on this thread beside the
+    // sweep. It starts only under budgets that
     // pass the ceilings (they are attacker-controlled), and its telemetry
     // is held back until its check is reached: the checks are judged in
     // the order below, so every refusal and every event stream is the one
@@ -365,7 +351,7 @@ fn run_checks(
     });
     let held = InMemorySink::new();
     let certify_tel: &dyn Telemetry = if tel.enabled() { &held } else { &NullSink };
-    let (certified, (sweep, rederived)) = parallel::join(
+    let (certified, sweep) = parallel::join(
         workers,
         || {
             within_ceilings.map(|checked| {
@@ -384,18 +370,14 @@ fn run_checks(
             })
         },
         || {
-            let sweep = scale_gain
+            scale_gain
                 * lipschitz::empirical_lower_bound_with_workers(
                     net,
                     &bundle.input_domain,
                     config.sweep_samples.max(1),
                     config.sweep_seed,
                     workers,
-                );
-            (
-                sweep,
-                cocktail_nn::certify_fast_tier(net, &bundle.input_domain),
-            )
+                )
         },
     );
 
@@ -405,38 +387,6 @@ fn run_checks(
             claimed: bundle.lipschitz_claim,
             observed: sweep,
         });
-    }
-
-    // ---- fast-tier certificate: the reduced-precision error bounds
-    // re-derived from the shipped weights (the derivation is
-    // deterministic, so any disagreement means the claim or the weights
-    // were altered)
-    match (&bundle.fast_tier, &rederived) {
-        (Some(claimed), Some(fresh)) => {
-            if !fresh.matches(claimed, tol.max(1e-9)) {
-                return Err(AdmissionError::FastTierMismatch {
-                    detail: format!(
-                        "shipped bounds {:?} != re-derived {:?}",
-                        claimed.fast_tanh_output_error, fresh.fast_tanh_output_error
-                    ),
-                });
-            }
-        }
-        (Some(_), None) => {
-            return Err(AdmissionError::FastTierMismatch {
-                detail: "bundle ships a fast-tier certificate but the shipped weights \
-                         do not admit one"
-                    .into(),
-            });
-        }
-        (None, Some(_)) => {
-            return Err(AdmissionError::FastTierMismatch {
-                detail: "shipped weights admit a fast-tier certificate but the bundle \
-                         omits it"
-                    .into(),
-            });
-        }
-        (None, None) => {}
     }
 
     // ---- safety certificate: the full formal loop (Bernstein enclosure,
@@ -479,16 +429,7 @@ fn run_checks(
             }
         }
         None => {
-            let reason = if bundle.predates_safety_certs() {
-                format!(
-                    "bundle format v{} predates safety certification",
-                    bundle.version
-                )
-            } else {
-                "bundle omits a safety certificate (certification exhausted its \
-                 budget at export, or the certificate was stripped)"
-                    .to_string()
-            };
+            let reason = bundle.uncertified_reason();
             if !config.allow_uncertified {
                 return Err(AdmissionError::Uncertified { reason });
             }
@@ -509,8 +450,9 @@ fn run_checks(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bundle::tests_support::{healthy_bundle, v2_bundle};
+    use crate::bundle::tests_support::{healthy_bundle, legacy_json, v2_bundle};
     use crate::bundle::BUNDLE_VERSION;
+    use crate::{Engine, EngineConfig};
     use cocktail_analysis::ControllerSpec;
     use cocktail_core::SystemId;
     use cocktail_obs::InMemorySink;
@@ -573,84 +515,69 @@ mod tests {
         assert!(matches!(err, AdmissionError::ClaimMismatch { .. }), "{err}");
     }
 
-    #[test]
-    fn tampered_fast_tier_cert_is_refused() {
-        let mut b = healthy_bundle();
-        let cert = b.fast_tier.as_mut().expect("tanh student has a cert");
-        // understate the fast-tanh error claim by half: the serving tier
-        // would then promise tighter outputs than the weights deliver
-        cert.fast_tanh_output_error[0] *= 0.5;
-        let err = admit(b).expect_err("refused");
-        assert!(
-            matches!(err, AdmissionError::FastTierMismatch { .. }),
-            "{err}"
-        );
+    /// A temp path for a rewritten bundle file.
+    fn temp_path(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!(
+            "cocktail-serve-admission-{tag}-{}.json",
+            std::process::id()
+        ))
     }
 
     #[test]
     fn v3_file_with_f32_keys_loads_validates_and_admits() {
         let b = healthy_bundle();
-        let path = std::env::temp_dir().join(format!(
-            "cocktail-serve-admission-v3-{}.json",
-            std::process::id()
-        ));
-        b.save(&path).expect("save succeeds");
-        let text = std::fs::read_to_string(&path).expect("readable");
-        // rebuild the file as a version-3 artifact: older stamp, and the
-        // fast-tier certificate still carries the retired f32 tier's
-        // epsilon and output-error keys
-        let tier = "f32";
-        let f32_keys = format!(
-            "\"fast_tanh_{tier}_eps\": 0.0000045,\n    \"{tier}_output_error\": [\n      0.0007\n    ],"
-        );
-        let v3 = text
-            .replacen(
-                &format!("\"version\": {}", crate::BUNDLE_VERSION),
-                "\"version\": 3",
-                1,
-            )
-            .replacen(
-                "\"fast_tanh_output_error\": [",
-                &format!("{f32_keys}\n    \"fast_tanh_output_error\": ["),
-                1,
-            );
+        let path = temp_path("v3");
+        let v3 = legacy_json(&b, 3, true);
         assert!(v3.contains("\"version\": 3") && v3.contains("\"f32_output_error\""));
         std::fs::write(&path, v3).expect("writable");
         let back = ControllerBundle::load(&path).expect("v3 file loads and validates");
         std::fs::remove_file(&path).ok();
         assert_eq!(back.version, 3);
-        let shipped = b.fast_tier.as_ref().expect("tanh student has a cert");
-        assert_eq!(
-            back.fast_tier.as_ref(),
-            Some(shipped),
-            "f32 keys are ignored"
-        );
-        let admitted = admit(back).expect("v3 bundle admits");
-        let (net, _) = admitted.bundle.network().expect("neural spec");
-        let fresh = cocktail_nn::certify_fast_tier(net, &admitted.bundle.input_domain)
-            .expect("re-derivation succeeds");
-        let bits = |c: &cocktail_nn::FastTierCert| -> Vec<u64> {
-            c.fast_tanh_output_error
-                .iter()
-                .map(|v| v.to_bits())
-                .collect()
-        };
-        assert_eq!(
-            bits(&fresh),
-            bits(shipped),
-            "same fast-tanh bound, bit for bit"
-        );
+        assert_eq!(back.safety, b.safety, "the legacy keys are ignored");
+        admit(back).expect("v3 bundle admits");
     }
 
     #[test]
-    fn stripped_fast_tier_cert_is_refused() {
-        let mut b = healthy_bundle();
-        b.fast_tier = None;
-        let err = admit(b).expect_err("refused");
-        assert!(
-            matches!(err, AdmissionError::FastTierMismatch { .. }),
-            "{err}"
+    fn v5_file_with_a_fast_tier_key_admits_and_serves_the_v6_bits() {
+        let b = healthy_bundle();
+        let path = temp_path("v5");
+        std::fs::write(&path, legacy_json(&b, 5, false)).expect("writable");
+        let back = ControllerBundle::load(&path).expect("v5 file loads and validates");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(back.version, 5);
+        let (v5, v6) = (
+            admit(back).expect("v5 bundle admits"),
+            admit(b).expect("v6 bundle admits"),
         );
+        assert_eq!(
+            v5.bundle.safety, v6.bundle.safety,
+            "same shipped SafetyCert"
+        );
+        let (fresh5, fresh6) = (
+            v5.safety.as_ref().expect("re-derived"),
+            v6.safety.as_ref().expect("re-derived"),
+        );
+        assert!(
+            fresh5.matches(fresh6, 0.0),
+            "{:?}",
+            fresh5.diff(fresh6, 0.0)
+        );
+
+        let (e5, e6) = (
+            Engine::start(&v5, EngineConfig::default()).expect("v5 serves"),
+            Engine::start(&v6, EngineConfig::default()).expect("v6 serves"),
+        );
+        let (h5, h6) = (e5.handle(), e6.handle());
+        for i in 0..32u32 {
+            let s = [0.1 * f64::from(i % 8) - 0.4, 0.05 * f64::from(i / 8) - 0.1];
+            let bits = |h: &crate::EngineHandle| -> Vec<u64> {
+                let served = h.submit(&s).expect("served").control;
+                served.iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&h5), bits(&h6), "state {s:?}");
+        }
+        e5.shutdown();
+        e6.shutdown();
     }
 
     #[test]
@@ -856,10 +783,14 @@ mod tests {
             allow_uncertified: true,
             ..AdmissionConfig::default()
         };
+        let expected = b.uncertified_reason();
         let admitted = admit_with(b, &cfg, &NullSink).expect("admitted under opt-in");
         assert_eq!(admitted.safety, None);
-        let reason = admitted.uncertified_reason.expect("reason recorded");
-        assert!(reason.contains("omits"), "{reason}");
+        assert_eq!(
+            admitted.uncertified_reason,
+            Some(expected),
+            "the bundle's own reason"
+        );
     }
 
     #[test]
@@ -928,8 +859,12 @@ mod tests {
             allow_uncertified: true,
             ..AdmissionConfig::default()
         };
+        let expected = b.uncertified_reason();
         let admitted = admit_with(b, &cfg, &NullSink).expect("admitted under opt-in");
-        let reason = admitted.uncertified_reason.expect("reason recorded");
-        assert!(reason.contains("predates"), "{reason}");
+        assert_eq!(
+            admitted.uncertified_reason,
+            Some(expected),
+            "the bundle's own reason"
+        );
     }
 }

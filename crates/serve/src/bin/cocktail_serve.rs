@@ -39,7 +39,7 @@ use cocktail_serve::ReactorServer;
 use cocktail_serve::{
     admit_with, load_recorded, shadow_replay, AdmissionConfig, BinaryTcpClient, ControllerBundle,
     DriftConfig, Engine, EngineConfig, EngineHandle, Provenance, RolloutAction, RolloutBudget,
-    RolloutConfig, RolloutError, ServeTier,
+    RolloutConfig, RolloutError,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -109,7 +109,7 @@ const COMMANDS: &[(&str, Command, &str)] = &[
     (
         "serve",
         cmd_serve,
-        "bundle addr allow-uncertified max-batch capacity shards tier telemetry drift-window \
+        "bundle addr allow-uncertified max-batch capacity shards telemetry drift-window \
          drift-threshold retrain-dir",
     ),
     (
@@ -143,9 +143,8 @@ usage: cocktail-serve <check|verify|serve|loadgen|smoke|replay|rollout-drill> [o
 check         --bundle <path> [--allow-uncertified]
 verify        --bundle <path> [--allow-uncertified]
 serve         --bundle <path> --addr <ip:port> [--allow-uncertified] [--max-batch N]
-              [--capacity N] [--shards N] [--tier exact|fast-tanh]
-              [--telemetry <jsonl>] [--drift-window N] [--drift-threshold X]
-              [--retrain-dir <dir>]
+              [--capacity N] [--shards N] [--telemetry <jsonl>] [--drift-window N]
+              [--drift-threshold X] [--retrain-dir <dir>]
 loadgen       --bundle <path> --addr <ip:port> [--requests N] [--connections N]
               [--seed N]
 smoke         --bundle <path> [--allow-uncertified] [--requests N] [--connections N]
@@ -216,17 +215,11 @@ fn engine_config(args: &Args) -> Result<EngineConfig, String> {
     } else {
         None
     };
-    let tier = match args.get("tier").unwrap_or("exact") {
-        "exact" => ServeTier::Exact,
-        "fast-tanh" => ServeTier::FastTanh,
-        other => return Err(format!("--tier must be exact or fast-tanh, got `{other}`")),
-    };
     Ok(EngineConfig {
         max_batch: args.parsed("max-batch", defaults.max_batch)?,
         queue_capacity: args.parsed("capacity", defaults.queue_capacity)?,
         shards: args.parsed("shards", defaults.shards)?,
         drift,
-        tier,
     })
 }
 
@@ -330,14 +323,7 @@ fn cmd_verify(args: &Args) -> Result<ExitCode, String> {
     let bundle = load_bundle(args)?;
     bundle.validate().map_err(|e| e.to_string())?;
     let Some(shipped) = &bundle.safety else {
-        let reason = if bundle.predates_safety_certs() {
-            format!(
-                "bundle format v{} predates safety certification",
-                bundle.version
-            )
-        } else {
-            "bundle omits a safety certificate".to_string()
-        };
+        let reason = bundle.uncertified_reason();
         if args.parsed("allow-uncertified", false)? {
             println!("verify: UNCERTIFIED, allowed by --allow-uncertified ({reason})");
             return Ok(ExitCode::SUCCESS);
@@ -734,11 +720,14 @@ mod tests {
     }
 
     #[test]
-    fn smoke_refuses_the_fast_tier() {
-        // smoke's oracle is bit-exact, so a fast-tier smoke could never
-        // pass; the tier is a `serve` option only
-        assert!(parse("smoke", "--bundle b.json --tier fast-tanh").is_err());
-        assert!(parse("serve", "--bundle b.json --tier fast-tanh").is_ok());
+    fn serve_and_smoke_refuse_the_retired_tier_flag() {
+        // the engine serves only the exact network the SafetyCert proves
+        for command in ["serve", "smoke"] {
+            for tier in ["exact", "fast-tanh"] {
+                let line = format!("--bundle b.json --tier {tier}");
+                assert!(parse(command, &line).is_err(), "{command} {line}");
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use cocktail_analysis::{AnalysisConfig, AnalysisReport, Analyzer, ControllerSpec};
 use cocktail_core::SystemId;
 use cocktail_math::BoxRegion;
-use cocktail_nn::{lipschitz, FastTierCert, Mlp};
+use cocktail_nn::{lipschitz, Mlp};
 use cocktail_obs::{NullSink, Telemetry};
 use cocktail_verify::{certify_controller, default_params, ErrorMargin, SafetyCert, SafetyParams};
 use serde::{Deserialize, Serialize};
@@ -31,13 +31,14 @@ use std::path::{Path, PathBuf};
 /// invariant set); 4 — `fast_tier` drops the retired `f32` tier's
 /// epsilon and output-error keys; 5 — the safety certificate's Bernstein
 /// parameters name their error margin (`margin`, first-order `Lipschitz`
-/// or second-order `Residual`). Version-2 to -4 bundles still load and
-/// validate (fields are looked up by name, so the extra `f32` keys of a
-/// v2/v3 file are ignored, and a certificate without a `margin` key was
-/// derived under, and re-derives under, the first-order margin), but the
-/// admission gate refuses version-2 bundles by default as uncertified (see
-/// `AdmissionConfig::allow_uncertified`).
-pub const BUNDLE_VERSION: u32 = 5;
+/// or second-order `Residual`); 6 — drops `fast_tier`: the engine serves
+/// only the exact network the safety certificate proves. Version-2 to -5
+/// bundles still load and validate (fields are looked up by name, so the
+/// `fast_tier` key of a v2–v5 file is ignored, and a certificate without a
+/// `margin` key was derived under, and re-derives under, the first-order
+/// margin), but the admission gate refuses version-2 bundles by default as
+/// uncertified (see `AdmissionConfig::allow_uncertified`).
+pub const BUNDLE_VERSION: u32 = 6;
 
 /// Oldest bundle format [`ControllerBundle::validate`] still accepts.
 pub const OLDEST_READABLE_VERSION: u32 = 2;
@@ -153,12 +154,6 @@ pub struct ControllerBundle {
     /// Analyzer findings at export time (informational; admission re-runs
     /// the analyzer rather than trusting these).
     pub analysis: Vec<BundleFinding>,
-    /// Certified output-error bound of the fast-tanh serving kernel over
-    /// `input_domain`, derived at export with interval arithmetic. `None`
-    /// when the controller uses activations the fast tier does not cover;
-    /// admission re-derives the certificate from the shipped weights and
-    /// refuses on mismatch.
-    pub fast_tier: Option<FastTierCert>,
     /// The formal safety certificate: Bernstein enclosure, closed-loop
     /// reachability and control-invariant set, derived at export from the
     /// shipped weights, the plant spec and the embedded parameters.
@@ -189,6 +184,12 @@ impl Deserialize for ControllerBundle {
                     .map_err(|e| serde::DeError::custom(format!("in `ControllerBundle`: {e}")))?,
             )
         }
+        // another format may have another shape, so refuse it by its
+        // version before any other field is looked up
+        let version = req(fields, "version")?;
+        if let Some(unsupported) = unsupported_version(version) {
+            return Err(serde::DeError::custom(unsupported));
+        }
         // `safety` arrived with format version 3; in older files the key is
         // simply absent, which must read as "no certificate", not an error.
         let safety = match fields.iter().find(|(k, _)| k == "safety") {
@@ -196,7 +197,7 @@ impl Deserialize for ControllerBundle {
             None => None,
         };
         Ok(ControllerBundle {
-            version: req(fields, "version")?,
+            version,
             system: req(fields, "system")?,
             spec: req(fields, "spec")?,
             input_domain: req(fields, "input_domain")?,
@@ -204,7 +205,6 @@ impl Deserialize for ControllerBundle {
             u_sup: req(fields, "u_sup")?,
             lipschitz_claim: req(fields, "lipschitz_claim")?,
             analysis: req(fields, "analysis")?,
-            fast_tier: req(fields, "fast_tier")?,
             safety,
             provenance: req(fields, "provenance")?,
         })
@@ -272,7 +272,6 @@ impl ControllerBundle {
         let claim = lipschitz::scaled_upper_bound(net, scale);
         let (u_inf, u_sup) = sys.control_bounds();
         let input_domain = sys.verification_domain();
-        let fast_tier = cocktail_nn::certify_fast_tier(net, &input_domain);
         let defaults;
         let params = match safety_params {
             Some(p) => p,
@@ -302,7 +301,6 @@ impl ControllerBundle {
             u_sup,
             lipschitz_claim: claim,
             analysis: findings_of(&report),
-            fast_tier,
             safety,
             provenance,
         };
@@ -315,15 +313,11 @@ impl ControllerBundle {
     ///
     /// # Errors
     ///
-    /// Returns [`BundleError::Format`] on shape problems and
-    /// [`BundleError::NonFinite`] on NaN / infinity anywhere.
+    /// Returns [`BundleError::Format`] on shape problems and negative
+    /// bounds, and [`BundleError::NonFinite`] on NaN / infinity anywhere.
     pub fn validate(&self) -> Result<(), BundleError> {
-        if !(OLDEST_READABLE_VERSION..=BUNDLE_VERSION).contains(&self.version) {
-            return Err(BundleError::Format(format!(
-                "bundle version {} outside the supported range \
-                 {OLDEST_READABLE_VERSION}..={BUNDLE_VERSION}",
-                self.version
-            )));
+        if let Some(unsupported) = unsupported_version(self.version) {
+            return Err(BundleError::Format(unsupported));
         }
         if self.predates_safety_certs() && self.safety.is_some() {
             return Err(BundleError::Format(format!(
@@ -373,26 +367,7 @@ impl ControllerBundle {
                 )));
             }
         }
-        if !self.lipschitz_claim.is_finite() || self.lipschitz_claim < 0.0 {
-            return Err(BundleError::NonFinite(format!(
-                "lipschitz claim {}",
-                self.lipschitz_claim
-            )));
-        }
-        if let Some(cert) = &self.fast_tier {
-            if std::iter::once(&cert.fast_tanh_eps)
-                .chain(&cert.fast_tanh_output_error)
-                .any(|v| !v.is_finite() || *v < 0.0)
-            {
-                return Err(BundleError::NonFinite("fast tier certificate".into()));
-            }
-            if cert.fast_tanh_output_error.len() != control_dim {
-                return Err(BundleError::Format(format!(
-                    "fast tier certificate arity {} != control dimension {control_dim}",
-                    cert.fast_tanh_output_error.len()
-                )));
-            }
-        }
+        non_negative("lipschitz claim", self.lipschitz_claim)?;
         if let Some(cert) = &self.safety {
             validate_safety_cert(cert, state_dim)?;
         }
@@ -404,6 +379,22 @@ impl ControllerBundle {
     /// (format version 3).
     pub fn predates_safety_certs(&self) -> bool {
         self.version < 3
+    }
+
+    /// Why the bundle carries no safety certificate: the reason admission
+    /// records (or refuses with) and `cocktail-serve verify` prints when
+    /// `safety` is `None`.
+    pub fn uncertified_reason(&self) -> String {
+        if self.predates_safety_certs() {
+            format!(
+                "bundle format v{} predates safety certification",
+                self.version
+            )
+        } else {
+            "bundle omits a safety certificate (certification exhausted its budget at \
+             export, or the certificate was stripped)"
+                .to_string()
+        }
     }
 
     /// The network and scale of the bundle's controller.
@@ -498,9 +489,7 @@ fn validate_safety_cert(cert: &SafetyCert, state_dim: usize) -> Result<(), Bundl
         ("safety epsilon", cert.epsilon),
         ("safety verify_ms", cert.verify_ms),
     ] {
-        if !v.is_finite() || v < 0.0 {
-            return Err(BundleError::NonFinite(format!("{name} {v}")));
-        }
+        non_negative(name, v)?;
     }
     for (name, b) in [
         ("safety reach hull", &cert.reach_final_hull),
@@ -540,6 +529,28 @@ fn validate_safety_cert(cert: &SafetyCert, state_dim: usize) -> Result<(), Bundl
     Ok(())
 }
 
+/// Why a bundle of format `version` cannot be read, or `None` when it can.
+fn unsupported_version(version: u32) -> Option<String> {
+    (!(OLDEST_READABLE_VERSION..=BUNDLE_VERSION).contains(&version)).then(|| {
+        format!(
+            "bundle version {version} outside the supported range \
+             {OLDEST_READABLE_VERSION}..={BUNDLE_VERSION}"
+        )
+    })
+}
+
+/// Refuses a bound that is NaN or infinite as [`BundleError::NonFinite`]
+/// and a finite negative one as [`BundleError::Format`].
+fn non_negative(name: &str, v: f64) -> Result<(), BundleError> {
+    if !v.is_finite() {
+        return Err(BundleError::NonFinite(format!("{name} {v}")));
+    }
+    if v < 0.0 {
+        return Err(BundleError::Format(format!("{name} {v} is negative")));
+    }
+    Ok(())
+}
+
 /// Rejects non-finite parameters anywhere in a spec. The vendored JSON
 /// parser accepts bare `NaN` / `Infinity` literals, so "the file parsed"
 /// is not the same as "the file is strict JSON" — this is the strictness
@@ -562,7 +573,7 @@ fn spec_params_finite(spec: &ControllerSpec) -> Result<(), BundleError> {
 /// Shared fixtures for the crate's unit tests.
 #[cfg(test)]
 pub(crate) mod tests_support {
-    use super::{fnv1a_64, ControllerBundle, Provenance};
+    use super::{fnv1a_64, ControllerBundle, Provenance, BUNDLE_VERSION};
     use cocktail_core::SystemId;
     use cocktail_nn::{Activation, Mlp, MlpBuilder};
     use cocktail_obs::NullSink;
@@ -616,6 +627,28 @@ pub(crate) mod tests_support {
         .clone()
     }
 
+    /// `bundle` as the pretty-printed JSON of a format-`version` file,
+    /// carrying the `fast_tier` certificate formats 2 to 5 shipped (with
+    /// the retired `f32` tier's keys when `f32_keys`, as v2 and v3 files
+    /// have them). Loading ignores the key.
+    #[allow(clippy::expect_used, reason = "test fixture")]
+    pub(crate) fn legacy_json(bundle: &ControllerBundle, version: u32, f32_keys: bool) -> String {
+        let text = serde_json::to_string_pretty(bundle).expect("bundle serializes");
+        let f32_keys = if f32_keys {
+            "\n    \"fast_tanh_f32_eps\": 0.0000045,\n    \"f32_output_error\": [\n      0.0007\n    ],"
+        } else {
+            ""
+        };
+        let fast_tier = format!(
+            "  \"fast_tier\": {{\n    \"fast_tanh_eps\": 0.0000012,{f32_keys}\n    \
+             \"fast_tanh_output_error\": [\n      0.00031\n    ]\n  }},\n  \"safety\": "
+        );
+        let stamp = format!("\"version\": {BUNDLE_VERSION}");
+        assert!(text.contains(&stamp) && text.contains("\n  \"safety\": "));
+        text.replacen(&stamp, &format!("\"version\": {version}"), 1)
+            .replacen("  \"safety\": ", &fast_tier, 1)
+    }
+
     /// The same artifact in the legacy version-2 format: no safety
     /// certificate, pre-certification version stamp.
     pub(crate) fn v2_bundle() -> ControllerBundle {
@@ -651,28 +684,6 @@ mod tests {
         let (net, scale) = b.network().expect("neural spec");
         assert_eq!(net.input_dim(), 2);
         assert_eq!(scale, &[20.0]);
-    }
-
-    #[test]
-    fn package_embeds_a_fast_tier_certificate_for_tanh_students() {
-        let b = bundle();
-        let cert = b.fast_tier.as_ref().expect("tanh student is certifiable");
-        assert_eq!(cert.fast_tanh_output_error.len(), 1);
-        assert!(cert.fast_tanh_output_error[0] > 0.0);
-        let (net, _) = b.network().expect("neural spec");
-        let fresh =
-            cocktail_nn::certify_fast_tier(net, &b.input_domain).expect("re-derivation succeeds");
-        assert!(fresh.matches(cert, 1e-9), "re-derivation is deterministic");
-    }
-
-    #[test]
-    fn validate_refuses_a_non_finite_fast_tier_cert() {
-        let mut b = bundle();
-        if let Some(cert) = b.fast_tier.as_mut() {
-            cert.fast_tanh_output_error[0] = f64::NAN;
-        }
-        let err = b.validate().expect_err("NaN cert refused");
-        assert!(matches!(err, BundleError::NonFinite(_)), "{err}");
     }
 
     #[test]
@@ -739,6 +750,32 @@ mod tests {
         let err = ControllerBundle::load(&path).expect_err("NaN literal refused");
         assert!(matches!(err, BundleError::NonFinite(_)), "{err}");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_newer_format_is_refused_by_version_not_by_its_shape() {
+        // a later format that drops a field must read as version skew,
+        // not as a missing field
+        let text = serde_json::to_string_pretty(&bundle()).expect("serializes");
+        let v7: String = text
+            .replacen(
+                &format!("\"version\": {BUNDLE_VERSION}"),
+                "\"version\": 7",
+                1,
+            )
+            .lines()
+            .filter(|l| !l.starts_with("  \"lipschitz_claim\""))
+            .collect::<Vec<_>>()
+            .join("\n");
+        let path = temp_path("v7");
+        std::fs::write(&path, v7).expect("writable");
+        let err = ControllerBundle::load(&path).expect_err("v7 refused");
+        std::fs::remove_file(&path).ok();
+        assert!(matches!(err, BundleError::Format(_)), "{err}");
+        assert!(
+            err.to_string().contains("bundle version 7 outside"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -858,6 +895,17 @@ mod tests {
         let err = b.validate().expect_err("NaN verify_ms refused");
         assert!(matches!(err, BundleError::NonFinite(_)), "{err}");
 
+        // a negative one is refused by its sign
+        let mut b = bundle();
+        if let Some(cert) = b.safety.as_mut() {
+            cert.epsilon = -0.5;
+        }
+        let err = b.validate().expect_err("negative epsilon refused");
+        assert_eq!(
+            err,
+            BundleError::Format("safety epsilon -0.5 is negative".into())
+        );
+
         // hull dimension disagrees with the plant
         let mut b = bundle();
         if let Some(cert) = b.safety.as_mut() {
@@ -873,6 +921,29 @@ mod tests {
         }
         let err = b.validate().expect_err("alive > cells refused");
         assert!(matches!(err, BundleError::Format(_)), "{err}");
+    }
+
+    #[test]
+    fn packaged_json_is_version_6_without_a_fast_tier_key() {
+        let text = serde_json::to_string_pretty(&bundle()).expect("serializes");
+        assert_eq!(BUNDLE_VERSION, 6);
+        assert!(text.contains("\"version\": 6,"), "{text}");
+        assert!(!text.contains("fast_tier"), "{text}");
+    }
+
+    #[test]
+    fn validate_refuses_negative_bounds_by_sign_and_non_finite_ones_as_such() {
+        let mut b = bundle();
+        b.lipschitz_claim = -1.0;
+        let err = b.validate().expect_err("negative claim refused");
+        assert_eq!(
+            err,
+            BundleError::Format("lipschitz claim -1 is negative".into())
+        );
+
+        b.lipschitz_claim = f64::INFINITY;
+        let err = b.validate().expect_err("infinite claim refused");
+        assert!(matches!(err, BundleError::NonFinite(_)), "{err}");
     }
 
     #[test]

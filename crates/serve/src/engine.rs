@@ -65,7 +65,7 @@ use crate::wire::{self, ResponseRec, MAX_WIRE_CONTROL_DIM};
 use cocktail_analysis::ControllerSpec;
 use cocktail_control::Controller;
 use cocktail_math::Matrix;
-use cocktail_nn::{BatchCache, ForwardKernel, Mlp};
+use cocktail_nn::{BatchCache, Mlp};
 use cocktail_obs::{Event, NullSink, Span, Telemetry};
 use std::collections::VecDeque;
 use std::fmt;
@@ -78,33 +78,6 @@ use std::time::{Duration, Instant};
 /// above the binary wire's practical id space, so internally-assigned ids
 /// never collide with client-chosen wire ids in a recorded stream.
 const INTERNAL_ID_BASE: u64 = 1 << 48;
-
-/// Which forward kernel the shard workers serve with.
-///
-/// [`ServeTier::Exact`] (the default) preserves the engine's founding
-/// invariant: every batched row is bit-identical to a per-sample
-/// [`Mlp::forward`]. The fast-tanh tier trades that invariant for
-/// throughput, bounded by the certificate the bundle ships (and admission
-/// re-derives): served outputs stay within `|scale| ×` the certified
-/// sup-norm error of the exact path over the bundle's input domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServeTier {
-    /// `f64` weights, libm activations — bit-identical to per-sample.
-    #[default]
-    Exact,
-    /// `f64` weights with the certified Padé fast-tanh activation kernel.
-    FastTanh,
-}
-
-impl ServeTier {
-    /// The batched-forward kernel this tier serves with.
-    fn kernel(self) -> ForwardKernel {
-        match self {
-            ServeTier::Exact => ForwardKernel::Exact,
-            ServeTier::FastTanh => ForwardKernel::FastTanh,
-        }
-    }
-}
 
 /// Scheduler knobs.
 #[derive(Debug, Clone, Copy)]
@@ -120,10 +93,6 @@ pub struct EngineConfig {
     /// Enable the served-output drift detector ([`crate::rollout`]) with
     /// these knobs; `None` (the default) keeps the hot path free of it.
     pub drift: Option<DriftConfig>,
-    /// Forward kernel tier; [`ServeTier::Exact`] (the default) keeps the
-    /// batched ≡ per-sample bit-identity invariant. Applies to incumbent,
-    /// canary and shadow forwards alike.
-    pub tier: ServeTier,
 }
 
 impl Default for EngineConfig {
@@ -133,7 +102,6 @@ impl Default for EngineConfig {
             queue_capacity: 256,
             shards: 1,
             drift: None,
-            tier: ServeTier::Exact,
         }
     }
 }
@@ -351,8 +319,6 @@ struct Shared {
     /// Epoch of the latest published set. Stored with `Release` after
     /// the set is swapped; workers `Acquire`-load it per batch.
     model_epoch: AtomicU64,
-    /// Forward kernel tier every shard serves with (fixed at start).
-    tier: ServeTier,
     rollout: Mutex<RolloutLog>,
     drift: Mutex<Option<DriftDetector>>,
     /// Cached `drift.is_some()` so the hot path skips the lock entirely
@@ -805,7 +771,6 @@ impl Engine {
                 canary: None,
             })),
             model_epoch: AtomicU64::new(1),
-            tier: config.tier,
             rollout: Mutex::new(RolloutLog::default()),
             drift_enabled: drift.is_some(),
             drift: Mutex::new(drift),
@@ -1101,8 +1066,8 @@ struct SizeClass {
 
 impl SizeClass {
     /// Stages the `n` requests of `batch` that `route` sends to the
-    /// canary (`canary`) or the incumbent and runs `params`' forward with
-    /// `kernel` over them, catching the network's finiteness panic so one
+    /// canary (`canary`) or the incumbent and runs `params`' forward over
+    /// them, catching the network's finiteness panic so one
     /// poisoned batch degrades to the fallback expert instead of killing
     /// the shard worker.
     fn forward(
@@ -1112,7 +1077,6 @@ impl SizeClass {
         route: &[Route],
         canary: bool,
         params: &ModelParams,
-        kernel: ForwardKernel,
     ) {
         let input = self
             .input
@@ -1124,7 +1088,7 @@ impl SizeClass {
         }
         let cache = self.cache.get_or_insert_with(BatchCache::new);
         self.ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            params.net.forward_batch_cached_kernel(input, cache, kernel);
+            params.net.forward_batch_cached(input, cache);
         }))
         .is_ok();
     }
@@ -1230,7 +1194,6 @@ fn run_batch(
         .canary
         .as_ref()
         .map_or(inc, |slot| slot.params.as_ref());
-    let kernel = shared.tier.kernel();
 
     // ---- route each request: a pure function of its id, so the split is
     // identical for any shard count and batch composition
@@ -1247,7 +1210,7 @@ fn run_batch(
     }
 
     if n_inc > 0 {
-        scratch.inc[n_inc].forward(n_inc, &scratch.batch, &scratch.route, false, inc, kernel);
+        scratch.inc[n_inc].forward(n_inc, &scratch.batch, &scratch.route, false, inc);
     }
 
     // ---- canary sub-batch: candidate forward + incumbent shadow, then
@@ -1260,12 +1223,11 @@ fn run_batch(
         )]
         let slot = models.canary.as_ref().expect("canary routed without slot");
         let (batch, route) = (&scratch.batch, &scratch.route);
-        scratch.can[n_can].forward(n_can, batch, route, true, can, kernel);
-        // shadow: the incumbent recomputes the same rows with the same
-        // tier; in the Exact tier batched ≡ per-sample, so the shadow is
-        // bit-identical to what the incumbent would have served (the
-        // fast-tanh tier stays within its certified bound)
-        scratch.shadow[n_can].forward(n_can, batch, route, true, inc, kernel);
+        scratch.can[n_can].forward(n_can, batch, route, true, can);
+        // shadow: the incumbent recomputes the same rows; batched ≡
+        // per-sample, so the shadow is bit-identical to what the incumbent
+        // would have served
+        scratch.shadow[n_can].forward(n_can, batch, route, true, inc);
 
         // compare every row and judge the canary's whole record under the
         // engine-wide log lock: the rule shadow replay reports against
@@ -1481,51 +1443,6 @@ mod tests {
                     per_sample(&s),
                     "shard {} of {shards} must match the per-sample path",
                     pinned.shard()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fast_tiers_serve_within_certified_bounds_across_shards() {
-        assert_eq!(EngineConfig::default().tier, ServeTier::Exact);
-        let net = MlpBuilder::new(2)
-            .hidden(24, Activation::Tanh)
-            .hidden(24, Activation::Tanh)
-            .output(1, Activation::Identity)
-            .seed(21)
-            .build();
-        let region = cocktail_math::BoxRegion::cube(2, -3.0, 3.0);
-        let cert = cocktail_nn::certify_fast_tier(&net, &region).expect("tanh net certifies");
-        let scale = 2.0_f64;
-        // the clip to the control envelope is 1-Lipschitz, so the served
-        // control error is at most |scale| × the certified network-output
-        // bound
-        let bound = scale * cert.fast_tanh_output_error[0];
-        for shards in [1usize, 2, 8] {
-            let engine = Engine::from_parts(
-                net.clone(),
-                vec![scale],
-                vec![-5.0],
-                vec![5.0],
-                EngineConfig {
-                    shards,
-                    tier: ServeTier::FastTanh,
-                    ..EngineConfig::default()
-                },
-                None,
-                Arc::new(NullSink),
-            )
-            .expect("engine starts");
-            let h = engine.handle();
-            let mut rng = cocktail_math::rng::seeded(0xfa57 + shards as u64);
-            for i in 0..32u64 {
-                let s = cocktail_math::rng::uniform_in_box(&mut rng, &region);
-                let served = h.pinned(i).submit(&s).expect("served").control[0];
-                let oracle = (net.forward(&s)[0] * scale).clamp(-5.0, 5.0);
-                assert!(
-                    (served - oracle).abs() <= bound,
-                    "fast-tanh on {shards} shard(s): |{served} - {oracle}| > {bound}"
                 );
             }
         }

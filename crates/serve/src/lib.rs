@@ -56,8 +56,7 @@ pub use bundle::{
     BundleError, ControllerBundle, Provenance, BUNDLE_VERSION, OLDEST_READABLE_VERSION,
 };
 pub use engine::{
-    ControlResponse, Engine, EngineConfig, EngineHandle, Outbox, PinnedHandle, ServeError,
-    ServeTier, Ticket,
+    ControlResponse, Engine, EngineConfig, EngineHandle, Outbox, PinnedHandle, ServeError, Ticket,
 };
 pub use loadgen::{LoadGenConfig, LoadReport};
 #[cfg(target_os = "linux")]

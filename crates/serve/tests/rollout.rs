@@ -428,7 +428,6 @@ impl Served {
             u_sup: self.u_sup.clone(),
             lipschitz_claim: 0.0,
             analysis: Vec::new(),
-            fast_tier: None,
             safety: None,
             provenance: Provenance {
                 seed: 0,

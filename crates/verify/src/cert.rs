@@ -426,8 +426,8 @@ pub struct Certification {
     pub reach: ReachResult,
 }
 
-/// Relative closeness with an absolute floor, the same contract as the
-/// fast-tier certificate comparison.
+/// Relative closeness with an absolute floor, the same contract as
+/// `cocktail_nn::FastTierCert::matches`.
 fn close(a: f64, b: f64, tol: f64) -> bool {
     (a - b).abs() <= tol * a.abs().max(b.abs()).max(1e-300)
 }
