@@ -28,24 +28,18 @@
 //! ```
 
 pub mod controller;
-pub mod degradation;
-pub mod faulty;
 pub mod linear;
 pub mod lqr;
 pub mod mixed;
-pub mod mpc;
 pub mod neural;
 pub mod polynomial;
 pub mod switching;
 
 pub use controller::Controller;
-pub use degradation::{DegradationConfig, DegradationEvent, DegradationReason};
-pub use faulty::FaultyExpert;
 pub use linear::LinearFeedbackController;
 pub use lqr::{dlqr, linearize, lqr_controller, Linearization, SynthesizeLqrError};
 pub use mixed::ConstantWeights;
 pub use mixed::{MixedController, WeightPolicy};
-pub use mpc::{MpcConfig, MpcController};
 pub use neural::NnController;
 pub use polynomial::PolynomialController;
 pub use switching::{FnSelector, GreedySelector, Selector, SwitchingController};

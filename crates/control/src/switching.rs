@@ -129,7 +129,6 @@ impl Selector for GreedySelector {
 pub struct SwitchingController {
     experts: Vec<Arc<dyn Controller>>,
     selector: Arc<dyn Selector>,
-    label: String,
 }
 
 impl SwitchingController {
@@ -139,19 +138,6 @@ impl SwitchingController {
     ///
     /// Panics if `experts` is empty or the experts disagree on dimensions.
     pub fn new(experts: Vec<Arc<dyn Controller>>, selector: Arc<dyn Selector>) -> Self {
-        Self::with_name(experts, selector, "A_S")
-    }
-
-    /// Creates a switching controller with a custom label.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `experts` is empty or the experts disagree on dimensions.
-    pub fn with_name(
-        experts: Vec<Arc<dyn Controller>>,
-        selector: Arc<dyn Selector>,
-        label: impl Into<String>,
-    ) -> Self {
         assert!(!experts.is_empty(), "switching needs at least one expert");
         let sd = experts[0].state_dim();
         let cd = experts[0].control_dim();
@@ -161,11 +147,7 @@ impl SwitchingController {
                 .all(|e| e.state_dim() == sd && e.control_dim() == cd),
             "expert dimensions mismatch"
         );
-        Self {
-            experts,
-            selector,
-            label: label.into(),
-        }
+        Self { experts, selector }
     }
 
     /// The experts being switched among.
@@ -194,7 +176,7 @@ impl Controller for SwitchingController {
     }
 
     fn name(&self) -> &str {
-        &self.label
+        "A_S"
     }
 
     fn lipschitz(&self, _domain: &BoxRegion) -> Option<f64> {

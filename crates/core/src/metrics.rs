@@ -120,8 +120,8 @@ fn evaluate_one(
     let mut perturb = config
         .attack
         .perturbation(controller, config.seed ^ (i as u64) << 1);
-    // a controller that emits NaN/Inf (e.g. a faulted expert without
-    // quarantine) counts as unsafe rather than poisoning the aggregate
+    // a controller that emits NaN/Inf from a finite state counts as
+    // unsafe rather than poisoning the aggregate
     match try_rollout(
         sys,
         &mut control_fn,
@@ -403,6 +403,59 @@ mod tests {
             let got = evaluate_with_workers(&sys, &damped(), &cfg, workers);
             assert_eq!(got, reference, "workers = {workers}");
         }
+    }
+
+    /// Returns NaN from every state, finite or not.
+    struct NanController;
+
+    impl Controller for NanController {
+        fn control(&self, _s: &[f64]) -> Vec<f64> {
+            vec![f64::NAN]
+        }
+        fn state_dim(&self) -> usize {
+            2
+        }
+        fn control_dim(&self) -> usize {
+            1
+        }
+        fn name(&self) -> &str {
+            "nan"
+        }
+        fn lipschitz(&self, _domain: &cocktail_math::BoxRegion) -> Option<f64> {
+            None
+        }
+    }
+
+    #[test]
+    fn non_finite_controls_abort_as_unsafe_at_every_worker_count() {
+        let sys = VanDerPol::new();
+        let cfg = EvalConfig {
+            samples: 30,
+            seed: 5,
+            ..Default::default()
+        };
+        let eval = evaluate(&sys, &NanController, &cfg);
+        assert_eq!(eval.safe_rate, 0.0);
+        assert_eq!(eval.safe_count, 0);
+        assert!(eval.mean_energy.is_nan());
+        // `Evaluation`'s derived `PartialEq` never equates a NaN energy
+        let bits = |e: &Evaluation| {
+            (
+                e.safe_rate.to_bits(),
+                e.mean_energy.to_bits(),
+                e.safe_count,
+                e.samples,
+            )
+        };
+        for workers in [1, 2, 8] {
+            let got = evaluate_with_workers(&sys, &NanController, &cfg, workers);
+            assert_eq!(bits(&got), bits(&eval), "workers = {workers}");
+        }
+        let sink = cocktail_obs::InMemorySink::new();
+        evaluate_with_telemetry(&sys, &NanController, &cfg, 2, &sink);
+        assert_eq!(sink.counter_total("rollout.nan_detected"), 30);
+        assert_eq!(sink.counter_total("rollout.unsafe"), 30);
+        assert_eq!(sink.counter_total("eval.safe"), 0);
     }
 
     #[test]

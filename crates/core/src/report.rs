@@ -84,55 +84,6 @@ pub fn render_table2_text(entries: &[Table2Entry]) -> String {
     out
 }
 
-/// Renders the degradation events of a monitored
-/// [`MixedController`](cocktail_control::MixedController) as an aligned
-/// plain-text table, followed by a per-expert quarantine tally.
-///
-/// # Examples
-///
-/// ```
-/// use cocktail_control::{DegradationEvent, DegradationReason};
-/// use cocktail_core::report::render_degradation_events;
-///
-/// let events = vec![DegradationEvent {
-///     call: 7,
-///     expert: 1,
-///     expert_name: "faulty(lqr)".into(),
-///     reason: DegradationReason::NonFinite,
-/// }];
-/// let out = render_degradation_events(&events);
-/// assert!(out.contains("faulty(lqr)") && out.contains("non-finite"));
-/// ```
-pub fn render_degradation_events(events: &[cocktail_control::DegradationEvent]) -> String {
-    if events.is_empty() {
-        return "no experts were quarantined\n".to_owned();
-    }
-    let mut out = String::new();
-    let _ = writeln!(out, "{:<8} {:<20} reason", "call", "expert");
-    for e in events {
-        let _ = writeln!(
-            out,
-            "{:<8} {:<20} {}",
-            e.call,
-            format!("#{} {}", e.expert, e.expert_name),
-            e.reason
-        );
-    }
-    // tally: quarantine count per expert, in first-offense order
-    let mut tally: Vec<(usize, &str, usize)> = Vec::new();
-    for e in events {
-        match tally.iter_mut().find(|(i, _, _)| *i == e.expert) {
-            Some((_, _, n)) => *n += 1,
-            None => tally.push((e.expert, &e.expert_name, 1)),
-        }
-    }
-    let _ = writeln!(out, "---");
-    for (i, name, n) in tally {
-        let _ = writeln!(out, "expert #{i} ({name}): quarantined {n} time(s)");
-    }
-    out
-}
-
 /// Renders an aggregated telemetry stream ([`cocktail_obs::summarize`])
 /// as an aligned plain-text report: spans with completion counts and
 /// total wall-clock time, then counter totals, then histogram ranges.
@@ -254,38 +205,6 @@ mod tests {
         }];
         let out = render_table2_text(&entries);
         assert!(out.contains("kappa_D") && out.contains("adversarial") && out.contains("837.3"));
-    }
-
-    #[test]
-    fn degradation_report_tallies_per_expert() {
-        use cocktail_control::{DegradationEvent, DegradationReason};
-        let events = vec![
-            DegradationEvent {
-                call: 0,
-                expert: 2,
-                expert_name: "faulty(nn)".into(),
-                reason: DegradationReason::NonFinite,
-            },
-            DegradationEvent {
-                call: 26,
-                expert: 2,
-                expert_name: "faulty(nn)".into(),
-                reason: DegradationReason::OutOfRange {
-                    value: 1.0e9,
-                    bound: 40.0,
-                },
-            },
-        ];
-        let out = render_degradation_events(&events);
-        assert!(
-            out.contains("expert #2 (faulty(nn)): quarantined 2 time(s)"),
-            "{out}"
-        );
-        assert!(out.contains("non-finite"), "{out}");
-        assert_eq!(
-            render_degradation_events(&[]),
-            "no experts were quarantined\n"
-        );
     }
 
     #[test]

@@ -38,13 +38,11 @@
 
 pub mod disturbance;
 pub mod dynamics;
-pub mod fault;
 pub mod rollout;
 pub mod systems;
 
 pub use disturbance::DisturbanceModel;
 pub use dynamics::Dynamics;
-pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultWindow};
 pub use rollout::{
     rollout, try_rollout, try_rollout_observed, RolloutConfig, RolloutError, Trajectory,
 };

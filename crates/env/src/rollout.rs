@@ -46,8 +46,8 @@ impl Trajectory {
 }
 
 /// Structured failure of a closed-loop simulation. Always-on: unlike a
-/// `debug_assert!`, these checks also protect release builds, where fault
-/// injection and buggy controllers are most likely to run.
+/// `debug_assert!`, these checks also protect release builds, where an
+/// untested controller is most likely to run.
 ///
 /// Both variants only fire while the trajectory is still in-spec — after a
 /// safety violation (with `stop_on_violation` off) superlinear systems such
@@ -129,7 +129,7 @@ impl Default for RolloutConfig {
 /// Panics if `s0.len() != sys.state_dim()`, the controller returns a
 /// vector of the wrong dimension, or the closed loop produces non-finite
 /// numbers before the first safety violation (see [`try_rollout`] for the
-/// fallible variant used by fault-tolerant callers).
+/// fallible variant the evaluation uses).
 ///
 /// # Examples
 ///

@@ -1,9 +1,9 @@
 //! Structured telemetry for the Cocktail pipeline.
 //!
 //! The pipeline stages (PPO mixing, robust distillation, evaluation,
-//! quarantine) report what they do through a single narrow interface: a
-//! [`Telemetry`] sink receiving typed [`Event`]s. Three sinks ship with the
-//! crate:
+//! certification) and the server report what they do through a single
+//! narrow interface: a [`Telemetry`] sink receiving typed [`Event`]s.
+//! Three sinks ship with the crate:
 //!
 //! - [`NullSink`] — the zero-cost default. `enabled()` is `false`, so hot
 //!   paths skip event construction entirely.
@@ -591,7 +591,7 @@ mod tests {
     fn jsonl_sink_round_trips_and_stays_strict_json() {
         let path = std::env::temp_dir().join(format!("cocktail-obs-{}.jsonl", std::process::id()));
         let sink = JsonlSink::create(&path).expect("create");
-        sink.counter("quarantine.events", 1);
+        sink.counter("rollout.nan_detected", 1);
         sink.record(
             Event::point("eval")
                 .with("mean_energy", f64::NAN)

@@ -6,11 +6,6 @@
 //! cargo run --release --example oscillator_pipeline
 //! ```
 //!
-//! Pass `--faults` to run the fault-injection drill instead: one expert
-//! is wrapped with a deterministic NaN fault and the mixed controller's
-//! graceful-degradation monitor quarantines it mid-flight, printing the
-//! degradation report.
-//!
 //! Pass `--telemetry <path>` to stream structured JSONL telemetry (stage
 //! spans, counters, per-iteration events) to `<path>`; the run prints an
 //! aggregate summary of the stream at the end.
@@ -25,6 +20,8 @@
 //! certificate is serialized, re-derived from scratch, and the two are
 //! required to agree exactly (wall-clock excluded) — the determinism
 //! contract the serving admission gate relies on.
+//!
+//! Any other argument prints the usage line and exits with status 2.
 
 #![allow(
     clippy::expect_used,
@@ -33,27 +30,47 @@
 )]
 
 use cocktail_core::experts::{cloned_experts, reference_laws};
-use cocktail_core::metrics::{evaluate, evaluate_with_telemetry, EvalConfig};
+use cocktail_core::metrics::{evaluate_with_telemetry, EvalConfig};
 use cocktail_core::pipeline::Cocktail;
 use cocktail_core::report::render_telemetry_summary;
 use cocktail_core::supervisor::SupervisorConfig;
 use cocktail_core::{certify_student, Preset, SystemId};
 use cocktail_obs::{read_jsonl, summarize, JsonlSink, NullSink, Telemetry};
+use std::path::PathBuf;
 use std::sync::Arc;
 
-/// The path following `flag` on the command line, if present.
-fn flag_path(flag: &str) -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return Some(
-                args.next()
-                    .unwrap_or_else(|| panic!("{flag} needs a path"))
-                    .into(),
-            );
+const USAGE: &str =
+    "usage: oscillator_pipeline [--telemetry <path>] [--export-bundle <path>] [--verify]";
+
+/// The command line: exactly the options [`USAGE`] names.
+#[derive(Default)]
+struct Options {
+    telemetry: Option<PathBuf>,
+    export_bundle: Option<PathBuf>,
+    verify: bool,
+}
+
+impl Options {
+    /// Parses the arguments after the program name, refusing any
+    /// argument [`USAGE`] does not name.
+    fn parse(raw: &[String]) -> Result<Self, String> {
+        let mut opts = Self::default();
+        let mut args = raw.iter();
+        while let Some(a) = args.next() {
+            let slot = match a.as_str() {
+                "--telemetry" => &mut opts.telemetry,
+                "--export-bundle" => &mut opts.export_bundle,
+                "--verify" => {
+                    opts.verify = true;
+                    continue;
+                }
+                other => return Err(format!("unknown argument `{other}`")),
+            };
+            let path = args.next().ok_or_else(|| format!("{a} needs a path"))?;
+            *slot = Some(path.into());
         }
+        Ok(opts)
     }
-    None
 }
 
 /// `--export-bundle <path>`: package `κ*` as a serving bundle, then load
@@ -114,6 +131,11 @@ fn export_bundle(
 }
 
 fn main() {
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let opts = Options::parse(&raw).unwrap_or_else(|e| {
+        eprintln!("oscillator_pipeline: {e}\n{USAGE}");
+        std::process::exit(2)
+    });
     let sys_id = SystemId::Oscillator;
     let sys = sys_id.dynamics();
     let cfg = EvalConfig {
@@ -121,13 +143,7 @@ fn main() {
         ..Default::default()
     };
 
-    if std::env::args().any(|a| a == "--faults") {
-        fault_drill(sys_id, &cfg);
-        return;
-    }
-
-    let tel_path = flag_path("--telemetry");
-    let tel: Arc<dyn Telemetry> = match &tel_path {
+    let tel: Arc<dyn Telemetry> = match &opts.telemetry {
         Some(path) => Arc::new(JsonlSink::create(path).expect("telemetry file is writable")),
         None => Arc::new(NullSink),
     };
@@ -232,7 +248,7 @@ fn main() {
     );
 
     // ---- optional: the determinism self-check behind the admission gate
-    if std::env::args().any(|a| a == "--verify") {
+    if opts.verify {
         println!("re-deriving the certificate from scratch (--verify self-check) ...");
         let json = serde_json::to_string(&cert).expect("certificate serializes");
         let fresh = certify_student(
@@ -258,13 +274,13 @@ fn main() {
     }
 
     // ---- optional: export the verified student as a serving bundle
-    if let Some(path) = flag_path("--export-bundle") {
-        export_bundle(&path, sys_id, &result, &pipeline_cfg, &*tel);
+    if let Some(path) = &opts.export_bundle {
+        export_bundle(path, sys_id, &result, &pipeline_cfg, &*tel);
     }
 
     // ---- telemetry: read the stream back and print the aggregate view
-    if let Some(path) = tel_path {
-        let events = read_jsonl(&path).expect("telemetry stream parses back");
+    if let Some(path) = &opts.telemetry {
+        let events = read_jsonl(path).expect("telemetry stream parses back");
         println!(
             "\ntelemetry: {} events written to {}",
             events.len(),
@@ -272,60 +288,4 @@ fn main() {
         );
         print!("{}", render_telemetry_summary(&summarize(&events)));
     }
-}
-
-/// The `--faults` mode: inject a permanent NaN fault into one expert and
-/// show the degradation monitor quarantining it while the remaining
-/// experts keep the plant safe.
-fn fault_drill(sys_id: SystemId, cfg: &EvalConfig) {
-    use cocktail_control::{ConstantWeights, DegradationConfig, FaultyExpert, MixedController};
-    use cocktail_core::report::render_degradation_events;
-    use cocktail_env::fault::{FaultKind, FaultPlan};
-    use std::sync::Arc;
-
-    let sys = sys_id.dynamics();
-    let experts = cloned_experts(sys_id, 0);
-    let (u_lo, u_hi) = sys.control_bounds();
-    let weights = Arc::new(ConstantWeights(vec![0.5; experts.len()]));
-
-    let healthy =
-        MixedController::new(experts.clone(), weights.clone(), u_lo.clone(), u_hi.clone());
-    let healthy_eval = evaluate(sys.as_ref(), &healthy, cfg);
-    println!(
-        "all-healthy mixture: S_r {:.1}%",
-        healthy_eval.safe_rate_percent()
-    );
-
-    // expert 0 turns into a NaN source partway through every episode
-    let plan = FaultPlan::window(FaultKind::NanOutput, 10, None);
-    let mut faulted = experts.clone();
-    faulted[0] = Arc::new(FaultyExpert::new(experts[0].clone(), plan, 0));
-    println!(
-        "injecting: {} emits NaN from step 10 onwards",
-        faulted[0].name()
-    );
-
-    let unguarded =
-        MixedController::new(faulted.clone(), weights.clone(), u_lo.clone(), u_hi.clone());
-    let unguarded_eval = evaluate(sys.as_ref(), &unguarded, cfg);
-    println!(
-        "without quarantine:  S_r {:.1}% (NaN controls abort the rollout)",
-        unguarded_eval.safe_rate_percent()
-    );
-
-    let guarded = MixedController::new(faulted, weights, u_lo, u_hi)
-        .with_degradation(DegradationConfig::default());
-    let guarded_eval = evaluate(sys.as_ref(), &guarded, cfg);
-    println!(
-        "with quarantine:     S_r {:.1}%",
-        guarded_eval.safe_rate_percent()
-    );
-
-    let events = guarded.take_degradation_events();
-    println!(
-        "\ndegradation report ({} events, first 10 shown):",
-        events.len()
-    );
-    let shown: Vec<_> = events.iter().take(10).cloned().collect();
-    print!("{}", render_degradation_events(&shown));
 }

@@ -1,24 +1,18 @@
-//! Fault-injection, graceful-degradation and checkpoint/rewind
-//! integration tests: the determinism and safety contracts of the
-//! fault-tolerance subsystem, exercised end to end.
+//! Checkpoint/rewind integration tests: kill-and-resume bit equality,
+//! typed divergence errors and deterministic telemetry of the supervised
+//! pipeline, exercised end to end.
 
 #![allow(
     clippy::expect_used,
     reason = "test helpers panic freely, like the #[test] fns they serve"
 )]
 
-use cocktail_control::{
-    Controller, DegradationConfig, DegradationReason, FaultyExpert, MixedController,
-};
+use cocktail_control::Controller;
 use cocktail_core::experts::cloned_experts;
-use cocktail_core::metrics::{evaluate, EvalConfig};
 use cocktail_core::pipeline::{Cocktail, CocktailConfig, CocktailResult};
 use cocktail_core::supervisor::{DivergenceConfig, PipelineError, SupervisorConfig};
 use cocktail_core::SystemId;
 use cocktail_distill::DistillConfig;
-use cocktail_env::fault::{FaultKind, FaultPlan};
-use cocktail_env::{try_rollout, RolloutConfig};
-use cocktail_math::parallel::{map_range_with_workers, task_seed};
 use cocktail_rl::PpoConfig;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -76,145 +70,6 @@ fn reference_fingerprint() -> &'static (String, String, String) {
 
 fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("cocktail-ft-{tag}-{}", std::process::id()))
-}
-
-/// A faulted mixed oscillator controller, built fresh per episode so the
-/// stuck-at memory and quarantine clocks never leak across episodes.
-fn faulted_mixed(plan: &FaultPlan, seed: u64) -> MixedController {
-    let experts = oscillator_experts();
-    let wrapped: Vec<Arc<dyn Controller>> = vec![
-        Arc::new(FaultyExpert::new(experts[0].clone(), plan.clone(), seed)),
-        experts[1].clone(),
-    ];
-    MixedController::new(
-        wrapped,
-        Arc::new(cocktail_control::ConstantWeights(vec![0.5, 0.5])),
-        vec![-20.0],
-        vec![20.0],
-    )
-    .with_degradation(DegradationConfig::default())
-}
-
-#[test]
-fn faulty_rollouts_are_worker_count_invariant() {
-    let sys = SystemId::Oscillator.dynamics();
-    let episodes = 24;
-    let run = |workers: usize| {
-        map_range_with_workers(episodes, workers, |i| {
-            let seed = task_seed(999, i as u64);
-            // every episode gets its own random fault schedule and its own
-            // injector/monitor state
-            let plan = FaultPlan::random(seed, 60, 3);
-            let mixed = faulted_mixed(&plan, seed);
-            let mut rng = cocktail_math::rng::seeded(seed ^ 0x5EED);
-            let s0 = cocktail_math::rng::uniform_in_box(&mut rng, &sys.initial_set());
-            let mut control = |s: &[f64]| mixed.control(s);
-            let mut no_attack = |_t: usize, s: &[f64]| s.to_vec();
-            let outcome = try_rollout(
-                sys.as_ref(),
-                &mut control,
-                &mut no_attack,
-                &s0,
-                &RolloutConfig {
-                    horizon: Some(60),
-                    seed,
-                    ..Default::default()
-                },
-            );
-            let events: Vec<(u64, usize, bool)> = mixed
-                .degradation_events()
-                .iter()
-                .map(|e| {
-                    (
-                        e.call,
-                        e.expert,
-                        matches!(e.reason, DegradationReason::NonFinite),
-                    )
-                })
-                .collect();
-            match outcome {
-                Ok(traj) => (
-                    true,
-                    traj.is_safe(),
-                    traj.energy().to_bits(),
-                    traj.states.last().expect("nonempty")[0].to_bits(),
-                    events,
-                ),
-                Err(_) => (false, false, 0, 0, events),
-            }
-        })
-    };
-    let reference = run(1);
-    assert!(
-        reference
-            .iter()
-            .any(|(_, _, _, _, events)| !events.is_empty()),
-        "the random fault plans should trip the degradation monitor at least once"
-    );
-    for workers in [2, 8] {
-        assert_eq!(run(workers), reference, "workers = {workers}");
-    }
-}
-
-#[test]
-fn quarantine_keeps_a_nan_expert_safe() {
-    let sys = SystemId::Oscillator.dynamics();
-    let eval_config = EvalConfig {
-        samples: 80,
-        seed: 42,
-        ..Default::default()
-    };
-    // a third, lightly-weighted expert on top of the two cloned ones; this
-    // is the one that faults, so the quarantined mixture keeps both strong
-    // experts (renormalized 0.45/0.45 → 0.5/0.5)
-    let third: Arc<dyn Controller> = Arc::new(cocktail_control::LinearFeedbackController::new(
-        cocktail_math::Matrix::from_rows(vec![vec![2.0, 3.0]]),
-    ));
-    let weights = Arc::new(cocktail_control::ConstantWeights(vec![0.45, 0.45, 0.1]));
-    let mix = |last: Arc<dyn Controller>| {
-        let experts = oscillator_experts();
-        MixedController::new(
-            vec![experts[0].clone(), experts[1].clone(), last],
-            weights.clone(),
-            vec![-20.0],
-            vec![20.0],
-        )
-    };
-    let nan_expert = || -> Arc<dyn Controller> {
-        Arc::new(FaultyExpert::new(
-            third.clone(),
-            FaultPlan::permanent(FaultKind::NanOutput),
-            7,
-        ))
-    };
-
-    let healthy = evaluate(sys.as_ref(), &mix(third.clone()), &eval_config);
-    let unguarded = evaluate(sys.as_ref(), &mix(nan_expert()), &eval_config);
-    let guarded_mixed = mix(nan_expert()).with_degradation(DegradationConfig::default());
-    let guarded = evaluate(sys.as_ref(), &guarded_mixed, &eval_config);
-
-    // without quarantine every control is NaN: the rollout aborts and the
-    // episode counts as unsafe
-    assert_eq!(unguarded.safe_rate, 0.0, "NaN must not count as safe");
-    // with quarantine the surviving experts carry the episode: within 5
-    // safe-rate points of the all-healthy mixture (the issue's bound)
-    assert!(
-        (healthy.safe_rate - guarded.safe_rate).abs() <= 0.05,
-        "guarded {} vs healthy {}",
-        guarded.safe_rate,
-        healthy.safe_rate
-    );
-    assert!(
-        guarded.safe_rate > 0.5,
-        "guarded rate {} should be far above the unguarded 0",
-        guarded.safe_rate
-    );
-    // the offense is on the record, attributed to the wrapped expert
-    let events = guarded_mixed.degradation_events();
-    assert!(!events.is_empty(), "quarantine must log events");
-    assert!(events
-        .iter()
-        .all(|e| e.expert == 2 && e.reason == DegradationReason::NonFinite));
 }
 
 #[test]

@@ -1,9 +1,9 @@
-//! Integration of the model-based expert families (LQR, MPC) with the
-//! Cocktail pipeline — the paper's "experts could be based on
-//! well-established model-based approaches such as MPC or LQR".
+//! Integration of the model-based LQR experts with the Cocktail pipeline —
+//! the paper's "experts could be based on well-established model-based
+//! approaches such as MPC or LQR".
 
 use cocktail_control::lqr::{linearize, lqr_controller};
-use cocktail_control::{Controller, MpcConfig, MpcController};
+use cocktail_control::Controller;
 use cocktail_core::experiment::pipeline_config;
 use cocktail_core::metrics::{evaluate, EvalConfig};
 use cocktail_core::pipeline::Cocktail;
@@ -61,55 +61,4 @@ fn lqr_expert_pair_feeds_the_pipeline() {
         best_expert
     );
     assert!(result.kappa_star.lipschitz_constant().is_finite());
-}
-
-#[test]
-fn mpc_expert_controls_and_can_be_distilled() {
-    let sys_id = SystemId::Oscillator;
-    let sys = sys_id.dynamics();
-    let mpc = MpcController::new(
-        sys.clone(),
-        MpcConfig {
-            horizon: 8,
-            samples: 32,
-            iterations: 2,
-            ..Default::default()
-        },
-    );
-    // MPC is slow per step; evaluate with a small budget
-    let eval = evaluate(
-        sys.as_ref(),
-        &mpc,
-        &EvalConfig {
-            samples: 25,
-            horizon: Some(40),
-            ..Default::default()
-        },
-    );
-    assert!(eval.safe_rate > 0.7, "MPC S_r {}", eval.safe_rate);
-
-    // distill the MPC expert into a fast student network
-    let data =
-        cocktail_distill::TeacherDataset::sample_uniform(&mpc, &sys.verification_domain(), 256, 0);
-    let student = cocktail_distill::direct_distill(
-        &data,
-        &cocktail_distill::DistillConfig {
-            epochs: 60,
-            hidden: 16,
-            ..Default::default()
-        },
-    );
-    let student_eval = evaluate(
-        sys.as_ref(),
-        &student,
-        &EvalConfig {
-            samples: 60,
-            ..Default::default()
-        },
-    );
-    assert!(
-        student_eval.safe_rate > 0.5,
-        "distilled MPC student S_r {}",
-        student_eval.safe_rate
-    );
 }
